@@ -194,10 +194,6 @@ class PencilForm:
     def positions(self):
         return positions_from_sigma(self.sigma)
 
-    def pencil_row(self, block_index):
-        """Row block_index (1-based) of sK - Lambda as (K row, Lambda row)."""
-        return self.K.row(block_index - 1), self.Lambda.row(block_index - 1)
-
 
 def to_pencil_form(sys: StateSpace) -> PencilForm:
     """Transform (A, B, C) to controller canonical form plus pencil split.

@@ -21,6 +21,7 @@ from .admissible import RowConfig, enumerate_row_configs, enumerate_tuples
 from .canonical import (
     PencilForm,
     StateSpace,
+    build_S,
     controllability_indices,
     to_pencil_form,
 )
@@ -38,7 +39,6 @@ from .squaring import (
     assemble_squaring,
     build_QB,
     decouplability_search,
-    dtilde_hc,
     solve_feedback_rows,
 )
 from . import zeros as zeros_mod
@@ -305,8 +305,12 @@ def _sub_seed(seed: int, ti: int, ci: int) -> int:
     return int.from_bytes(h[:8], "big")
 
 
-def _evaluate_config(sys, pencil, ci_tuple, config, ti, ci, options):
-    """Run the whole per-configuration pipeline; returns (outcome, solution|None)."""
+def _evaluate_config(sys, pencil, ci_tuple, config, ti, ci, options, qbasis=None):
+    """Run the whole per-configuration pipeline; returns (outcome, solution|None).
+
+    qbasis is build_QB(pencil.sigma, ci_tuple), passed in when the caller
+    shares one per index tuple.
+    """
     rng = random.Random(_sub_seed(options.seed, ti, ci))
 
     def rejected(reason, report=None):
@@ -324,7 +328,8 @@ def _evaluate_config(sys, pencil, ci_tuple, config, ti, ci, options):
             None,
         )
 
-    qbasis = build_QB(pencil.sigma, ci_tuple)
+    if qbasis is None:
+        qbasis = build_QB(pencil.sigma, ci_tuple)
     w = qbasis.width
     n, m = pencil.n, sys.m
 
@@ -342,37 +347,54 @@ def _evaluate_config(sys, pencil, ci_tuple, config, ti, ci, options):
         extra, musys = solve_feedback_rows(qbasis, report.constraints, config)
     except MorganError as e:
         return rejected(f"feedback-row constraint derivation failed: {e}", report)
+    if not extra.is_empty():
+        raise MorganError("a leading Q_B entry survived the search constraints (bug)")
     cs = musys.constraints
-    n_alpha = extra.apply(report.n_alpha) if not extra.is_empty() else report.n_alpha
-    dhc = cs.apply(dtilde_hc(pencil, qbasis, config))
 
-    free = [p for p in qbasis.params if p not in cs.subs_map]
+    # The search checked generic full rank of these three matrices on the
+    # constraint set; draw small integer points of its free parameters
+    # until all three have full rank there.  A point where a row of
+    # C_r Q_B S~(s) has a nonconstant gcd is also redrawn: the static
+    # decoupling law would leave that gcd as an unobservable closed-loop
+    # mode outside the recorded fixed poles.
+    qb_grid, na_grid, dhc_grid = report.rank_grids
+    free = qb_grid.elim.free(len(qbasis.params))
+    s_tilde = build_S(qbasis.sigma_tilde)
     family = None
     assignment = None
     qb_num = None
+    common_factors = 0
     for _ in range(INSTANTIATION_RETRIES):
         trial = {
-            p: Fraction(rng.randint(-INSTANTIATION_BOUND, INSTANTIATION_BOUND))
-            for p in free
+            c: rng.randint(-INSTANTIATION_BOUND, INSTANTIATION_BOUND) for c in free
         }
-        qn = instantiate(cs.apply(qbasis.qb), trial)
+        qn = instantiate(qb_grid, trial)
         if qn.rank() != w:
             continue
-        if instantiate(n_alpha, trial).rank() != m:
+        if instantiate(na_grid, trial).rank() != m:
             continue
-        if instantiate(dhc, trial).rank() != m:
+        if instantiate(dhc_grid, trial).rank() != m:
             continue
+        if any(g.degree > 0 for g in zeros_mod.row_gcds(pencil.C_r * qn * s_tilde)):
+            common_factors += 1
+            continue
+        named = {qbasis.params[c - 1]: Fraction(v) for c, v in trial.items()}
         try:
-            family = musys.solve_numeric(qn, trial)
+            family = musys.solve_numeric(qn, named)
         except NotSolvable:
             continue
-        assignment = trial
+        assignment = named
         qb_num = qn
         break
     if family is None:
         return rejected(
             "no numeric instantiation satisfied the exact rank checks "
-            f"within {INSTANTIATION_RETRIES} attempts",
+            f"within {INSTANTIATION_RETRIES} attempts"
+            + (
+                f" ({common_factors} had a common factor in a row of C_r Q_B S~(s))"
+                if common_factors
+                else ""
+            ),
             report,
         )
 
@@ -451,6 +473,12 @@ def solve(sys: StateSpace, options: SolveOptions | None = None):
     grid = [
         (ti, ci) for ti in range(len(tuples)) for ci in range(len(configs))
     ]
+    qbases = {}  # one Q_B per index tuple, shared by its row configurations
+
+    def qbasis(ti):
+        if ti not in qbases:
+            qbases[ti] = build_QB(pencil.sigma, tuples[ti])
+        return qbases[ti]
 
     if options.jobs > 1:
         # chunked so a solved configuration still short-circuits the search;
@@ -471,6 +499,7 @@ def solve(sys: StateSpace, options: SolveOptions | None = None):
                         ti,
                         ci,
                         options,
+                        qbasis(ti),
                     )
                     for ti, ci in batch
                 ]
@@ -482,7 +511,7 @@ def solve(sys: StateSpace, options: SolveOptions | None = None):
         ordered = []
         for ti, ci in grid:
             out = _evaluate_config(
-                sys, pencil, tuples[ti], configs[ci], ti, ci, options
+                sys, pencil, tuples[ti], configs[ci], ti, ci, options, qbasis(ti)
             )
             ordered.append(out)
             if out[1] is not None and not options.return_all:

@@ -58,7 +58,3 @@ class TargetDegreeMismatch(MorganError):
 
 class DegenerateNumerator(MorganError):
     """det(C_f * S_f(s)) is identically zero (non-right-invertible configuration)."""
-
-
-class NoSolutionWithinScope(MorganError):
-    """A constraint outside the supported (affine) class was encountered."""

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 
 from .errors import DegreeExceeded, MorganError
 
@@ -383,7 +384,7 @@ class RationalMatrix:
         return m, pivots
 
     def rank(self) -> int:
-        return len(self._echelon()[1])
+        return rank(self.entries)
 
     def inverse(self) -> "RationalMatrix":
         n = self.rows
@@ -431,9 +432,41 @@ class RationalMatrix:
         return f"RationalMatrix({[list(map(str, r)) for r in self.entries]})"
 
 
-def rank(m: RationalMatrix) -> int:
-    """Exact rank over Q."""
-    return m.rank()
+def rank(m) -> int:
+    """Exact rank over Q of a RationalMatrix or of rows of ints / Fractions.
+
+    Fraction-free (Bareiss) elimination over the integers, after scaling
+    each row by the lcm of its denominators.  After k pivots every remaining
+    entry is a (k+1)-minor of the scaled matrix, so the division by the
+    previous pivot is exact.
+    """
+    rows = []
+    for entries in m.entries if isinstance(m, RationalMatrix) else m:
+        den = 1
+        for x in entries:
+            if x.denominator != 1:
+                den = lcm(den, x.denominator)
+        row = [x.numerator * (den // x.denominator) for x in entries]
+        if any(row):
+            rows.append(row)
+    found = 0
+    prev = 1
+    for c in range(len(rows[0]) if rows else 0):
+        if found == len(rows):
+            break
+        piv = next((i for i in range(found, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[found], rows[piv] = rows[piv], rows[found]
+        top = rows[found]
+        p = top[c]
+        for i in range(found + 1, len(rows)):
+            row = rows[i]
+            a = row[c]
+            rows[i] = [(p * x - a * y) // prev for x, y in zip(row, top)]
+        prev = p
+        found += 1
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -683,26 +716,3 @@ def det(m: PolyMatrix) -> Poly:
         prev = a[k][k]
     d = a[n - 1][n - 1]
     return d if sign == 1 else -d
-
-
-def det_rational(m: RationalMatrix) -> Fraction:
-    """Exact determinant of a square rational matrix."""
-    n = m.rows
-    if n != m.cols:
-        raise MorganError("determinant of a nonsquare matrix")
-    a = [list(r) for r in m.entries]
-    d = Fraction(1)
-    for k in range(n):
-        pr = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != k:
-            a[k], a[pr] = a[pr], a[k]
-            d = -d
-        d *= a[k][k]
-        inv = 1 / a[k][k]
-        for i in range(k + 1, n):
-            if a[i][k] != 0:
-                fmul = a[i][k] * inv
-                a[i] = [x - fmul * y for x, y in zip(a[i], a[k])]
-    return d

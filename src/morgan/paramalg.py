@@ -4,7 +4,11 @@ The entries of the parametric basis matrix Q_B are single parameters or zero,
 so every expression that shows up downstream (output matrices, coefficient
 matrices, right-hand sides) is affine in the parameters.  LinearForm captures
 exactly that; ConstraintSet is a triangular substitution system produced by
-equating forms to zero.
+equating forms to zero.  Both are the named, reported view.  The search
+itself runs on plain linear algebra over a fixed parameter index: dense
+forms, an incremental Gauss-Jordan Elimination, and matrices (FormGrid,
+ParamGrid) that are evaluated at points of the constraint set instead of
+being substituted symbolically.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import Inconsistent, MissingParameter, MorganError
-from .exactalg import Poly, RationalMatrix, rat
+from .exactalg import RationalMatrix, rank, rat
 
 
 @dataclass(frozen=True, order=True)
@@ -206,113 +210,12 @@ class ParamMatrix:
     def subs(self, mapping) -> "ParamMatrix":
         return ParamMatrix([[e.subs(mapping) for e in r] for r in self.entries])
 
+    def values(self, assignment) -> list:
+        """Entry values at a ParamId-keyed assignment, as rows."""
+        return [[e.eval(assignment) for e in r] for r in self.entries]
+
     def __repr__(self):
         return f"ParamMatrix({[[str(e) for e in r] for r in self.entries]})"
-
-
-def rat_times_param(a: RationalMatrix, b: ParamMatrix) -> ParamMatrix:
-    """Product of a rational matrix and a ParamMatrix."""
-    if a.cols != b.rows:
-        raise MorganError("dimension mismatch")
-    out = []
-    for i in range(a.rows):
-        row = []
-        for j in range(b.cols):
-            acc = LinearForm.zero()
-            for k in range(a.cols):
-                c = a[i, k]
-                if c != 0:
-                    acc = acc + b[k, j] * c
-            row.append(acc)
-        out.append(row)
-    return ParamMatrix(out)
-
-
-class FormPoly:
-    """Polynomial in s whose coefficients are LinearForms."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        cs = [
-            c if isinstance(c, LinearForm) else LinearForm.of_const(c)
-            for c in coeffs
-        ]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, *a):
-        raise AttributeError("FormPoly is immutable")
-
-    def coeff(self, k) -> LinearForm:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else LinearForm.zero()
-
-    @property
-    def structural_degree(self):
-        """Highest s-power with a not-identically-zero coefficient form; -1 if none."""
-        return len(self.coeffs) - 1
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def shift(self, k: int) -> "FormPoly":
-        if self.is_zero() or k == 0:
-            return self
-        return FormPoly([LinearForm.zero()] * k + list(self.coeffs))
-
-    def subs(self, mapping) -> "FormPoly":
-        return FormPoly([c.subs(mapping) for c in self.coeffs])
-
-    def eval_poly(self, assignment) -> Poly:
-        return Poly([c.eval(assignment) for c in self.coeffs])
-
-    def __eq__(self, other):
-        return isinstance(other, FormPoly) and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        return f"FormPoly({[str(c) for c in self.coeffs]})"
-
-
-class ParamPolyMatrix:
-    """Immutable dense matrix of FormPoly entries."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        rows = tuple(tuple(row) for row in entries)
-        if rows:
-            w = len(rows[0])
-            if any(len(r) != w for r in rows):
-                raise MorganError("ragged matrix")
-        object.__setattr__(self, "entries", rows)
-
-    def __setattr__(self, *a):
-        raise AttributeError("ParamPolyMatrix is immutable")
-
-    @property
-    def rows(self):
-        return len(self.entries)
-
-    @property
-    def cols(self):
-        return len(self.entries[0]) if self.entries else 0
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-    def subs(self, mapping) -> "ParamPolyMatrix":
-        return ParamPolyMatrix(
-            [[e.subs(mapping) for e in r] for r in self.entries]
-        )
-
-    def row_degree(self, i):
-        """Max structural degree over row i (-1 when the row is identically zero)."""
-        return max(e.structural_degree for e in self.entries[i])
-
-    def row_coeffs(self, i, d):
-        return [e.coeff(d) for e in self.entries[i]]
 
 
 class ConstraintSet:
@@ -348,7 +251,7 @@ class ConstraintSet:
         return f.subs(self.subs_map)
 
     def apply(self, m):
-        """Apply to a ParamMatrix or ParamPolyMatrix."""
+        """Apply to a matrix of forms (anything with a subs method)."""
         return m.subs(self.subs_map)
 
     def items(self):
@@ -368,109 +271,233 @@ def solve_zero_constraints(forms) -> ConstraintSet:
     (namespace, i, j, k)) present in each reduced form, so the result is
     deterministic.  Raises Inconsistent for a nonzero constant form.
     """
-    subs_map: dict[ParamId, LinearForm] = {}
-    order: list[ParamId] = []
+    forms = list(forms)
+    params = tuple(sorted({p for f in forms for p in f.params()}))
+    index = {p: k + 1 for k, p in enumerate(params)}
+    elim = Elimination()
     for f in forms:
-        g = f.subs(subs_map)
-        if g.is_zero():
-            continue
-        if g.is_constant():
-            raise Inconsistent(f"constraint {f} reduces to {g.const} = 0")
-        pivot, pc = g.terms[0]
-        rest = LinearForm(g.const, g.terms[1:])
-        rep = rest * (Fraction(-1) / pc)
-        # keep closure: eliminate the new pivot from existing substitutions
-        one_step = {pivot: rep}
-        for p in order:
-            subs_map[p] = subs_map[p].subs(one_step)
-        subs_map[pivot] = rep
-        order.append(pivot)
-    return ConstraintSet(subs_map, order)
+        try:
+            elim = elim.extended([dense_form(f, index, len(params))])
+        except Inconsistent as e:
+            raise Inconsistent(f"constraint {f} {e}") from None
+    return elim.constraint_set(params)
 
 
-def structural_dependency(rows):
-    """Smallest r with row r a rational combination of rows 0..r-1 identically.
+# ---------------------------------------------------------------------------
+# dense forms over a fixed parameter index
+#
+# Over a sorted tuple of parameters, a dense form is the list
+# [const, c_1, ..., c_P]: column 0 holds the constant and column k the
+# coefficient of params[k - 1].  Column order is ParamId order, so "lowest
+# column" and "smallest ParamId" pick the same pivot.  Coefficients are ints
+# where they are integral and Fractions otherwise.
 
-    Each row is a sequence of LinearForms.  Returns (r, coeffs) where
-    coeffs[k] multiplies row k, or None when all rows are independent.
-    The witness is verified exactly by LinearForm arithmetic.
+
+def _exact(x):
+    """x as an int when it is integral (ints and Fractions alike)."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def dense_form(f: LinearForm, index: dict, size: int) -> list:
+    """f as a dense form over `size` parameters; index maps ParamId -> column."""
+    row = [0] * (size + 1)
+    row[0] = _exact(f.const)
+    for p, c in f.terms:
+        row[index[p]] = _exact(c)
+    return row
+
+
+def linear_form(row, params) -> LinearForm:
+    """The LinearForm of a dense form over params."""
+    return LinearForm(row[0], [(params[k - 1], c) for k, c in enumerate(row) if k and c])
+
+
+def _reduce(rows, form):
+    out = form
+    for c, row in rows.items():
+        a = out[c]
+        if a:
+            out = [x - a * y if y else x for x, y in zip(out, row)]
+    return out
+
+
+class Elimination:
+    """Incremental Gauss-Jordan elimination of dense forms equated to zero.
+
+    rows maps each pivot column to its row, scaled to 1 at the pivot and 0 at
+    every other pivot column; order lists the pivots as they were added.
+    Each added form is reduced by the rows and pivots on its lowest nonzero
+    parameter column.  Given the row space and the pivots, the reduced rows
+    are unique, so a state reached by extending a shared prefix equals the
+    one built from scratch.  States are never changed in place: `extended`
+    returns a new state that shares the rows it did not touch.
     """
-    rows = [tuple(r) for r in rows]
-    if not rows:
-        return None
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise MorganError("rows have different lengths")
-    # basis of the coefficient space: constant slot + one slot per parameter
-    params = sorted({p for r in rows for f in r for p in f.params()})
-    pidx = {p: k for k, p in enumerate(params)}
-    ncols = width * (1 + len(params))
 
-    def flatten(row):
-        v = [Fraction(0)] * ncols
-        for j, f in enumerate(row):
-            base = j * (1 + len(params))
-            v[base] = f.const
-            for p, c in f.terms:
-                v[base + 1 + pidx[p]] = c
-        return v
+    __slots__ = ("rows", "order")
 
-    seen: list[list[Fraction]] = []  # stacked flattened rows, for solving
-    for r, row in enumerate(rows):
-        v = flatten(row)
-        if seen:
-            mat = RationalMatrix(seen).transpose()
-            sol = mat.solve(v)
-            if sol is not None:
-                # exact verification of the witness
-                combo = [LinearForm.zero()] * width
-                for k, ck in enumerate(sol):
-                    if ck != 0:
-                        combo = [a + rows[k][j] * ck for j, a in enumerate(combo)]
-                if all((row[j] - combo[j]).is_zero() for j in range(width)):
-                    return r, tuple(sol)
-                raise MorganError("dependency witness failed verification (bug)")
-        if all(x == 0 for x in v):
-            return r, tuple(Fraction(0) for _ in range(r))
-        seen.append(v)
-    return None
+    def __init__(self, rows=None, order=()):
+        self.rows = {} if rows is None else rows
+        self.order = order
+
+    def reduce(self, form):
+        """form minus the combination of rows that clears every pivot column."""
+        return _reduce(self.rows, form)
+
+    def extended(self, forms) -> "Elimination":
+        rows, order = self.rows, self.order
+        for form in forms:
+            g = _reduce(rows, form)
+            pivot = next((k for k in range(1, len(g)) if g[k]), 0)
+            if not pivot:
+                if g[0]:
+                    raise Inconsistent(f"reduces to {g[0]} = 0")
+                continue
+            if rows is self.rows:
+                rows = dict(rows)
+            inv = 1 / Fraction(g[pivot])
+            g = [_exact(x * inv) if x else 0 for x in g]
+            for c, row in rows.items():
+                a = row[pivot]
+                if a:
+                    rows[c] = [_exact(x - a * y) if y else x for x, y in zip(row, g)]
+            rows[pivot] = g
+            order += (pivot,)
+        return self if rows is self.rows else Elimination(rows, order)
+
+    def free(self, size):
+        """Parameter columns that are not pivots, ascending."""
+        return [k for k in range(1, size + 1) if k not in self.rows]
+
+    def value(self, col, point):
+        """Value of parameter column col on the solution set, free columns at point."""
+        row = self.rows.get(col)
+        if row is None:
+            return point[col]
+        acc = row[0]
+        for k in range(1, len(row)):
+            x = row[k]
+            if x and k != col:
+                acc += x * point[k]
+        return -acc
+
+    def constraint_set(self, params) -> ConstraintSet:
+        """The substitutions pivot = -(rest of its row), as LinearForms."""
+        subs = {}
+        for c in self.order:
+            row = self.rows[c]
+            subs[params[c - 1]] = linear_form(
+                [-x if k != c else 0 for k, x in enumerate(row)], params
+            )
+        return ConstraintSet(subs, [params[c - 1] for c in self.order])
+
+
+class FormGrid:
+    """Matrix of dense forms, None for identically zero entries."""
+
+    __slots__ = ("entries", "rows", "cols")
+
+    def __init__(self, entries):
+        self.entries = entries
+        self.rows = len(entries)
+        self.cols = len(entries[0]) if entries else 0
+
+    def params(self):
+        """Parameter columns with a nonzero coefficient somewhere, ascending."""
+        used = set()
+        for row in self.entries:
+            for f in row:
+                if f is not None:
+                    used.update(k for k in range(1, len(f)) if f[k])
+        return sorted(used)
+
+    def values(self, point) -> list:
+        """Entry values at a point keyed by dense column, as rows."""
+        out = []
+        for row in self.entries:
+            vals = []
+            for f in row:
+                acc = 0
+                if f is not None:
+                    acc = f[0]
+                    for k in range(1, len(f)):
+                        if f[k]:
+                            acc += f[k] * point[k]
+                vals.append(acc)
+            out.append(vals)
+        return out
+
+
+class ParamGrid:
+    """Matrix whose entries are single parameters, read on a constraint set.
+
+    cells[i][j] is the dense column of the parameter in entry (i, j), or 0
+    for a zero entry.  The matrix stands for its entries with every pivot of
+    the elimination replaced by its substitution; `values` evaluates it at
+    a point of the free columns by extending the point through the rows.
+    """
+
+    __slots__ = ("cells", "used", "elim", "rows", "cols")
+
+    def __init__(self, cells, elim: Elimination, used=None):
+        self.cells = cells
+        self.used = used if used is not None else sorted({c for r in cells for c in r if c})
+        self.elim = elim
+        self.rows = len(cells)
+        self.cols = len(cells[0]) if cells else 0
+
+    def params(self):
+        """Free columns on which the substituted entries depend, ascending."""
+        rows = self.elim.rows
+        out = set()
+        for c in self.used:
+            row = rows.get(c)
+            if row is None:
+                out.add(c)
+            else:
+                out.update(k for k in range(1, len(row)) if row[k] and k != c)
+        return sorted(out)
+
+    def values(self, point) -> list:
+        """Entry values at a point of the free columns, as rows."""
+        vals = {0: 0}
+        for c in self.used:
+            vals[c] = self.elim.value(c, point)
+        return [[vals[c] for c in r] for r in self.cells]
 
 
 SAMPLE_BOUND = 10**6  # random evaluations drawn from [-SAMPLE_BOUND, SAMPLE_BOUND]
 
 
-def generic_rank(m: ParamMatrix, rng, repetitions: int = 3) -> int:
+def generic_rank(m, rng, repetitions: int = 3) -> int:
     """Rank of m for generic parameter values (randomized, Schwartz-Zippel).
 
-    Evaluates all parameters at independent random integers and takes the
-    maximum exact rank over the repetitions.  Minors are polynomials of degree
-    <= min(rows, cols) in the parameters, so the per-trial failure probability
-    is at most min(rows, cols) / (2 * SAMPLE_BOUND + 1).
+    m is a ParamMatrix, FormGrid or ParamGrid.  Evaluates the parameters it
+    depends on (m.params(), in ParamId order) at independent random integers
+    and takes the maximum exact rank over the repetitions.  Minors are
+    polynomials of degree <= min(rows, cols) in the parameters, so the
+    per-trial failure probability is at most
+    min(rows, cols) / (2 * SAMPLE_BOUND + 1).
     """
     if m.rows == 0 or m.cols == 0:
         return 0
     params = m.params()
     best = 0
     for _ in range(repetitions):
-        assignment = {p: Fraction(rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND)) for p in params}
-        best = max(best, instantiate(m, assignment).rank())
+        point = {p: rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND) for p in params}
+        best = max(best, rank(m.values(point)))
         if best == min(m.rows, m.cols):
             break
     return best
 
 
 def instantiate(m, assignment: dict):
-    """Evaluate a ParamMatrix / ParamPolyMatrix / LinearForm at an assignment."""
-    from .exactalg import PolyMatrix
+    """Evaluate a LinearForm / ParamMatrix / FormGrid / ParamGrid at an assignment.
 
+    Assignments are keyed by ParamId for the first two and by dense column
+    for the grids.
+    """
     if isinstance(m, LinearForm):
         return m.eval(assignment)
-    if isinstance(m, ParamMatrix):
-        return RationalMatrix(
-            [[e.eval(assignment) for e in r] for r in m.entries]
-        )
-    if isinstance(m, ParamPolyMatrix):
-        return PolyMatrix(
-            [[e.eval_poly(assignment) for e in r] for r in m.entries]
-        )
+    if isinstance(m, (ParamMatrix, FormGrid, ParamGrid)):
+        return RationalMatrix(m.values(assignment))
     raise TypeError(f"cannot instantiate {type(m).__name__}")

@@ -12,7 +12,7 @@ induced zero constraints exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .admissible import RowConfig
@@ -21,13 +21,14 @@ from .errors import MorganError, NotSolvable, SingularQ
 from .exactalg import RationalMatrix
 from .paramalg import (
     ConstraintSet,
-    FormPoly,
+    Elimination,
+    FormGrid,
     LinearForm,
+    ParamGrid,
     ParamId,
     ParamMatrix,
-    ParamPolyMatrix,
     generic_rank,
-    rat_times_param,
+    linear_form,
     solve_zero_constraints,
 )
 
@@ -40,6 +41,9 @@ class QBasis:
     sigma_tilde: tuple
     qb: ParamMatrix  # n x sum(sigma_tilde)
     params: tuple  # all ParamIds, lexicographic
+    index: dict  # ParamId -> dense column (1-based, in params order)
+    cells: tuple  # qb as dense columns, 0 for zero entries
+    memo: dict = field(default_factory=dict, compare=False, repr=False)  # C_r -> N_hat forms
 
     @property
     def width(self):
@@ -94,7 +98,33 @@ def build_QB(sigma, sigma_tilde) -> QBasis:
         roff += si
     qb = ParamMatrix(grid)
     _check_shift_identity(sigma, sigma_tilde, qb)
-    return QBasis(sigma=sigma, sigma_tilde=sigma_tilde, qb=qb, params=tuple(params))
+    if params != sorted(params):
+        raise MorganError("Q_B parameters are not in ParamId order (bug)")
+    index = {p: k + 1 for k, p in enumerate(params)}
+    return QBasis(
+        sigma=sigma,
+        sigma_tilde=sigma_tilde,
+        qb=qb,
+        params=tuple(params),
+        index=index,
+        cells=_cells(qb, index),
+    )
+
+
+def _cells(m: ParamMatrix, index) -> tuple:
+    """Dense columns of a matrix whose entries are single parameters or zero."""
+    out = []
+    for row in m.entries:
+        cells = []
+        for e in row:
+            if e.is_zero():
+                cells.append(0)
+            elif e.const == 0 and len(e.terms) == 1 and e.terms[0][1] == 1:
+                cells.append(index[e.terms[0][0]])
+            else:
+                raise MorganError(f"entry {e} is not a single parameter (bug)")
+        out.append(tuple(cells))
+    return tuple(out)
 
 
 def _check_shift_identity(sigma, sigma_tilde, qb: ParamMatrix):
@@ -134,78 +164,103 @@ class DecouplabilityReport:
     n_alpha: ParamMatrix | None
     reason: str
     candidates_tried: int = 0
+    rank_grids: tuple = ()  # Q_B, N_alpha, [D~]_hc on the constraint set (success only)
 
 
-def _leading_forms(qbasis: QBasis, config: RowConfig):
-    """Raw leading-coefficient forms of the config rows of Q_B.
+def _leading_cells(qbasis: QBasis, config: RowConfig):
+    """Dense columns of the nonzero leading entries of the config rows of Q_B.
 
     The s^{sigma_tilde_j} coefficient of a feedback row of M(s) Q_B S~(s)
     cannot be matched by any mu, so these entries must vanish for the
     feedback-row systems to be solvable.
     """
     offs = qbasis.col_offsets
-    forms = []
+    cells = []
     for p in config.positions:
         for j, sj in enumerate(qbasis.sigma_tilde):
-            f = qbasis.qb[p - 1, offs[j] + sj - 1]
-            if not f.is_zero():
-                forms.append(f)
-    return forms
+            c = qbasis.cells[p - 1][offs[j] + sj - 1]
+            if c:
+                cells.append(c)
+    return cells
 
 
-def _nhat(c_r: RationalMatrix, qbasis: QBasis) -> ParamPolyMatrix:
-    """N_hat(s) = C_r Q_B S~(s) diag(s^{st_max - st_j}) as a ParamPolyMatrix."""
-    chat = rat_times_param(c_r, qbasis.qb)
+def _leading_forms(qbasis: QBasis, config: RowConfig):
+    """The leading entries of _leading_cells as LinearForms."""
+    return [
+        LinearForm.of_param(qbasis.params[c - 1]) for c in _leading_cells(qbasis, config)
+    ]
+
+
+def _nhat_forms(c_r: RationalMatrix, qbasis: QBasis):
+    """Dense coefficient forms of N_hat(s) = C_r Q_B S~(s) diag(s^{st_max - st_j}).
+
+    Returns (coeffs, units): coeffs[r][d][j] is (key, form) for the s^d
+    coefficient of entry (r, j), or None where it is identically zero;
+    units[c] is (key, form) for the single parameter of column c.  Equal
+    forms share one key, so a set of keys is the set of distinct forms.
+    Built once per (Q_B, C_r) and kept in qbasis.memo; threads that miss
+    the memo together build equal values, and either one is kept.
+    """
+    cached = qbasis.memo.get(c_r)
+    if cached is not None:
+        return cached
+    size = len(qbasis.params)
+    keys = {}
+
+    def keyed(form):
+        return keys.setdefault(tuple(form), len(keys)), form
+
+    units = [None]
+    for c in range(1, size + 1):
+        form = [0] * (size + 1)
+        form[c] = 1
+        units.append(keyed(form))
+    chat = []
+    for r in range(c_r.rows):
+        coeff_row = [x.numerator if x.denominator == 1 else x for x in c_r.row(r)]
+        entries = []
+        for col in range(qbasis.width):
+            form = [0] * (size + 1)
+            for k, x in enumerate(coeff_row):
+                c = qbasis.cells[k][col]
+                if x and c:
+                    form[c] += x
+            entries.append(keyed(form) if any(form) else None)
+        chat.append(entries)
     st = qbasis.sigma_tilde
     st_max = max(st)
     offs = qbasis.col_offsets
-    rows = []
-    for r in range(chat.rows):
-        row = []
-        for j, sj in enumerate(st):
-            coeffs = [chat[r, offs[j] + k] for k in range(sj)]
-            row.append(FormPoly(coeffs).shift(st_max - sj))
-        rows.append(row)
-    return ParamPolyMatrix(rows)
-
-
-def dtilde_formpoly(pencil: PencilForm, qbasis: QBasis, config: RowConfig) -> ParamPolyMatrix:
-    """D~(s) = (sK_b - Lambda_b) Q_B S~(s), rows indexed by the complement blocks."""
-    offs = qbasis.col_offsets
-    st = qbasis.sigma_tilde
-    pos = positions_from_sigma(qbasis.sigma)
-    rows = []
-    for b in config.complement(pencil.l):
-        p = pos[b - 1]
-        u = qbasis.qb.row(p - 1)
-        lam = pencil.A_r.row(p - 1)
-        v = []
-        for c in range(qbasis.width):
-            acc = LinearForm.zero()
-            for r, lr in enumerate(lam):
-                if lr != 0:
-                    acc = acc + qbasis.qb[r, c] * lr
-            v.append(acc)
-        row = []
-        for j, sj in enumerate(st):
-            coeffs = []
-            for d in range(sj + 1):
-                up = u[offs[j] + d - 1] if d >= 1 else LinearForm.zero()
-                low = v[offs[j] + d] if d < sj else LinearForm.zero()
-                coeffs.append(up - low)
-            row.append(FormPoly(coeffs))
-        rows.append(row)
-    return ParamPolyMatrix(rows)
+    coeffs = [
+        [
+            tuple(
+                chat[r][offs[j] + d - (st_max - sj)] if d >= st_max - sj else None
+                for j, sj in enumerate(st)
+            )
+            for d in range(st_max)
+        ]
+        for r in range(c_r.rows)
+    ]
+    qbasis.memo[c_r] = coeffs, units
+    return coeffs, units
 
 
 def dtilde_hc(pencil: PencilForm, qbasis: QBasis, config: RowConfig) -> ParamMatrix:
-    """Column highest-coefficient matrix of D~(s) at declared degrees sigma_tilde."""
-    dt = dtilde_formpoly(pencil, qbasis, config)
-    st = qbasis.sigma_tilde
+    """Column highest-coefficient matrix of D~(s) at declared degrees sigma_tilde.
+
+    D~(s) = (sK_b - Lambda_b) Q_B S~(s), rows indexed by the complement
+    blocks b.  Column block j of Q_B S~(s) has degree sigma_tilde_j - 1, so
+    only the s-part of row p_b reaches s^{sigma_tilde_j}; its coefficient is
+    the leading entry of row p_b of Q_B in block j.
+    """
+    offs = qbasis.col_offsets
+    pos = positions_from_sigma(qbasis.sigma)
     return ParamMatrix(
         [
-            [dt[i, j].coeff(st[j]) for j in range(dt.cols)]
-            for i in range(dt.rows)
+            [
+                qbasis.qb[pos[b - 1] - 1, offs[j] + sj - 1]
+                for j, sj in enumerate(qbasis.sigma_tilde)
+            ]
+            for b in config.complement(pencil.l)
         ]
     )
 
@@ -228,6 +283,46 @@ def _ascending_deficits(bounds):
     return out
 
 
+def _row_degree(coeffs_r, elim: Elimination, top: int):
+    """Highest degree <= top of N_hat row r on the constraint set, with its forms.
+
+    Returns (degree, reduced coefficient forms, None where zero) or (-1, None)
+    when the row vanishes identically.
+    """
+    for deg in range(top, -1, -1):
+        row = []
+        for e in coeffs_r[deg]:
+            f = None if e is None else elim.reduce(e[1])
+            row.append(f if f is not None and any(f) else None)
+        if any(f is not None for f in row):
+            return deg, row
+    return -1, None
+
+
+def _eliminate(states: dict, coeffs, bounds, deficits, top: int) -> Elimination:
+    """Elimination of the zero forms of a deficit vector.
+
+    The forms come in the order seeds, then row by row the coefficients above
+    the row's target degree, so a deficit prefix fixes a prefix of the forms.
+    states maps prefixes to their eliminations; the longest stored one is
+    extended.
+    """
+    k = len(deficits)
+    while deficits[:k] not in states:
+        k -= 1
+    elim = states[deficits[:k]]
+    for r in range(k, len(deficits)):
+        elim = elim.extended(
+            e[1]
+            for deg in range(bounds[r] - deficits[r] + 1, top + 1)
+            for e in coeffs[r][deg]
+            if e is not None
+        )
+        if r + 1 < len(deficits):
+            states[deficits[: r + 1]] = elim
+    return elim
+
+
 def decouplability_search(
     c_r: RationalMatrix,
     pencil: PencilForm,
@@ -242,12 +337,16 @@ def decouplability_search(
     highest-coefficient matrix has generic rank m while Q_B keeps full column
     rank and [D~]_hc keeps rank m.  The per-config leading-coefficient
     constraints (solvability of the feedback-row systems) are seeded first.
+    Candidates with the same set of distinct forms are tried once.  The
+    forms are dense rows over qbasis.params; eliminations are shared along
+    deficit prefixes, and LinearForms are built only for the report.
     """
     m = c_r.rows
     w = qbasis.width
-    seeds = _leading_forms(qbasis, config)
-    nhat = _nhat(c_r, qbasis)
-    dhc = dtilde_hc(pencil, qbasis, config)
+    top = max(qbasis.sigma_tilde) - 1
+    coeffs, units = _nhat_forms(c_r, qbasis)
+    seeds = [units[c] for c in _leading_cells(qbasis, config)]
+    dhc = _cells(dtilde_hc(pencil, qbasis, config), qbasis.index)
 
     def fail(reason, tried=0, deficits=()):
         return DecouplabilityReport(
@@ -261,11 +360,10 @@ def decouplability_search(
             candidates_tried=tried,
         )
 
-    cs0 = solve_zero_constraints(seeds)
-    nhat0 = cs0.apply(nhat)
+    start = Elimination().extended(f for _, f in seeds)
     bounds = []
     for r in range(m):
-        d = nhat0.row_degree(r)
+        d, _ = _row_degree(coeffs[r], start, top)
         if d < 0:
             return fail(
                 "output row %d of N_hat is identically zero under the "
@@ -273,6 +371,8 @@ def decouplability_search(
             )
         bounds.append(d)
 
+    seed_keys = [k for k, _ in seeds]
+    states = {(): start}
     tried = 0
     seen = set()
     pruned = []
@@ -282,44 +382,53 @@ def decouplability_search(
     for deficits in _ascending_deficits(bounds):
         if any(all(dv >= pv for dv, pv in zip(deficits, pr)) for pr in pruned):
             continue
-        forms = list(seeds)
+        keys = list(seed_keys)
         for r, d in enumerate(deficits):
-            target = bounds[r] - d
-            for deg in range(target + 1, max(qbasis.sigma_tilde)):
-                for j in range(m):
-                    f = nhat[r, j].coeff(deg)
-                    if not f.is_zero():
-                        forms.append(f)
-        key = frozenset(forms)
+            for deg in range(bounds[r] - d + 1, top + 1):
+                keys.extend(e[0] for e in coeffs[r][deg] if e is not None)
+        key = frozenset(keys)
         if key in seen:
             continue
         seen.add(key)
         tried += 1
-        cs = solve_zero_constraints(forms)
-        nh = cs.apply(nhat)
-        degs = [nh.row_degree(r) for r in range(m)]
-        if any(d < 0 for d in degs):
+        elim = _eliminate(states, coeffs, bounds, deficits, top)
+        rows = []
+        for r in range(m):
+            d, row = _row_degree(coeffs[r], elim, bounds[r] - deficits[r])
+            if d < 0:
+                break
+            rows.append(row)
+        if len(rows) < m:
             pruned.append(deficits)
             continue
-        n_alpha = ParamMatrix([nh.row_coeffs(r, degs[r]) for r in range(m)])
+        n_alpha = FormGrid(rows)
         if generic_rank(n_alpha, rng) != m:
             n_alpha_failures += 1
             continue
-        if generic_rank(cs.apply(qbasis.qb), rng) != w:
+        qb_grid = ParamGrid(qbasis.cells, elim, range(1, len(qbasis.params) + 1))
+        if generic_rank(qb_grid, rng) != w:
             qb_failures += 1
             continue
-        if generic_rank(cs.apply(dhc), rng) != m:
+        dhc_grid = ParamGrid(dhc, elim)
+        if generic_rank(dhc_grid, rng) != m:
             dhc_failures += 1
             continue
+        params = qbasis.params
         return DecouplabilityReport(
             success=True,
             ci_tuple=qbasis.sigma_tilde,
             config=config,
-            constraints=cs,
+            constraints=elim.constraint_set(params),
             degree_deficits=deficits,
-            n_alpha=n_alpha,
+            n_alpha=ParamMatrix(
+                [
+                    [LinearForm.zero() if f is None else linear_form(f, params) for f in row]
+                    for row in rows
+                ]
+            ),
             reason="",
             candidates_tried=tried,
+            rank_grids=(qb_grid, n_alpha, dhc_grid),
         )
     return fail(
         "no degree-deficit assignment gives N_alpha full generic row rank "

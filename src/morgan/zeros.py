@@ -104,6 +104,23 @@ def input_decoupling_zeros(square) -> Poly:
     return p
 
 
+def row_gcds(pm) -> list:
+    """Monic gcd of the nonzero entries of each row of a PolyMatrix.
+
+    DegenerateNumerator for a zero row.
+    """
+    out = []
+    for i in range(pm.rows):
+        entries = [pm[i, j] for j in range(pm.cols) if not pm[i, j].is_zero()]
+        if not entries:
+            raise DegenerateNumerator(f"row {i + 1} of C_f S_f is zero")
+        g = entries[0].monic()
+        for e in entries[1:]:
+            g = poly_gcd(g, e)
+        out.append(g)
+    return out
+
+
 def fixed_decoupling_poles(square) -> Poly:
     """det(C_f S_f(s)) divided by the product of the row gcds, monic.
 
@@ -123,13 +140,7 @@ def fixed_decoupling_poles(square) -> Poly:
     if d.is_zero():
         raise DegenerateNumerator("det(C_f S_f) is identically zero")
     out = d
-    for i in range(cfs.rows):
-        entries = [cfs[i, j] for j in range(cfs.cols) if not cfs[i, j].is_zero()]
-        if not entries:
-            raise DegenerateNumerator(f"row {i + 1} of C_f S_f is zero")
-        g = entries[0]
-        for e in entries[1:]:
-            g = poly_gcd(g, e)
+    for g in row_gcds(cfs):
         q, r = out.divmod(g)
         if not r.is_zero():
             raise MorganError("row gcd does not divide det(C_f S_f) (bug)")

@@ -1,0 +1,383 @@
+"""Reference implementations of the parameter algebra, kept for the tests.
+
+These are the dict-of-Fraction LinearForm versions that the solver used
+before its search moved to dense forms: the substitution solver, LinearForm
+polynomials and matrices, the full D~(s) and a structural dependency test.
+The tests compare the dense code against them.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from morgan.admissible import RowConfig
+from morgan.canonical import PencilForm, positions_from_sigma
+from morgan.errors import Inconsistent, MorganError
+from morgan.exactalg import Poly, PolyMatrix, RationalMatrix
+from morgan.paramalg import SAMPLE_BOUND, ConstraintSet, LinearForm, ParamId, ParamMatrix
+from morgan.squaring import (
+    DecouplabilityReport,
+    QBasis,
+    _ascending_deficits,
+    _leading_forms,
+)
+
+
+def rat_times_param(a: RationalMatrix, b: ParamMatrix) -> ParamMatrix:
+    """Product of a rational matrix and a ParamMatrix."""
+    if a.cols != b.rows:
+        raise MorganError("dimension mismatch")
+    out = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            acc = LinearForm.zero()
+            for k in range(a.cols):
+                c = a[i, k]
+                if c != 0:
+                    acc = acc + b[k, j] * c
+            row.append(acc)
+        out.append(row)
+    return ParamMatrix(out)
+
+
+class FormPoly:
+    """Polynomial in s whose coefficients are LinearForms."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        cs = [
+            c if isinstance(c, LinearForm) else LinearForm.of_const(c)
+            for c in coeffs
+        ]
+        while cs and cs[-1].is_zero():
+            cs.pop()
+        object.__setattr__(self, "coeffs", tuple(cs))
+
+    def __setattr__(self, *a):
+        raise AttributeError("FormPoly is immutable")
+
+    def coeff(self, k) -> LinearForm:
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else LinearForm.zero()
+
+    @property
+    def structural_degree(self):
+        """Highest s-power with a not-identically-zero coefficient form; -1 if none."""
+        return len(self.coeffs) - 1
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def shift(self, k: int) -> "FormPoly":
+        if self.is_zero() or k == 0:
+            return self
+        return FormPoly([LinearForm.zero()] * k + list(self.coeffs))
+
+    def subs(self, mapping) -> "FormPoly":
+        return FormPoly([c.subs(mapping) for c in self.coeffs])
+
+    def eval_poly(self, assignment) -> Poly:
+        return Poly([c.eval(assignment) for c in self.coeffs])
+
+    def __eq__(self, other):
+        return isinstance(other, FormPoly) and self.coeffs == other.coeffs
+
+    def __repr__(self):
+        return f"FormPoly({[str(c) for c in self.coeffs]})"
+
+
+class ParamPolyMatrix:
+    """Immutable dense matrix of FormPoly entries."""
+
+    __slots__ = ("entries",)
+
+    def __init__(self, entries):
+        rows = tuple(tuple(row) for row in entries)
+        if rows:
+            w = len(rows[0])
+            if any(len(r) != w for r in rows):
+                raise MorganError("ragged matrix")
+        object.__setattr__(self, "entries", rows)
+
+    def __setattr__(self, *a):
+        raise AttributeError("ParamPolyMatrix is immutable")
+
+    @property
+    def rows(self):
+        return len(self.entries)
+
+    @property
+    def cols(self):
+        return len(self.entries[0]) if self.entries else 0
+
+    def __getitem__(self, ij):
+        i, j = ij
+        return self.entries[i][j]
+
+    def subs(self, mapping) -> "ParamPolyMatrix":
+        return ParamPolyMatrix(
+            [[e.subs(mapping) for e in r] for r in self.entries]
+        )
+
+    def row_degree(self, i):
+        """Max structural degree over row i (-1 when the row is identically zero)."""
+        return max(e.structural_degree for e in self.entries[i])
+
+    def row_coeffs(self, i, d):
+        return [e.coeff(d) for e in self.entries[i]]
+
+
+def instantiate_poly(m: "ParamPolyMatrix", assignment: dict) -> PolyMatrix:
+    """Evaluate a ParamPolyMatrix at an assignment."""
+    return PolyMatrix([[e.eval_poly(assignment) for e in r] for r in m.entries])
+
+
+def dict_solve_zero_constraints(forms) -> ConstraintSet:
+    """Dict-based substitution solver, the reference for the dense Elimination.
+
+    Triangular substitution set making every listed form identically zero.
+
+    Pivots are chosen as the smallest ParamId (lexicographic on
+    (namespace, i, j, k)) present in each reduced form, so the result is
+    deterministic.  Raises Inconsistent for a nonzero constant form.
+    """
+    subs_map: dict[ParamId, LinearForm] = {}
+    order: list[ParamId] = []
+    for f in forms:
+        g = f.subs(subs_map)
+        if g.is_zero():
+            continue
+        if g.is_constant():
+            raise Inconsistent(f"constraint {f} reduces to {g.const} = 0")
+        pivot, pc = g.terms[0]
+        rest = LinearForm(g.const, g.terms[1:])
+        rep = rest * (Fraction(-1) / pc)
+        # keep closure: eliminate the new pivot from existing substitutions
+        one_step = {pivot: rep}
+        for p in order:
+            subs_map[p] = subs_map[p].subs(one_step)
+        subs_map[pivot] = rep
+        order.append(pivot)
+    return ConstraintSet(subs_map, order)
+
+
+def structural_dependency(rows):
+    """Smallest r with row r a rational combination of rows 0..r-1 identically.
+
+    Each row is a sequence of LinearForms.  Returns (r, coeffs) where
+    coeffs[k] multiplies row k, or None when all rows are independent.
+    The witness is verified exactly by LinearForm arithmetic.
+    """
+    rows = [tuple(r) for r in rows]
+    if not rows:
+        return None
+    width = len(rows[0])
+    if any(len(r) != width for r in rows):
+        raise MorganError("rows have different lengths")
+    # basis of the coefficient space: constant slot + one slot per parameter
+    params = sorted({p for r in rows for f in r for p in f.params()})
+    pidx = {p: k for k, p in enumerate(params)}
+    ncols = width * (1 + len(params))
+
+    def flatten(row):
+        v = [Fraction(0)] * ncols
+        for j, f in enumerate(row):
+            base = j * (1 + len(params))
+            v[base] = f.const
+            for p, c in f.terms:
+                v[base + 1 + pidx[p]] = c
+        return v
+
+    seen: list[list[Fraction]] = []  # stacked flattened rows, for solving
+    for r, row in enumerate(rows):
+        v = flatten(row)
+        if seen:
+            mat = RationalMatrix(seen).transpose()
+            sol = mat.solve(v)
+            if sol is not None:
+                # exact verification of the witness
+                combo = [LinearForm.zero()] * width
+                for k, ck in enumerate(sol):
+                    if ck != 0:
+                        combo = [a + rows[k][j] * ck for j, a in enumerate(combo)]
+                if all((row[j] - combo[j]).is_zero() for j in range(width)):
+                    return r, tuple(sol)
+                raise MorganError("dependency witness failed verification (bug)")
+        if all(x == 0 for x in v):
+            return r, tuple(Fraction(0) for _ in range(r))
+        seen.append(v)
+    return None
+
+
+def dtilde_formpoly(pencil: PencilForm, qbasis: QBasis, config: RowConfig) -> ParamPolyMatrix:
+    """D~(s) = (sK_b - Lambda_b) Q_B S~(s), rows indexed by the complement blocks."""
+    offs = qbasis.col_offsets
+    st = qbasis.sigma_tilde
+    pos = positions_from_sigma(qbasis.sigma)
+    rows = []
+    for b in config.complement(pencil.l):
+        p = pos[b - 1]
+        u = qbasis.qb.row(p - 1)
+        lam = pencil.A_r.row(p - 1)
+        v = []
+        for c in range(qbasis.width):
+            acc = LinearForm.zero()
+            for r, lr in enumerate(lam):
+                if lr != 0:
+                    acc = acc + qbasis.qb[r, c] * lr
+            v.append(acc)
+        row = []
+        for j, sj in enumerate(st):
+            coeffs = []
+            for d in range(sj + 1):
+                up = u[offs[j] + d - 1] if d >= 1 else LinearForm.zero()
+                low = v[offs[j] + d] if d < sj else LinearForm.zero()
+                coeffs.append(up - low)
+            row.append(FormPoly(coeffs))
+        rows.append(row)
+    return ParamPolyMatrix(rows)
+
+
+def nhat_formpoly(c_r: RationalMatrix, qbasis: QBasis) -> ParamPolyMatrix:
+    """N_hat(s) = C_r Q_B S~(s) diag(s^{st_max - st_j}) as a ParamPolyMatrix."""
+    chat = rat_times_param(c_r, qbasis.qb)
+    st = qbasis.sigma_tilde
+    st_max = max(st)
+    offs = qbasis.col_offsets
+    rows = []
+    for r in range(chat.rows):
+        row = []
+        for j, sj in enumerate(st):
+            coeffs = [chat[r, offs[j] + k] for k in range(sj)]
+            row.append(FormPoly(coeffs).shift(st_max - sj))
+        rows.append(row)
+    return ParamPolyMatrix(rows)
+
+
+def dict_decouplability_search(
+    c_r: RationalMatrix,
+    pencil: PencilForm,
+    qbasis: QBasis,
+    config: RowConfig,
+    rng,
+) -> DecouplabilityReport:
+    """The LinearForm decouplability search, the reference for the dense one.
+
+    Search degree-deficit vectors for a parameter selection that decouples.
+
+    A candidate deficit vector (d_1, ..., d_m) zeroes every coefficient form
+    of N_hat row r above its target degree; success means the resulting row
+    highest-coefficient matrix has generic rank m while Q_B keeps full column
+    rank and [D~]_hc keeps rank m.  The per-config leading-coefficient
+    constraints (solvability of the feedback-row systems) are seeded first.
+    """
+    m = c_r.rows
+    w = qbasis.width
+    seeds = _leading_forms(qbasis, config)
+    nhat = nhat_formpoly(c_r, qbasis)
+    dhc = dtilde_hc_formpoly(pencil, qbasis, config)
+
+    def fail(reason, tried=0, deficits=()):
+        return DecouplabilityReport(
+            success=False,
+            ci_tuple=qbasis.sigma_tilde,
+            config=config,
+            constraints=ConstraintSet.empty(),
+            degree_deficits=tuple(deficits),
+            n_alpha=None,
+            reason=reason,
+            candidates_tried=tried,
+        )
+
+    cs0 = dict_solve_zero_constraints(seeds)
+    nhat0 = cs0.apply(nhat)
+    bounds = []
+    for r in range(m):
+        d = nhat0.row_degree(r)
+        if d < 0:
+            return fail(
+                "output row %d of N_hat is identically zero under the "
+                "leading-coefficient constraints" % (r + 1)
+            )
+        bounds.append(d)
+
+    tried = 0
+    seen = set()
+    pruned = []
+    n_alpha_failures = 0
+    qb_failures = 0
+    dhc_failures = 0
+    for deficits in _ascending_deficits(bounds):
+        if any(all(dv >= pv for dv, pv in zip(deficits, pr)) for pr in pruned):
+            continue
+        forms = list(seeds)
+        for r, d in enumerate(deficits):
+            target = bounds[r] - d
+            for deg in range(target + 1, max(qbasis.sigma_tilde)):
+                for j in range(m):
+                    f = nhat[r, j].coeff(deg)
+                    if not f.is_zero():
+                        forms.append(f)
+        key = frozenset(forms)
+        if key in seen:
+            continue
+        seen.add(key)
+        tried += 1
+        cs = dict_solve_zero_constraints(forms)
+        nh = cs.apply(nhat)
+        degs = [nh.row_degree(r) for r in range(m)]
+        if any(d < 0 for d in degs):
+            pruned.append(deficits)
+            continue
+        n_alpha = ParamMatrix([nh.row_coeffs(r, degs[r]) for r in range(m)])
+        if dict_generic_rank(n_alpha, rng) != m:
+            n_alpha_failures += 1
+            continue
+        if dict_generic_rank(cs.apply(qbasis.qb), rng) != w:
+            qb_failures += 1
+            continue
+        if dict_generic_rank(cs.apply(dhc), rng) != m:
+            dhc_failures += 1
+            continue
+        return DecouplabilityReport(
+            success=True,
+            ci_tuple=qbasis.sigma_tilde,
+            config=config,
+            constraints=cs,
+            degree_deficits=deficits,
+            n_alpha=n_alpha,
+            reason="",
+            candidates_tried=tried,
+        )
+    return fail(
+        "no degree-deficit assignment gives N_alpha full generic row rank "
+        "with Q_B monic and [D~]_hc of rank m "
+        "(%d candidates: %d failed N_alpha, %d failed Q_B rank, %d failed [D~]_hc)"
+        % (tried, n_alpha_failures, qb_failures, dhc_failures),
+        tried,
+    )
+
+
+def dtilde_hc_formpoly(pencil, qbasis, config) -> ParamMatrix:
+    """Column highest-coefficient matrix of the full D~(s) at degrees sigma_tilde."""
+    dt = dtilde_formpoly(pencil, qbasis, config)
+    st = qbasis.sigma_tilde
+    return ParamMatrix(
+        [[dt[i, j].coeff(st[j]) for j in range(dt.cols)] for i in range(dt.rows)]
+    )
+
+
+def dict_generic_rank(m: ParamMatrix, rng, repetitions: int = 3) -> int:
+    """generic_rank on LinearForm entries with a ParamId-keyed assignment."""
+    if m.rows == 0 or m.cols == 0:
+        return 0
+    params = m.params()
+    best = 0
+    for _ in range(repetitions):
+        assignment = {p: Fraction(rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND)) for p in params}
+        num = RationalMatrix([[e.eval(assignment) for e in r] for r in m.entries])
+        best = max(best, num.rank())
+        if best == min(m.rows, m.cols):
+            break
+    return best

@@ -308,3 +308,50 @@ class TestShippedData:
             capsys, ["analyze", os.path.join(root, "example2_system.json"), "--json"]
         )
         assert rc == 0 and json.loads(out)["search_bound"] == 160
+
+
+class TestPinnedBytes:
+    """Solution files at the default seed are pinned byte for byte.
+
+    The digests are the ones in perfbench/pins.json.  A change of rank
+    kernel, random-draw order or audit text changes them, so a change that
+    means to move them must say so and update both places.
+    """
+
+    PINS = [
+        ("example1_system.json", [],
+         "7c8a9091e79a93c78ad764a6b45f4b2ec12109a94358f1fb2e3e78f3808b54d7"),
+        ("example2_system.json", [],
+         "24837a3cf052e6d68e92942e34dd56f2a788b586d86b08230394ba7463677de4"),
+        ("example2_system.json", ["--dz-target", "s^2+3s+2"],
+         "34b4c62e5152d1259328deafd408b91619d3ebe472aec8e7081633d6af9ebed0"),
+    ]
+
+    @pytest.mark.parametrize("name, extra, digest", PINS)
+    def test_solution_sha256(self, name, extra, digest, tmp_path, capsys):
+        import hashlib
+        from pathlib import Path
+
+        system = str(Path(__file__).resolve().parent.parent / "data" / name)
+        out = tmp_path / "sol.json"
+        rc, _, _ = run(capsys, ["solve", system, "--out", str(out), "--seed", "1729"] + extra)
+        assert rc == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+class TestDzTargetVerifies:
+    """At these seeds the first numeric Q_B left a common factor in a row of
+    C_r Q_B S~(s); that factor became an unobservable closed-loop mode the
+    fixed-pole record missed, and verify rejected the file."""
+
+    @pytest.mark.parametrize("seed", [1731, 2734])
+    def test_solve_then_verify(self, seed, files, capsys):
+        d, _, ex2 = files
+        out = str(d / f"dz_{seed}.json")
+        rc, _, _ = run(
+            capsys,
+            ["solve", ex2, "--dz-target", "s^2+3s+2", "--out", out, "--seed", str(seed)],
+        )
+        assert rc == 0
+        rc, text, _ = run(capsys, ["verify", ex2, out])
+        assert rc == 0, text

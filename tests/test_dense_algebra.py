@@ -1,0 +1,202 @@
+"""Dense parameter algebra against the LinearForm reference in param_oracle."""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from morgan.admissible import enumerate_row_configs, enumerate_tuples
+from morgan.errors import Inconsistent
+from morgan.paramalg import (
+    Elimination,
+    FormGrid,
+    LinearForm,
+    ParamGrid,
+    ParamId,
+    ParamMatrix,
+    dense_form,
+    generic_rank,
+    instantiate,
+    linear_form,
+    solve_zero_constraints,
+)
+from morgan.squaring import build_QB, decouplability_search, dtilde_hc
+from param_oracle import (
+    dict_decouplability_search,
+    dict_generic_rank,
+    dict_solve_zero_constraints,
+    dtilde_hc_formpoly,
+)
+
+PARAMS = tuple(ParamId("q", 1, 1, k) for k in range(1, 7))
+INDEX = {p: k + 1 for k, p in enumerate(PARAMS)}
+
+coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+forms_st = st.builds(
+    LinearForm,
+    st.one_of(st.just(Fraction(0)), coeffs),
+    st.dictionaries(st.sampled_from(PARAMS), coeffs, max_size=4),
+)
+form_lists = st.lists(forms_st, max_size=6)
+
+
+def dense(f):
+    return dense_form(f, INDEX, len(PARAMS))
+
+
+def eliminate(forms):
+    elim = Elimination()
+    for f in forms:
+        elim = elim.extended([dense(f)])
+    return elim
+
+
+class CountingRandom(random.Random):
+    """random.Random that counts randint calls."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.draws = 0
+
+    def randint(self, a, b):
+        self.draws += 1
+        return super().randint(a, b)
+
+
+class TestElimination:
+    @given(form_lists)
+    @settings(max_examples=200, deadline=None)
+    def test_same_constraint_set_as_reference(self, forms):
+        try:
+            expected = dict_solve_zero_constraints(forms)
+        except Inconsistent:
+            with pytest.raises(Inconsistent):
+                solve_zero_constraints(forms)
+            return
+        cs = solve_zero_constraints(forms)
+        assert cs.describe() == expected.describe()
+        assert cs == expected
+
+    @given(form_lists)
+    @settings(max_examples=200, deadline=None)
+    def test_forms_reduce_to_zero_and_pivots_stay_off_the_right(self, forms):
+        try:
+            cs = solve_zero_constraints(forms)
+        except Inconsistent:
+            return
+        for f in forms:
+            assert cs.apply_form(f).is_zero()
+        pivots = set(cs.order)
+        for p, rhs in cs.items():
+            assert not pivots & set(rhs.params())
+
+    @given(form_lists, st.integers(0, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_prefix_reuse_equals_from_scratch(self, forms, cut):
+        try:
+            whole = eliminate(forms)
+        except Inconsistent:
+            return
+        head = eliminate(forms[:cut])
+        tail = head.extended(dense(f) for f in forms[cut:])
+        assert tail.rows == whole.rows and tail.order == whole.order
+        # extending a state leaves it as it was
+        assert head.rows == eliminate(forms[:cut]).rows
+
+    def test_inconsistent_message(self):
+        x = PARAMS[0]
+        with pytest.raises(Inconsistent, match="reduces to 2 = 0"):
+            solve_zero_constraints([LinearForm(0, {x: 1}), LinearForm(2, {x: 1})])
+
+    @given(forms_st)
+    @settings(max_examples=50, deadline=None)
+    def test_dense_roundtrip(self, f):
+        assert linear_form(dense(f), PARAMS) == f
+
+
+class TestDenseGenericRank:
+    @given(
+        st.lists(st.lists(forms_st, min_size=3, max_size=3), min_size=1, max_size=3),
+        form_lists,
+        st.integers(0, 10**6),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_form_grid_matches_reference(self, entries, constraints, seed):
+        try:
+            cs = dict_solve_zero_constraints(constraints)
+            elim = eliminate(constraints)
+        except Inconsistent:
+            return
+        m = ParamMatrix(entries)
+        reduced = [
+            [r if any(r) else None for r in (elim.reduce(dense(e)) for e in row)]
+            for row in entries
+        ]
+        a, b = CountingRandom(seed), CountingRandom(seed)
+        assert generic_rank(FormGrid(reduced), a) == dict_generic_rank(cs.apply(m), b)
+        assert a.draws == b.draws and a.getstate() == b.getstate()
+
+    @given(
+        st.lists(st.lists(st.integers(0, 6), min_size=4, max_size=4), min_size=1, max_size=4),
+        form_lists,
+        st.integers(0, 10**6),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_param_grid_matches_reference(self, cells, constraints, seed):
+        try:
+            cs = dict_solve_zero_constraints(constraints)
+            elim = eliminate(constraints)
+        except Inconsistent:
+            return
+        m = ParamMatrix(
+            [
+                [LinearForm.of_param(PARAMS[c - 1]) if c else LinearForm.zero() for c in row]
+                for row in cells
+            ]
+        )
+        grid = ParamGrid(cells, elim)
+        a, b = CountingRandom(seed), CountingRandom(seed)
+        assert generic_rank(grid, a) == dict_generic_rank(cs.apply(m), b)
+        assert a.draws == b.draws and a.getstate() == b.getstate()
+        # a point of the free columns, extended through the rows, evaluates
+        # the substituted matrix
+        point = {c: Fraction(k - 2, 3) for k, c in enumerate(elim.free(len(PARAMS)))}
+        named = {PARAMS[c - 1]: v for c, v in point.items()}
+        assert instantiate(grid, point) == instantiate(cs.apply(m), named)
+
+
+def search_cases(pencil, tuple_step):
+    tuples = enumerate_tuples(pencil.sigma, pencil.C_r.rows)
+    configs = enumerate_row_configs(pencil.sigma, pencil.C_r.rows)
+    for ti in range(0, len(tuples), tuple_step):
+        qb = build_QB(pencil.sigma, tuples[ti])
+        for ci, cfg in enumerate(configs):
+            yield ti * 100 + ci, qb, cfg
+
+
+class TestSearchMatchesReference:
+    """Same report, same audit text and the same random draws as the LinearForm search."""
+
+    def check(self, pencil, tuple_step):
+        for seed, qb, cfg in search_cases(pencil, tuple_step):
+            a, b = random.Random(seed), random.Random(seed)
+            new = decouplability_search(pencil.C_r, pencil, qb, cfg, a)
+            old = dict_decouplability_search(pencil.C_r, pencil, qb, cfg, b)
+            assert (new.success, new.reason, new.candidates_tried) == (
+                old.success, old.reason, old.candidates_tried)
+            assert new.constraints.describe() == old.constraints.describe()
+            assert new.degree_deficits == old.degree_deficits
+            assert new.n_alpha == old.n_alpha
+            assert a.getstate() == b.getstate()
+
+    def test_example1(self, ex1_pencil):
+        self.check(ex1_pencil, 1)
+
+    def test_example2(self, ex2_pencil):
+        self.check(ex2_pencil, 5)
+
+    def test_dtilde_hc_is_the_leading_entries(self, ex1_pencil, ex2_pencil):
+        for pencil in (ex1_pencil, ex2_pencil):
+            for _, qb, cfg in search_cases(pencil, 1):
+                assert dtilde_hc(pencil, qb, cfg) == dtilde_hc_formpoly(pencil, qb, cfg)

@@ -79,6 +79,23 @@ class TestRationalMatrix:
     def test_rank_identity(self):
         assert rank(RationalMatrix.identity(2)) == 2
 
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 6),
+        st.lists(st.one_of(st.just(Fraction(0)), fractions_st), min_size=36, max_size=36),
+        st.lists(st.integers(0, 5), max_size=3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rank_matches_fraction_echelon(self, r, c, pool, copies):
+        rows = [pool[i * c:(i + 1) * c] for i in range(r)]
+        for k in copies:  # dependent rows: sums of two earlier rows
+            if len(rows) >= 2:
+                a, b = rows[k % len(rows)], rows[(k + 1) % len(rows)]
+                rows.append([x + 2 * y for x, y in zip(a, b)])
+        m = RationalMatrix(rows)
+        assert m.rank() == len(m._echelon()[1])
+        assert rank([list(row) for row in rows]) == m.rank()
+
     def test_rank_zero(self):
         assert rank(RationalMatrix.zeros(3, 4)) == 0
 

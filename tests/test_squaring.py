@@ -19,10 +19,10 @@ from morgan.squaring import (
     build_QB,
     complete_basis,
     decouplability_search,
-    dtilde_formpoly,
     dtilde_hc,
     solve_feedback_rows,
 )
+from param_oracle import dtilde_formpoly, instantiate_poly
 
 
 def q(i, j, k):
@@ -175,7 +175,7 @@ class TestDtilde:
         qb = build_QB(ex2_pencil.sigma, (2, 2, 3))
         rng = random.Random(77)
         assignment = {p: Fraction(rng.randint(-4, 4)) for p in qb.params}
-        full = instantiate(dtilde_formpoly(ex2_pencil, qb, ex2_config_15), assignment)
+        full = instantiate_poly(dtilde_formpoly(ex2_pencil, qb, ex2_config_15), assignment)
         from morgan.exactalg import high_col_coeff
 
         hc_num = instantiate(dtilde_hc(ex2_pencil, qb, ex2_config_15), assignment)
