@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidSystem, MorganError, NotControllable
+from .errors import InvalidSystem, MorganError, NotControllable, VerificationFailed
 from .exactalg import (
     Poly,
     PolyMatrix,
@@ -63,6 +63,11 @@ class StateSpace:
     @property
     def m(self):
         return self.C.rows
+
+    def check_feedback(self, f: RationalMatrix, g: RationalMatrix):
+        """VerificationFailed unless F is l x n and G is l x m."""
+        if (f.rows, f.cols, g.rows, g.cols) != (self.l, self.n, self.l, self.m):
+            raise VerificationFailed("F/G dimensions do not match the system")
 
 
 def _staircase_select(a: RationalMatrix, b: RationalMatrix):

@@ -7,8 +7,6 @@ exit codes: 0 success/PASS, 2 certified no-solution, 1 error or FAIL.
 from __future__ import annotations
 
 import argparse
-import logging
-import os
 import sys
 
 from .admissible import enumerate_row_configs, enumerate_tuples
@@ -17,10 +15,11 @@ from .decouple import (
     DEFAULT_SEED,
     NoSolution,
     SolveOptions,
+    check_closed_loop,
     solve as run_solve,
 )
-from .errors import MorganError
-from .exactalg import format_poly, parse_poly, transfer_function
+from .errors import MorganError, VerificationFailed
+from .exactalg import format_poly, parse_poly
 from .fileio import (
     dump_json,
     load_solution,
@@ -28,19 +27,10 @@ from .fileio import (
     matrix_from_json,
     no_solution_to_dict,
     poly_from_json,
+    poly_to_json,
     solution_to_dict,
 )
-from .zeros import (
-    routh_hurwitz_stable,
-    uncontrollable_polynomial,
-    unobservable_polynomial,
-)
-
-log = logging.getLogger("morgan")
-
-
-def _poly_str(coeffs_json) -> str:
-    return format_poly(poly_from_json(coeffs_json))
+from .zeros import check_fixed_poles, routh_hurwitz_stable
 
 
 def cmd_analyze(args) -> int:
@@ -123,59 +113,42 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
+def _load_feedback(args):
+    """The system, the solution data and its (F, G).
+
+    VerificationFailed when the file records no solution.
+    """
     sys_ = load_system(args.system)
     data = load_solution(args.solution)
     if data.get("no_solution"):
-        print("FAIL: solution file records no solution")
+        raise VerificationFailed("solution file records no solution")
+    return sys_, data, matrix_from_json(data["F"], "F"), matrix_from_json(data["G"], "G")
+
+
+def _check_recorded_fixed_poles(sys_, data, f, g):
+    fp = data["fixed_poles"]
+    return check_fixed_poles(
+        sys_,
+        f,
+        g,
+        poly_from_json(fp["input_decoupling_zeros"]),
+        poly_from_json(fp["wolovich_falb"]),
+    )
+
+
+def cmd_verify(args) -> int:
+    try:
+        sys_, data, f, g = _load_feedback(args)
+        recorded = [
+            (poly_from_json(rec["num"]), poly_from_json(rec["den"]))
+            for rec in data["diagonal"]
+        ]
+        diag, failures = check_closed_loop(sys_, f, g, recorded)
+        dz, unobs, fp_failures = _check_recorded_fixed_poles(sys_, data, f, g)
+    except VerificationFailed as e:
+        print(f"FAIL: {e}")
         return 1
-    f = matrix_from_json(data["F"], "F")
-    g = matrix_from_json(data["G"], "G")
-    if f.rows != sys_.l or f.cols != sys_.n or g.rows != sys_.l or g.cols != sys_.m:
-        print("FAIL: F/G dimensions do not match the system")
-        return 1
-    h = transfer_function(sys_.A, sys_.B, sys_.C, f, g)
-    failures = []
-    for i in range(sys_.m):
-        for j in range(sys_.m):
-            num, den = h[i][j]
-            if i != j and not num.is_zero():
-                failures.append(
-                    f"off-diagonal entry ({i + 1},{j + 1}) = "
-                    f"({format_poly(num)})/({format_poly(den)}) != 0"
-                )
-    for i in range(sys_.m):
-        num, den = h[i][i]
-        if num.is_zero():
-            failures.append(f"diagonal entry {i + 1} is zero")
-            continue
-        rec = data["diagonal"][i]
-        if poly_from_json(rec["num"]) != num or poly_from_json(rec["den"]) != den:
-            failures.append(
-                f"diagonal entry {i + 1} is ({format_poly(num)})/({format_poly(den)}), "
-                f"file records ({_poly_str(rec['num'])})/({_poly_str(rec['den'])})"
-            )
-    # fixed-pole cross-check
-    acl = sys_.A + sys_.B * f
-    dz = uncontrollable_polynomial(acl, sys_.B * g)
-    dz_rec = poly_from_json(data["fixed_poles"]["input_decoupling_zeros"])
-    if dz != dz_rec:
-        failures.append(
-            f"uncontrollable polynomial of the closed loop is {format_poly(dz)}, "
-            f"file records {format_poly(dz_rec)}"
-        )
-    fixed_rec = poly_from_json(data["fixed_poles"]["wolovich_falb"])
-    unobs = unobservable_polynomial(acl, sys_.C)
-    if not unobs.divmod(fixed_rec)[1].is_zero():
-        failures.append(
-            "recorded fixed decoupling poles do not divide the closed-loop "
-            f"unobservable polynomial {format_poly(unobs)}"
-        )
-    if not (fixed_rec * dz).divmod(unobs)[1].is_zero():
-        failures.append(
-            f"closed-loop unobservable polynomial {format_poly(unobs)} does not "
-            "divide (fixed poles) * (input decoupling zeros)"
-        )
+    failures = [str(e) for e in failures + fp_failures]
     if args.json:
         print(
             dump_json(
@@ -183,12 +156,11 @@ def cmd_verify(args) -> int:
                     "pass": not failures,
                     "failures": failures,
                     "diagonal": [
-                        {"num": [str(c) for c in h[i][i][0].coeffs],
-                         "den": [str(c) for c in h[i][i][1].coeffs]}
-                        for i in range(sys_.m)
+                        {"num": poly_to_json(num), "den": poly_to_json(den)}
+                        for num, den in diag
                     ],
-                    "input_decoupling_zeros": [str(c) for c in dz.coeffs],
-                    "unobservable_polynomial": [str(c) for c in unobs.coeffs],
+                    "input_decoupling_zeros": poly_to_json(dz),
+                    "unobservable_polynomial": poly_to_json(unobs),
                 }
             ),
             end="",
@@ -200,8 +172,7 @@ def cmd_verify(args) -> int:
                 print(f"  {msg}")
         else:
             print("PASS: closed loop is exactly diagonal and matches the file")
-            for i in range(sys_.m):
-                num, den = h[i][i]
+            for i, (num, den) in enumerate(diag):
                 print(f"  H_{i + 1}{i + 1}(s) = ({format_poly(num)})/({format_poly(den)})")
             print(f"  input decoupling zeros: {format_poly(dz)} (cross-checked)")
             print(f"  closed-loop unobservable polynomial: {format_poly(unobs)}")
@@ -209,33 +180,24 @@ def cmd_verify(args) -> int:
 
 
 def cmd_fixed_poles(args) -> int:
-    sys_ = load_system(args.system)
-    data = load_solution(args.solution)
-    if data.get("no_solution"):
-        print("FAIL: solution file records no solution")
+    try:
+        sys_, data, f, g = _load_feedback(args)
+        dz, unobs, failures = _check_recorded_fixed_poles(sys_, data, f, g)
+    except VerificationFailed as e:
+        print(f"FAIL: {e}")
         return 1
-    f = matrix_from_json(data["F"], "F")
-    g = matrix_from_json(data["G"], "G")
-    acl = sys_.A + sys_.B * f
-    dz = uncontrollable_polynomial(acl, sys_.B * g)
-    unobs = unobservable_polynomial(acl, sys_.C)
-    fp = data["fixed_poles"]
-    dz_rec = poly_from_json(fp["input_decoupling_zeros"])
-    fixed_rec = poly_from_json(fp["wolovich_falb"])
-    consistent = (
-        dz == dz_rec
-        and unobs.divmod(fixed_rec)[1].is_zero()
-        and (fixed_rec * dz).divmod(unobs)[1].is_zero()
-    )
+    consistent = not failures
+    fixed_json = data["fixed_poles"]["wolovich_falb"]
+    fixed_rec = poly_from_json(fixed_json)
     if args.json:
         print(
             dump_json(
                 {
-                    "input_decoupling_zeros": [str(c) for c in dz.coeffs],
+                    "input_decoupling_zeros": poly_to_json(dz),
                     "input_decoupling_stable": routh_hurwitz_stable(dz),
-                    "wolovich_falb_recorded": fp["wolovich_falb"],
+                    "wolovich_falb_recorded": fixed_json,
                     "wolovich_falb_stable": routh_hurwitz_stable(fixed_rec),
-                    "unobservable_polynomial": [str(c) for c in unobs.coeffs],
+                    "unobservable_polynomial": poly_to_json(unobs),
                     "consistent": consistent,
                 }
             ),
@@ -293,8 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("MORGAN_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     ap = build_parser()
     args = ap.parse_args(argv)
     try:

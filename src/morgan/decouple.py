@@ -32,7 +32,7 @@ from .errors import (
     TargetDegreeMismatch,
     VerificationFailed,
 )
-from .exactalg import Poly, RationalMatrix, transfer_function
+from .exactalg import Poly, RationalMatrix, format_poly, transfer_function
 from .paramalg import instantiate
 from .squaring import (
     SquaringData,
@@ -200,41 +200,50 @@ def compose_final(
     """
     f = pencil.G_I * (squaring.F0 + squaring.G0 * f_f * squaring.Q_inv) * pencil.P_inv
     g = pencil.G_I * squaring.G0 * g_f
-    h = transfer_function(sys.A, sys.B, sys.C, f, g)
-    diag = verify_diagonal(h, p_list)
+    diag, failures = check_closed_loop(sys, f, g, [(Poly.one(), p.monic()) for p in p_list])
+    if failures:
+        raise failures[0]
     if g.rank() != sys.m:
         raise VerificationFailed("final G is not monic")
     return f, g, diag
 
 
-def verify_diagonal(h, p_list=None):
-    """Check a transfer-function matrix is diagonal with nonzero diagonal.
+def check_closed_loop(sys: StateSpace, f, g, expected_diagonal):
+    """Check that (F, G) decouples (A, B, C) into the expected diagonal.
 
-    When p_list is given, diagonal entry i must equal 1/p_i exactly.
-    Returns the list of diagonal (num, den) pairs.
+    Computes C (sI - A - BF)^-1 BG exactly, once.  Returns (diagonal
+    (num, den) pairs, failures): a VerificationFailed naming its entry for
+    every nonzero off-diagonal entry, then for each diagonal entry that is
+    zero or differs from expected_diagonal[i].  VerificationFailed is
+    raised when F or G does not fit the system.
     """
-    m = len(h)
-    for i in range(m):
-        for j in range(len(h[i])):
-            num, den = h[i][j]
-            if i != j and not num.is_zero():
-                raise VerificationFailed(
-                    f"off-diagonal entry ({i + 1},{j + 1}) is {num}/{den}, not 0",
-                    entry=(i + 1, j + 1),
-                )
-        num, den = h[i][i]
+    sys.check_feedback(f, g)
+    h = transfer_function(sys.A, sys.B, sys.C, f, g)
+    m = sys.m
+    failures = [
+        VerificationFailed(
+            f"off-diagonal entry ({i + 1},{j + 1}) = "
+            f"({format_poly(h[i][j][0])})/({format_poly(h[i][j][1])}) != 0",
+            entry=(i + 1, j + 1),
+        )
+        for i in range(m)
+        for j in range(m)
+        if i != j and not h[i][j][0].is_zero()
+    ]
+    diag = [h[i][i] for i in range(m)]
+    for i, (num, den) in enumerate(diag):
         if num.is_zero():
-            raise VerificationFailed(
-                f"diagonal entry {i + 1} is zero", entry=(i + 1, i + 1)
+            message = f"diagonal entry {i + 1} is zero"
+        elif (num, den) != tuple(expected_diagonal[i]):
+            rec_num, rec_den = expected_diagonal[i]
+            message = (
+                f"diagonal entry {i + 1} is ({format_poly(num)})/({format_poly(den)}), "
+                f"file records ({format_poly(rec_num)})/({format_poly(rec_den)})"
             )
-        if p_list is not None:
-            if num != Poly.one() or den != p_list[i].monic():
-                raise VerificationFailed(
-                    f"diagonal entry {i + 1} is ({num})/({den}), "
-                    f"expected 1/({p_list[i]})",
-                    entry=(i + 1, i + 1),
-                )
-    return [h[i][i] for i in range(m)]
+        else:
+            continue
+        failures.append(VerificationFailed(message, entry=(i + 1, i + 1)))
+    return diag, failures
 
 
 # ---------------------------------------------------------------------------
@@ -343,14 +352,6 @@ def _evaluate_config(sys, pencil, ci_tuple, config, ti, ci, options, qbasis=None
     if not report.success:
         return rejected(report.reason)
 
-    try:
-        extra, musys = solve_feedback_rows(qbasis, report.constraints, config)
-    except MorganError as e:
-        return rejected(f"feedback-row constraint derivation failed: {e}", report)
-    if not extra.is_empty():
-        raise MorganError("a leading Q_B entry survived the search constraints (bug)")
-    cs = musys.constraints
-
     # The search checked generic full rank of these three matrices on the
     # constraint set; draw small integer points of its free parameters
     # until all three have full rank there.  A point where a row of
@@ -378,12 +379,11 @@ def _evaluate_config(sys, pencil, ci_tuple, config, ti, ci, options, qbasis=None
         if any(g.degree > 0 for g in zeros_mod.row_gcds(pencil.C_r * qn * s_tilde)):
             common_factors += 1
             continue
-        named = {qbasis.params[c - 1]: Fraction(v) for c, v in trial.items()}
         try:
-            family = musys.solve_numeric(qn, named)
+            family = solve_feedback_rows(qbasis, config, qn)
         except NotSolvable:
             continue
-        assignment = named
+        assignment = {qbasis.params[c - 1]: Fraction(v) for c, v in trial.items()}
         qb_num = qn
         break
     if family is None:
@@ -436,7 +436,7 @@ def _evaluate_config(sys, pencil, ci_tuple, config, ti, ci, options, qbasis=None
         config=config,
         status="solved",
         reason="",
-        constraints=tuple(cs.describe()),
+        constraints=tuple(report.constraints.describe()),
         degree_deficits=report.degree_deficits,
     )
     solution = DecouplingSolution(

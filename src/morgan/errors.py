@@ -13,10 +13,6 @@ class NotControllable(InvalidSystem):
     """The pair (A, B) is not controllable."""
 
 
-class DegreeExceeded(MorganError):
-    """A polynomial entry has higher degree than the declared row/column degree."""
-
-
 class Inconsistent(MorganError):
     """A linear constraint system over the free parameters has no solution."""
 

@@ -11,9 +11,7 @@ import re
 from fractions import Fraction
 from math import lcm
 
-from .errors import DegreeExceeded, MorganError
-
-Rational = Fraction
+from .errors import MorganError
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
 
@@ -136,9 +134,6 @@ class Poly:
             q = q + Poly([0] * k + [c])
             r = r - other * Poly([0] * k + [c])
         return q, r
-
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return self.divmod(other)[0]
 
     def __mod__(self, other: "Poly") -> "Poly":
         return self.divmod(other)[1]
@@ -293,20 +288,21 @@ class RationalMatrix:
     def __hash__(self):
         return hash(self.entries)
 
+    def _same_shape(self, other, op):
+        if self.rows != other.rows or self.cols != other.cols:
+            raise MorganError(
+                f"dimension mismatch {self.rows}x{self.cols} {op} {other.rows}x{other.cols}"
+            )
+        return zip(self.entries, other.entries)
+
     def __add__(self, other):
         return RationalMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
+            [[a + b for a, b in zip(ra, rb)] for ra, rb in self._same_shape(other, "+")]
         )
 
     def __sub__(self, other):
         return RationalMatrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
+            [[a - b for a, b in zip(ra, rb)] for ra, rb in self._same_shape(other, "-")]
         )
 
     def __neg__(self):
@@ -328,11 +324,6 @@ class RationalMatrix:
                 for row in self.entries
             ]
         )
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
 
     def transpose(self) -> "RationalMatrix":
         return RationalMatrix(list(zip(*self.entries)) if self.entries else [])
@@ -515,16 +506,6 @@ class PolyMatrix:
     def __eq__(self, other):
         return isinstance(other, PolyMatrix) and self.entries == other.entries
 
-    def __add__(self, other):
-        return PolyMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
-        )
-
-    def __sub__(self, other):
-        return PolyMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
-        )
-
     def __mul__(self, other):
         if isinstance(other, RationalMatrix):
             other = PolyMatrix.from_rational(other)
@@ -581,44 +562,7 @@ def s_identity_minus(a: RationalMatrix) -> PolyMatrix:
     )
 
 
-def high_row_coeff(m: PolyMatrix, row_degrees) -> RationalMatrix:
-    """Row highest-order coefficient matrix at the declared row degrees.
-
-    Entry (i, j) is the coefficient of s^row_degrees[i] in m[i, j]; raises
-    DegreeExceeded if any entry's degree is above its declared row degree.
-    """
-    if len(row_degrees) != m.rows:
-        raise MorganError("row_degrees length mismatch")
-    out = []
-    for i, d in enumerate(row_degrees):
-        for j in range(m.cols):
-            if m[i, j].degree > d:
-                raise DegreeExceeded(
-                    f"entry ({i},{j}) has degree {m[i, j].degree} > declared {d}"
-                )
-        out.append([m[i, j].coeff(d) for j in range(m.cols)])
-    return RationalMatrix(out)
-
-
-def high_col_coeff(m: PolyMatrix, col_degrees) -> RationalMatrix:
-    """Column analogue of high_row_coeff."""
-    if len(col_degrees) != m.cols:
-        raise MorganError("col_degrees length mismatch")
-    for j, d in enumerate(col_degrees):
-        for i in range(m.rows):
-            if m[i, j].degree > d:
-                raise DegreeExceeded(
-                    f"entry ({i},{j}) has degree {m[i, j].degree} > declared {d}"
-                )
-    return RationalMatrix(
-        [
-            [m[i, j].coeff(col_degrees[j]) for j in range(m.cols)]
-            for i in range(m.rows)
-        ]
-    )
-
-
-RESOLVENT_SIZE_CAP = 64  # guard against accidental blow-up; problem scale here is n <= 9
+RESOLVENT_SIZE_CAP = 64  # guard against accidental blow-up; the benchmark runs n <= 12
 
 
 def resolvent(a: RationalMatrix, size_cap: int | None = None):

@@ -73,8 +73,25 @@ def dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _audit(outcomes, searched) -> dict:
+    """The audit entries that solution and no-solution payloads share."""
+    return {
+        "configurations": [
+            {
+                "tuple": list(o.ci_tuple),
+                "config_positions": list(o.config.positions),
+                "status": o.status,
+                "reason": o.reason,
+            }
+            for o in outcomes
+        ],
+        "searched": searched,
+    }
+
+
 def solution_to_dict(sol: DecouplingSolution) -> dict:
     fp = sol.fixed_poles
+    winner = next((o for o in sol.outcomes if o.status == "solved"), None)
     return {
         "format": SOLUTION_FORMAT,
         "seed": sol.seed,
@@ -101,38 +118,15 @@ def solution_to_dict(sol: DecouplingSolution) -> dict:
             },
         },
         "audit": {
-            "constraints": _winner_constraints(sol),
-            "degree_deficits": _winner_deficits(sol),
+            "constraints": list(winner.constraints) if winner else [],
+            "degree_deficits": list(winner.degree_deficits) if winner else [],
             "q_assignment": {
                 str(p): str(v) for p, v in sorted(sol.squaring.assignment.items())
             },
             "mu_rows": [[str(x) for x in row] for row in sol.squaring.M_rows],
-            "configurations": [
-                {
-                    "tuple": list(o.ci_tuple),
-                    "config_positions": list(o.config.positions),
-                    "status": o.status,
-                    "reason": o.reason,
-                }
-                for o in sol.outcomes
-            ],
-            "searched": len(sol.outcomes),
+            **_audit(sol.outcomes, len(sol.outcomes)),
         },
     }
-
-
-def _winner_constraints(sol: DecouplingSolution):
-    for o in sol.outcomes:
-        if o.status == "solved":
-            return list(o.constraints)
-    return []
-
-
-def _winner_deficits(sol: DecouplingSolution):
-    for o in sol.outcomes:
-        if o.status == "solved":
-            return list(o.degree_deficits)
-    return []
 
 
 def no_solution_to_dict(res: NoSolution) -> dict:
@@ -142,18 +136,7 @@ def no_solution_to_dict(res: NoSolution) -> dict:
         "sigma": list(res.sigma),
         "no_solution": True,
         "reason": res.reason,
-        "audit": {
-            "configurations": [
-                {
-                    "tuple": list(o.ci_tuple),
-                    "config_positions": list(o.config.positions),
-                    "status": o.status,
-                    "reason": o.reason,
-                }
-                for o in res.outcomes
-            ],
-            "searched": res.searched,
-        },
+        "audit": _audit(res.outcomes, res.searched),
     }
 
 

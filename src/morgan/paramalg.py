@@ -244,9 +244,6 @@ class ConstraintSet:
     def __eq__(self, other):
         return isinstance(other, ConstraintSet) and self.subs_map == other.subs_map
 
-    def is_empty(self):
-        return not self.order
-
     def apply_form(self, f: LinearForm) -> LinearForm:
         return f.subs(self.subs_map)
 

@@ -29,7 +29,6 @@ from .paramalg import (
     ParamMatrix,
     generic_rank,
     linear_form,
-    solve_zero_constraints,
 )
 
 
@@ -54,15 +53,6 @@ class QBasis:
         out = []
         acc = 0
         for s in self.sigma_tilde:
-            out.append(acc)
-            acc += s
-        return tuple(out)
-
-    @property
-    def row_offsets(self):
-        out = []
-        acc = 0
-        for s in self.sigma:
             out.append(acc)
             acc += s
         return tuple(out)
@@ -182,13 +172,6 @@ def _leading_cells(qbasis: QBasis, config: RowConfig):
             if c:
                 cells.append(c)
     return cells
-
-
-def _leading_forms(qbasis: QBasis, config: RowConfig):
-    """The leading entries of _leading_cells as LinearForms."""
-    return [
-        LinearForm.of_param(qbasis.params[c - 1]) for c in _leading_cells(qbasis, config)
-    ]
 
 
 def _nhat_forms(c_r: RationalMatrix, qbasis: QBasis):
@@ -452,10 +435,6 @@ class MuFamily:
     nullbasis: tuple  # basis of ker(Q_B^T)
     t_params: tuple  # t_params[i][k] = ParamId('t', i+1, k+1)
 
-    @property
-    def free_count(self):
-        return len(self.nullbasis) * len(self.particulars)
-
     def all_t_params(self):
         return tuple(p for row in self.t_params for p in row)
 
@@ -471,89 +450,39 @@ class MuFamily:
             out.append(tuple(row))
         return out
 
-    def row_forms(self):
-        """Mu rows as LinearForm vectors affine in the t parameters."""
-        out = []
-        for i, part in enumerate(self.particulars):
-            row = []
-            for c in range(len(part)):
-                f = LinearForm.of_const(part[c])
-                for k, basis in enumerate(self.nullbasis):
-                    if basis[c]:
-                        f = f + LinearForm(0, {self.t_params[i][k]: basis[c]})
-                row.append(f)
-            out.append(tuple(row))
-        return out
 
+def solve_feedback_rows(qbasis: QBasis, config: RowConfig, qb_num: RationalMatrix) -> MuFamily:
+    """Exact affine solution families of the feedback-row systems W_mu mu_i = Q_mu^i.
 
-@dataclass(frozen=True)
-class MuSystem:
-    """Symbolic feedback-row systems W_mu mu_i = Q_mu^i with W_mu = Q_B^T."""
-
-    qbasis: QBasis
-    config: RowConfig
-    constraints: ConstraintSet
-    rhs_forms: tuple  # one width-vector of LinearForms per config row
-
-    def solve_numeric(self, qb_num: RationalMatrix, assignment: dict) -> MuFamily:
-        """Exact affine solution families for a numeric instantiation."""
-        w_mu = qb_num.transpose()
-        nullbasis = tuple(w_mu.nullspace())
-        particulars = []
-        for rhs_form in self.rhs_forms:
-            rhs = [f.eval(assignment) for f in rhs_form]
-            sol = w_mu.solve(rhs)
-            if sol is None:
-                raise NotSolvable("feedback-row system inconsistent")
-            particulars.append(sol)
-        t_params = tuple(
-            tuple(ParamId("t", i + 1, k + 1) for k in range(len(nullbasis)))
-            for i in range(len(particulars))
-        )
-        return MuFamily(
-            config=self.config,
-            particulars=tuple(particulars),
-            nullbasis=nullbasis,
-            t_params=t_params,
-        )
-
-
-def solve_feedback_rows(qbasis: QBasis, constraints: ConstraintSet, config: RowConfig):
-    """Build the feedback-row systems; returns (extra_constraints, MuSystem).
-
-    Coefficient matching of s * (row p_i of Q_B) * S~(s) gives the right-hand
-    sides; the s^{sigma_tilde_j} coefficients cannot be matched, so any
-    not-yet-zero leading form becomes an extra constraint (normally none,
-    because the decouplability search seeds them).
+    W_mu = Q_B^T at the numeric instantiation qb_num.  Coefficient matching
+    of s * (row p_i of Q_B) * S~(s) gives the right-hand sides: entry
+    off_j + k is -Q_B[p_i, off_j + k - 1] for 0 < k < sigma_tilde_j and 0
+    for k = 0; k = sigma_tilde_j would need the leading entry, which the
+    decouplability search zeroes.  NotSolvable when a system is inconsistent.
     """
+    w_mu = qb_num.transpose()
+    nullbasis = tuple(w_mu.nullspace())
     offs = qbasis.col_offsets
-    st = qbasis.sigma_tilde
-    extra = [
-        f
-        for f in (constraints.apply_form(g) for g in _leading_forms(qbasis, config))
-        if not f.is_zero()
-    ]
-    extra_cs = solve_zero_constraints(extra)
-    merged = constraints if extra_cs.is_empty() else _compose(constraints, extra_cs)
-
-    rhs_rows = []
+    particulars = []
     for p in config.positions:
-        rhs = [LinearForm.zero()] * qbasis.width
-        for j, sj in enumerate(st):
+        rhs = [Fraction(0)] * qbasis.width
+        for j, sj in enumerate(qbasis.sigma_tilde):
             for k in range(1, sj):
-                rhs[offs[j] + k] = -merged.apply_form(qbasis.qb[p - 1, offs[j] + k - 1])
-            # k = sigma_tilde_j would need the (zeroed) leading entry; k = 0 is zero
-        rhs_rows.append(tuple(rhs))
-    system = MuSystem(
-        qbasis=qbasis, config=config, constraints=merged, rhs_forms=tuple(rhs_rows)
+                rhs[offs[j] + k] = -qb_num[p - 1, offs[j] + k - 1]
+        sol = w_mu.solve(rhs)
+        if sol is None:
+            raise NotSolvable("feedback-row system inconsistent")
+        particulars.append(sol)
+    t_params = tuple(
+        tuple(ParamId("t", i + 1, k + 1) for k in range(len(nullbasis)))
+        for i in range(len(particulars))
     )
-    return extra_cs, system
-
-
-def _compose(cs: ConstraintSet, delta: ConstraintSet) -> ConstraintSet:
-    new_map = {p: f.subs(delta.subs_map) for p, f in cs.subs_map.items()}
-    new_map.update(delta.subs_map)
-    return ConstraintSet(new_map, tuple(list(cs.order) + list(delta.order)))
+    return MuFamily(
+        config=config,
+        particulars=tuple(particulars),
+        nullbasis=nullbasis,
+        t_params=t_params,
+    )
 
 
 def complete_basis(qb_num: RationalMatrix) -> RationalMatrix:

@@ -5,7 +5,9 @@ transformation (the uncontrollable modes of the squared-down system, present
 whenever sum(sigma_tilde) < n), and the classical fixed decoupling poles
 det(C_f S_f(s)) / prod(row gcds).  The former can often be placed through the
 free parameters of the feedback-row solution families; this module does that
-exactly when the affine parameter-to-block map is onto.
+exactly when the affine parameter-to-block map is onto.  check_fixed_poles
+cross-checks a recorded pair of them against the closed loop of the original
+system.
 """
 
 from __future__ import annotations
@@ -14,11 +16,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .canonical import build_S
-from .errors import DegenerateNumerator, MorganError, TargetDegreeMismatch
+from .errors import (
+    DegenerateNumerator,
+    MorganError,
+    TargetDegreeMismatch,
+    VerificationFailed,
+)
 from .exactalg import (
     Poly,
     RationalMatrix,
     det,
+    format_poly,
     poly_gcd,
     resolvent,
 )
@@ -89,6 +97,39 @@ def unobservable_polynomial(a: RationalMatrix, c: RationalMatrix) -> Poly:
         obs = obs.vstack(block)
     basis = obs.nullspace()
     return charpoly(_restriction(a, basis))
+
+
+def check_fixed_poles(sys, f, g, dz_recorded: Poly, fixed_recorded: Poly):
+    """Cross-check recorded fixed poles against the closed loop A + BF.
+
+    Returns (dz, unobservable, failures): the uncontrollable polynomial of
+    (A + BF, BG) and the unobservable polynomial of (A + BF, C), recomputed,
+    and one VerificationFailed for each broken condition, in this order:
+    dz equals dz_recorded, fixed_recorded divides the unobservable
+    polynomial, and the unobservable polynomial divides fixed_recorded * dz.
+    VerificationFailed is raised when F or G does not fit the system.
+    """
+    sys.check_feedback(f, g)
+    acl = sys.A + sys.B * f
+    dz = uncontrollable_polynomial(acl, sys.B * g)
+    unobs = unobservable_polynomial(acl, sys.C)
+    failures = []
+    if dz != dz_recorded:
+        failures.append(VerificationFailed(
+            f"uncontrollable polynomial of the closed loop is {format_poly(dz)}, "
+            f"file records {format_poly(dz_recorded)}"
+        ))
+    if not unobs.divmod(fixed_recorded)[1].is_zero():
+        failures.append(VerificationFailed(
+            "recorded fixed decoupling poles do not divide the closed-loop "
+            f"unobservable polynomial {format_poly(unobs)}"
+        ))
+    if not (fixed_recorded * dz).divmod(unobs)[1].is_zero():
+        failures.append(VerificationFailed(
+            f"closed-loop unobservable polynomial {format_poly(unobs)} does not "
+            "divide (fixed poles) * (input decoupling zeros)"
+        ))
+    return dz, unobs, failures
 
 
 def input_decoupling_zeros(square) -> Poly:
@@ -219,15 +260,6 @@ class BestEffortReport:
     u: RationalMatrix
     w: RationalMatrix
     t_params: tuple
-
-    def char_poly_at(self, t_assignment: dict) -> Poly:
-        t = RationalMatrix(
-            [
-                [Fraction(t_assignment.get(p, 0)) for p in row]
-                for row in self.t_params
-            ]
-        )
-        return charpoly(self.x0 - self.u * t * self.w)
 
 
 def companion(p: Poly) -> RationalMatrix:

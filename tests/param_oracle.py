@@ -3,7 +3,9 @@
 These are the dict-of-Fraction LinearForm versions that the solver used
 before its search moved to dense forms: the substitution solver, LinearForm
 polynomials and matrices, the full D~(s) and a structural dependency test.
-The tests compare the dense code against them.
+The tests compare the dense code against them.  The highest-coefficient
+matrices, the leading Q_B forms of a row configuration and the mu rows as
+LinearForms are here too, since only the tests use them.
 """
 
 from __future__ import annotations
@@ -17,10 +19,39 @@ from morgan.exactalg import Poly, PolyMatrix, RationalMatrix
 from morgan.paramalg import SAMPLE_BOUND, ConstraintSet, LinearForm, ParamId, ParamMatrix
 from morgan.squaring import (
     DecouplabilityReport,
+    MuFamily,
     QBasis,
     _ascending_deficits,
-    _leading_forms,
+    _leading_cells,
 )
+
+
+class DegreeExceeded(MorganError):
+    """A polynomial entry has higher degree than the declared row/column degree."""
+
+
+def _leading_forms(qbasis: QBasis, config: RowConfig):
+    """The leading entries of the config rows of Q_B as LinearForms."""
+    return [
+        LinearForm.of_param(qbasis.params[c - 1]) for c in _leading_cells(qbasis, config)
+    ]
+
+
+def mu_row_forms(family: MuFamily):
+    """Mu rows as LinearForm vectors affine in the t parameters."""
+    out = []
+    for i, part in enumerate(family.particulars):
+        row = []
+        for c in range(len(part)):
+            f = LinearForm.of_const(part[c])
+            for k, basis in enumerate(family.nullbasis):
+                if basis[c]:
+                    f = f + LinearForm(0, {family.t_params[i][k]: basis[c]})
+            row.append(f)
+        out.append(tuple(row))
+    return out
+
+
 
 
 def rat_times_param(a: RationalMatrix, b: ParamMatrix) -> ParamMatrix:
@@ -381,3 +412,40 @@ def dict_generic_rank(m: ParamMatrix, rng, repetitions: int = 3) -> int:
         if best == min(m.rows, m.cols):
             break
     return best
+
+
+def high_row_coeff(m: PolyMatrix, row_degrees) -> RationalMatrix:
+    """Row highest-order coefficient matrix at the declared row degrees.
+
+    Entry (i, j) is the coefficient of s^row_degrees[i] in m[i, j]; raises
+    DegreeExceeded if any entry's degree is above its declared row degree.
+    """
+    if len(row_degrees) != m.rows:
+        raise MorganError("row_degrees length mismatch")
+    out = []
+    for i, d in enumerate(row_degrees):
+        for j in range(m.cols):
+            if m[i, j].degree > d:
+                raise DegreeExceeded(
+                    f"entry ({i},{j}) has degree {m[i, j].degree} > declared {d}"
+                )
+        out.append([m[i, j].coeff(d) for j in range(m.cols)])
+    return RationalMatrix(out)
+
+
+def high_col_coeff(m: PolyMatrix, col_degrees) -> RationalMatrix:
+    """Column analogue of high_row_coeff."""
+    if len(col_degrees) != m.cols:
+        raise MorganError("col_degrees length mismatch")
+    for j, d in enumerate(col_degrees):
+        for i in range(m.rows):
+            if m[i, j].degree > d:
+                raise DegreeExceeded(
+                    f"entry ({i},{j}) has degree {m[i, j].degree} > declared {d}"
+                )
+    return RationalMatrix(
+        [
+            [m[i, j].coeff(col_degrees[j]) for j in range(m.cols)]
+            for i in range(m.rows)
+        ]
+    )

@@ -4,11 +4,29 @@ from itertools import combinations_with_replacement
 from math import comb
 
 import golden_data as pd
-from morgan.admissible import (
-    enumerate_row_configs,
-    enumerate_tuples,
-    is_admissible_dimension,
-)
+from morgan.admissible import enumerate_row_configs, enumerate_tuples
+
+
+def is_admissible_dimension(sigma, d: int) -> bool:
+    """Single-index admissibility: sigma_k <= d <= sigma_1 + ... + sigma_k.
+
+    k is the largest index with sigma_k <= d; False when every index exceeds d.
+    Note that tuple admissibility (enumerate_tuples) is stronger than
+    admissibility of each component.
+    """
+    if d < 1:
+        return False
+    k = 0
+    acc = 0
+    for s in sigma:
+        if s <= d:
+            k += 1
+            acc += s
+        else:
+            break
+    if k == 0:
+        return False
+    return d <= acc
 
 
 def brute_force_tuples(sigma, m):

@@ -355,3 +355,184 @@ class TestDzTargetVerifies:
         assert rc == 0
         rc, text, _ = run(capsys, ["verify", ex2, out])
         assert rc == 0, text
+
+
+SEED_1729_CASES = {
+    "ex1": ("example1_system.json", []),
+    "ex2": ("example2_system.json", []),
+    "ex2dz": ("example2_system.json", ["--dz-target", "s^2+3s+2"]),
+}
+
+
+@pytest.fixture(scope="module")
+def seed_1729_solutions(tmp_path_factory):
+    """Solution files of the pinned cases at solver seed 1729."""
+    from pathlib import Path
+
+    d = tmp_path_factory.mktemp("seed1729")
+    root = Path(__file__).resolve().parent.parent / "data"
+    out = {}
+    for case, (name, extra) in SEED_1729_CASES.items():
+        system = str(root / name)
+        sol = str(d / f"{case}.json")
+        assert main(["solve", system, "--out", sol, "--seed", "1729"] + extra) == 0
+        out[case] = (system, sol)
+    return out
+
+
+class TestPinnedCheckOutput:
+    """The exact stdout of verify and fixed-poles on the pinned solutions."""
+
+    PINS = [
+        ("ex1", ["verify", "--json"],
+         "b5ae3c5b96e8325de81e038ff6852134d8dda951df1d15e1b11ecd9b18add90e"),
+        ("ex1", ["verify"],
+         "31ed2d3f1bc2d84334c0fbdefc2a175fd528028143e44db72f992d5ba9f13d7e"),
+        ("ex1", ["fixed-poles", "--json"],
+         "c3a08f552fb1d86b6986eb9eeb98ad81723e7e5bf4de823e862dde072b2411ff"),
+        ("ex2", ["verify", "--json"],
+         "a2b92a116d163d5a48532383e0dddd62d00e28b8e2cc64dbd0d9e996aec7cb58"),
+        ("ex2", ["verify"],
+         "2a80a33a95170f6df29e9066da40eeafa292c8e635c5add670e7070076fdc655"),
+        ("ex2", ["fixed-poles", "--json"],
+         "6a59e4c535dee9d02a004582d1f22e394a14c5bcb51b0eaad0020ab939f5c5ca"),
+        ("ex2dz", ["verify", "--json"],
+         "161fe64e3c9e7d574f568eb52659ba53490000db475cc6c8e3a5c55abcb9098b"),
+        ("ex2dz", ["verify"],
+         "5498e7c9207e5594988429970e4bbd11b415466d58ca6d3b4dd71271b3b95436"),
+        ("ex2dz", ["fixed-poles", "--json"],
+         "fb3283c9eee0144c54350ba8aac39573f66720f394867366d18027427e640b30"),
+    ]
+
+    @pytest.mark.parametrize("case, cmd, digest", PINS)
+    def test_stdout_sha256(self, case, cmd, digest, seed_1729_solutions, capsys):
+        import hashlib
+
+        system, sol = seed_1729_solutions[case]
+        capsys.readouterr()
+        rc, out, _ = run(capsys, [cmd[0], system, sol] + cmd[1:])
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestFailureLines:
+    """Exact failure lines of verify and fixed-poles on a hand-built system.
+
+    A = 0, B = I_4, C picks states 1 and 2.  With F = diag(-1, -1, -3, -4)
+    and G = [e1, e2 + e3] the closed loop is diag(1/(s+1), 1/(s+1)), state 4
+    is uncontrollable (s+4) and states 3, 4 are unobservable (s^2+7s+12), so
+    the consistent record is dz = s+4 and fixed poles s+3.
+    """
+
+    F = [[-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -3, 0], [0, 0, 0, -4]]
+    G = [[1, 0], [0, 1], [0, 1], [0, 0]]
+
+    def _files(self, d, f=None, dz="s+4", wf="s+3"):
+        system = d / "fourstate.json"
+        system.write_text(
+            dump_json(
+                {
+                    "A": [[0] * 4 for _ in range(4)],
+                    "B": [[int(i == j) for j in range(4)] for i in range(4)],
+                    "C": [[1, 0, 0, 0], [0, 1, 0, 0]],
+                }
+            )
+        )
+        solution = d / "fourstate_solution.json"
+        solution.write_text(
+            dump_json(
+                {
+                    "format": "morgan-solution/1",
+                    "F": [[str(x) for x in row] for row in (f or self.F)],
+                    "G": [[str(x) for x in row] for row in self.G],
+                    "diagonal": [{"num": ["1"], "den": ["1", "1"]}] * 2,
+                    "fixed_poles": {
+                        "input_decoupling_zeros": poly_to_json(parse_poly(dz)),
+                        "wolovich_falb": poly_to_json(parse_poly(wf)),
+                    },
+                }
+            )
+        )
+        return str(system), str(solution)
+
+    def test_consistent_record_passes(self, tmp_path, capsys):
+        system, solution = self._files(tmp_path)
+        rc, out, _ = run(capsys, ["verify", system, solution])
+        assert rc == 0
+        assert out == (
+            "PASS: closed loop is exactly diagonal and matches the file\n"
+            "  H_11(s) = (1)/(s+1)\n"
+            "  H_22(s) = (1)/(s+1)\n"
+            "  input decoupling zeros: s+4 (cross-checked)\n"
+            "  closed-loop unobservable polynomial: s^2+7s+12\n"
+        )
+        rc, out, _ = run(capsys, ["fixed-poles", system, solution])
+        assert rc == 0
+        assert out.endswith("consistent\n")
+
+    def test_perturbed_f(self, tmp_path, capsys):
+        f = [list(row) for row in self.F]
+        f[0][1] = 1  # couples output 1 to state 2
+        f[1][2] = 1  # makes state 3 observable and changes H_22
+        system, solution = self._files(tmp_path, f=f)
+        rc, out, _ = run(capsys, ["verify", system, solution])
+        assert rc == 1
+        assert out == (
+            "FAIL\n"
+            "  off-diagonal entry (1,2) = (s+4)/(s^3+5s^2+7s+3) != 0\n"
+            "  diagonal entry 2 is (s+4)/(s^2+4s+3), file records (1)/(s+1)\n"
+            "  recorded fixed decoupling poles do not divide the closed-loop "
+            "unobservable polynomial s+4\n"
+        )
+        rc, out, _ = run(capsys, ["fixed-poles", system, solution])
+        assert rc == 1
+        assert out == (
+            "input decoupling zeros (recomputed): s+4 (stable)\n"
+            "fixed decoupling poles (recorded):   s+3 (stable)\n"
+            "closed-loop unobservable polynomial: s+4\n"
+            "INCONSISTENT with the solution file\n"
+        )
+
+    def test_wrong_input_decoupling_zeros(self, tmp_path, capsys):
+        system, solution = self._files(tmp_path, dz="s+5")
+        rc, out, _ = run(capsys, ["verify", system, solution])
+        assert rc == 1
+        assert out == (
+            "FAIL\n"
+            "  uncontrollable polynomial of the closed loop is s+4, file records s+5\n"
+        )
+        rc, out, _ = run(capsys, ["fixed-poles", system, solution, "--json"])
+        assert rc == 1
+        assert json.loads(out)["consistent"] is False
+
+    def test_wrong_fixed_poles(self, tmp_path, capsys):
+        system, solution = self._files(tmp_path, wf="s+5")
+        rc, out, _ = run(capsys, ["verify", system, solution])
+        assert rc == 1
+        assert out == (
+            "FAIL\n"
+            "  recorded fixed decoupling poles do not divide the closed-loop "
+            "unobservable polynomial s^2+7s+12\n"
+            "  closed-loop unobservable polynomial s^2+7s+12 does not divide "
+            "(fixed poles) * (input decoupling zeros)\n"
+        )
+        rc, out, _ = run(capsys, ["fixed-poles", system, solution])
+        assert rc == 1
+        assert out.endswith("INCONSISTENT with the solution file\n")
+
+
+class TestWrongShape:
+    """A solution whose F rows each carry one extra column is rejected."""
+
+    @pytest.mark.parametrize("command", ["verify", "fixed-poles"])
+    def test_extra_f_column(self, command, seed_1729_solutions, tmp_path, capsys):
+        system, solved = seed_1729_solutions["ex2"]
+        data = load_solution(solved)
+        data["F"] = [row + ["1"] for row in data["F"]]
+        sol = tmp_path / "ex2_wide_f.json"
+        sol.write_text(dump_json(data))
+        capsys.readouterr()
+        for extra in ([], ["--json"]):
+            rc, out, _ = run(capsys, [command, system, str(sol)] + extra)
+            assert rc == 1
+            assert out == "FAIL: F/G dimensions do not match the system\n"

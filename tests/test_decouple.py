@@ -13,11 +13,11 @@ from morgan.decouple import (
     NoSolution,
     SolveOptions,
     _evaluate_config,
+    check_closed_loop,
     compose_final,
     make_square_system,
     solve,
     square_decouple,
-    verify_diagonal,
 )
 from morgan.errors import TargetDegreeMismatch, VerificationFailed
 from morgan.exactalg import Poly, RationalMatrix, parse_poly, transfer_function
@@ -39,11 +39,28 @@ def ex1_reference_squaring(ex1_reference_pencil):
     rep = decouplability_search(
         ex1_reference_pencil.C_r, ex1_reference_pencil, qb, cfg, random.Random(0)
     )
-    _, musys = solve_feedback_rows(qb, rep.constraints, cfg)
     assignment = {ParamId(*k): Fraction(v) for k, v in pd.EX1_QB_ASSIGNMENT.items()}
     qb_num = instantiate(rep.constraints.apply(qb.qb), assignment)
-    fam = musys.solve_numeric(qb_num, assignment)
+    fam = solve_feedback_rows(qb, cfg, qb_num)
     return assemble_squaring(ex1_reference_pencil, qb, cfg, qb_num, fam, assignment, {})
+
+
+def assert_diagonal(h, p_list):
+    """h is exactly diag(1/p_i)."""
+    for i, row in enumerate(h):
+        for j, (num, den) in enumerate(row):
+            if i == j:
+                assert (num, den) == (Poly.one(), p_list[i].monic())
+            else:
+                assert num.is_zero()
+
+
+def assert_decouples(sys_, sol):
+    """The solution's (F, G) decouples the original system into diag(1/p_i)."""
+    expected = [(Poly.one(), p.monic()) for p in sol.p_list]
+    diag, failures = check_closed_loop(sys_, sol.F, sol.G, expected)
+    assert failures == []
+    assert diag == expected
 
 
 def ex2_reference_squaring(ex2_pencil, ex2_config_15, t=(0, 0, 0, 0)):
@@ -94,7 +111,7 @@ class TestSquareDecouple:
         # matrix-level equality with the reference F_f is not required;
         # the closed loop must be exactly diag(1/p_i)
         h = transfer_function(square.A_f, square.B_f, square.C_f, f_f, g_f)
-        verify_diagonal(h, p_list)
+        assert_diagonal(h, p_list)
 
     def test_example2_reference_targets(self, ex2_pencil, ex2_config_15):
         sq = ex2_reference_squaring(ex2_pencil, ex2_config_15)
@@ -102,7 +119,7 @@ class TestSquareDecouple:
         targets = [parse_poly(t) for t in pd.EX2_DIAG_DENS]
         f_f, g_f, p_list = square_decouple(square, targets)
         h = transfer_function(square.A_f, square.B_f, square.C_f, f_f, g_f)
-        verify_diagonal(h, p_list)
+        assert_diagonal(h, p_list)
 
     def test_single_chain(self):
         a = RationalMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
@@ -169,13 +186,22 @@ class TestComposeFinal:
         assert g == RationalMatrix.identity(1)
 
     def test_verification_guards_diagonal(self):
-        h = [
-            [(Poly.one(), parse_poly("s+1")), (Poly.one(), parse_poly("s+2"))],
-            [(Poly.zero(), Poly.one()), (Poly.one(), parse_poly("s+1"))],
-        ]
-        with pytest.raises(VerificationFailed) as err:
-            verify_diagonal(h)
-        assert err.value.entry == (1, 2)
+        # C (sI - A)^-1 = [[1/(s+1), 1/(s+2)], [0, 1/(s+2)]]
+        sys_ = StateSpace(
+            A=RationalMatrix([[-1, 0], [0, -2]]),
+            B=RationalMatrix.identity(2),
+            C=RationalMatrix([[1, 1], [0, 1]]),
+        )
+        expected = [(Poly.one(), parse_poly("s+1")), (Poly.one(), parse_poly("s+2"))]
+        diag, failures = check_closed_loop(
+            sys_, RationalMatrix.zeros(2, 2), RationalMatrix.identity(2), expected
+        )
+        assert diag == expected
+        assert len(failures) == 1
+        err = failures[0]
+        assert isinstance(err, VerificationFailed)
+        assert err.entry == (1, 2)
+        assert str(err) == "off-diagonal entry (1,2) = (1)/(s+2) != 0"
 
 
 class TestSolve:
@@ -212,8 +238,7 @@ class TestSolve:
         # against the original system
         assert sol.ci_tuple == (1, 2, 2)
         assert sol.config.positions == (5, 7)
-        h = transfer_function(ex2.A, ex2.B, ex2.C, sol.F, sol.G)
-        verify_diagonal(h, list(sol.p_list))
+        assert_decouples(ex2, sol)
         assert sol.G.rank() == 3
 
     def test_example2_reference_configuration_feasible(self, ex2, ex2_pencil):
@@ -226,8 +251,7 @@ class TestSolve:
         )
         assert outcome.status == "solved"
         assert solution.ci_tuple == (2, 2, 3)
-        h = transfer_function(ex2.A, ex2.B, ex2.C, solution.F, solution.G)
-        verify_diagonal(h, list(solution.p_list))
+        assert_decouples(ex2, solution)
 
     def test_square_system(self):
         a = RationalMatrix([[0, 1, 0], [0, 0, 1], [1, 2, 3]])

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import golden_data as pd
-from morgan.errors import DegreeExceeded
 from morgan.exactalg import (
     NEG_INF,
     Poly,
@@ -15,8 +14,6 @@ from morgan.exactalg import (
     RationalMatrix,
     det,
     format_poly,
-    high_col_coeff,
-    high_row_coeff,
     parse_poly,
     poly_gcd,
     rank,
@@ -24,6 +21,7 @@ from morgan.exactalg import (
     s_identity_minus,
     transfer_function,
 )
+from param_oracle import DegreeExceeded, high_col_coeff, high_row_coeff
 
 fractions_st = st.fractions(
     min_value=-10, max_value=10, max_denominator=6

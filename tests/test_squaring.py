@@ -11,7 +11,6 @@ from morgan.paramalg import (
     LinearForm,
     ParamId,
     instantiate,
-    solve_zero_constraints,
 )
 from morgan.squaring import (
     MuFamily,
@@ -22,7 +21,7 @@ from morgan.squaring import (
     dtilde_hc,
     solve_feedback_rows,
 )
-from param_oracle import dtilde_formpoly, instantiate_poly
+from param_oracle import dtilde_formpoly, high_col_coeff, instantiate_poly, mu_row_forms
 
 
 def q(i, j, k):
@@ -176,8 +175,6 @@ class TestDtilde:
         rng = random.Random(77)
         assignment = {p: Fraction(rng.randint(-4, 4)) for p in qb.params}
         full = instantiate_poly(dtilde_formpoly(ex2_pencil, qb, ex2_config_15), assignment)
-        from morgan.exactalg import high_col_coeff
-
         hc_num = instantiate(dtilde_hc(ex2_pencil, qb, ex2_config_15), assignment)
         assert high_col_coeff(full, [2, 2, 3]) == hc_num
 
@@ -187,15 +184,13 @@ class TestFeedbackRows:
         qb = build_QB((1, 1, 3, 4), (1, 4, 4))
         cfg = enumerate_row_configs(ex1_pencil.sigma, 3)[0]
         rep = decouplability_search(ex1_pencil.C_r, ex1_pencil, qb, cfg, random.Random(0))
-        extra, musys = solve_feedback_rows(qb, rep.constraints, cfg)
-        assert extra.is_empty()
         assignment = {ParamId(*k): Fraction(v) for k, v in pd.EX1_QB_ASSIGNMENT.items()}
         qb_num = instantiate(rep.constraints.apply(qb.qb), assignment)
-        return qb, cfg, musys, assignment, qb_num
+        return qb, cfg, qb_num
 
     def test_example1_unique_mu(self, ex1_pencil):
-        qb, cfg, musys, assignment, qb_num = self._ex1_family(ex1_pencil)
-        fam = musys.solve_numeric(qb_num, assignment)
+        qb, cfg, qb_num = self._ex1_family(ex1_pencil)
+        fam = solve_feedback_rows(qb, cfg, qb_num)
         assert fam.nullbasis == ()
         assert fam.particulars == (tuple(Fraction(x) for x in pd.EX1_MU),)
 
@@ -204,16 +199,12 @@ class TestFeedbackRows:
         rep = decouplability_search(
             ex2_pencil.C_r, ex2_pencil, qb, ex2_config_15, random.Random(0)
         )
-        extra, musys = solve_feedback_rows(qb, rep.constraints, ex2_config_15)
-        assert extra.is_empty()
         assignment = {ParamId(*k): Fraction(v) for k, v in pd.EX2_QB_ASSIGNMENT.items()}
         qb_num = instantiate(rep.constraints.apply(qb.qb), assignment)
-        fam = musys.solve_numeric(qb_num, assignment)
+        fam = solve_feedback_rows(qb, ex2_config_15, qb_num)
         assert len(fam.nullbasis) == 2  # n - sum(sigma_tilde)
         w_mu = qb_num.transpose()
-        rhs = [
-            [f.eval(assignment) for f in row] for row in musys.rhs_forms
-        ]
+        rhs = [w_mu.mul_vector(p) for p in fam.particulars]
         # the reference mu rows solve the same systems, for any t values
         for t_vals in [(0, 0, 0, 0), (1, -2, 3, 5)]:
             t1, t2, t3, t4 = map(Fraction, t_vals)
@@ -227,8 +218,9 @@ class TestFeedbackRows:
         qb = build_QB((1, 1, 3, 4), (1, 1, 3, 4))
         cfg_all = enumerate_row_configs(ex1_pencil.sigma, 4)[0]
         assert cfg_all.blocks == ()
-        extra, musys = solve_feedback_rows(qb, solve_zero_constraints([]), cfg_all)
-        assert extra.is_empty() and musys.rhs_forms == ()
+        qb_num = instantiate(qb.qb, {p: Fraction(1) for p in qb.params})
+        fam = solve_feedback_rows(qb, cfg_all, qb_num)
+        assert fam.particulars == () and fam.t_params == ()
 
 
 class TestAssemble:
@@ -236,10 +228,9 @@ class TestAssemble:
         qb = build_QB((1, 1, 3, 4), (1, 4, 4))
         cfg = enumerate_row_configs(ex1_pencil.sigma, 3)[0]
         rep = decouplability_search(ex1_pencil.C_r, ex1_pencil, qb, cfg, random.Random(0))
-        _, musys = solve_feedback_rows(qb, rep.constraints, cfg)
         assignment = {ParamId(*k): Fraction(v) for k, v in pd.EX1_QB_ASSIGNMENT.items()}
         qb_num = instantiate(rep.constraints.apply(qb.qb), assignment)
-        fam = musys.solve_numeric(qb_num, assignment)
+        fam = solve_feedback_rows(qb, cfg, qb_num)
         sq = assemble_squaring(ex1_pencil, qb, cfg, qb_num, fam, assignment, {})
         assert sq.F0 == pd.EX1_F0
         assert sq.G0 == pd.EX1_G0
@@ -262,5 +253,5 @@ class TestAssemble:
         assert fam.rows_at({ParamId("t", 1, 1): Fraction(3)}) == [
             (Fraction(1), Fraction(3))
         ]
-        forms = fam.row_forms()
+        forms = mu_row_forms(fam)
         assert forms[0][1] == LinearForm(0, {ParamId("t", 1, 1): 1})

@@ -32,6 +32,14 @@ from morgan.zeros import (
 from test_decouple import ex1_reference_squaring, ex2_reference_squaring
 
 
+def char_poly_at(report: BestEffortReport, t_assignment: dict) -> Poly:
+    """charpoly(X0 - U T W) of a BestEffortReport at a t assignment."""
+    t = RationalMatrix(
+        [[Fraction(t_assignment.get(p, 0)) for p in row] for row in report.t_params]
+    )
+    return charpoly(report.x0 - report.u * t * report.w)
+
+
 def ex2_reference_family(ex2_config_15):
     z = Fraction(0)
     return MuFamily(
@@ -214,7 +222,7 @@ class TestBestEffort:
         # the evaluator reproduces the solution's own zero polynomial at the
         # solution's t assignment
         assert (
-            report.char_poly_at(sol.squaring.t_assignment)
+            char_poly_at(report, sol.squaring.t_assignment)
             == sol.fixed_poles.input_dz_poly
         )
 
