@@ -230,12 +230,10 @@ def to_pencil_form(sys: StateSpace) -> PencilForm:
     # controller-form basis: stack q_i A^k, q_i = block-end row of chain^-1
     t_inv_rows = []
     for i, p in enumerate(pos):
-        q = chain_inv.row(p - 1)
+        q = chain_inv.submatrix([p - 1], range(n))
         for _ in range(sigma[i]):
-            t_inv_rows.append(q)
-            q = tuple(
-                sum(q[r] * a[r, col] for r in range(n)) for col in range(n)
-            )
+            t_inv_rows.append(q.row(0))
+            q = q * a
     p_inv = RationalMatrix(t_inv_rows)
     p_mat = p_inv.inverse()
 

@@ -79,18 +79,14 @@ def relative_degrees(a: RationalMatrix, b: RationalMatrix, c: RationalMatrix):
     ds = []
     rows = []
     for i in range(c.rows):
-        cur = c.row(i)
+        cur = c.submatrix([i], range(n))
         found = None
         for k in range(n):
-            hit = tuple(
-                sum(cur[r] * b[r, j] for r in range(n)) for j in range(b.cols)
-            )
+            hit = (cur * b).row(0)
             if any(x != 0 for x in hit):
                 found = (k, hit)
                 break
-            cur = tuple(
-                sum(cur[r] * a[r, col] for r in range(n)) for col in range(n)
-            )
+            cur = cur * a
         if found is None:
             raise SingularBstar(f"output {i + 1} is disconnected from the inputs")
         ds.append(found[0])
@@ -170,16 +166,10 @@ def square_decouple(square: SquareSystem, target_polys=None):
         if p.leading() != 1:
             raise MorganError(f"diagonal polynomial {i + 1} must be monic")
     g_f = square.B_star.inverse()
-    rows = []
-    for i, p in enumerate(target_polys):
-        pa = p.eval_matrix(square.A_f)
-        ci = square.C_f.row(i)
-        rows.append(
-            tuple(
-                sum(ci[r] * pa[r, j] for r in range(square.n))
-                for j in range(square.n)
-            )
-        )
+    rows = [
+        (square.C_f.submatrix([i], range(square.n)) * p.eval_matrix(square.A_f)).row(0)
+        for i, p in enumerate(target_polys)
+    ]
     f_f = -(g_f * RationalMatrix(rows))
     return f_f, g_f, list(target_polys)
 

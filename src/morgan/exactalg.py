@@ -2,18 +2,44 @@
 
 Everything here is immutable and pure.  Scalars are `fractions.Fraction`
 (always normalized: positive denominator, gcd(num, den) = 1), so every
-comparison in the package is exact with zero tolerance.
+comparison in the package is exact with zero tolerance.  The matrix kernels
+(products, Horner evaluation, elimination, Faddeev-LeVerrier) scale rows or
+matrices to integers by the lcm of their denominators, compute with Python
+ints and build one normalized Fraction per output entry.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 
 from .errors import MorganError
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
+
+
+def _scaled(xs):
+    """(d, ints): d is the lcm of the denominators of xs and ints is d * xs."""
+    d = 1
+    for x in xs:
+        if x.denominator != 1:
+            d = lcm(d, x.denominator)
+    if d == 1:
+        return 1, [x.numerator for x in xs]
+    return d, [x.numerator * (d // x.denominator) for x in xs]
+
+
+def _scaled_matrix(rows):
+    """(d, int rows): one common denominator d of all entries and d * rows."""
+    d = lcm(*[x.denominator for row in rows for x in row])
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in rows]
+
+
+def _int_product(rows, cols):
+    """Integer matrix product, the right factor given by its columns."""
+    return [[sum(map(mul, r, c)) for c in cols] for r in rows]
 
 
 def rat(x) -> Fraction:
@@ -151,12 +177,27 @@ class Poly:
         return acc
 
     def eval_matrix(self, a: "RationalMatrix") -> "RationalMatrix":
-        """p(A) for a square matrix A (Horner)."""
+        """p(A) for a square matrix A.
+
+        Horner's rule on the integer matrix d * A: with e the lcm of the
+        coefficient denominators and N the degree,
+        p(A) = (sum_k e c_k d^(N-k) (dA)^k) / (e d^N).
+        """
         n = a.rows
-        acc = RationalMatrix.zeros(n, n)
-        for c in reversed(self.coeffs):
-            acc = acc * a + RationalMatrix.identity(n) * c
-        return acc
+        if self.is_zero():
+            return RationalMatrix.zeros(n, n)
+        d, ah = _scaled_matrix(a.entries)
+        cols = list(zip(*ah))
+        e, cs = _scaled(self.coeffs)
+        top = len(cs) - 1
+        acc = [[cs[top] if i == j else 0 for j in range(n)] for i in range(n)]
+        for k in range(top - 1, -1, -1):
+            acc = _int_product(acc, cols)
+            ck = cs[k] * d ** (top - k)
+            for i in range(n):
+                acc[i][i] += ck
+        den = e * d**top
+        return RationalMatrix._of([[Fraction(x, den) for x in row] for row in acc])
 
     def __repr__(self):
         return f"Poly({format_poly(self)!r})"
@@ -247,6 +288,13 @@ class RationalMatrix:
     def __setattr__(self, *a):
         raise AttributeError("RationalMatrix is immutable")
 
+    @staticmethod
+    def _of(rows) -> "RationalMatrix":
+        """A matrix of rows of equal length whose entries are already Fractions."""
+        m = object.__new__(RationalMatrix)
+        object.__setattr__(m, "entries", tuple(map(tuple, rows)))
+        return m
+
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -267,10 +315,8 @@ class RationalMatrix:
 
     @staticmethod
     def from_columns(cols) -> "RationalMatrix":
-        cols = [list(c) for c in cols]
-        return RationalMatrix(
-            [[cols[j][i] for j in range(len(cols))] for i in range(len(cols[0]))]
-        )
+        """The matrix with the given columns; MorganError when they are ragged."""
+        return RationalMatrix(cols).transpose()
 
     def __getitem__(self, ij):
         i, j = ij
@@ -317,18 +363,20 @@ class RationalMatrix:
             raise MorganError(
                 f"dimension mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}"
             )
-        bt = list(zip(*other.entries)) if other.entries else []
-        return RationalMatrix(
-            [
-                [sum(a * b for a, b in zip(row, col)) for col in bt]
-                for row in self.entries
-            ]
+        rows = [_scaled(r) for r in self.entries]
+        cols = [_scaled(c) for c in zip(*other.entries)]
+        return RationalMatrix._of(
+            [[Fraction(sum(map(mul, r, c)), d * e) for e, c in cols] for d, r in rows]
         )
 
     def transpose(self) -> "RationalMatrix":
         return RationalMatrix(list(zip(*self.entries)) if self.entries else [])
 
     def hstack(self, other: "RationalMatrix") -> "RationalMatrix":
+        if self.rows != other.rows:
+            raise MorganError(
+                f"dimension mismatch {self.rows}x{self.cols} | {other.rows}x{other.cols}"
+            )
         return RationalMatrix(
             [list(a) + list(b) for a, b in zip(self.entries, other.entries)]
         )
@@ -344,35 +392,45 @@ class RationalMatrix:
     def is_zero(self) -> bool:
         return all(x == 0 for r in self.entries for x in r)
 
-    def trace(self) -> Fraction:
-        return sum(self.entries[i][i] for i in range(self.rows))
-
     def mul_vector(self, v) -> tuple:
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
+        e, w = _scaled(v)
+        return tuple(
+            Fraction(sum(map(mul, r, w)), d * e) for d, r in map(_scaled, self.entries)
+        )
 
     # -- elimination-based operations ---------------------------------------
 
     def _echelon(self):
-        """Row echelon form; returns (rows, pivot column list)."""
-        m = [list(r) for r in self.entries]
+        """Reduced row echelon form; returns (rows, pivot column list).
+
+        Gauss-Jordan elimination on the rows scaled to integers, pivoting on
+        the first nonzero row of each column.  Each updated row is divided by
+        its content and each pivot row by its pivot at the end; every row
+        stays a nonzero multiple of the row that elimination over Q holds,
+        and the reduced form is unique, so the values are the same.
+        """
+        m = [_scaled(r)[1] for r in self.entries]
         pivots = []
         r = 0
         for c in range(self.cols):
-            pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+            pr = next((i for i in range(r, len(m)) if m[i][c]), None)
             if pr is None:
                 continue
             m[r], m[pr] = m[pr], m[r]
-            pv = m[r][c]
-            m[r] = [x / pv for x in m[r]]
-            for i in range(len(m)):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+            top = m[r]
+            p = top[c]
+            for i, row in enumerate(m):
+                f = row[c]
+                if f and i != r:
+                    row = [p * x - f * y for x, y in zip(row, top)]
+                    g = gcd(*row)
+                    m[i] = [x // g for x in row] if g > 1 else row
             pivots.append(c)
             r += 1
             if r == len(m):
                 break
-        return m, pivots
+        rows = [[Fraction(x, m[i][c]) for x in m[i]] for i, c in enumerate(pivots)]
+        return rows + [[Fraction(0)] * self.cols for _ in m[r:]], pivots
 
     def rank(self) -> int:
         return rank(self.entries)
@@ -381,13 +439,12 @@ class RationalMatrix:
         n = self.rows
         if n != self.cols:
             raise MorganError("inverse of a nonsquare matrix")
-        aug = RationalMatrix(
-            [list(r) + list(RationalMatrix.identity(n).entries[i]) for i, r in enumerate(self.entries)]
-        )
+        ident = RationalMatrix.identity(n).entries
+        aug = RationalMatrix([r + e for r, e in zip(self.entries, ident)])
         m, pivots = aug._echelon()
         if len(pivots) < n or pivots[:n] != list(range(n)):
             raise MorganError("matrix is singular")
-        return RationalMatrix([row[n:] for row in m[:n]])
+        return RationalMatrix._of([row[n:] for row in m[:n]])
 
     def solve(self, rhs):
         """One solution x of self * x = rhs (vector), or None if inconsistent."""
@@ -566,10 +623,15 @@ RESOLVENT_SIZE_CAP = 64  # guard against accidental blow-up; the benchmark runs 
 
 
 def resolvent(a: RationalMatrix, size_cap: int | None = None):
-    """(adjugate of sI-A, characteristic polynomial) via Faddeev-LeVerrier.
+    """(d, [M_0(dA), ..., M_{n-1}(dA)], chi) via Faddeev-LeVerrier.
 
-    Satisfies adj(s) * (sI - A) = charpoly(s) * I identically; charpoly monic.
-    size_cap overrides the default guard of RESOLVENT_SIZE_CAP.
+    d is the lcm of the denominators of A.  The recursion M_k = A M_{k-1}
+    + c_k I with c_k = -tr(A M_{k-1}) / k runs on the integer matrix dA,
+    where every division is exact; the M_k come back as integer rows, and
+    M_k(A) = M_k(dA) / d^k gives adj(sI - A) = sum_k M_k(A) s^(n-1-k), so
+    that adj(s) * (sI - A) = chi(s) * I identically.  chi is the monic
+    characteristic polynomial of A, chi_A(s) = d^-n chi_dA(d s).  size_cap
+    overrides the default guard of RESOLVENT_SIZE_CAP.
     """
     n = a.rows
     cap = RESOLVENT_SIZE_CAP if size_cap is None else size_cap
@@ -577,29 +639,21 @@ def resolvent(a: RationalMatrix, size_cap: int | None = None):
         raise MorganError("resolvent needs a square matrix")
     if n > cap:
         raise MorganError(f"resolvent size cap exceeded ({n} > {cap})")
-    ident = RationalMatrix.identity(n)
-    coeffs = [Fraction(0)] * n + [Fraction(1)]  # charpoly, ascending
-    mats = [ident]  # M_0
-    m = ident
+    d, ah = _scaled_matrix(a.entries)
+    cols = list(zip(*ah))  # M_k is a polynomial in A, so M_k dA = dA M_k
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    mats = []
+    coeffs = [Fraction(1)]  # chi, descending
     for k in range(1, n + 1):
-        am = a * m
-        c = -am.trace() / k
-        coeffs[n - k] = c
-        m = am + ident * c
-        if k < n:
-            mats.append(m)
-    charpoly = Poly(coeffs)
-    # adjugate(s) = sum_k M_k s^{n-1-k}
-    adj = PolyMatrix(
-        [
-            [
-                Poly([mats[n - 1 - p][i, j] for p in range(n)])
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-    )
-    return adj, charpoly
+        mats.append(m)
+        m = _int_product(m, cols)
+        c, rem = divmod(-sum(m[i][i] for i in range(n)), k)
+        if rem:
+            raise MorganError("Faddeev-LeVerrier division not exact (bug)")
+        for i in range(n):
+            m[i][i] += c
+        coeffs.append(Fraction(c, d**k))
+    return d, mats, Poly(coeffs[::-1])
 
 
 def transfer_function(a, b, c, f=None, g=None):
@@ -607,6 +661,11 @@ def transfer_function(a, b, c, f=None, g=None):
 
     Returns a matrix (list of lists) of (numerator, denominator) Poly pairs in
     lowest terms with monic denominators.  F defaults to 0, G to the identity.
+    The numerators come from the Markov parameters of the closed loop: with
+    chi(s) = sum_j c_j s^(n-j) the characteristic polynomial of A + BF,
+    C adj(sI - A - BF) BG = sum_k s^(n-1-k) N_k, N_k = sum_{j<=k} c_j
+    C (A + BF)^(k-j) BG.  With d (A + BF), d_C C and d_B BG integer,
+    N_k = sum_j (d^j c_j) (d_C C)(d (A + BF))^(k-j)(d_B BG) / (d^k d_C d_B).
     """
     n = a.rows
     if f is None:
@@ -614,13 +673,26 @@ def transfer_function(a, b, c, f=None, g=None):
     if g is None:
         g = RationalMatrix.identity(b.cols)
     acl = a + b * f
-    adj, chi = resolvent(acl)
-    num = PolyMatrix.from_rational(c) * adj * PolyMatrix.from_rational(b * g)
+    d_a, _, chi = resolvent(acl)
+    ah = _scaled_matrix(acl.entries)[1]
+    d_c, x = _scaled_matrix(c.entries)
+    d_b, bh = _scaled_matrix((b * g).entries)
+    a_cols, b_cols = list(zip(*ah)), list(zip(*bh))
+    markov = []  # (d_C C)(dA)^i (d_B BG), i = 0..n-1
+    for i in range(n):
+        if i:
+            x = _int_product(x, a_cols)
+        markov.append(_int_product(x, b_cols))
+    c_hat = [(chi.coeff(n - j) * d_a**j).numerator for j in range(n)]
+    dens = [d_a**k * d_c * d_b for k in range(n)]
     out = []
-    for i in range(num.rows):
+    for i in range(c.rows):
         row = []
-        for j in range(num.cols):
-            p = num[i, j]
+        for j in range(len(b_cols)):
+            p = Poly([
+                Fraction(sum(c_hat[t] * markov[k - t][i][j] for t in range(k + 1)), dens[k])
+                for k in range(n - 1, -1, -1)
+            ])
             if p.is_zero():
                 row.append((Poly.zero(), Poly.one()))
                 continue

@@ -36,7 +36,7 @@ def charpoly(a: RationalMatrix) -> Poly:
     """Monic characteristic polynomial (exact)."""
     if a.rows == 0:
         return Poly.one()
-    return resolvent(a)[1]
+    return resolvent(a)[2]
 
 
 def _restriction(a: RationalMatrix, basis_cols):
@@ -107,9 +107,12 @@ def check_fixed_poles(sys, f, g, dz_recorded: Poly, fixed_recorded: Poly):
     and one VerificationFailed for each broken condition, in this order:
     dz equals dz_recorded, fixed_recorded divides the unobservable
     polynomial, and the unobservable polynomial divides fixed_recorded * dz.
-    VerificationFailed is raised when F or G does not fit the system.
+    VerificationFailed is raised when F or G does not fit the system, or
+    when fixed_recorded is the zero polynomial (a malformed record).
     """
     sys.check_feedback(f, g)
+    if fixed_recorded.is_zero():
+        raise VerificationFailed("recorded fixed decoupling poles are the zero polynomial")
     acl = sys.A + sys.B * f
     dz = uncontrollable_polynomial(acl, sys.B * g)
     unobs = unobservable_polynomial(acl, sys.C)
@@ -287,13 +290,7 @@ def _zero_block_data(pencil, squaring, mu_family):
     x0 = ga * a_cl0 * qa
     u_cols = [ga.col(p - 1) for p in squaring.config.positions]
     u = RationalMatrix.from_columns(u_cols) if u_cols else RationalMatrix.zeros(k, 0)
-    w_rows = [
-        tuple(
-            sum(nb[r] * qa[r, c] for r in range(n)) for c in range(k)
-        )
-        for nb in mu_family.nullbasis
-    ]
-    w = RationalMatrix(w_rows)
+    w = RationalMatrix(mu_family.nullbasis) * qa
     return x0, u, w
 
 

@@ -536,3 +536,20 @@ class TestWrongShape:
             rc, out, _ = run(capsys, [command, system, str(sol)] + extra)
             assert rc == 1
             assert out == "FAIL: F/G dimensions do not match the system\n"
+
+
+class TestZeroFixedPoleRecord:
+    """A solution file recording the fixed poles as the zero polynomial."""
+
+    @pytest.mark.parametrize("command", ["verify", "fixed-poles"])
+    def test_empty_wolovich_falb(self, command, seed_1729_solutions, tmp_path, capsys):
+        system, solved = seed_1729_solutions["ex1"]
+        data = load_solution(solved)
+        data["fixed_poles"]["wolovich_falb"] = []
+        sol = tmp_path / "ex1_zero_fixed_poles.json"
+        sol.write_text(dump_json(data))
+        capsys.readouterr()
+        for extra in ([], ["--json"]):
+            rc, out, _ = run(capsys, [command, system, str(sol)] + extra)
+            assert rc == 1
+            assert out == "FAIL: recorded fixed decoupling poles are the zero polynomial\n"

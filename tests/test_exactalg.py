@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import golden_data as pd
+from morgan.errors import MorganError
 from morgan.exactalg import (
     NEG_INF,
     Poly,
@@ -22,6 +23,7 @@ from morgan.exactalg import (
     transfer_function,
 )
 from param_oracle import DegreeExceeded, high_col_coeff, high_row_coeff
+from test_integer_kernels import adjugate
 
 fractions_st = st.fractions(
     min_value=-10, max_value=10, max_denominator=6
@@ -110,6 +112,19 @@ class TestRationalMatrix:
                 continue
             assert m * m.inverse() == RationalMatrix.identity(4)
 
+    def test_hstack_row_mismatch(self):
+        with pytest.raises(MorganError):
+            RationalMatrix.identity(2).hstack(RationalMatrix.identity(3))
+        assert RationalMatrix.identity(2).hstack(RationalMatrix.zeros(2, 1)) == RationalMatrix(
+            [[1, 0, 0], [0, 1, 0]]
+        )
+
+    def test_from_columns_ragged(self):
+        for cols in ([(1, 2), (3,)], [(1,), (2, 3)]):
+            with pytest.raises(MorganError):
+                RationalMatrix.from_columns(cols)
+        assert RationalMatrix.from_columns([(1, 2), (3, 4)]) == RationalMatrix([[1, 3], [2, 4]])
+
     def test_nullspace_and_solve(self):
         m = RationalMatrix([[1, 2, 3], [2, 4, 6]])
         for v in m.nullspace():
@@ -161,14 +176,20 @@ class TestHighCoeff:
                     assert reduced.degree < degs[i]
 
 
+def resolvent_adjugate(a):
+    """(adj(sI - A), chi), the adjugate rebuilt from the returned M_k."""
+    d, mats, chi = resolvent(a)
+    return adjugate(d, mats), chi
+
+
 class TestResolvent:
     def test_scalar_zero(self):
-        adj, chi = resolvent(RationalMatrix([[0]]))
+        adj, chi = resolvent_adjugate(RationalMatrix([[0]]))
         assert chi == P("s")
         assert adj == PolyMatrix([[Poly.one()]])
 
     def test_nilpotent_jordan(self):
-        adj, chi = resolvent(RationalMatrix([[0, 1], [0, 0]]))
+        adj, chi = resolvent_adjugate(RationalMatrix([[0, 1], [0, 0]]))
         assert chi == P("s^2")
         assert adj == PolyMatrix([[P("s"), Poly.one()], [Poly.zero(), P("s")]])
 
@@ -178,7 +199,7 @@ class TestResolvent:
             a = RationalMatrix(
                 [[rng.randint(-3, 3) for _ in range(5)] for _ in range(5)]
             )
-            adj, chi = resolvent(a)
+            adj, chi = resolvent_adjugate(a)
             lhs = adj * s_identity_minus(a)
             expected = PolyMatrix(
                 [
@@ -192,7 +213,7 @@ class TestResolvent:
     def test_example1_closed_loop_charpoly(self):
         # A_f + B_f F_f of the reference Example 1 solution
         acl = pd.EX1_A_F + pd.EX1_B_F * pd.EX1_F_F
-        _, chi = resolvent(acl)
+        chi = resolvent(acl)[2]
         product = P("s^4+2s-3") * P("s+3") * P("s^4+s-1")
         assert chi.divmod(product)[1].is_zero()
 
@@ -277,7 +298,7 @@ class TestNormalizationInvariant:
         rng = random.Random(99)
         a = RationalMatrix([[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)] for _ in range(4)])
         values = []
-        adj, chi = resolvent(a)
+        adj, chi = resolvent_adjugate(a)
         values.extend(chi.coeffs)
         for row in adj.entries:
             for e in row:
@@ -333,4 +354,4 @@ class TestDet:
         for _ in range(5):
             n = rng.randint(1, 4)
             a = RationalMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
-            assert det(s_identity_minus(a)) == resolvent(a)[1]
+            assert det(s_identity_minus(a)) == resolvent(a)[2]

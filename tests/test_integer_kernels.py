@@ -1,0 +1,214 @@
+"""The integer kernels of exactalg against their Fraction references.
+
+Every kernel must return exactly the values of the `Fraction` bodies kept in
+`fraction_reference`: products, matrix-vector products, Horner evaluation,
+reduced row echelon forms, Faddeev-LeVerrier and the transfer function, on
+mixed denominators, zero rows and columns, empty shapes and rank-deficient
+matrices up to n = 12.
+"""
+
+import operator
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import fraction_reference as ref
+from morgan.errors import MorganError
+from morgan.exactalg import (
+    Poly,
+    PolyMatrix,
+    RationalMatrix,
+    resolvent,
+    s_identity_minus,
+    transfer_function,
+)
+
+ENTRIES = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-9, 9).map(Fraction),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+)
+SIZES = st.integers(0, 12)
+
+# a dense 12 x 12 matrix with mixed denominators and full rank
+DENSE_12 = RationalMatrix(
+    [[Fraction(i - j + 1, 1 + (i * j) % 5) for j in range(12)] for i in range(12)]
+)
+
+
+@st.composite
+def matrices(draw, rows, cols):
+    """rows x cols matrices with zero rows, zero columns and dependent rows."""
+    flat = draw(st.lists(ENTRIES, min_size=rows * cols, max_size=rows * cols))
+    m = [flat[i * cols:(i + 1) * cols] for i in range(rows)]
+    if rows:
+        index = st.integers(0, rows - 1)
+        for i in draw(st.sets(index, max_size=2)):
+            m[i] = [Fraction(0)] * cols
+        for i, j, k in draw(st.lists(st.tuples(index, index, index), max_size=3)):
+            q = draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))
+            m[i] = [x + q * y for x, y in zip(m[j], m[k])]
+    if cols:
+        for j in draw(st.sets(st.integers(0, cols - 1), max_size=2)):
+            for row in m:
+                row[j] = Fraction(0)
+    return RationalMatrix(m)
+
+
+@st.composite
+def square_matrices(draw, max_n=12):
+    n = draw(st.integers(0, max_n))
+    return draw(matrices(n, n))
+
+
+@st.composite
+def product_pairs(draw):
+    r, k, c = draw(SIZES), draw(SIZES), draw(SIZES)
+    return draw(matrices(r, k)), draw(matrices(k, c))
+
+
+def outcome(fn, *args):
+    """fn(*args), or the message of the MorganError it raises."""
+    try:
+        return fn(*args)
+    except MorganError as e:
+        return f"MorganError: {e}"
+
+
+def adjugate(d, mats):
+    """adj(sI - A) = sum_k M_k(A) s^(n-1-k), M_k(A) = M_k(dA) / d^k."""
+    n = len(mats)
+    return PolyMatrix(
+        [[Poly([Fraction(mats[n - 1 - p][i][j], d ** (n - 1 - p)) for p in range(n)])
+          for j in range(n)]
+         for i in range(n)]
+    )
+
+
+class TestProduct:
+    @given(product_pairs())
+    @example((DENSE_12, DENSE_12))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_reference(self, pair):
+        # an empty matrix has no columns, so 0 x k factors raise on both sides
+        a, b = pair
+        assert outcome(operator.mul, a, b) == outcome(ref.mul, a, b)
+
+    @given(st.integers(0, 12).flatmap(lambda r: SIZES.flatmap(lambda c: matrices(r, c))),
+           st.lists(ENTRIES, min_size=12, max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_mul_vector_matches_reference(self, a, pool):
+        v = tuple(pool[: a.cols])
+        assert a.mul_vector(v) == ref.mul_vector(a, v)
+
+    def test_empty_shapes(self):
+        three_by_zero = RationalMatrix([[], [], []])
+        assert three_by_zero.rows == 3 and three_by_zero.cols == 0
+        empty = RationalMatrix([])
+        assert three_by_zero * empty == ref.mul(three_by_zero, empty)
+        assert (three_by_zero * empty).rows == 3
+        assert empty * RationalMatrix.identity(0) == empty
+        assert three_by_zero.mul_vector(()) == (0, 0, 0)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(MorganError):
+            RationalMatrix.identity(2) * RationalMatrix.identity(3)
+
+
+class TestEvalMatrix:
+    @given(square_matrices(), st.lists(ENTRIES, max_size=6).map(Poly))
+    @example(DENSE_12, Poly([Fraction(1, 3), -2, 0, Fraction(5, 7), 1]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference(self, a, p):
+        assert p.eval_matrix(a) == ref.eval_matrix(p, a)
+
+
+class TestEchelon:
+    @given(st.integers(0, 12).flatmap(lambda r: SIZES.flatmap(lambda c: matrices(r, c))))
+    @example(DENSE_12)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference(self, a):
+        assert a._echelon() == ref.echelon(a)
+
+    @given(square_matrices(), st.lists(ENTRIES, min_size=12, max_size=12))
+    @example(DENSE_12, [Fraction(k, 1 + k % 3) for k in range(12)])
+    @settings(max_examples=60, deadline=None)
+    def test_solve_inverse_nullspace(self, a, pool):
+        rhs = tuple(pool[: a.rows])
+        assert a.solve(rhs) == ref_solve(a, rhs)
+        assert a.nullspace() == ref_nullspace(a)
+        assert a.column_space_pivots() == ref.echelon(a)[1]
+        if a.rank() == a.rows:
+            assert a.inverse() * a == RationalMatrix.identity(a.rows)
+        else:
+            with pytest.raises(MorganError):
+                a.inverse()
+
+
+def ref_solve(a, rhs):
+    m, pivots = ref.echelon(RationalMatrix([list(r) + [v] for r, v in zip(a.entries, rhs)]))
+    if a.cols in pivots:
+        return None
+    x = [Fraction(0)] * a.cols
+    for r, c in enumerate(pivots):
+        x[c] = m[r][-1]
+    return tuple(x)
+
+
+def ref_nullspace(a):
+    m, pivots = ref.echelon(a)
+    basis = []
+    for fc in (c for c in range(a.cols) if c not in pivots):
+        v = [Fraction(0)] * a.cols
+        v[fc] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -m[r][fc]
+        basis.append(tuple(v))
+    return basis
+
+
+class TestResolvent:
+    @given(square_matrices())
+    @example(DENSE_12)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference(self, a):
+        d, mats, chi = resolvent(a)
+        ref_adj, ref_chi = ref.resolvent(a)
+        assert chi == ref_chi
+        assert adjugate(d, mats) == ref_adj
+
+    @given(square_matrices())
+    @example(DENSE_12)
+    @settings(max_examples=25, deadline=None)
+    def test_adjugate_identity(self, a):
+        # adj(s) (sI - A) = chi(s) I identically, with chi monic
+        n = a.rows
+        d, mats, chi = resolvent(a)
+        lhs = adjugate(d, mats) * s_identity_minus(a)
+        expected = PolyMatrix(
+            [[chi if i == j else Poly.zero() for j in range(n)] for i in range(n)]
+        )
+        assert lhs == expected
+        assert chi.leading() == 1 and chi.degree == n
+
+
+@st.composite
+def closed_loops(draw):
+    n = draw(st.integers(1, 12))
+    l = draw(st.integers(1, 4))
+    p = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 4))
+    a, b, c = draw(matrices(n, n)), draw(matrices(n, l)), draw(matrices(p, n))
+    if draw(st.booleans()):
+        return a, b, c, None, None
+    return a, b, c, draw(matrices(l, n)), draw(matrices(l, m))
+
+
+class TestTransferFunction:
+    @given(closed_loops())
+    @example((DENSE_12, DENSE_12.submatrix(range(12), range(3)),
+              DENSE_12.submatrix(range(2), range(12)), None, None))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_reference(self, system):
+        assert transfer_function(*system) == ref.transfer_function(*system)
