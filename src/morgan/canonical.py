@@ -16,6 +16,7 @@ from .exactalg import (
     Poly,
     PolyMatrix,
     RationalMatrix,
+    krylov_select,
     s_identity_minus,
 )
 
@@ -42,15 +43,7 @@ class StateSpace:
             )
         if self.B.rank() != self.l:
             raise InvalidSystem("B must have full column rank")
-        kal = self.B
-        blk = self.B
-        for _ in range(self.n - 1):
-            blk = self.A * blk
-            kal = kal.hstack(blk)
-        if kal.rank() != self.n:
-            raise NotControllable(
-                f"controllability matrix has rank {kal.rank()} < n = {self.n}"
-            )
+        _staircase_select(self.A, self.B)
 
     @property
     def n(self):
@@ -71,51 +64,15 @@ class StateSpace:
 
 
 def _staircase_select(a: RationalMatrix, b: RationalMatrix):
-    """Degree-major staircase selection of independent columns A^k b_j.
+    """Chain lengths of the degree-major staircase selection of columns A^k b_j.
 
-    Returns per-input chain lengths (in the original input order).  The
-    selection scans degrees k = 0, 1, ... and inputs j = 1..l within each
-    degree, keeping a column iff it is independent of everything kept so far.
+    Per input, in the original input order (see exactalg.krylov_select).
+    Raises NotControllable when the kept columns do not span the state space.
     """
-    n = a.rows
-    l = b.cols
-    lengths = [0] * l
-    basis_rows: list[list] = []  # reduced echelon rows of kept vectors
-    pivots: list[int] = []
-
-    def try_add(vec):
-        v = list(vec)
-        for row, p in zip(basis_rows, pivots):
-            if v[p] != 0:
-                f = v[p]
-                v = [x - f * y for x, y in zip(v, row)]
-        p = next((i for i, x in enumerate(v) if x != 0), None)
-        if p is None:
-            return False
-        inv = 1 / v[p]
-        basis_rows.append([x * inv for x in v])
-        pivots.append(p)
-        return True
-
-    powers = [b.col(j) for j in range(l)]
-    total = 0
-    alive = [True] * l
-    for k in range(n):
-        if total == n:
-            break
-        for j in range(l):
-            if not alive[j]:
-                continue
-            if try_add(powers[j]):
-                lengths[j] += 1
-                total += 1
-            else:
-                # once A^k b_j is dependent, all higher powers are too
-                alive[j] = False
-        powers = [a.mul_vector(v) for v in powers]
-    if total != n:
+    lengths, kept = krylov_select(a, b)
+    if len(kept) != a.rows:
         raise NotControllable(
-            f"controllability matrix has rank {total} < n = {n}"
+            f"controllability matrix has rank {len(kept)} < n = {a.rows}"
         )
     return lengths
 

@@ -131,8 +131,8 @@ def _check_recorded_fixed_poles(sys_, data, f, g):
         sys_,
         f,
         g,
-        poly_from_json(fp["input_decoupling_zeros"]),
-        poly_from_json(fp["wolovich_falb"]),
+        poly_from_json(fp["input_decoupling_zeros"], "input_decoupling_zeros"),
+        poly_from_json(fp["wolovich_falb"], "wolovich_falb"),
     )
 
 
@@ -140,7 +140,8 @@ def cmd_verify(args) -> int:
     try:
         sys_, data, f, g = _load_feedback(args)
         recorded = [
-            (poly_from_json(rec["num"]), poly_from_json(rec["den"]))
+            (poly_from_json(rec["num"], "diagonal num"),
+             poly_from_json(rec["den"], "diagonal den"))
             for rec in data["diagonal"]
         ]
         diag, failures = check_closed_loop(sys_, f, g, recorded)
@@ -188,7 +189,7 @@ def cmd_fixed_poles(args) -> int:
         return 1
     consistent = not failures
     fixed_json = data["fixed_poles"]["wolovich_falb"]
-    fixed_rec = poly_from_json(fixed_json)
+    fixed_rec = poly_from_json(fixed_json, "wolovich_falb")
     if args.json:
         print(
             dump_json(

@@ -148,18 +148,24 @@ class Poly:
         return Poly([Fraction(0)] * k + list(self.coeffs))
 
     def divmod(self, other: "Poly"):
+        """(q, r) with self = q * other + r and deg r < deg other.
+
+        Long division on one coefficient list, top degree first.
+        """
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        q = Poly.zero()
-        r = self
-        d = other.degree
-        lead = other.leading()
-        while not r.is_zero() and r.degree >= d:
-            k = r.degree - d
-            c = r.leading() / lead
-            q = q + Poly([0] * k + [c])
-            r = r - other * Poly([0] * k + [c])
-        return q, r
+        b = other.coeffs
+        d = len(b) - 1
+        lead = b[-1]
+        r = list(self.coeffs)
+        q = [Fraction(0)] * max(len(r) - d, 0)
+        for k in range(len(q) - 1, -1, -1):
+            c = r[k + d] / lead
+            if c:
+                q[k] = c
+                for i in range(d):
+                    r[k + i] -= c * b[i]
+        return Poly(q), Poly(r[:d])
 
     def __mod__(self, other: "Poly") -> "Poly":
         return self.divmod(other)[1]
@@ -342,21 +348,21 @@ class RationalMatrix:
         return zip(self.entries, other.entries)
 
     def __add__(self, other):
-        return RationalMatrix(
+        return RationalMatrix._of(
             [[a + b for a, b in zip(ra, rb)] for ra, rb in self._same_shape(other, "+")]
         )
 
     def __sub__(self, other):
-        return RationalMatrix(
+        return RationalMatrix._of(
             [[a - b for a, b in zip(ra, rb)] for ra, rb in self._same_shape(other, "-")]
         )
 
     def __neg__(self):
-        return RationalMatrix([[-a for a in r] for r in self.entries])
+        return RationalMatrix._of([[-a for a in r] for r in self.entries])
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return RationalMatrix([[a * other for a in r] for r in self.entries])
+            return RationalMatrix._of([[a * other for a in r] for r in self.entries])
         if not isinstance(other, RationalMatrix):
             return NotImplemented
         if self.cols != other.rows:
@@ -370,22 +376,10 @@ class RationalMatrix:
         )
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(list(zip(*self.entries)) if self.entries else [])
-
-    def hstack(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.rows != other.rows:
-            raise MorganError(
-                f"dimension mismatch {self.rows}x{self.cols} | {other.rows}x{other.cols}"
-            )
-        return RationalMatrix(
-            [list(a) + list(b) for a, b in zip(self.entries, other.entries)]
-        )
-
-    def vstack(self, other: "RationalMatrix") -> "RationalMatrix":
-        return RationalMatrix(list(self.entries) + list(other.entries))
+        return RationalMatrix._of(zip(*self.entries))
 
     def submatrix(self, row_idx, col_idx) -> "RationalMatrix":
-        return RationalMatrix(
+        return RationalMatrix._of(
             [[self.entries[i][j] for j in col_idx] for i in row_idx]
         )
 
@@ -472,10 +466,6 @@ class RationalMatrix:
             basis.append(tuple(v))
         return basis
 
-    def column_space_pivots(self):
-        """Indices of a maximal independent column set (leftmost choice)."""
-        return self._echelon()[1]
-
     def __repr__(self):
         return f"RationalMatrix({[list(map(str, r)) for r in self.entries]})"
 
@@ -515,6 +505,52 @@ def rank(m) -> int:
         prev = p
         found += 1
     return found
+
+
+def krylov_select(a: RationalMatrix, b: RationalMatrix):
+    """Degree-major selection of independent Krylov vectors A^k b_j.
+
+    Scans k = 0, 1, ... and the columns b_j in order, keeping A^k b_j iff it
+    is independent of the vectors kept so far; a chain stops at its first
+    dependent vector, since every higher power is dependent too.  The kept
+    vectors are a basis of <A | Im B>.  Runs on the integer matrix dA and on
+    integer multiples of the vectors (independence does not see the scale):
+    each candidate is reduced against the kept ones fraction-free, every
+    updated row divided by its content.  Returns the chain lengths, in column
+    order, and the kept vectors as integer lists, in scan order.
+    """
+    n = a.rows
+    ah = _scaled_matrix(a.entries)[1]
+    vecs = {j: _scaled(col)[1] for j, col in enumerate(zip(*b.entries))}
+    lengths = [0] * b.cols
+    reduced = []  # (pivot, row) of the kept vectors, each row zero at earlier pivots
+    kept = []
+    while vecs and len(kept) < n:
+        alive = {}
+        for j, v in vecs.items():
+            w = v
+            for p, row in reduced:
+                f = w[p]
+                if f:
+                    w = [row[p] * x - f * y for x, y in zip(w, row)]
+                    g = gcd(*w)
+                    if g > 1:
+                        w = [x // g for x in w]
+            p = next((i for i, x in enumerate(w) if x), None)
+            if p is None:
+                continue
+            reduced.append((p, w))
+            kept.append(v)
+            lengths[j] += 1
+            alive[j] = v
+        if len(kept) == n:
+            break
+        vecs = {}
+        for j, v in alive.items():
+            v = [sum(map(mul, r, v)) for r in ah]
+            g = gcd(*v)
+            vecs[j] = [x // g for x in v] if g > 1 else v
+    return lengths, kept
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ SOLUTION_FORMAT = "morgan-solution/1"
 
 def _entry(x) -> Fraction:
     if isinstance(x, bool):
-        raise InvalidSystem("matrix entries must be integers or 'p/q' strings")
+        raise InvalidSystem("entries must be integers or 'p/q' strings")
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
@@ -29,7 +29,7 @@ def _entry(x) -> Fraction:
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as e:
             raise InvalidSystem(f"bad rational entry {x!r}: {e}") from None
-    raise InvalidSystem(f"bad matrix entry {x!r} (use integers or 'p/q' strings)")
+    raise InvalidSystem(f"bad entry {x!r} (use integers or 'p/q' strings)")
 
 
 def matrix_from_json(data, name) -> RationalMatrix:
@@ -50,8 +50,10 @@ def poly_to_json(p: Poly):
     return [str(c) for c in p.coeffs]
 
 
-def poly_from_json(data) -> Poly:
-    return Poly([Fraction(str(c)) for c in data])
+def poly_from_json(data, name) -> Poly:
+    if not isinstance(data, list):
+        raise InvalidSystem(f"{name} must be an array of coefficients")
+    return Poly([_entry(c) for c in data])
 
 
 def load_system(path) -> StateSpace:
@@ -143,6 +145,8 @@ def no_solution_to_dict(res: NoSolution) -> dict:
 def load_solution(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise InvalidSystem(f"{path}: a solution file must hold a JSON object")
     if data.get("format") != SOLUTION_FORMAT:
         raise InvalidSystem(
             f"{path}: unsupported solution format {data.get('format')!r}"

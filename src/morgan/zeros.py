@@ -8,6 +8,11 @@ free parameters of the feedback-row solution families; this module does that
 exactly when the affine parameter-to-block map is onto.  check_fixed_poles
 cross-checks a recorded pair of them against the closed loop of the original
 system.
+
+The uncontrollable and unobservable polynomials of a closed loop follow the
+Kalman decomposition: chi_A divided by the characteristic polynomial of A
+on the span that exactalg.krylov_select keeps from B (of A^T on the span
+kept from C^T, the observable part).
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .exactalg import (
     RationalMatrix,
     det,
     format_poly,
+    krylov_select,
     poly_gcd,
     resolvent,
 )
@@ -39,64 +45,49 @@ def charpoly(a: RationalMatrix) -> Poly:
     return resolvent(a)[2]
 
 
-def _restriction(a: RationalMatrix, basis_cols):
-    """Matrix of A restricted to an A-invariant subspace, in the given basis."""
-    if not basis_cols:
+def _restriction(a: RationalMatrix, basis_cols) -> RationalMatrix:
+    """Matrix X with A V = V X for a basis V of an A-invariant subspace.
+
+    One echelon of [V | AV]: V has full column rank, so the reduced form
+    carries X beside an identity, and a pivot past V means AV leaves the span.
+    """
+    r = len(basis_cols)
+    if not r:
         return RationalMatrix.zeros(0, 0)
     v = RationalMatrix.from_columns(basis_cols)
-    cols = []
-    for j in range(v.cols):
-        img = a.mul_vector(v.col(j))
-        x = v.solve(img)
-        if x is None:
-            raise MorganError("subspace is not invariant (bug)")
-        cols.append(x)
-    return RationalMatrix.from_columns(cols)
+    m, pivots = RationalMatrix._of(
+        [x + y for x, y in zip(v.entries, (a * v).entries)]
+    )._echelon()
+    if pivots != list(range(r)):
+        raise MorganError("subspace is not invariant (bug)")
+    return RationalMatrix._of([row[r:] for row in m[:r]])
 
 
-def controllable_subspace(a: RationalMatrix, b: RationalMatrix):
-    """Canonical basis (leftmost independent Kalman columns) of <A | Im B>."""
-    n = a.rows
-    kal = b
-    block = b
-    for _ in range(n - 1):
-        block = a * block
-        kal = kal.hstack(block)
-    pivots = kal.column_space_pivots()
-    return [kal.col(j) for j in pivots]
-
-
-def uncontrollable_polynomial(a: RationalMatrix, b: RationalMatrix) -> Poly:
-    """Characteristic polynomial of the quotient map on R^n / <A | Im B>."""
-    n = a.rows
-    basis = controllable_subspace(a, b)
-    r = len(basis)
-    if r == n:
+def _outside_krylov_span(a: RationalMatrix, b: RationalMatrix, chi) -> Poly:
+    """chi_A (chi when given) divided by the charpoly of A on <A | Im B>."""
+    kept = krylov_select(a, b)[1]
+    if len(kept) == a.rows:
         return Poly.one()
-    cols = list(basis)
-    for i in range(n):
-        if len(cols) == n:
-            break
-        e = tuple(Fraction(1 if k == i else 0) for k in range(n))
-        trial = RationalMatrix.from_columns(cols + [e])
-        if trial.rank() == len(cols) + 1:
-            cols.append(e)
-    t = RationalMatrix.from_columns(cols)
-    abar = t.inverse() * a * t
-    quot = abar.submatrix(range(r, n), range(r, n))
-    return charpoly(quot)
+    if chi is None:
+        chi = charpoly(a)
+    out, rem = chi.divmod(charpoly(_restriction(a, kept)))
+    if not rem.is_zero():
+        raise MorganError("characteristic polynomial of a subspace does not divide (bug)")
+    return out
 
 
-def unobservable_polynomial(a: RationalMatrix, c: RationalMatrix) -> Poly:
-    """Characteristic polynomial of A restricted to the unobservable subspace."""
-    n = a.rows
-    obs = c
-    block = c
-    for _ in range(n - 1):
-        block = block * a
-        obs = obs.vstack(block)
-    basis = obs.nullspace()
-    return charpoly(_restriction(a, basis))
+def uncontrollable_polynomial(a: RationalMatrix, b: RationalMatrix, chi=None) -> Poly:
+    """Characteristic polynomial of the quotient map on R^n / <A | Im B>."""
+    return _outside_krylov_span(a, b, chi)
+
+
+def unobservable_polynomial(a: RationalMatrix, c: RationalMatrix, chi=None) -> Poly:
+    """Characteristic polynomial of A restricted to the unobservable subspace.
+
+    By duality that is chi_A divided by the characteristic polynomial of the
+    observable part, A^T on <A^T | Im C^T>; chi, when given, is chi_A.
+    """
+    return _outside_krylov_span(a.transpose(), c.transpose(), chi)
 
 
 def check_fixed_poles(sys, f, g, dz_recorded: Poly, fixed_recorded: Poly):
@@ -114,8 +105,9 @@ def check_fixed_poles(sys, f, g, dz_recorded: Poly, fixed_recorded: Poly):
     if fixed_recorded.is_zero():
         raise VerificationFailed("recorded fixed decoupling poles are the zero polynomial")
     acl = sys.A + sys.B * f
-    dz = uncontrollable_polynomial(acl, sys.B * g)
-    unobs = unobservable_polynomial(acl, sys.C)
+    chi = charpoly(acl)
+    dz = uncontrollable_polynomial(acl, sys.B * g, chi)
+    unobs = unobservable_polynomial(acl, sys.C, chi)
     failures = []
     if dz != dz_recorded:
         failures.append(VerificationFailed(
@@ -138,14 +130,15 @@ def check_fixed_poles(sys, f, g, dz_recorded: Poly, fixed_recorded: Poly):
 def input_decoupling_zeros(square) -> Poly:
     """Monic characteristic polynomial of the uncontrollable part of (A_f, B_f).
 
-    Equals the product of the finite elementary divisors of the augmented
-    input-state pencil; degree is n - sum(sigma_tilde), and 1 when the squared
-    system is controllable.
+    That part is the leading uncontrollable_dim x uncontrollable_dim block of
+    A_f: make_square_system asserts that the trailing coordinates are
+    invariant, that B_f vanishes on the leading rows and that the trailing
+    part is controllable.  Equals the product of the finite elementary
+    divisors of the augmented input-state pencil; 1 when the squared system
+    is controllable.
     """
-    p = uncontrollable_polynomial(square.A_f, square.B_f)
-    if p.degree != square.uncontrollable_dim:
-        raise MorganError("unexpected uncontrollable dimension (bug)")
-    return p
+    k = square.uncontrollable_dim
+    return charpoly(square.A_f.submatrix(range(k), range(k)))
 
 
 def row_gcds(pm) -> list:

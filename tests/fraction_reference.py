@@ -4,15 +4,19 @@ These are the bodies that `morgan.exactalg` ran before its kernels moved to
 scaled integers: a `Fraction` sum per product entry, Horner's rule on
 `Fraction` matrices, Gauss-Jordan elimination over Q, Faddeev-LeVerrier over
 Q with the polynomial adjugate, and the transfer function as the product of
-that adjugate with C and BG.  The tests require the integer kernels to return
-exactly the same values.
+that adjugate with C and BG.  Below them are the constructions that
+`canonical` and `zeros` used before the Krylov selection: the staircase
+selection over Q, the uncontrollable polynomial from the Kalman matrix and a
+completed basis, the unobservable polynomial from the nullspace of the
+observability matrix, and polynomial long division by `Poly` arithmetic.
+The tests require the current code to return exactly the same values.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from morgan.errors import MorganError
+from morgan.errors import MorganError, NotControllable
 from morgan.exactalg import RESOLVENT_SIZE_CAP, Poly, PolyMatrix, RationalMatrix, poly_gcd
 
 
@@ -116,3 +120,133 @@ def transfer_function(a, b, c, f=None, g=None):
             row.append((pn * (1 / lead), pd.monic()))
         out.append(row)
     return out
+
+
+def charpoly(a: RationalMatrix) -> Poly:
+    return resolvent(a)[1] if a.rows else Poly.one()
+
+
+def hstack(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
+    if a.rows != b.rows:
+        raise MorganError(f"dimension mismatch {a.rows}x{a.cols} | {b.rows}x{b.cols}")
+    return RationalMatrix([list(x) + list(y) for x, y in zip(a.entries, b.entries)])
+
+
+def kalman_matrix(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
+    """[B, AB, ..., A^(n-1) B]."""
+    kal = block = b
+    for _ in range(a.rows - 1):
+        block = mul(a, block)
+        kal = hstack(kal, block)
+    return kal
+
+
+def staircase_select(a: RationalMatrix, b: RationalMatrix):
+    """Per-input chain lengths of the degree-major staircase selection."""
+    n = a.rows
+    l = b.cols
+    lengths = [0] * l
+    basis_rows: list[list] = []  # reduced echelon rows of kept vectors
+    pivots: list[int] = []
+
+    def try_add(vec):
+        v = list(vec)
+        for row, p in zip(basis_rows, pivots):
+            if v[p] != 0:
+                f = v[p]
+                v = [x - f * y for x, y in zip(v, row)]
+        p = next((i for i, x in enumerate(v) if x != 0), None)
+        if p is None:
+            return False
+        inv = 1 / v[p]
+        basis_rows.append([x * inv for x in v])
+        pivots.append(p)
+        return True
+
+    powers = [b.col(j) for j in range(l)]
+    total = 0
+    alive = [True] * l
+    for k in range(n):
+        if total == n:
+            break
+        for j in range(l):
+            if not alive[j]:
+                continue
+            if try_add(powers[j]):
+                lengths[j] += 1
+                total += 1
+            else:
+                # once A^k b_j is dependent, all higher powers are too
+                alive[j] = False
+        powers = [mul_vector(a, v) for v in powers]
+    if total != n:
+        raise NotControllable(f"controllability matrix has rank {total} < n = {n}")
+    return lengths
+
+
+def restriction(a: RationalMatrix, basis_cols) -> RationalMatrix:
+    """Matrix of A restricted to an A-invariant subspace, in the given basis."""
+    if not basis_cols:
+        return RationalMatrix.zeros(0, 0)
+    v = RationalMatrix.from_columns(basis_cols)
+    cols = []
+    for j in range(v.cols):
+        img = mul_vector(a, v.col(j))
+        x = v.solve(img)
+        if x is None:
+            raise MorganError("subspace is not invariant (bug)")
+        cols.append(x)
+    return RationalMatrix.from_columns(cols)
+
+
+def controllable_subspace(a: RationalMatrix, b: RationalMatrix):
+    """Canonical basis (leftmost independent Kalman columns) of <A | Im B>."""
+    kal = kalman_matrix(a, b)
+    return [kal.col(j) for j in echelon(kal)[1]]
+
+
+def uncontrollable_polynomial(a: RationalMatrix, b: RationalMatrix) -> Poly:
+    """Characteristic polynomial of the quotient map on R^n / <A | Im B>."""
+    n = a.rows
+    basis = controllable_subspace(a, b)
+    r = len(basis)
+    if r == n:
+        return Poly.one()
+    cols = list(basis)
+    for i in range(n):
+        if len(cols) == n:
+            break
+        e = tuple(Fraction(1 if k == i else 0) for k in range(n))
+        trial = RationalMatrix.from_columns(cols + [e])
+        if trial.rank() == len(cols) + 1:
+            cols.append(e)
+    t = RationalMatrix.from_columns(cols)
+    abar = mul(mul(t.inverse(), a), t)
+    quot = abar.submatrix(range(r, n), range(r, n))
+    return charpoly(quot)
+
+
+def unobservable_polynomial(a: RationalMatrix, c: RationalMatrix) -> Poly:
+    """Characteristic polynomial of A restricted to the unobservable subspace."""
+    obs = RationalMatrix(list(c.entries))
+    block = c
+    for _ in range(a.rows - 1):
+        block = mul(block, a)
+        obs = RationalMatrix(list(obs.entries) + list(block.entries))
+    return charpoly(restriction(a, obs.nullspace()))
+
+
+def poly_divmod(p: Poly, other: Poly):
+    """(q, r) by repeated subtraction of Poly multiples of other."""
+    if other.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    q = Poly.zero()
+    r = p
+    d = other.degree
+    lead = other.leading()
+    while not r.is_zero() and r.degree >= d:
+        k = r.degree - d
+        c = r.leading() / lead
+        q = q + Poly([0] * k + [c])
+        r = r - other * Poly([0] * k + [c])
+    return q, r

