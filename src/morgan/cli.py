@@ -1,7 +1,9 @@
 """Command-line interface.
 
-Commands: analyze, solve, verify, fixed-poles.  All comparisons are exact;
-exit codes: 0 success/PASS, 2 certified no-solution, 1 error or FAIL.
+Commands: analyze, solve, verify, fixed-poles.  All comparisons are exact.
+Exit codes: 0 success/PASS; 2 no solution found among the searched
+configurations (not a proof that none exists: see decouple); 1 error, FAIL,
+a usage error or an invalid polynomial option.
 """
 
 from __future__ import annotations
@@ -74,7 +76,6 @@ def cmd_solve(args) -> int:
         return_all=args.all,
         diag_polys=diag_polys,
         dz_target=dz_target,
-        jobs=args.jobs,
     )
     result = run_solve(sys_, options)
     if isinstance(result, NoSolution):
@@ -237,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dz-target",
                    help="monic polynomial the input decoupling zeros must realize")
     p.add_argument("--out", help="write the solution JSON here")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_solve)
 
@@ -257,7 +257,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    try:
+        args = ap.parse_args(argv)
+    except SystemExit as e:
+        # argparse has printed the usage and the message; its status 2 would
+        # read as "no solution"
+        return 0 if e.code == 0 else 1
     try:
         return args.func(args)
     except MorganError as e:

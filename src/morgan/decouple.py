@@ -1,11 +1,19 @@
 """Search driver, square-system assembly, square decoupling, final composition.
 
 The driver walks the (index tuple, row configuration) grid in lexicographic
-order.  Each configuration is evaluated independently and purely from its own
-derived sub-seed, so results do not depend on execution order or job count;
-the winner is the first configuration whose entire pipeline (search,
-instantiation, feedback solve, square decoupling, exact closed-loop
+order in one loop.  Each configuration is evaluated purely from its own
+derived sub-seed, so its outcome does not depend on which configurations
+ran before it; the winner is the first configuration whose entire pipeline
+(search, instantiation, feedback solve, square decoupling, exact closed-loop
 verification) goes through.
+
+A NoSolution means that no solution was found among the searched
+configurations, not that none exists.  The rank tests of the search are
+randomized (one-sided error, bounded per trial by min(rows, cols) /
+(2 * SAMPLE_BOUND + 1)), the numeric instantiation tries only
+INSTANTIATION_RETRIES points from a small range, and the configurations
+are taken in the one controller-form basis that to_pencil_form picks, so
+the verdict can depend on that representative.
 """
 
 from __future__ import annotations
@@ -13,7 +21,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -155,16 +162,12 @@ def square_decouple(square: SquareSystem, target_polys=None):
     """
     if target_polys is None:
         target_polys = default_diagonal_polys(square)
-    if len(target_polys) != square.m:
-        raise MorganError("need one diagonal polynomial per output")
     for i, p in enumerate(target_polys):
         if p.degree != square.rel_degrees[i] + 1:
             raise TargetDegreeMismatch(
                 f"diagonal polynomial {i + 1} must have degree "
                 f"{square.rel_degrees[i] + 1}, got {p.degree}"
             )
-        if p.leading() != 1:
-            raise MorganError(f"diagonal polynomial {i + 1} must be monic")
     g_f = square.B_star.inverse()
     rows = [
         (square.C_f.submatrix([i], range(square.n)) * p.eval_matrix(square.A_f)).row(0)
@@ -246,7 +249,6 @@ class SolveOptions:
     return_all: bool = False
     diag_polys: tuple | None = None
     dz_target: Poly | None = None
-    jobs: int = 1
 
 
 @dataclass(frozen=True)
@@ -290,7 +292,8 @@ class DecouplingSolution:
 
 @dataclass(frozen=True)
 class NoSolution:
-    """Certified failure of the whole finite search."""
+    """No solution found among the searched configurations (see the module
+    docstring for what that verdict rests on)."""
 
     sigma: tuple
     outcomes: tuple
@@ -304,12 +307,13 @@ def _sub_seed(seed: int, ti: int, ci: int) -> int:
     return int.from_bytes(h[:8], "big")
 
 
-def _evaluate_config(sys, pencil, ci_tuple, config, ti, ci, options, qbasis=None):
+def _evaluate_config(sys, pencil, qbasis, config, ti, ci, options):
     """Run the whole per-configuration pipeline; returns (outcome, solution|None).
 
-    qbasis is build_QB(pencil.sigma, ci_tuple), passed in when the caller
-    shares one per index tuple.
+    qbasis is build_QB(pencil.sigma, ci_tuple) for the configuration's index
+    tuple, shared by all row configurations of that tuple.
     """
+    ci_tuple = qbasis.sigma_tilde
     rng = random.Random(_sub_seed(options.seed, ti, ci))
 
     def rejected(reason, report=None):
@@ -327,8 +331,6 @@ def _evaluate_config(sys, pencil, ci_tuple, config, ti, ci, options, qbasis=None
             None,
         )
 
-    if qbasis is None:
-        qbasis = build_QB(pencil.sigma, ci_tuple)
     w = qbasis.width
     n, m = pencil.n, sys.m
 
@@ -448,73 +450,48 @@ def _evaluate_config(sys, pencil, ci_tuple, config, ti, ci, options, qbasis=None
     return outcome, solution
 
 
+def _check_options(options: SolveOptions, m: int):
+    """MorganError unless each requested polynomial is monic (so nonzero) and
+    there is one diagonal polynomial per output."""
+    named = []
+    if options.dz_target is not None:
+        named.append(("input-decoupling-zero target", options.dz_target))
+    if options.diag_polys:
+        if len(options.diag_polys) != m:
+            raise MorganError(
+                f"need one diagonal polynomial per output, got {len(options.diag_polys)} for {m}"
+            )
+        named += [(f"diagonal polynomial {i + 1}", p) for i, p in enumerate(options.diag_polys)]
+    for name, p in named:
+        if p.leading() != 1:  # 0 for the zero polynomial
+            raise MorganError(f"{name} must be a nonzero monic polynomial, got {format_poly(p)}")
+
+
 def solve(sys: StateSpace, options: SolveOptions | None = None):
     """Decide and construct a decoupling pair for the system.
 
     Returns a DecouplingSolution (the first feasible configuration in
-    lexicographic order) or NoSolution after exhausting the finite search.
-    With return_all, the audit covers the full grid and the returned solution
-    is still the first feasible one.
+    lexicographic order) or NoSolution when no searched configuration gives
+    one.  With return_all, the audit covers the full grid and the returned
+    solution is still the first feasible one.  MorganError when the options
+    ask for a polynomial that is zero or not monic, or for a number of
+    diagonal polynomials other than the number of outputs.
     """
     options = options or SolveOptions()
+    _check_options(options, sys.m)
     pencil = to_pencil_form(sys)
-    tuples = enumerate_tuples(pencil.sigma, sys.m)
     configs = enumerate_row_configs(pencil.sigma, sys.m)
-    grid = [
-        (ti, ci) for ti in range(len(tuples)) for ci in range(len(configs))
-    ]
-    qbases = {}  # one Q_B per index tuple, shared by its row configurations
-
-    def qbasis(ti):
-        if ti not in qbases:
-            qbases[ti] = build_QB(pencil.sigma, tuples[ti])
-        return qbases[ti]
-
-    if options.jobs > 1:
-        # chunked so a solved configuration still short-circuits the search;
-        # the audit is truncated at the winner, so any overshoot within the
-        # final chunk never changes the output
-        ordered = []
-        chunk = max(options.jobs * 2, 4)
-        with ThreadPoolExecutor(max_workers=options.jobs) as pool:
-            for start in range(0, len(grid), chunk):
-                batch = grid[start : start + chunk]
-                futures = [
-                    pool.submit(
-                        _evaluate_config,
-                        sys,
-                        pencil,
-                        tuples[ti],
-                        configs[ci],
-                        ti,
-                        ci,
-                        options,
-                        qbasis(ti),
-                    )
-                    for ti, ci in batch
-                ]
-                outs = [f.result() for f in futures]
-                ordered.extend(outs)
-                if not options.return_all and any(s is not None for _, s in outs):
-                    break
-    else:
-        ordered = []
-        for ti, ci in grid:
-            out = _evaluate_config(
-                sys, pencil, tuples[ti], configs[ci], ti, ci, options, qbasis(ti)
-            )
-            ordered.append(out)
-            if out[1] is not None and not options.return_all:
-                break
-
     outcomes = []
     winner = None
-    for outcome, solution in ordered:
-        outcomes.append(outcome)
-        if solution is not None and winner is None:
-            winner = solution
-            if not options.return_all:
-                break
+    for ti, ci_tuple in enumerate(enumerate_tuples(pencil.sigma, sys.m)):
+        qbasis = build_QB(pencil.sigma, ci_tuple)
+        for ci, config in enumerate(configs):
+            outcome, solution = _evaluate_config(sys, pencil, qbasis, config, ti, ci, options)
+            outcomes.append(outcome)
+            if solution is not None and winner is None:
+                winner = solution
+                if not options.return_all:
+                    return dataclasses.replace(winner, outcomes=tuple(outcomes))
 
     if winner is None:
         return NoSolution(

@@ -2,13 +2,13 @@
 
 The entries of the parametric basis matrix Q_B are single parameters or zero,
 so every expression that shows up downstream (output matrices, coefficient
-matrices, right-hand sides) is affine in the parameters.  LinearForm captures
-exactly that; ConstraintSet is a triangular substitution system produced by
-equating forms to zero.  Both are the named, reported view.  The search
-itself runs on plain linear algebra over a fixed parameter index: dense
-forms, an incremental Gauss-Jordan Elimination, and matrices (FormGrid,
-ParamGrid) that are evaluated at points of the constraint set instead of
-being substituted symbolically.
+matrices, right-hand sides) is affine in the parameters.  The search runs on
+plain linear algebra over a fixed parameter index: dense forms, an
+incremental Gauss-Jordan Elimination, and matrices (FormGrid, ParamGrid)
+that are evaluated at points of the constraint set instead of being
+substituted symbolically.  LinearForm and ConstraintSet are the named view:
+a triangular substitution system produced by equating forms to zero, which
+renders the constraint text of the audit.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import Inconsistent, MissingParameter, MorganError
+from .errors import Inconsistent, MissingParameter
 from .exactalg import RationalMatrix, rank, rat
 
 
@@ -158,64 +158,6 @@ class LinearForm:
         return "".join(parts)
 
     __repr__ = __str__
-
-
-class ParamMatrix:
-    """Immutable dense matrix of LinearForm entries."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        rows = tuple(
-            tuple(
-                e if isinstance(e, LinearForm) else LinearForm.of_const(e)
-                for e in row
-            )
-            for row in entries
-        )
-        if rows:
-            w = len(rows[0])
-            if any(len(r) != w for r in rows):
-                raise MorganError("ragged matrix")
-        object.__setattr__(self, "entries", rows)
-
-    def __setattr__(self, *a):
-        raise AttributeError("ParamMatrix is immutable")
-
-    @property
-    def rows(self):
-        return len(self.entries)
-
-    @property
-    def cols(self):
-        return len(self.entries[0]) if self.entries else 0
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-    def __eq__(self, other):
-        return isinstance(other, ParamMatrix) and self.entries == other.entries
-
-    def row(self, i):
-        return self.entries[i]
-
-    def params(self):
-        seen = set()
-        for r in self.entries:
-            for e in r:
-                seen.update(e.params())
-        return tuple(sorted(seen))
-
-    def subs(self, mapping) -> "ParamMatrix":
-        return ParamMatrix([[e.subs(mapping) for e in r] for r in self.entries])
-
-    def values(self, assignment) -> list:
-        """Entry values at a ParamId-keyed assignment, as rows."""
-        return [[e.eval(assignment) for e in r] for r in self.entries]
-
-    def __repr__(self):
-        return f"ParamMatrix({[[str(e) for e in r] for r in self.entries]})"
 
 
 class ConstraintSet:
@@ -468,12 +410,12 @@ SAMPLE_BOUND = 10**6  # random evaluations drawn from [-SAMPLE_BOUND, SAMPLE_BOU
 def generic_rank(m, rng, repetitions: int = 3) -> int:
     """Rank of m for generic parameter values (randomized, Schwartz-Zippel).
 
-    m is a ParamMatrix, FormGrid or ParamGrid.  Evaluates the parameters it
-    depends on (m.params(), in ParamId order) at independent random integers
-    and takes the maximum exact rank over the repetitions.  Minors are
-    polynomials of degree <= min(rows, cols) in the parameters, so the
-    per-trial failure probability is at most
-    min(rows, cols) / (2 * SAMPLE_BOUND + 1).
+    m is a FormGrid, a ParamGrid or any matrix with rows, cols, params()
+    and values(point).  Evaluates the parameters it depends on (m.params(),
+    in ParamId order) at independent random integers and takes the maximum
+    exact rank over the repetitions.  Minors are polynomials of degree
+    <= min(rows, cols) in the parameters, so the per-trial failure
+    probability is at most min(rows, cols) / (2 * SAMPLE_BOUND + 1).
     """
     if m.rows == 0 or m.cols == 0:
         return 0
@@ -487,14 +429,6 @@ def generic_rank(m, rng, repetitions: int = 3) -> int:
     return best
 
 
-def instantiate(m, assignment: dict):
-    """Evaluate a LinearForm / ParamMatrix / FormGrid / ParamGrid at an assignment.
-
-    Assignments are keyed by ParamId for the first two and by dense column
-    for the grids.
-    """
-    if isinstance(m, LinearForm):
-        return m.eval(assignment)
-    if isinstance(m, (ParamMatrix, FormGrid, ParamGrid)):
-        return RationalMatrix(m.values(assignment))
-    raise TypeError(f"cannot instantiate {type(m).__name__}")
+def instantiate(m, point: dict) -> RationalMatrix:
+    """A FormGrid or ParamGrid evaluated at a point keyed by dense column."""
+    return RationalMatrix(m.values(point))

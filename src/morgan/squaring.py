@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate, product
 
 from .admissible import RowConfig
 from .canonical import PencilForm, positions_from_sigma
@@ -23,12 +24,9 @@ from .paramalg import (
     ConstraintSet,
     Elimination,
     FormGrid,
-    LinearForm,
     ParamGrid,
     ParamId,
-    ParamMatrix,
     generic_rank,
-    linear_form,
 )
 
 
@@ -38,10 +36,8 @@ class QBasis:
 
     sigma: tuple
     sigma_tilde: tuple
-    qb: ParamMatrix  # n x sum(sigma_tilde)
-    params: tuple  # all ParamIds, lexicographic
-    index: dict  # ParamId -> dense column (1-based, in params order)
-    cells: tuple  # qb as dense columns, 0 for zero entries
+    params: tuple  # all ParamIds, in ParamId order
+    cells: tuple  # n x sum(sigma_tilde): 1-based column in params of each entry, 0 for zero
     memo: dict = field(default_factory=dict, compare=False, repr=False)  # C_r -> N_hat forms
 
     @property
@@ -50,12 +46,12 @@ class QBasis:
 
     @property
     def col_offsets(self):
-        out = []
-        acc = 0
-        for s in self.sigma_tilde:
-            out.append(acc)
-            acc += s
-        return tuple(out)
+        return _offsets(self.sigma_tilde)
+
+
+def _offsets(sizes):
+    """Start of each block of the given sizes."""
+    return tuple(accumulate(sizes, initial=0))[:-1]
 
 
 def build_QB(sigma, sigma_tilde) -> QBasis:
@@ -64,13 +60,12 @@ def build_QB(sigma, sigma_tilde) -> QBasis:
     Block (i, j) is zero when sigma_tilde[j] < sigma[i]; otherwise it carries
     the band parameters q^{i,j}_1 .. q^{i,j}_{sigma_tilde[j]-sigma[i]+1} with
     entry (r, c) = q^{i,j}_{c-r+1}.  This shift structure is exactly what
-    makes L(s) * Q_B * S_tilde(s) vanish identically.
+    makes L(s) * Q_B * S_tilde(s) vanish identically.  The parameters are
+    appended by (block row, block column, band shift), which is ParamId order.
     """
     sigma = tuple(sigma)
     sigma_tilde = tuple(sigma_tilde)
-    n = sum(sigma)
-    w = sum(sigma_tilde)
-    grid = [[LinearForm.zero() for _ in range(w)] for _ in range(n)]
+    cells = [[0] * sum(sigma_tilde) for _ in range(sum(sigma))]
     params = []
     roff = 0
     for bi, si in enumerate(sigma, start=1):
@@ -78,66 +73,36 @@ def build_QB(sigma, sigma_tilde) -> QBasis:
         for bj, sj in enumerate(sigma_tilde, start=1):
             if sj >= si:
                 band = sj - si + 1
-                ids = [ParamId("q", bi, bj, k) for k in range(1, band + 1)]
-                params.extend(ids)
+                first = len(params) + 1
+                params.extend(ParamId("q", bi, bj, k) for k in range(1, band + 1))
                 for r in range(si):
-                    for k, pid in enumerate(ids):
-                        c = r + k
-                        grid[roff + r][coff + c] = LinearForm.of_param(pid)
+                    for k in range(band):
+                        cells[roff + r][coff + r + k] = first + k
             coff += sj
         roff += si
-    qb = ParamMatrix(grid)
-    _check_shift_identity(sigma, sigma_tilde, qb)
-    if params != sorted(params):
-        raise MorganError("Q_B parameters are not in ParamId order (bug)")
-    index = {p: k + 1 for k, p in enumerate(params)}
-    return QBasis(
-        sigma=sigma,
-        sigma_tilde=sigma_tilde,
-        qb=qb,
-        params=tuple(params),
-        index=index,
-        cells=_cells(qb, index),
-    )
+    cells = tuple(tuple(row) for row in cells)
+    _check_shift_identity(sigma, sigma_tilde, cells)
+    return QBasis(sigma=sigma, sigma_tilde=sigma_tilde, params=tuple(params), cells=cells)
 
 
-def _cells(m: ParamMatrix, index) -> tuple:
-    """Dense columns of a matrix whose entries are single parameters or zero."""
-    out = []
-    for row in m.entries:
-        cells = []
-        for e in row:
-            if e.is_zero():
-                cells.append(0)
-            elif e.const == 0 and len(e.terms) == 1 and e.terms[0][1] == 1:
-                cells.append(index[e.terms[0][0]])
-            else:
-                raise MorganError(f"entry {e} is not a single parameter (bug)")
-        out.append(tuple(cells))
-    return tuple(out)
-
-
-def _check_shift_identity(sigma, sigma_tilde, qb: ParamMatrix):
+def _check_shift_identity(sigma, sigma_tilde, cells):
     """Verify L(s) Q_B S_tilde(s) = 0 identically in the parameters.
 
     Row (i, c) of L is s e_{a} - e_{a+1} with a the c-th state of block i, so
     the product vanishes iff QB[a, off_j + k - 1] = QB[a+1, off_j + k] for all
-    feasible k, plus the boundary terms.
+    feasible k, plus the boundary terms.  Entries are single parameters or
+    zero, so equal forms are equal cells.
     """
-    col_off = []
-    acc = 0
-    for s in sigma_tilde:
-        col_off.append(acc)
-        acc += s
+    col_off = _offsets(sigma_tilde)
     roff = 0
     for si in sigma:
         for c in range(si - 1):
             a = roff + c  # global row of the 's' entry; chain partner is a+1
             for j, sj in enumerate(sigma_tilde):
                 for d in range(sj + 1):
-                    up = qb[a, col_off[j] + d - 1] if d >= 1 else LinearForm.zero()
-                    low = qb[a + 1, col_off[j] + d] if d < sj else LinearForm.zero()
-                    if not (up - low).is_zero():
+                    up = cells[a][col_off[j] + d - 1] if d >= 1 else 0
+                    low = cells[a + 1][col_off[j] + d] if d < sj else 0
+                    if up != low:
                         raise MorganError("Q_B shift identity violated (bug)")
         roff += si
 
@@ -151,13 +116,12 @@ class DecouplabilityReport:
     config: RowConfig
     constraints: ConstraintSet
     degree_deficits: tuple
-    n_alpha: ParamMatrix | None
     reason: str
     candidates_tried: int = 0
     rank_grids: tuple = ()  # Q_B, N_alpha, [D~]_hc on the constraint set (success only)
 
 
-def _leading_cells(qbasis: QBasis, config: RowConfig):
+def _leading_entries(qbasis: QBasis, config: RowConfig):
     """Dense columns of the nonzero leading entries of the config rows of Q_B.
 
     The s^{sigma_tilde_j} coefficient of a feedback row of M(s) Q_B S~(s)
@@ -181,8 +145,7 @@ def _nhat_forms(c_r: RationalMatrix, qbasis: QBasis):
     coefficient of entry (r, j), or None where it is identically zero;
     units[c] is (key, form) for the single parameter of column c.  Equal
     forms share one key, so a set of keys is the set of distinct forms.
-    Built once per (Q_B, C_r) and kept in qbasis.memo; threads that miss
-    the memo together build equal values, and either one is kept.
+    Built once per (Q_B, C_r) and kept in qbasis.memo.
     """
     cached = qbasis.memo.get(c_r)
     if cached is not None:
@@ -227,43 +190,29 @@ def _nhat_forms(c_r: RationalMatrix, qbasis: QBasis):
     return coeffs, units
 
 
-def dtilde_hc(pencil: PencilForm, qbasis: QBasis, config: RowConfig) -> ParamMatrix:
+def dtilde_hc(pencil: PencilForm, qbasis: QBasis, config: RowConfig) -> tuple:
     """Column highest-coefficient matrix of D~(s) at declared degrees sigma_tilde.
 
     D~(s) = (sK_b - Lambda_b) Q_B S~(s), rows indexed by the complement
     blocks b.  Column block j of Q_B S~(s) has degree sigma_tilde_j - 1, so
     only the s-part of row p_b reaches s^{sigma_tilde_j}; its coefficient is
-    the leading entry of row p_b of Q_B in block j.
+    the leading entry of row p_b of Q_B in block j.  Returned as cells of
+    Q_B: the dense column of each entry's parameter, 0 for a zero entry.
     """
     offs = qbasis.col_offsets
     pos = positions_from_sigma(qbasis.sigma)
-    return ParamMatrix(
-        [
-            [
-                qbasis.qb[pos[b - 1] - 1, offs[j] + sj - 1]
-                for j, sj in enumerate(qbasis.sigma_tilde)
-            ]
-            for b in config.complement(pencil.l)
-        ]
+    return tuple(
+        tuple(
+            qbasis.cells[pos[b - 1] - 1][offs[j] + sj - 1]
+            for j, sj in enumerate(qbasis.sigma_tilde)
+        )
+        for b in config.complement(pencil.l)
     )
 
 
 def _ascending_deficits(bounds):
     """All deficit vectors d with 0 <= d_r <= bounds[r], ascending total, then lex."""
-    out = []
-
-    def rec(prefix, rest):
-        if not rest:
-            out.append(tuple(prefix))
-            return
-        for v in range(rest[0] + 1):
-            prefix.append(v)
-            rec(prefix, rest[1:])
-            prefix.pop()
-
-    rec([], list(bounds))
-    out.sort(key=lambda d: (sum(d), d))
-    return out
+    return sorted(product(*(range(b + 1) for b in bounds)), key=lambda d: (sum(d), d))
 
 
 def _row_degree(coeffs_r, elim: Elimination, top: int):
@@ -322,14 +271,15 @@ def decouplability_search(
     constraints (solvability of the feedback-row systems) are seeded first.
     Candidates with the same set of distinct forms are tried once.  The
     forms are dense rows over qbasis.params; eliminations are shared along
-    deficit prefixes, and LinearForms are built only for the report.
+    deficit prefixes, and LinearForms are built only for the reported
+    constraint set.
     """
     m = c_r.rows
     w = qbasis.width
     top = max(qbasis.sigma_tilde) - 1
     coeffs, units = _nhat_forms(c_r, qbasis)
-    seeds = [units[c] for c in _leading_cells(qbasis, config)]
-    dhc = _cells(dtilde_hc(pencil, qbasis, config), qbasis.index)
+    seeds = [units[c] for c in _leading_entries(qbasis, config)]
+    dhc = dtilde_hc(pencil, qbasis, config)
 
     def fail(reason, tried=0, deficits=()):
         return DecouplabilityReport(
@@ -338,7 +288,6 @@ def decouplability_search(
             config=config,
             constraints=ConstraintSet.empty(),
             degree_deficits=tuple(deficits),
-            n_alpha=None,
             reason=reason,
             candidates_tried=tried,
         )
@@ -359,7 +308,7 @@ def decouplability_search(
     tried = 0
     seen = set()
     pruned = []
-    n_alpha_failures = 0
+    na_failures = 0
     qb_failures = 0
     dhc_failures = 0
     for deficits in _ascending_deficits(bounds):
@@ -384,9 +333,9 @@ def decouplability_search(
         if len(rows) < m:
             pruned.append(deficits)
             continue
-        n_alpha = FormGrid(rows)
-        if generic_rank(n_alpha, rng) != m:
-            n_alpha_failures += 1
+        na_grid = FormGrid(rows)
+        if generic_rank(na_grid, rng) != m:
+            na_failures += 1
             continue
         qb_grid = ParamGrid(qbasis.cells, elim, range(1, len(qbasis.params) + 1))
         if generic_rank(qb_grid, rng) != w:
@@ -396,28 +345,21 @@ def decouplability_search(
         if generic_rank(dhc_grid, rng) != m:
             dhc_failures += 1
             continue
-        params = qbasis.params
         return DecouplabilityReport(
             success=True,
             ci_tuple=qbasis.sigma_tilde,
             config=config,
-            constraints=elim.constraint_set(params),
+            constraints=elim.constraint_set(qbasis.params),
             degree_deficits=deficits,
-            n_alpha=ParamMatrix(
-                [
-                    [LinearForm.zero() if f is None else linear_form(f, params) for f in row]
-                    for row in rows
-                ]
-            ),
             reason="",
             candidates_tried=tried,
-            rank_grids=(qb_grid, n_alpha, dhc_grid),
+            rank_grids=(qb_grid, na_grid, dhc_grid),
         )
     return fail(
         "no degree-deficit assignment gives N_alpha full generic row rank "
         "with Q_B monic and [D~]_hc of rank m "
         "(%d candidates: %d failed N_alpha, %d failed Q_B rank, %d failed [D~]_hc)"
-        % (tried, n_alpha_failures, qb_failures, dhc_failures),
+        % (tried, na_failures, qb_failures, dhc_failures),
         tried,
     )
 

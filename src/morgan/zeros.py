@@ -294,6 +294,7 @@ def assign_zeros(pencil, squaring_at_zero, mu_family, target: Poly):
     block can be steered to the companion matrix of the target, which always
     succeeds over Q.  Otherwise a BestEffortReport exposes the parametric
     polynomial.  TargetDegreeMismatch when deg(target) != n - sum(sigma_tilde).
+    The target is monic: solve checks its options before the search.
     """
     k = len(mu_family.nullbasis)
     if target.degree != k:
@@ -302,8 +303,6 @@ def assign_zeros(pencil, squaring_at_zero, mu_family, target: Poly):
         )
     if k == 0:
         return {}
-    if target.leading() != 1:
-        raise MorganError("target polynomial must be monic")
     x0, u, w = _zero_block_data(pencil, squaring_at_zero, mu_family)
     if u.rank() < k or w.rank() < k:
         return BestEffortReport(

@@ -2,10 +2,11 @@
 
 These are the dict-of-Fraction LinearForm versions that the solver used
 before its search moved to dense forms: the substitution solver, LinearForm
-polynomials and matrices, the full D~(s) and a structural dependency test.
-The tests compare the dense code against them.  The highest-coefficient
-matrices, the leading Q_B forms of a row configuration and the mu rows as
-LinearForms are here too, since only the tests use them.
+polynomials and matrices (ParamMatrix), Q_B and [D~]_hc built as LinearForm
+matrices, the full D~(s) and a structural dependency test.  The tests
+compare the dense code against them.  The highest-coefficient matrices, the
+leading Q_B forms of a row configuration and the mu rows as LinearForms are
+here too, since only the tests use them.
 """
 
 from __future__ import annotations
@@ -16,14 +17,201 @@ from morgan.admissible import RowConfig
 from morgan.canonical import PencilForm, positions_from_sigma
 from morgan.errors import Inconsistent, MorganError
 from morgan.exactalg import Poly, PolyMatrix, RationalMatrix
-from morgan.paramalg import SAMPLE_BOUND, ConstraintSet, LinearForm, ParamId, ParamMatrix
+from morgan.paramalg import SAMPLE_BOUND, ConstraintSet, LinearForm, ParamId, linear_form
 from morgan.squaring import (
     DecouplabilityReport,
     MuFamily,
     QBasis,
     _ascending_deficits,
-    _leading_cells,
+    _leading_entries,
 )
+
+
+class ParamMatrix:
+    """Immutable dense matrix of LinearForm entries."""
+
+    __slots__ = ("entries",)
+
+    def __init__(self, entries):
+        rows = tuple(
+            tuple(
+                e if isinstance(e, LinearForm) else LinearForm.of_const(e)
+                for e in row
+            )
+            for row in entries
+        )
+        if rows:
+            w = len(rows[0])
+            if any(len(r) != w for r in rows):
+                raise MorganError("ragged matrix")
+        object.__setattr__(self, "entries", rows)
+
+    def __setattr__(self, *a):
+        raise AttributeError("ParamMatrix is immutable")
+
+    @property
+    def rows(self):
+        return len(self.entries)
+
+    @property
+    def cols(self):
+        return len(self.entries[0]) if self.entries else 0
+
+    def __getitem__(self, ij):
+        i, j = ij
+        return self.entries[i][j]
+
+    def __eq__(self, other):
+        return isinstance(other, ParamMatrix) and self.entries == other.entries
+
+    def row(self, i):
+        return self.entries[i]
+
+    def params(self):
+        seen = set()
+        for r in self.entries:
+            for e in r:
+                seen.update(e.params())
+        return tuple(sorted(seen))
+
+    def subs(self, mapping) -> "ParamMatrix":
+        return ParamMatrix([[e.subs(mapping) for e in r] for r in self.entries])
+
+    def values(self, assignment) -> list:
+        """Entry values at a ParamId-keyed assignment, as rows."""
+        return [[e.eval(assignment) for e in r] for r in self.entries]
+
+    def __repr__(self):
+        return f"ParamMatrix({[[str(e) for e in r] for r in self.entries]})"
+
+
+def param_matrix(cells, params) -> ParamMatrix:
+    """The ParamMatrix of a cell matrix: entry c > 0 is params[c - 1], 0 is zero."""
+    return ParamMatrix(
+        [
+            [LinearForm.of_param(params[c - 1]) if c else LinearForm.zero() for c in row]
+            for row in cells
+        ]
+    )
+
+
+def qb_matrix(qbasis: QBasis) -> ParamMatrix:
+    """The solver's Q_B (its cells) as a ParamMatrix."""
+    return param_matrix(qbasis.cells, qbasis.params)
+
+
+def n_alpha_matrix(report: DecouplabilityReport, params) -> ParamMatrix | None:
+    """N_alpha of a successful report (rank_grids[1]) as a ParamMatrix, else None.
+
+    The dense search keeps a FormGrid of dense forms over params there; the
+    dict search below keeps the ParamMatrix itself.
+    """
+    if not report.rank_grids:
+        return None
+    grid = report.rank_grids[1]
+    if isinstance(grid, ParamMatrix):
+        return grid
+    return ParamMatrix(
+        [
+            [LinearForm.zero() if f is None else linear_form(f, params) for f in row]
+            for row in grid.entries
+        ]
+    )
+
+
+def reference_build_QB(sigma, sigma_tilde):
+    """Q_B as a ParamMatrix of LinearForms and its parameters, the reference
+    for squaring.build_QB.
+
+    Block (i, j) is zero when sigma_tilde[j] < sigma[i]; otherwise it carries
+    the band parameters q^{i,j}_1 .. q^{i,j}_{sigma_tilde[j]-sigma[i]+1} with
+    entry (r, c) = q^{i,j}_{c-r+1}.
+    """
+    sigma = tuple(sigma)
+    sigma_tilde = tuple(sigma_tilde)
+    n = sum(sigma)
+    w = sum(sigma_tilde)
+    grid = [[LinearForm.zero() for _ in range(w)] for _ in range(n)]
+    params = []
+    roff = 0
+    for bi, si in enumerate(sigma, start=1):
+        coff = 0
+        for bj, sj in enumerate(sigma_tilde, start=1):
+            if sj >= si:
+                band = sj - si + 1
+                ids = [ParamId("q", bi, bj, k) for k in range(1, band + 1)]
+                params.extend(ids)
+                for r in range(si):
+                    for k, pid in enumerate(ids):
+                        c = r + k
+                        grid[roff + r][coff + c] = LinearForm.of_param(pid)
+            coff += sj
+        roff += si
+    qb = ParamMatrix(grid)
+    reference_check_shift_identity(sigma, sigma_tilde, qb)
+    if params != sorted(params):
+        raise MorganError("Q_B parameters are not in ParamId order (bug)")
+    return qb, tuple(params)
+
+
+def reference_qb(qbasis: QBasis) -> ParamMatrix:
+    """Q_B of a QBasis rebuilt by the reference."""
+    return reference_build_QB(qbasis.sigma, qbasis.sigma_tilde)[0]
+
+
+def reference_cells(m: ParamMatrix, index) -> tuple:
+    """Dense columns of a matrix whose entries are single parameters or zero;
+    index maps ParamId -> 1-based column."""
+    out = []
+    for row in m.entries:
+        cells = []
+        for e in row:
+            if e.is_zero():
+                cells.append(0)
+            elif e.const == 0 and len(e.terms) == 1 and e.terms[0][1] == 1:
+                cells.append(index[e.terms[0][0]])
+            else:
+                raise MorganError(f"entry {e} is not a single parameter (bug)")
+        out.append(tuple(cells))
+    return tuple(out)
+
+
+def reference_check_shift_identity(sigma, sigma_tilde, qb: ParamMatrix):
+    """Verify L(s) Q_B S_tilde(s) = 0 identically in the parameters.
+
+    Row (i, c) of L is s e_{a} - e_{a+1} with a the c-th state of block i, so
+    the product vanishes iff QB[a, off_j + k - 1] = QB[a+1, off_j + k] for all
+    feasible k, plus the boundary terms.
+    """
+    col_off = []
+    acc = 0
+    for s in sigma_tilde:
+        col_off.append(acc)
+        acc += s
+    roff = 0
+    for si in sigma:
+        for c in range(si - 1):
+            a = roff + c  # global row of the 's' entry; chain partner is a+1
+            for j, sj in enumerate(sigma_tilde):
+                for d in range(sj + 1):
+                    up = qb[a, col_off[j] + d - 1] if d >= 1 else LinearForm.zero()
+                    low = qb[a + 1, col_off[j] + d] if d < sj else LinearForm.zero()
+                    if not (up - low).is_zero():
+                        raise MorganError("Q_B shift identity violated (bug)")
+        roff += si
+
+
+def reference_dtilde_hc(pencil: PencilForm, qbasis: QBasis, config: RowConfig) -> ParamMatrix:
+    """[D~]_hc as the leading entries of the complement rows of the reference Q_B."""
+    qb = reference_qb(qbasis)
+    offs = qbasis.col_offsets
+    pos = positions_from_sigma(qbasis.sigma)
+    return ParamMatrix(
+        [
+            [qb[pos[b - 1] - 1, offs[j] + sj - 1] for j, sj in enumerate(qbasis.sigma_tilde)]
+            for b in config.complement(pencil.l)
+        ]
+    )
 
 
 class DegreeExceeded(MorganError):
@@ -33,7 +221,7 @@ class DegreeExceeded(MorganError):
 def _leading_forms(qbasis: QBasis, config: RowConfig):
     """The leading entries of the config rows of Q_B as LinearForms."""
     return [
-        LinearForm.of_param(qbasis.params[c - 1]) for c in _leading_cells(qbasis, config)
+        LinearForm.of_param(qbasis.params[c - 1]) for c in _leading_entries(qbasis, config)
     ]
 
 
@@ -246,17 +434,18 @@ def dtilde_formpoly(pencil: PencilForm, qbasis: QBasis, config: RowConfig) -> Pa
     offs = qbasis.col_offsets
     st = qbasis.sigma_tilde
     pos = positions_from_sigma(qbasis.sigma)
+    qb = reference_qb(qbasis)
     rows = []
     for b in config.complement(pencil.l):
         p = pos[b - 1]
-        u = qbasis.qb.row(p - 1)
+        u = qb.row(p - 1)
         lam = pencil.A_r.row(p - 1)
         v = []
         for c in range(qbasis.width):
             acc = LinearForm.zero()
             for r, lr in enumerate(lam):
                 if lr != 0:
-                    acc = acc + qbasis.qb[r, c] * lr
+                    acc = acc + qb[r, c] * lr
             v.append(acc)
         row = []
         for j, sj in enumerate(st):
@@ -272,7 +461,7 @@ def dtilde_formpoly(pencil: PencilForm, qbasis: QBasis, config: RowConfig) -> Pa
 
 def nhat_formpoly(c_r: RationalMatrix, qbasis: QBasis) -> ParamPolyMatrix:
     """N_hat(s) = C_r Q_B S~(s) diag(s^{st_max - st_j}) as a ParamPolyMatrix."""
-    chat = rat_times_param(c_r, qbasis.qb)
+    chat = rat_times_param(c_r, reference_qb(qbasis))
     st = qbasis.sigma_tilde
     st_max = max(st)
     offs = qbasis.col_offsets
@@ -302,6 +491,8 @@ def dict_decouplability_search(
     highest-coefficient matrix has generic rank m while Q_B keeps full column
     rank and [D~]_hc keeps rank m.  The per-config leading-coefficient
     constraints (solvability of the feedback-row systems) are seeded first.
+    A successful report keeps the rank-tested ParamMatrices (Q_B, N_alpha
+    and [D~]_hc on the constraint set) in rank_grids.
     """
     m = c_r.rows
     w = qbasis.width
@@ -316,7 +507,6 @@ def dict_decouplability_search(
             config=config,
             constraints=ConstraintSet.empty(),
             degree_deficits=tuple(deficits),
-            n_alpha=None,
             reason=reason,
             candidates_tried=tried,
         )
@@ -336,7 +526,7 @@ def dict_decouplability_search(
     tried = 0
     seen = set()
     pruned = []
-    n_alpha_failures = 0
+    na_failures = 0
     qb_failures = 0
     dhc_failures = 0
     for deficits in _ascending_deficits(bounds):
@@ -363,12 +553,14 @@ def dict_decouplability_search(
             continue
         n_alpha = ParamMatrix([nh.row_coeffs(r, degs[r]) for r in range(m)])
         if dict_generic_rank(n_alpha, rng) != m:
-            n_alpha_failures += 1
+            na_failures += 1
             continue
-        if dict_generic_rank(cs.apply(qbasis.qb), rng) != w:
+        qb = cs.apply(reference_qb(qbasis))
+        if dict_generic_rank(qb, rng) != w:
             qb_failures += 1
             continue
-        if dict_generic_rank(cs.apply(dhc), rng) != m:
+        dhc_m = cs.apply(dhc)
+        if dict_generic_rank(dhc_m, rng) != m:
             dhc_failures += 1
             continue
         return DecouplabilityReport(
@@ -377,15 +569,15 @@ def dict_decouplability_search(
             config=config,
             constraints=cs,
             degree_deficits=deficits,
-            n_alpha=n_alpha,
             reason="",
             candidates_tried=tried,
+            rank_grids=(qb, n_alpha, dhc_m),
         )
     return fail(
         "no degree-deficit assignment gives N_alpha full generic row rank "
         "with Q_B monic and [D~]_hc of rank m "
         "(%d candidates: %d failed N_alpha, %d failed Q_B rank, %d failed [D~]_hc)"
-        % (tried, n_alpha_failures, qb_failures, dhc_failures),
+        % (tried, na_failures, qb_failures, dhc_failures),
         tried,
     )
 

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,8 @@ import golden_data as pd
 from morgan.cli import main
 from morgan.fileio import dump_json, load_solution, matrix_to_json, poly_to_json
 from morgan.exactalg import parse_poly
+
+NOSOL_7_66 = str(Path(__file__).resolve().parent.parent / "perfbench" / "data" / "nosol_7_66.json")
 
 
 @pytest.fixture(scope="module")
@@ -112,13 +115,6 @@ class TestSolve:
         assert rc1 == rc2 == 0
         assert out1 == out2
 
-    def test_jobs_invariance(self, files, capsys):
-        _, ex1, _ = files
-        rc1, out1, _ = run(capsys, ["solve", ex1, "--json", "--seed", "7", "--jobs", "1"])
-        rc2, out2, _ = run(capsys, ["solve", ex1, "--json", "--seed", "7", "--jobs", "4"])
-        assert rc1 == rc2 == 0
-        assert out1 == out2
-
     def test_seed_changes_output(self, files, capsys):
         _, ex1, _ = files
         _, out1, _ = run(capsys, ["solve", ex1, "--json", "--seed", "7"])
@@ -180,6 +176,65 @@ class TestSolve:
         path.write_text('{"format": "morgan-solution/1", "F": [[1]]}')
         rc, _, err = run(capsys, ["verify", ex1, str(path)])
         assert rc == 1
+
+
+class TestUsageErrors:
+    """Usage errors exit 1 with the usage on stderr; 2 means no solution."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--bogus"],
+            [],
+            ["--seed", "x"],
+            ["--jobs", "2"],
+        ],
+    )
+    def test_exit_1(self, argv, files, capsys):
+        _, ex1, _ = files
+        rc, out, err = run(capsys, ["solve"] + ([ex1] if argv else []) + argv)
+        assert rc == 1
+        assert out == ""
+        assert "usage:" in err
+
+    def test_help_exits_0(self, capsys):
+        rc, out, _ = run(capsys, ["solve", "--help"])
+        assert rc == 0
+        assert "usage:" in out
+
+    def test_python_m_morgan(self, files):
+        _, ex1, _ = files
+        proc = subprocess.run(
+            [sys.executable, "-m", "morgan", "solve", ex1, "--bogus"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert "usage:" in proc.stderr
+
+
+class TestInvalidPolynomialOptions:
+    """A zero or non-monic polynomial option, or a wrong number of diagonal
+    polynomials, is an error (exit 1) on solvable and unsolved inputs alike."""
+
+    @pytest.mark.parametrize(
+        "system, flags",
+        [
+            ("ex2", ["--dz-target", "0"]),
+            ("ex2", ["--dz-target", "2"]),
+            ("nosol", ["--dz-target", "2"]),
+            ("ex1", ["--diag-polys", "0,s+1,s+1"]),
+            ("ex2", ["--diag-polys", "s+1"]),
+            ("nosol", ["--diag-polys", "s+1"]),
+        ],
+    )
+    def test_exit_1(self, system, flags, files, capsys):
+        _, ex1, ex2 = files
+        path = {"ex1": ex1, "ex2": ex2, "nosol": NOSOL_7_66}[system]
+        rc, out, err = run(capsys, ["solve", path] + flags)
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error: ")
 
 
 class TestVerify:

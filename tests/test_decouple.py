@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,8 +20,9 @@ from morgan.decouple import (
     solve,
     square_decouple,
 )
-from morgan.errors import TargetDegreeMismatch, VerificationFailed
+from morgan.errors import MorganError, TargetDegreeMismatch, VerificationFailed
 from morgan.exactalg import Poly, RationalMatrix, parse_poly, transfer_function
+from morgan.fileio import load_system
 from morgan.paramalg import ParamId, instantiate
 from morgan.squaring import (
     SquaringData,
@@ -30,6 +32,9 @@ from morgan.squaring import (
     solve_feedback_rows,
 )
 from morgan.zeros import charpoly
+from param_oracle import qb_matrix
+
+NOSOL_7_66 = str(Path(__file__).resolve().parent.parent / "perfbench" / "data" / "nosol_7_66.json")
 
 
 def ex1_reference_squaring(ex1_reference_pencil):
@@ -40,7 +45,7 @@ def ex1_reference_squaring(ex1_reference_pencil):
         ex1_reference_pencil.C_r, ex1_reference_pencil, qb, cfg, random.Random(0)
     )
     assignment = {ParamId(*k): Fraction(v) for k, v in pd.EX1_QB_ASSIGNMENT.items()}
-    qb_num = instantiate(rep.constraints.apply(qb.qb), assignment)
+    qb_num = instantiate(rep.constraints.apply(qb_matrix(qb)), assignment)
     fam = solve_feedback_rows(qb, cfg, qb_num)
     return assemble_squaring(ex1_reference_pencil, qb, cfg, qb_num, fam, assignment, {})
 
@@ -246,8 +251,9 @@ class TestSolve:
         tuples = enumerate_tuples(ex2_pencil.sigma, 3)
         configs = enumerate_row_configs(ex2_pencil.sigma, 3)
         ti = tuples.index((2, 2, 3))
+        qb = build_QB(ex2_pencil.sigma, (2, 2, 3))
         outcome, solution = _evaluate_config(
-            ex2, ex2_pencil, (2, 2, 3), configs[1], ti, 1, SolveOptions(seed=1729)
+            ex2, ex2_pencil, qb, configs[1], ti, 1, SolveOptions(seed=1729)
         )
         assert outcome.status == "solved"
         assert solution.ci_tuple == (2, 2, 3)
@@ -281,16 +287,31 @@ class TestSolve:
         assert again.G == ex1_solution.G
         assert again.ci_tuple == ex1_solution.ci_tuple
 
-    def test_jobs_match_sequential(self, ex1, ex1_solution):
-        par = solve(ex1, SolveOptions(seed=1729, jobs=4))
-        assert par.F == ex1_solution.F
-        assert par.G == ex1_solution.G
-        assert [o.reason for o in par.outcomes] == [
-            o.reason for o in ex1_solution.outcomes
-        ]
-
     def test_search_bound(self, ex2_solution):
         assert len(ex2_solution.outcomes) <= 16 * 10
+
+
+class TestOptionChecks:
+    """solve rejects invalid polynomial options before the search."""
+
+    @pytest.mark.parametrize(
+        "system, options, message",
+        [
+            ("ex2", dict(dz_target=Poly.zero()), "target must be a nonzero monic"),
+            ("ex2", dict(dz_target=Poly([2])), "target must be a nonzero monic"),
+            ("ex1", dict(diag_polys=(Poly.zero(), Poly([1, 1]), Poly([1, 1]))),
+             "diagonal polynomial 1 must be a nonzero monic"),
+            ("ex1", dict(diag_polys=(Poly([1, 1]), Poly([1, 1]), Poly([1, 2]))),
+             "diagonal polynomial 3 must be a nonzero monic"),
+            ("ex2", dict(diag_polys=(Poly([1, 1]),)), "one diagonal polynomial per output"),
+            ("nosol", dict(dz_target=Poly([2])), "target must be a nonzero monic"),
+            ("nosol", dict(diag_polys=(Poly([1, 1]),)), "one diagonal polynomial per output"),
+        ],
+    )
+    def test_raises(self, system, options, message, ex1, ex2):
+        sys_ = load_system(NOSOL_7_66) if system == "nosol" else {"ex1": ex1, "ex2": ex2}[system]
+        with pytest.raises(MorganError, match=message):
+            solve(sys_, SolveOptions(seed=1729, **options))
 
 
 class TestClosedLoopFactorization:

@@ -14,7 +14,6 @@ from morgan.paramalg import (
     LinearForm,
     ParamGrid,
     ParamId,
-    ParamMatrix,
     dense_form,
     generic_rank,
     instantiate,
@@ -23,10 +22,13 @@ from morgan.paramalg import (
 )
 from morgan.squaring import build_QB, decouplability_search, dtilde_hc
 from param_oracle import (
+    ParamMatrix,
     dict_decouplability_search,
     dict_generic_rank,
     dict_solve_zero_constraints,
     dtilde_hc_formpoly,
+    n_alpha_matrix,
+    param_matrix,
 )
 
 PARAMS = tuple(ParamId("q", 1, 1, k) for k in range(1, 7))
@@ -187,7 +189,7 @@ class TestSearchMatchesReference:
                 old.success, old.reason, old.candidates_tried)
             assert new.constraints.describe() == old.constraints.describe()
             assert new.degree_deficits == old.degree_deficits
-            assert new.n_alpha == old.n_alpha
+            assert n_alpha_matrix(new, qb.params) == n_alpha_matrix(old, qb.params)
             assert a.getstate() == b.getstate()
 
     def test_example1(self, ex1_pencil):
@@ -199,4 +201,5 @@ class TestSearchMatchesReference:
     def test_dtilde_hc_is_the_leading_entries(self, ex1_pencil, ex2_pencil):
         for pencil in (ex1_pencil, ex2_pencil):
             for _, qb, cfg in search_cases(pencil, 1):
-                assert dtilde_hc(pencil, qb, cfg) == dtilde_hc_formpoly(pencil, qb, cfg)
+                hc = param_matrix(dtilde_hc(pencil, qb, cfg), qb.params)
+                assert hc == dtilde_hc_formpoly(pencil, qb, cfg)

@@ -21,7 +21,15 @@ from morgan.squaring import (
     dtilde_hc,
     solve_feedback_rows,
 )
-from param_oracle import dtilde_formpoly, high_col_coeff, instantiate_poly, mu_row_forms
+from param_oracle import (
+    dtilde_formpoly,
+    high_col_coeff,
+    instantiate_poly,
+    mu_row_forms,
+    n_alpha_matrix,
+    param_matrix,
+    qb_matrix,
+)
 
 
 def q(i, j, k):
@@ -51,7 +59,7 @@ class TestBuildQB:
             [0, 0, 0, t(4,2,1), 0, 0, 0, t(4,3,1), 0],
             [0, 0, 0, 0, t(4,2,1), 0, 0, 0, t(4,3,1)],
         ]
-        assert [list(r) for r in qb.qb.entries] == expect_qb(pattern)
+        assert [list(r) for r in qb_matrix(qb).entries] == expect_qb(pattern)
 
     def test_example1_tuple_117(self):
         qb = build_QB((1, 1, 3, 4), (1, 1, 7))
@@ -67,7 +75,7 @@ class TestBuildQB:
             [0, 0, 0, 0, t(4,3,1), t(4,3,2), t(4,3,3), t(4,3,4), 0],
             [0, 0, 0, 0, 0, t(4,3,1), t(4,3,2), t(4,3,3), t(4,3,4)],
         ]
-        assert [list(r) for r in qb.qb.entries] == expect_qb(pattern)
+        assert [list(r) for r in qb_matrix(qb).entries] == expect_qb(pattern)
 
     def test_example2_tuple_223(self):
         qb = build_QB((1, 2, 2, 2, 2), (2, 2, 3))
@@ -83,21 +91,21 @@ class TestBuildQB:
             [t(5,1,1), 0, t(5,2,1), 0, t(5,3,1), t(5,3,2), 0],
             [0, t(5,1,1), 0, t(5,2,1), 0, t(5,3,1), t(5,3,2)],
         ]
-        assert [list(r) for r in qb.qb.entries] == expect_qb(pattern)
+        assert [list(r) for r in qb_matrix(qb).entries] == expect_qb(pattern)
 
     def test_square_tuple_contains_identity(self):
         qb = build_QB((1, 2), (1, 2))
         assignment = {p: Fraction(0) for p in qb.params}
         assignment[q(1, 1, 1)] = Fraction(1)
         assignment[q(2, 2, 1)] = Fraction(1)
-        assert instantiate(qb.qb, assignment) == RationalMatrix.identity(3)
+        assert instantiate(qb_matrix(qb), assignment) == RationalMatrix.identity(3)
 
     def test_shift_identity_random_instances(self):
         rng = random.Random(8)
         for sigma, st in [((1, 1, 3, 4), (1, 4, 4)), ((1, 2, 2, 2, 2), (2, 2, 3))]:
             qb = build_QB(sigma, st)
             assignment = {p: Fraction(rng.randint(-5, 5)) for p in qb.params}
-            num = instantiate(qb.qb, assignment)
+            num = instantiate(qb_matrix(qb), assignment)
             prod = build_L(sigma) * PolyMatrix.from_rational(num) * build_S(st)
             assert prod.is_zero()
 
@@ -126,7 +134,7 @@ class TestDecouplabilitySearch:
         qb = build_QB((1, 1, 3, 4), (1, 4, 4))
         cfg = enumerate_row_configs(ex1_pencil.sigma, 3)[0]
         rep = decouplability_search(ex1_pencil.C_r, ex1_pencil, qb, cfg, random.Random(0))
-        na = rep.n_alpha
+        na = n_alpha_matrix(rep, qb.params)
         assert na[0, 0].is_zero()
         assert na[0, 1] == LinearForm(0, {q(1, 2, 1): 1})
         assert na[0, 2] == LinearForm(0, {q(1, 3, 1): 1})
@@ -160,7 +168,7 @@ class TestDecouplabilitySearch:
 class TestDtilde:
     def test_example2_hc_display(self, ex2_pencil, ex2_config_15):
         qb = build_QB(ex2_pencil.sigma, (2, 2, 3))
-        hc = dtilde_hc(ex2_pencil, qb, ex2_config_15)
+        hc = param_matrix(dtilde_hc(ex2_pencil, qb, ex2_config_15), qb.params)
         expected = [
             [q(2, 1, 1), q(2, 2, 1), q(2, 3, 2)],
             [q(4, 1, 1), q(4, 2, 1), q(4, 3, 2)],
@@ -175,7 +183,9 @@ class TestDtilde:
         rng = random.Random(77)
         assignment = {p: Fraction(rng.randint(-4, 4)) for p in qb.params}
         full = instantiate_poly(dtilde_formpoly(ex2_pencil, qb, ex2_config_15), assignment)
-        hc_num = instantiate(dtilde_hc(ex2_pencil, qb, ex2_config_15), assignment)
+        hc_num = instantiate(
+            param_matrix(dtilde_hc(ex2_pencil, qb, ex2_config_15), qb.params), assignment
+        )
         assert high_col_coeff(full, [2, 2, 3]) == hc_num
 
 
@@ -185,7 +195,7 @@ class TestFeedbackRows:
         cfg = enumerate_row_configs(ex1_pencil.sigma, 3)[0]
         rep = decouplability_search(ex1_pencil.C_r, ex1_pencil, qb, cfg, random.Random(0))
         assignment = {ParamId(*k): Fraction(v) for k, v in pd.EX1_QB_ASSIGNMENT.items()}
-        qb_num = instantiate(rep.constraints.apply(qb.qb), assignment)
+        qb_num = instantiate(rep.constraints.apply(qb_matrix(qb)), assignment)
         return qb, cfg, qb_num
 
     def test_example1_unique_mu(self, ex1_pencil):
@@ -200,7 +210,7 @@ class TestFeedbackRows:
             ex2_pencil.C_r, ex2_pencil, qb, ex2_config_15, random.Random(0)
         )
         assignment = {ParamId(*k): Fraction(v) for k, v in pd.EX2_QB_ASSIGNMENT.items()}
-        qb_num = instantiate(rep.constraints.apply(qb.qb), assignment)
+        qb_num = instantiate(rep.constraints.apply(qb_matrix(qb)), assignment)
         fam = solve_feedback_rows(qb, ex2_config_15, qb_num)
         assert len(fam.nullbasis) == 2  # n - sum(sigma_tilde)
         w_mu = qb_num.transpose()
@@ -218,7 +228,7 @@ class TestFeedbackRows:
         qb = build_QB((1, 1, 3, 4), (1, 1, 3, 4))
         cfg_all = enumerate_row_configs(ex1_pencil.sigma, 4)[0]
         assert cfg_all.blocks == ()
-        qb_num = instantiate(qb.qb, {p: Fraction(1) for p in qb.params})
+        qb_num = instantiate(qb_matrix(qb), {p: Fraction(1) for p in qb.params})
         fam = solve_feedback_rows(qb, cfg_all, qb_num)
         assert fam.particulars == () and fam.t_params == ()
 
@@ -229,7 +239,7 @@ class TestAssemble:
         cfg = enumerate_row_configs(ex1_pencil.sigma, 3)[0]
         rep = decouplability_search(ex1_pencil.C_r, ex1_pencil, qb, cfg, random.Random(0))
         assignment = {ParamId(*k): Fraction(v) for k, v in pd.EX1_QB_ASSIGNMENT.items()}
-        qb_num = instantiate(rep.constraints.apply(qb.qb), assignment)
+        qb_num = instantiate(rep.constraints.apply(qb_matrix(qb)), assignment)
         fam = solve_feedback_rows(qb, cfg, qb_num)
         sq = assemble_squaring(ex1_pencil, qb, cfg, qb_num, fam, assignment, {})
         assert sq.F0 == pd.EX1_F0
