@@ -12,7 +12,7 @@ from .decouple import (
     SolveOptions,
     solve,
 )
-from .exactalg import Poly, PolyMatrix, RationalMatrix, parse_poly, rat
+from .exactalg import Poly, RationalMatrix, parse_poly, rat
 
 __all__ = [
     "StateSpace",
@@ -23,7 +23,6 @@ __all__ = [
     "SolveOptions",
     "solve",
     "Poly",
-    "PolyMatrix",
     "RationalMatrix",
     "parse_poly",
     "rat",

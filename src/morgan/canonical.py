@@ -1,10 +1,9 @@
-"""Controllability indices, controller (Popov) canonical form, pencil layout.
+"""Controllability indices, controller (Popov) canonical form, M S(s) rows.
 
 The working form used by the search: a similarity P takes (A, B) to
-controller canonical form, an input transformation G_I normalizes the
-block-end rows of the input matrix to unit rows, and a row permutation splits
-the pencil sI - A_r into the chain block L(s) and the block-end rows
-sK - Lambda.
+controller canonical form, and an input transformation G_I normalizes the
+block-end rows of the input matrix to unit rows.  times_S gives the rows of
+M S(s) for the block basis S(s) of a list of indices.
 """
 
 from __future__ import annotations
@@ -12,13 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidSystem, MorganError, NotControllable, VerificationFailed
-from .exactalg import (
-    Poly,
-    PolyMatrix,
-    RationalMatrix,
-    krylov_select,
-    s_identity_minus,
-)
+from .exactalg import Poly, RationalMatrix, krylov_select
 
 
 @dataclass(frozen=True)
@@ -92,34 +85,16 @@ def positions_from_sigma(sigma):
     return tuple(out)
 
 
-def build_S(sigma) -> PolyMatrix:
-    """Block-diagonal basis matrix S(s) = diag([1, s, ..., s^(sigma_i - 1)]^T)."""
-    if any(s < 1 for s in sigma):
-        raise MorganError("all indices must be >= 1")
-    n = sum(sigma)
-    l = len(sigma)
-    m = [[Poly.zero() for _ in range(l)] for _ in range(n)]
-    row = 0
-    for j, s in enumerate(sigma):
-        for k in range(s):
-            m[row + k][j] = Poly.s(k) if k else Poly.one()
-        row += s
-    return PolyMatrix(m)
+def times_S(m: RationalMatrix, sigma) -> list:
+    """Rows of M S(s), S(s) = diag([1, s, ..., s^(sigma_j - 1)]^T), as lists of Poly.
 
-
-def build_L(sigma) -> PolyMatrix:
-    """diag{L_sigma_i(s)} with L_k(s) = s[I|0] - [0|I] of shape (k-1) x k."""
-    n = sum(sigma)
-    rows = []
-    col_off = 0
-    for s in sigma:
-        for c in range(s - 1):
-            row = [Poly.zero()] * n
-            row[col_off + c] = Poly.s()
-            row[col_off + c + 1] = Poly.constant(-1)
-            rows.append(row)
-        col_off += s
-    return PolyMatrix(rows) if rows else PolyMatrix.zeros(0, n)
+    Entry (r, j) is the slice of row r of M over block j, read as ascending
+    coefficients.
+    """
+    if m.cols != sum(sigma):
+        raise MorganError(f"M has {m.cols} columns, S(s) has {sum(sigma)} rows")
+    offs = (0,) + positions_from_sigma(sigma)
+    return [[Poly(row[a:b]) for a, b in zip(offs, offs[1:])] for row in m.entries]
 
 
 @dataclass(frozen=True)
@@ -127,9 +102,8 @@ class PencilForm:
     """Controller canonical data for one system.
 
     sigma is nondecreasing; P and G_I satisfy A_r = P^-1 A P and
-    B_r_GI = P^-1 B G_I with unit rows at the block-end positions p_i.
-    row_perm lists the chain rows followed by the block-end rows, so that
-    permuting the rows of sI - A_r with it yields [L(s); sK - Lambda].
+    B_r_GI = P^-1 B G_I with unit rows at the block-end positions p_i, and
+    every other row of A_r is the next unit row (the chain structure).
     """
 
     sigma: tuple
@@ -139,10 +113,6 @@ class PencilForm:
     A_r: RationalMatrix
     B_r_GI: RationalMatrix
     C_r: RationalMatrix
-    row_perm: tuple
-    L: PolyMatrix
-    K: RationalMatrix
-    Lambda: RationalMatrix
 
     @property
     def n(self):
@@ -158,12 +128,12 @@ class PencilForm:
 
 
 def to_pencil_form(sys: StateSpace) -> PencilForm:
-    """Transform (A, B, C) to controller canonical form plus pencil split.
+    """Transform (A, B, C) to controller canonical form.
 
     Construction: staircase-selected chain vectors {A^k b_j}, inputs sorted by
     chain length (ties keep the original input order), change of basis built
     from the block-end rows of the chain matrix inverse.  The result is
-    verified by reassembly before returning.
+    checked exactly before returning.
     """
     a, b, c = sys.A, sys.B, sys.C
     n, l = sys.n, sys.l
@@ -204,14 +174,6 @@ def to_pencil_form(sys: StateSpace) -> PencilForm:
     b_r_gi = p_inv * b * g_i
     c_r = c * p_mat
 
-    # pencil split
-    pos_set = set(pos)
-    chain_rows = [i for i in range(1, n + 1) if i not in pos_set]
-    row_perm = tuple([i - 1 for i in chain_rows] + [p - 1 for p in pos])
-    k_mat = RationalMatrix([RationalMatrix.identity(n).row(p - 1) for p in pos])
-    lam = RationalMatrix([a_r.row(p - 1) for p in pos])
-    l_mat = build_L(sigma)
-
     pf = PencilForm(
         sigma=sigma,
         P=p_mat,
@@ -220,17 +182,13 @@ def to_pencil_form(sys: StateSpace) -> PencilForm:
         A_r=a_r,
         B_r_GI=b_r_gi,
         C_r=c_r,
-        row_perm=row_perm,
-        L=l_mat,
-        K=k_mat,
-        Lambda=lam,
     )
     _verify_pencil_form(sys, pf)
     return pf
 
 
 def _verify_pencil_form(sys: StateSpace, pf: PencilForm):
-    """Exact reassembly checks of every PencilForm component."""
+    """Exact checks of every PencilForm component."""
     n, l = sys.n, sys.l
     pos = pf.positions
     ident = RationalMatrix.identity(n)
@@ -259,21 +217,3 @@ def _verify_pencil_form(sys: StateSpace, pf: PencilForm):
             row[j] != (1 if j == i else 0) for j in range(n)
         ):
             raise MorganError("A_r chain structure broken")
-    # reassembly: row_perm applied to sI - A_r gives [L(s); sK - Lambda]
-    pencil = s_identity_minus(pf.A_r).permute_rows(pf.row_perm)
-    expected = pf.L.vstack(
-        PolyMatrix(
-            [
-                [
-                    Poly([-pf.Lambda[i, j], pf.K[i, j]])
-                    for j in range(n)
-                ]
-                for i in range(l)
-            ]
-        )
-    )
-    if pencil != expected:
-        raise MorganError("pencil reassembly failed")
-    # L(s) S(s) = 0 identically
-    if not (pf.L * build_S(pf.sigma)).is_zero():
-        raise MorganError("L(s) S(s) != 0")

@@ -28,18 +28,19 @@ from .admissible import RowConfig, enumerate_row_configs, enumerate_tuples
 from .canonical import (
     PencilForm,
     StateSpace,
-    build_S,
     controllability_indices,
+    times_S,
     to_pencil_form,
 )
 from .errors import (
+    InvalidSystem,
     MorganError,
     NotSolvable,
     SingularBstar,
     TargetDegreeMismatch,
     VerificationFailed,
 )
-from .exactalg import Poly, RationalMatrix, format_poly, transfer_function
+from .exactalg import Poly, RationalMatrix, format_poly, rank, transfer_function
 from .paramalg import instantiate
 from .squaring import (
     SquaringData,
@@ -352,7 +353,6 @@ def _evaluate_config(sys, pencil, qbasis, config, ti, ci, options):
     # mode outside the recorded fixed poles.
     qb_grid, na_grid, dhc_grid = report.rank_grids
     free = qb_grid.elim.free(len(qbasis.params))
-    s_tilde = build_S(qbasis.sigma_tilde)
     family = None
     assignment = None
     qb_num = None
@@ -368,7 +368,8 @@ def _evaluate_config(sys, pencil, qbasis, config, ti, ci, options):
             continue
         if instantiate(dhc_grid, trial).rank() != m:
             continue
-        if any(g.degree > 0 for g in zeros_mod.row_gcds(pencil.C_r * qn * s_tilde)):
+        cqs = times_S(pencil.C_r * qn, qbasis.sigma_tilde)
+        if any(g.degree > 0 for g in zeros_mod.row_gcds(cqs)):
             common_factors += 1
             continue
         try:
@@ -467,6 +468,25 @@ def _check_options(options: SolveOptions, m: int):
             raise MorganError(f"{name} must be a nonzero monic polynomial, got {format_poly(p)}")
 
 
+def _check_right_invertible(sys: StateSpace):
+    """InvalidSystem unless C (sI - A)^-1 B has full row rank m.
+
+    Exactly when the Rosenbrock matrix [sI - A, B; -C, 0] has normal rank
+    n + m.  Its minors have degree at most n, so the largest rank at
+    s = 0, 1, ..., n is its normal rank.
+    """
+    n, m = sys.n, sys.m
+    low = [[-x for x in row] + [0] * sys.l for row in sys.C.entries]
+    for s in range(n + 1):
+        top = [
+            [s - x if i == j else -x for j, x in enumerate(a_row)] + list(b_row)
+            for i, (a_row, b_row) in enumerate(zip(sys.A.entries, sys.B.entries))
+        ]
+        if rank(top + low) == n + m:
+            return
+    raise InvalidSystem("the system is not right-invertible: C (sI - A)^-1 B has normal rank < m")
+
+
 def solve(sys: StateSpace, options: SolveOptions | None = None):
     """Decide and construct a decoupling pair for the system.
 
@@ -475,10 +495,12 @@ def solve(sys: StateSpace, options: SolveOptions | None = None):
     one.  With return_all, the audit covers the full grid and the returned
     solution is still the first feasible one.  MorganError when the options
     ask for a polynomial that is zero or not monic, or for a number of
-    diagonal polynomials other than the number of outputs.
+    diagonal polynomials other than the number of outputs; InvalidSystem
+    when the system is not right-invertible.
     """
     options = options or SolveOptions()
     _check_options(options, sys.m)
+    _check_right_invertible(sys)
     pencil = to_pencil_form(sys)
     configs = enumerate_row_configs(pencil.sigma, sys.m)
     outcomes = []

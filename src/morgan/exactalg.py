@@ -79,14 +79,6 @@ class Poly:
     def one() -> "Poly":
         return Poly((1,))
 
-    @staticmethod
-    def s(power: int = 1) -> "Poly":
-        return Poly([0] * power + [1])
-
-    @staticmethod
-    def constant(c) -> "Poly":
-        return Poly((rat(c),))
-
     @property
     def degree(self):
         """Degree; NEG_INF for the zero polynomial (never a stored index)."""
@@ -553,108 +545,6 @@ def krylov_select(a: RationalMatrix, b: RationalMatrix):
     return lengths, kept
 
 
-# ---------------------------------------------------------------------------
-# polynomial matrices
-
-
-class PolyMatrix:
-    """Immutable dense matrix of Poly entries."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        rows = tuple(
-            tuple(e if isinstance(e, Poly) else Poly.constant(e) for e in row)
-            for row in entries
-        )
-        if rows:
-            w = len(rows[0])
-            if any(len(r) != w for r in rows):
-                raise MorganError("ragged matrix")
-        object.__setattr__(self, "entries", rows)
-
-    def __setattr__(self, *a):
-        raise AttributeError("PolyMatrix is immutable")
-
-    @property
-    def rows(self):
-        return len(self.entries)
-
-    @property
-    def cols(self):
-        return len(self.entries[0]) if self.entries else 0
-
-    @staticmethod
-    def from_rational(m: RationalMatrix) -> "PolyMatrix":
-        return PolyMatrix([[Poly.constant(x) for x in r] for r in m.entries])
-
-    @staticmethod
-    def zeros(r, c) -> "PolyMatrix":
-        return PolyMatrix([[Poly.zero()] * c for _ in range(r)])
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-    def __eq__(self, other):
-        return isinstance(other, PolyMatrix) and self.entries == other.entries
-
-    def __mul__(self, other):
-        if isinstance(other, RationalMatrix):
-            other = PolyMatrix.from_rational(other)
-        elif isinstance(other, (Poly, int, Fraction)):
-            p = other if isinstance(other, Poly) else Poly.constant(other)
-            return PolyMatrix([[e * p for e in r] for r in self.entries])
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        if self.rows == 0:
-            return PolyMatrix([])
-        if self.cols != other.rows:
-            raise MorganError("dimension mismatch in PolyMatrix product")
-        bt = list(zip(*other.entries)) if other.entries else []
-        out = []
-        for row in self.entries:
-            out.append(
-                [
-                    sum((a * b for a, b in zip(row, col)), Poly.zero())
-                    for col in bt
-                ]
-            )
-        return PolyMatrix(out)
-
-    def __rmul__(self, other):
-        if isinstance(other, RationalMatrix):
-            return PolyMatrix.from_rational(other) * self
-        return NotImplemented
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for r in self.entries for e in r)
-
-    def vstack(self, other):
-        return PolyMatrix(list(self.entries) + list(other.entries))
-
-    def permute_rows(self, perm) -> "PolyMatrix":
-        """Row i of the result is row perm[i] of self."""
-        return PolyMatrix([self.entries[p] for p in perm])
-
-    def __repr__(self):
-        return f"PolyMatrix({[[str(e) for e in r] for r in self.entries]})"
-
-
-def s_identity_minus(a: RationalMatrix) -> PolyMatrix:
-    """sI - A as a PolyMatrix."""
-    n = a.rows
-    return PolyMatrix(
-        [
-            [
-                Poly([-a[i, j], 1]) if i == j else Poly.constant(-a[i, j])
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-    )
-
-
 RESOLVENT_SIZE_CAP = 64  # guard against accidental blow-up; the benchmark runs n <= 12
 
 
@@ -741,14 +631,14 @@ def transfer_function(a, b, c, f=None, g=None):
     return out
 
 
-def det(m: PolyMatrix) -> Poly:
-    """Exact determinant of a square PolyMatrix (fraction-free Bareiss)."""
-    n = m.rows
-    if n != m.cols:
+def det(rows) -> Poly:
+    """Exact determinant of a square matrix given as rows of Poly (fraction-free Bareiss)."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
         raise MorganError("determinant of a nonsquare matrix")
     if n == 0:
         return Poly.one()
-    a = [[m[i, j] for j in range(n)] for i in range(n)]
+    a = [list(r) for r in rows]
     sign = 1
     prev = Poly.one()
     for k in range(n - 1):

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .canonical import build_S
+from .canonical import times_S
 from .errors import (
     DegenerateNumerator,
     MorganError,
@@ -141,14 +141,14 @@ def input_decoupling_zeros(square) -> Poly:
     return charpoly(square.A_f.submatrix(range(k), range(k)))
 
 
-def row_gcds(pm) -> list:
-    """Monic gcd of the nonzero entries of each row of a PolyMatrix.
+def row_gcds(rows) -> list:
+    """Monic gcd of the nonzero entries of each row, the rows given as lists of Poly.
 
     DegenerateNumerator for a zero row.
     """
     out = []
-    for i in range(pm.rows):
-        entries = [pm[i, j] for j in range(pm.cols) if not pm[i, j].is_zero()]
+    for i, row in enumerate(rows):
+        entries = [e for e in row if not e.is_zero()]
         if not entries:
             raise DegenerateNumerator(f"row {i + 1} of C_f S_f is zero")
         g = entries[0].monic()
@@ -166,13 +166,8 @@ def fixed_decoupling_poles(square) -> Poly:
     identically (a non-right-invertible configuration, rejected upstream).
     """
     k = square.uncontrollable_dim
-    s_tilde = build_S(square.sigma_tilde)
-    cfs = (
-        square.C_f.submatrix(
-            range(square.C_f.rows), range(k, square.C_f.cols)
-        )
-        * s_tilde
-    )
+    c_f = square.C_f
+    cfs = times_S(c_f.submatrix(range(c_f.rows), range(k, c_f.cols)), square.sigma_tilde)
     d = det(cfs)
     if d.is_zero():
         raise DegenerateNumerator("det(C_f S_f) is identically zero")

@@ -9,6 +9,9 @@ that adjugate with C and BG.  Below them are the constructions that
 selection over Q, the uncontrollable polynomial from the Kalman matrix and a
 completed basis, the unobservable polynomial from the nullspace of the
 observability matrix, and polynomial long division by `Poly` arithmetic.
+Last come the polynomial matrices that `exactalg` and `canonical` kept
+before M S(s) was read off by slicing rows (`canonical.times_S`): the
+`PolyMatrix` type, sI - A, the chain block L(s) and the basis S(s).
 The tests require the current code to return exactly the same values.
 """
 
@@ -17,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from morgan.errors import MorganError, NotControllable
-from morgan.exactalg import RESOLVENT_SIZE_CAP, Poly, PolyMatrix, RationalMatrix, poly_gcd
+from morgan.exactalg import RESOLVENT_SIZE_CAP, Poly, RationalMatrix, poly_gcd
 
 
 def mul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
@@ -250,3 +253,131 @@ def poly_divmod(p: Poly, other: Poly):
         q = q + Poly([0] * k + [c])
         r = r - other * Poly([0] * k + [c])
     return q, r
+
+
+class PolyMatrix:
+    """Immutable dense matrix of Poly entries."""
+
+    __slots__ = ("entries",)
+
+    def __init__(self, entries):
+        rows = tuple(
+            tuple(e if isinstance(e, Poly) else Poly([e]) for e in row)
+            for row in entries
+        )
+        if rows:
+            w = len(rows[0])
+            if any(len(r) != w for r in rows):
+                raise MorganError("ragged matrix")
+        object.__setattr__(self, "entries", rows)
+
+    def __setattr__(self, *a):
+        raise AttributeError("PolyMatrix is immutable")
+
+    @property
+    def rows(self):
+        return len(self.entries)
+
+    @property
+    def cols(self):
+        return len(self.entries[0]) if self.entries else 0
+
+    @staticmethod
+    def from_rational(m: RationalMatrix) -> "PolyMatrix":
+        return PolyMatrix([[Poly([x]) for x in r] for r in m.entries])
+
+    @staticmethod
+    def zeros(r, c) -> "PolyMatrix":
+        return PolyMatrix([[Poly.zero()] * c for _ in range(r)])
+
+    def __getitem__(self, ij):
+        i, j = ij
+        return self.entries[i][j]
+
+    def __eq__(self, other):
+        return isinstance(other, PolyMatrix) and self.entries == other.entries
+
+    def __mul__(self, other):
+        if isinstance(other, RationalMatrix):
+            other = PolyMatrix.from_rational(other)
+        elif isinstance(other, (Poly, int, Fraction)):
+            p = other if isinstance(other, Poly) else Poly([other])
+            return PolyMatrix([[e * p for e in r] for r in self.entries])
+        if not isinstance(other, PolyMatrix):
+            return NotImplemented
+        if self.rows == 0:
+            return PolyMatrix([])
+        if self.cols != other.rows:
+            raise MorganError("dimension mismatch in PolyMatrix product")
+        bt = list(zip(*other.entries)) if other.entries else []
+        out = []
+        for row in self.entries:
+            out.append(
+                [
+                    sum((a * b for a, b in zip(row, col)), Poly.zero())
+                    for col in bt
+                ]
+            )
+        return PolyMatrix(out)
+
+    def __rmul__(self, other):
+        if isinstance(other, RationalMatrix):
+            return PolyMatrix.from_rational(other) * self
+        return NotImplemented
+
+    def is_zero(self) -> bool:
+        return all(e.is_zero() for r in self.entries for e in r)
+
+    def vstack(self, other):
+        return PolyMatrix(list(self.entries) + list(other.entries))
+
+    def permute_rows(self, perm) -> "PolyMatrix":
+        """Row i of the result is row perm[i] of self."""
+        return PolyMatrix([self.entries[p] for p in perm])
+
+    def __repr__(self):
+        return f"PolyMatrix({[[str(e) for e in r] for r in self.entries]})"
+
+
+def s_identity_minus(a: RationalMatrix) -> PolyMatrix:
+    """sI - A as a PolyMatrix."""
+    n = a.rows
+    return PolyMatrix(
+        [
+            [
+                Poly([-a[i, j], 1]) if i == j else Poly([-a[i, j]])
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+    )
+
+
+def build_S(sigma) -> PolyMatrix:
+    """Block-diagonal basis matrix S(s) = diag([1, s, ..., s^(sigma_i - 1)]^T)."""
+    if any(s < 1 for s in sigma):
+        raise MorganError("all indices must be >= 1")
+    n = sum(sigma)
+    l = len(sigma)
+    m = [[Poly.zero() for _ in range(l)] for _ in range(n)]
+    row = 0
+    for j, s in enumerate(sigma):
+        for k in range(s):
+            m[row + k][j] = Poly([0] * k + [1])
+        row += s
+    return PolyMatrix(m)
+
+
+def build_L(sigma) -> PolyMatrix:
+    """diag{L_sigma_i(s)} with L_k(s) = s[I|0] - [0|I] of shape (k-1) x k."""
+    n = sum(sigma)
+    rows = []
+    col_off = 0
+    for s in sigma:
+        for c in range(s - 1):
+            row = [Poly.zero()] * n
+            row[col_off + c] = Poly([0, 1])
+            row[col_off + c + 1] = Poly([-1])
+            rows.append(row)
+        col_off += s
+    return PolyMatrix(rows) if rows else PolyMatrix.zeros(0, n)

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from fraction_reference import PolyMatrix
 from morgan.admissible import RowConfig
 from morgan.canonical import PencilForm, positions_from_sigma
 from morgan.errors import Inconsistent, MorganError
-from morgan.exactalg import Poly, PolyMatrix, RationalMatrix
+from morgan.exactalg import Poly, RationalMatrix
 from morgan.paramalg import SAMPLE_BOUND, ConstraintSet, LinearForm, ParamId, linear_form
 from morgan.squaring import (
     DecouplabilityReport,

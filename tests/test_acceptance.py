@@ -11,9 +11,9 @@ import time
 from fractions import Fraction
 
 import golden_data as pd
-from fraction_reference import kalman_matrix
+from fraction_reference import build_S, kalman_matrix
 from morgan.admissible import enumerate_row_configs, enumerate_tuples
-from morgan.canonical import StateSpace, build_S, to_pencil_form
+from morgan.canonical import StateSpace, to_pencil_form
 from morgan.decouple import (
     DecouplingSolution,
     SolveOptions,

@@ -13,6 +13,7 @@ from morgan.fileio import dump_json, load_solution, matrix_to_json, poly_to_json
 from morgan.exactalg import parse_poly
 
 NOSOL_7_66 = str(Path(__file__).resolve().parent.parent / "perfbench" / "data" / "nosol_7_66.json")
+NOSOL_7_70 = str(Path(__file__).resolve().parent.parent / "perfbench" / "data" / "nosol_7_70.json")
 
 
 @pytest.fixture(scope="module")
@@ -123,21 +124,20 @@ class TestSolve:
         assert d1["ci_tuple"] == d2["ci_tuple"]  # search decisions are stable
         assert d1["seed"] != d2["seed"]
 
-    def test_no_solution_exit_2(self, files, capsys):
-        d, _, _ = files
-        path = d / "norightinv.json"
-        path.write_text(
-            dump_json(
-                {
-                    "A": [[0, 1, 0], [0, 0, 1], [1, 2, 3]],
-                    "B": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
-                    "C": [[1, 0, 0], [0, 0, 0]],
-                }
-            )
-        )
-        rc, out, _ = run(capsys, ["solve", str(path)])
+    def test_no_solution_exit_2(self, capsys):
+        rc, out, _ = run(capsys, ["solve", NOSOL_7_70])
         assert rc == 2
         assert "NO SOLUTION" in out
+
+    @pytest.mark.parametrize("name", sorted(pd.NOT_RIGHT_INVERTIBLE))
+    def test_not_right_invertible_exit_1(self, files, capsys, name):
+        d, _, _ = files
+        path = d / f"{name}.json"
+        path.write_text(dump_json(pd.NOT_RIGHT_INVERTIBLE[name]))
+        rc, out, err = run(capsys, ["solve", str(path)])
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error: ") and "not right-invertible" in err
 
     def test_dz_target(self, files, capsys):
         d, _, ex2 = files

@@ -11,7 +11,6 @@ from morgan.admissible import enumerate_row_configs, enumerate_tuples
 from morgan.canonical import StateSpace
 from morgan.decouple import (
     DecouplingSolution,
-    NoSolution,
     SolveOptions,
     _evaluate_config,
     check_closed_loop,
@@ -20,7 +19,7 @@ from morgan.decouple import (
     solve,
     square_decouple,
 )
-from morgan.errors import MorganError, TargetDegreeMismatch, VerificationFailed
+from morgan.errors import InvalidSystem, MorganError, TargetDegreeMismatch, VerificationFailed
 from morgan.exactalg import Poly, RationalMatrix, parse_poly, transfer_function
 from morgan.fileio import load_system
 from morgan.paramalg import ParamId, instantiate
@@ -35,6 +34,11 @@ from morgan.zeros import charpoly
 from param_oracle import qb_matrix
 
 NOSOL_7_66 = str(Path(__file__).resolve().parent.parent / "perfbench" / "data" / "nosol_7_66.json")
+
+
+def not_right_invertible(name):
+    payload = pd.NOT_RIGHT_INVERTIBLE[name]
+    return StateSpace(*(RationalMatrix(payload[k]) for k in "ABC"))
 
 
 def ex1_reference_squaring(ex1_reference_pencil):
@@ -268,13 +272,16 @@ class TestSolve:
         assert sol.squaring.G0 == RationalMatrix.identity(3)
 
     def test_no_solution_zero_output_row(self):
-        a = RationalMatrix([[0, 1, 0], [0, 0, 1], [1, 2, 3]])
-        c = RationalMatrix([[1, 0, 0], [0, 0, 0]])
-        res = solve(
-            StateSpace(A=a, B=RationalMatrix.identity(3), C=c), SolveOptions(seed=5)
-        )
-        assert isinstance(res, NoSolution)
-        assert res.searched <= len(enumerate_tuples((1, 1, 1), 2)) * 3
+        # a zero output row is not right-invertible: an input error, not a NoSolution
+        sys_ = not_right_invertible("zero_output_row")
+        with pytest.raises(InvalidSystem, match="not right-invertible"):
+            solve(sys_, SolveOptions(seed=5))
+
+    @pytest.mark.parametrize("name", ["dependent_output_rows", "derivative_output"])
+    def test_not_right_invertible_rejected(self, name):
+        sys_ = not_right_invertible(name)
+        with pytest.raises(InvalidSystem, match="not right-invertible"):
+            solve(sys_, SolveOptions(seed=5))
 
     def test_custom_diagonal_polys(self, ex1):
         polys = tuple(parse_poly(t) for t in pd.EX1_DIAG_DENS)

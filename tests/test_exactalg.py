@@ -8,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 import fraction_reference as ref
 import golden_data as pd
+from fraction_reference import PolyMatrix, build_S, s_identity_minus
 from morgan.errors import MorganError
 from morgan.exactalg import (
     NEG_INF,
     Poly,
-    PolyMatrix,
     RationalMatrix,
     det,
     format_poly,
@@ -20,7 +20,6 @@ from morgan.exactalg import (
     poly_gcd,
     rank,
     resolvent,
-    s_identity_minus,
     transfer_function,
 )
 from param_oracle import DegreeExceeded, high_col_coeff, high_row_coeff
@@ -265,7 +264,7 @@ class TestTransferFunction:
             c = RationalMatrix([[rng.randint(-2, 2) for _ in range(n)]])
             h = transfer_function(a, b, c)
             si_a = s_identity_minus(a)
-            chi = det(si_a)
+            chi = det(si_a.entries)
             # adjugate via cofactors
             adj_entries = [[None] * n for _ in range(n)]
             for i in range(n):
@@ -275,7 +274,7 @@ class TestTransferFunction:
                     minor = PolyMatrix(
                         [[si_a[r, cc] for cc in idx_c] for r in idx_r]
                     )
-                    cof = det(minor) if n > 1 else Poly.one()
+                    cof = det(minor.entries) if n > 1 else Poly.one()
                     sign = -1 if (i + j) % 2 else 1
                     adj_entries[i][j] = cof * sign
             adj = PolyMatrix(adj_entries)
@@ -326,8 +325,6 @@ class TestExample1NAlphaDisplay:
         # N_hat(s) = C_hat S~(s) diag(s^3, 1, 1) at the reference Q_B values;
         # the constrained rows drop to degree 0, so the deficit-adjusted row
         # degrees are (0, 3, 0) and the hr matrix is the expected N_alpha
-        from morgan.canonical import build_S
-
         chat = ex1_reference_pencil.C_r * pd.EX1_QB_NUM
         s_tilde = build_S((1, 4, 4))
         nmat = PolyMatrix.from_rational(chat) * s_tilde
@@ -345,15 +342,15 @@ class TestExample1NAlphaDisplay:
 class TestDet:
     def test_simple(self):
         m = PolyMatrix([[P("s"), Poly.one()], [Poly.zero(), P("s")]])
-        assert det(m) == P("s^2")
+        assert det(m.entries) == P("s^2")
 
     def test_singular(self):
         m = PolyMatrix([[P("s"), P("s")], [P("s"), P("s")]])
-        assert det(m).is_zero()
+        assert det(m.entries).is_zero()
 
     def test_matches_charpoly(self):
         rng = random.Random(3)
         for _ in range(5):
             n = rng.randint(1, 4)
             a = RationalMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
-            assert det(s_identity_minus(a)) == resolvent(a)[2]
+            assert det(s_identity_minus(a).entries) == resolvent(a)[2]

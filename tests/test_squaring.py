@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import golden_data as pd
 from morgan.admissible import enumerate_row_configs
-from morgan.canonical import build_L, build_S
-from morgan.exactalg import PolyMatrix, RationalMatrix
+from fraction_reference import PolyMatrix, build_L, build_S
+from morgan.exactalg import RationalMatrix
 from morgan.paramalg import (
     LinearForm,
     ParamId,
