@@ -188,18 +188,13 @@ def to_pencil_form(sys: StateSpace) -> PencilForm:
 
 
 def _verify_pencil_form(sys: StateSpace, pf: PencilForm):
-    """Exact checks of every PencilForm component."""
+    """Exact checks of the controller form: P P^-1 = I, the unit input rows
+    of B_r G_I and the chain rows of A_r.  A_r, B_r G_I and C_r are the
+    products of P, P^-1 and G_I with (A, B, C) by construction."""
     n, l = sys.n, sys.l
     pos = pf.positions
-    ident = RationalMatrix.identity(n)
-    if pf.P * pf.P_inv != ident:
+    if pf.P * pf.P_inv != RationalMatrix.identity(n):
         raise MorganError("P inverse mismatch")
-    if pf.P_inv * sys.A * pf.P != pf.A_r:
-        raise MorganError("A_r mismatch")
-    if pf.P_inv * sys.B * pf.G_I != pf.B_r_GI:
-        raise MorganError("B_r_GI mismatch")
-    if sys.C * pf.P != pf.C_r:
-        raise MorganError("C_r mismatch")
     # unit input rows exactly at the block ends
     for i in range(n):
         expected_row = [0] * l

@@ -9,6 +9,7 @@ a usage error or an invalid polynomial option.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .admissible import enumerate_row_configs, enumerate_tuples
@@ -32,7 +33,7 @@ from .fileio import (
     poly_to_json,
     solution_to_dict,
 )
-from .zeros import check_fixed_poles, routh_hurwitz_stable
+from .zeros import check_fixed_poles, closed_loop, routh_hurwitz_stable
 
 
 def cmd_analyze(args) -> int:
@@ -126,12 +127,10 @@ def _load_feedback(args):
     return sys_, data, matrix_from_json(data["F"], "F"), matrix_from_json(data["G"], "G")
 
 
-def _check_recorded_fixed_poles(sys_, data, f, g):
+def _recorded_fixed_poles(data):
+    """The recorded (input decoupling zeros, fixed decoupling poles)."""
     fp = data["fixed_poles"]
-    return check_fixed_poles(
-        sys_,
-        f,
-        g,
+    return (
         poly_from_json(fp["input_decoupling_zeros"], "input_decoupling_zeros"),
         poly_from_json(fp["wolovich_falb"], "wolovich_falb"),
     )
@@ -145,8 +144,9 @@ def cmd_verify(args) -> int:
              poly_from_json(rec["den"], "diagonal den"))
             for rec in data["diagonal"]
         ]
-        diag, failures = check_closed_loop(sys_, f, g, recorded)
-        dz, unobs, fp_failures = _check_recorded_fixed_poles(sys_, data, f, g)
+        acl, chi = closed_loop(sys_, f, g)
+        diag, failures = check_closed_loop(sys_, f, g, recorded, chi)
+        dz, unobs, fp_failures = check_fixed_poles(sys_, g, acl, chi, *_recorded_fixed_poles(data))
     except VerificationFailed as e:
         print(f"FAIL: {e}")
         return 1
@@ -184,7 +184,8 @@ def cmd_verify(args) -> int:
 def cmd_fixed_poles(args) -> int:
     try:
         sys_, data, f, g = _load_feedback(args)
-        dz, unobs, failures = _check_recorded_fixed_poles(sys_, data, f, g)
+        recorded = _recorded_fixed_poles(data)
+        dz, unobs, failures = check_fixed_poles(sys_, g, *closed_loop(sys_, f, g), *recorded)
     except VerificationFailed as e:
         print(f"FAIL: {e}")
         return 1
@@ -215,7 +216,10 @@ def cmd_fixed_poles(args) -> int:
     return 0 if consistent else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once.  main looks each command function up
+    by name when it runs, so a rebinding of cmd_solve and the like is seen."""
     ap = argparse.ArgumentParser(
         prog="morgan",
         description="Exact solver for Morgan's problem "
@@ -226,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="print sigma, the admissible tuples and row configurations")
     p.add_argument("system", help="system JSON file (A, B, C)")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("solve", help="search for a decoupling pair")
     p.add_argument("system")
@@ -239,19 +242,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="monic polynomial the input decoupling zeros must realize")
     p.add_argument("--out", help="write the solution JSON here")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="recompute the exact closed loop and check a solution file")
     p.add_argument("system")
     p.add_argument("solution")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("fixed-poles", help="report and cross-check the fixed poles of a solution")
     p.add_argument("system")
     p.add_argument("solution")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_fixed_poles)
     return ap
 
 
@@ -264,7 +264,7 @@ def main(argv=None) -> int:
         # read as "no solution"
         return 0 if e.code == 0 else 1
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except MorganError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

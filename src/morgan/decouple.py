@@ -46,6 +46,7 @@ from .squaring import (
     SquaringData,
     assemble_squaring,
     build_QB,
+    complete_basis,
     decouplability_search,
     solve_feedback_rows,
 )
@@ -202,18 +203,24 @@ def compose_final(
     return f, g, diag
 
 
-def check_closed_loop(sys: StateSpace, f, g, expected_diagonal):
+def check_closed_loop(sys: StateSpace, f, g, expected_diagonal, chi=None):
     """Check that (F, G) decouples (A, B, C) into the expected diagonal.
 
-    Computes C (sI - A - BF)^-1 BG exactly, once.  Returns (diagonal
-    (num, den) pairs, failures): a VerificationFailed naming its entry for
-    every nonzero off-diagonal entry, then for each diagonal entry that is
-    zero or differs from expected_diagonal[i].  VerificationFailed is
-    raised when F or G does not fit the system.
+    Computes C (sI - A - BF)^-1 BG exactly, once; chi, when given, is the
+    characteristic polynomial of A + BF.  Returns (diagonal (num, den)
+    pairs, failures): a VerificationFailed naming its entry for every
+    nonzero off-diagonal entry, then for each diagonal entry that is zero
+    or differs from expected_diagonal[i].  VerificationFailed is raised
+    when F or G does not fit the system, or when expected_diagonal does not
+    hold one entry per output.
     """
     sys.check_feedback(f, g)
-    h = transfer_function(sys.A, sys.B, sys.C, f, g)
     m = sys.m
+    if len(expected_diagonal) != m:
+        raise VerificationFailed(
+            f"{len(expected_diagonal)} diagonal entries recorded for {m} outputs"
+        )
+    h = transfer_function(sys.A, sys.B, sys.C, f, g, chi)
     failures = [
         VerificationFailed(
             f"off-diagonal entry ({i + 1},{j + 1}) = "
@@ -276,8 +283,6 @@ class DecouplingSolution:
     config: RowConfig
     diag: tuple  # (num, den) Poly pairs
     p_list: tuple
-    F_f: RationalMatrix
-    G_f: RationalMatrix
     squaring: SquaringData
     square: SquareSystem
     pencil: PencilForm
@@ -391,24 +396,15 @@ def _evaluate_config(sys, pencil, qbasis, config, ti, ci, options):
             report,
         )
 
-    t_assignment = {}
-    if options.dz_target is not None and n - w > 0:
-        squar0 = assemble_squaring(
-            pencil, qbasis, config, qb_num, family, assignment, {}
-        )
-        placed = zeros_mod.assign_zeros(
-            pencil, squar0, family, options.dz_target
-        )
-        if isinstance(placed, zeros_mod.BestEffortReport):
-            return rejected(
-                f"cannot place the requested input decoupling zeros: {placed.reason}",
-                report,
-            )
-        t_assignment = placed
-
-    squaring = assemble_squaring(
-        pencil, qbasis, config, qb_num, family, assignment, t_assignment
-    )
+    q = complete_basis(qb_num)
+    q_inv = q.inverse()
+    t = None
+    if options.dz_target is not None:
+        try:
+            t = zeros_mod.assign_zeros(pencil, config, q, q_inv, family, options.dz_target)
+        except NotSolvable as e:
+            return rejected(f"cannot place the requested input decoupling zeros: {e}", report)
+    squaring = assemble_squaring(pencil, qbasis, config, qb_num, q, q_inv, family, assignment, t)
     try:
         square = make_square_system(pencil, squaring)
         f_f, g_f, p_list = square_decouple(
@@ -420,7 +416,7 @@ def _evaluate_config(sys, pencil, qbasis, config, ti, ci, options):
         return rejected(str(e), report)
     except SingularBstar as e:
         raise  # internal inconsistency: surfaced, never skipped
-    fixed = zeros_mod.fixed_pole_report(square, family, t_assignment)
+    fixed = zeros_mod.fixed_pole_report(square)
 
     outcome = ConfigOutcome(
         tuple_index=ti,
@@ -439,8 +435,6 @@ def _evaluate_config(sys, pencil, qbasis, config, ti, ci, options):
         config=config,
         diag=tuple(diag),
         p_list=tuple(p_list),
-        F_f=f_f,
-        G_f=g_f,
         squaring=squaring,
         square=square,
         pencil=pencil,

@@ -26,7 +26,8 @@ class MissingParameter(MorganError):
 
 
 class NotSolvable(MorganError):
-    """A numeric feedback-row system is inconsistent for the chosen instantiation."""
+    """A numeric system has no solution: an inconsistent feedback-row system,
+    or a free-parameter map that cannot place the requested zeros."""
 
 
 class SingularQ(MorganError):

@@ -548,7 +548,7 @@ def krylov_select(a: RationalMatrix, b: RationalMatrix):
 RESOLVENT_SIZE_CAP = 64  # guard against accidental blow-up; the benchmark runs n <= 12
 
 
-def resolvent(a: RationalMatrix, size_cap: int | None = None):
+def resolvent(a: RationalMatrix):
     """(d, [M_0(dA), ..., M_{n-1}(dA)], chi) via Faddeev-LeVerrier.
 
     d is the lcm of the denominators of A.  The recursion M_k = A M_{k-1}
@@ -556,15 +556,13 @@ def resolvent(a: RationalMatrix, size_cap: int | None = None):
     where every division is exact; the M_k come back as integer rows, and
     M_k(A) = M_k(dA) / d^k gives adj(sI - A) = sum_k M_k(A) s^(n-1-k), so
     that adj(s) * (sI - A) = chi(s) * I identically.  chi is the monic
-    characteristic polynomial of A, chi_A(s) = d^-n chi_dA(d s).  size_cap
-    overrides the default guard of RESOLVENT_SIZE_CAP.
+    characteristic polynomial of A, chi_A(s) = d^-n chi_dA(d s).
     """
     n = a.rows
-    cap = RESOLVENT_SIZE_CAP if size_cap is None else size_cap
     if n != a.cols:
         raise MorganError("resolvent needs a square matrix")
-    if n > cap:
-        raise MorganError(f"resolvent size cap exceeded ({n} > {cap})")
+    if n > RESOLVENT_SIZE_CAP:
+        raise MorganError(f"resolvent size cap exceeded ({n} > {RESOLVENT_SIZE_CAP})")
     d, ah = _scaled_matrix(a.entries)
     cols = list(zip(*ah))  # M_k is a polynomial in A, so M_k dA = dA M_k
     m = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -582,11 +580,12 @@ def resolvent(a: RationalMatrix, size_cap: int | None = None):
     return d, mats, Poly(coeffs[::-1])
 
 
-def transfer_function(a, b, c, f=None, g=None):
+def transfer_function(a, b, c, f=None, g=None, chi=None):
     """Exact closed-loop transfer function C (sI - A - BF)^(-1) B G.
 
     Returns a matrix (list of lists) of (numerator, denominator) Poly pairs in
-    lowest terms with monic denominators.  F defaults to 0, G to the identity.
+    lowest terms with monic denominators.  F defaults to 0, G to the identity;
+    chi, when given, is the characteristic polynomial of A + BF.
     The numerators come from the Markov parameters of the closed loop: with
     chi(s) = sum_j c_j s^(n-j) the characteristic polynomial of A + BF,
     C adj(sI - A - BF) BG = sum_k s^(n-1-k) N_k, N_k = sum_{j<=k} c_j
@@ -599,8 +598,9 @@ def transfer_function(a, b, c, f=None, g=None):
     if g is None:
         g = RationalMatrix.identity(b.cols)
     acl = a + b * f
-    d_a, _, chi = resolvent(acl)
-    ah = _scaled_matrix(acl.entries)[1]
+    if chi is None:
+        chi = resolvent(acl)[2]
+    d_a, ah = _scaled_matrix(acl.entries)
     d_c, x = _scaled_matrix(c.entries)
     d_b, bh = _scaled_matrix((b * g).entries)
     a_cols, b_cols = list(zip(*ah)), list(zip(*bh))

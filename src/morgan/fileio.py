@@ -93,6 +93,9 @@ def _audit(outcomes, searched) -> dict:
 
 def solution_to_dict(sol: DecouplingSolution) -> dict:
     fp = sol.fixed_poles
+    t, fam = sol.squaring.t, sol.mu_family
+    t_names = [[f"t^{{{i}}}_{k}" for k in range(1, len(fam.nullbasis) + 1)]
+               for i in range(1, len(fam.particulars) + 1)]  # the entries of T
     winner = next((o for o in sol.outcomes if o.status == "solved"), None)
     return {
         "format": SOLUTION_FORMAT,
@@ -114,9 +117,9 @@ def solution_to_dict(sol: DecouplingSolution) -> dict:
             "input_decoupling_stable": fp.input_dz_stable,
             "wolovich_falb": poly_to_json(fp.fixed_dec_poly),
             "wolovich_falb_stable": fp.fixed_dec_stable,
-            "free_parameters": [str(p) for p in fp.free_params],
-            "t_assignment": {
-                str(p): str(v) for p, v in sorted(fp.t_assignment.items())
+            "free_parameters": [name for row in t_names for name in row],
+            "t_assignment": {} if t is None else {
+                name: str(v) for names, row in zip(t_names, t) for name, v in zip(names, row)
             },
         },
         "audit": {

@@ -25,8 +25,7 @@ class ParamId:
     """One named parameter.
 
     Namespace 'q' holds the Q_B entries q^{i,j}_k (block row i, block column
-    j, band shift k); namespace 't' holds the free feedback parameters created
-    when the mu-systems are underdetermined.
+    j, band shift k).
     """
 
     ns: str
@@ -35,10 +34,6 @@ class ParamId:
     k: int = 0
 
     def __str__(self):
-        if self.ns == "q":
-            return f"q^{{{self.i},{self.j}}}_{self.k}"
-        if self.ns == "t":
-            return f"t^{{{self.i}}}_{self.j}"
         return f"{self.ns}^{{{self.i},{self.j}}}_{self.k}"
 
 

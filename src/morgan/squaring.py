@@ -368,29 +368,24 @@ def decouplability_search(
 class MuFamily:
     """Affine solution families of the feedback-row systems for one config.
 
-    Row i of M(s) is mu_i = particulars[i] + sum_k t^{i}_{k} * nullbasis[k];
-    the nullspace basis of Q_B^T is shared by all rows.
+    The feedback rows are mu(T) = mu_0 + T N: row i of M(s) is
+    particulars[i] + sum_k T[i][k] * nullbasis[k], where N, the nullspace
+    basis of Q_B^T, is shared by all rows.  T has one row per feedback row
+    and one column per vector of N; its entries are the free parameters.
     """
 
-    config: RowConfig
     particulars: tuple  # one n-vector per config row
     nullbasis: tuple  # basis of ker(Q_B^T)
-    t_params: tuple  # t_params[i][k] = ParamId('t', i+1, k+1)
 
-    def all_t_params(self):
-        return tuple(p for row in self.t_params for p in row)
-
-    def rows_at(self, t_assignment: dict):
-        """Numeric mu rows for a t assignment (missing ids default to 0)."""
-        out = []
-        for i, part in enumerate(self.particulars):
-            row = list(part)
-            for k, basis in enumerate(self.nullbasis):
-                tv = Fraction(t_assignment.get(self.t_params[i][k], 0))
-                if tv:
-                    row = [x + tv * y for x, y in zip(row, basis)]
-            out.append(tuple(row))
-        return out
+    def rows_at(self, t):
+        """Numeric mu rows at T, given as rows of Fraction; None means T = 0."""
+        if t is None:
+            return [tuple(part) for part in self.particulars]
+        return [
+            tuple(x + sum(tv * basis[c] for tv, basis in zip(t_row, self.nullbasis))
+                  for c, x in enumerate(part))
+            for part, t_row in zip(self.particulars, t)
+        ]
 
 
 def solve_feedback_rows(qbasis: QBasis, config: RowConfig, qb_num: RationalMatrix) -> MuFamily:
@@ -415,16 +410,7 @@ def solve_feedback_rows(qbasis: QBasis, config: RowConfig, qb_num: RationalMatri
         if sol is None:
             raise NotSolvable("feedback-row system inconsistent")
         particulars.append(sol)
-    t_params = tuple(
-        tuple(ParamId("t", i + 1, k + 1) for k in range(len(nullbasis)))
-        for i in range(len(particulars))
-    )
-    return MuFamily(
-        config=config,
-        particulars=tuple(particulars),
-        nullbasis=nullbasis,
-        t_params=t_params,
-    )
+    return MuFamily(particulars=tuple(particulars), nullbasis=nullbasis)
 
 
 def complete_basis(qb_num: RationalMatrix) -> RationalMatrix:
@@ -456,9 +442,8 @@ class SquaringData:
     F0: RationalMatrix  # l x n, rows at config blocks
     G0: RationalMatrix  # l x m
     M_rows: tuple  # numeric mu rows
-    qb_num: RationalMatrix
     assignment: dict  # q-parameter values used
-    t_assignment: dict  # t-parameter values used
+    t: tuple | None  # the free-parameter matrix T; None when it was never assigned
 
 
 def assemble_squaring(
@@ -466,21 +451,23 @@ def assemble_squaring(
     qbasis: QBasis,
     config: RowConfig,
     qb_num: RationalMatrix,
+    q: RationalMatrix,
+    q_inv: RationalMatrix,
     mu_family: MuFamily,
     assignment: dict,
-    t_assignment: dict | None = None,
+    t,
 ) -> SquaringData:
-    """Build (F_0, G_0, Q) from a numeric Q_B and solved mu rows.
+    """Build (F_0, G_0) from a numeric Q_B and the mu rows at T.
 
-    F_0 rows at the config positions are (sK^a - Lambda^a) - M(s), whose
-    s-parts cancel; all other rows are zero.  G_0 drops the config columns
-    from the identity.
+    q = complete_basis(qb_num) and q_inv is its inverse; t is None for
+    T = 0.  F_0 rows at the config positions are (sK^a - Lambda^a) - M(s),
+    whose s-parts cancel; all other rows are zero.  G_0 drops the config
+    columns from the identity.
     """
-    t_assignment = dict(t_assignment or {})
     n, l = pencil.n, pencil.l
     st = qbasis.sigma_tilde
     offs = qbasis.col_offsets
-    mu_rows = mu_family.rows_at(t_assignment)
+    mu_rows = mu_family.rows_at(t)
 
     # exact check: M(s) Q_B S~(s) = 0
     for p, mu in zip(config.positions, mu_rows):
@@ -504,16 +491,14 @@ def assemble_squaring(
     keep = [j for j in range(1, l + 1) if j not in config.blocks]
     g0 = RationalMatrix.from_columns([ident.col(j - 1) for j in keep])
 
-    q = complete_basis(qb_num)
     return SquaringData(
         sigma_tilde=st,
         config=config,
         Q=q,
-        Q_inv=q.inverse(),
+        Q_inv=q_inv,
         F0=f0,
         G0=g0,
         M_rows=tuple(mu_rows),
-        qb_num=qb_num,
         assignment=dict(assignment),
-        t_assignment=t_assignment,
+        t=t,
     )

@@ -4,8 +4,10 @@ Two kinds: the input decoupling zeros created by the singular input
 transformation (the uncontrollable modes of the squared-down system, present
 whenever sum(sigma_tilde) < n), and the classical fixed decoupling poles
 det(C_f S_f(s)) / prod(row gcds).  The former can often be placed through the
-free parameters of the feedback-row solution families; this module does that
-exactly when the affine parameter-to-block map is onto.  check_fixed_poles
+free parameters of the feedback-row solution families, the entries of one
+rational matrix T: the zeros are the characteristic polynomial of the
+quotient block X(T) = X0 - U T W, and this module places them exactly when
+the affine map T -> X(T) is onto (NotSolvable otherwise).  check_fixed_poles
 cross-checks a recorded pair of them against the closed loop of the original
 system.
 
@@ -24,6 +26,7 @@ from .canonical import times_S
 from .errors import (
     DegenerateNumerator,
     MorganError,
+    NotSolvable,
     TargetDegreeMismatch,
     VerificationFailed,
 )
@@ -90,22 +93,28 @@ def unobservable_polynomial(a: RationalMatrix, c: RationalMatrix, chi=None) -> P
     return _outside_krylov_span(a.transpose(), c.transpose(), chi)
 
 
-def check_fixed_poles(sys, f, g, dz_recorded: Poly, fixed_recorded: Poly):
-    """Cross-check recorded fixed poles against the closed loop A + BF.
+def closed_loop(sys, f, g):
+    """(A + BF, its characteristic polynomial); VerificationFailed when F or G
+    does not fit the system."""
+    sys.check_feedback(f, g)
+    acl = sys.A + sys.B * f
+    return acl, charpoly(acl)
 
-    Returns (dz, unobservable, failures): the uncontrollable polynomial of
+
+def check_fixed_poles(sys, g, acl, chi, dz_recorded: Poly, fixed_recorded: Poly):
+    """Cross-check recorded fixed poles against the closed loop acl = A + BF.
+
+    chi is the characteristic polynomial of acl (see closed_loop).  Returns
+    (dz, unobservable, failures): the uncontrollable polynomial of
     (A + BF, BG) and the unobservable polynomial of (A + BF, C), recomputed,
     and one VerificationFailed for each broken condition, in this order:
     dz equals dz_recorded, fixed_recorded divides the unobservable
     polynomial, and the unobservable polynomial divides fixed_recorded * dz.
-    VerificationFailed is raised when F or G does not fit the system, or
-    when fixed_recorded is the zero polynomial (a malformed record).
+    VerificationFailed is raised when fixed_recorded is the zero polynomial
+    (a malformed record).
     """
-    sys.check_feedback(f, g)
     if fixed_recorded.is_zero():
         raise VerificationFailed("recorded fixed decoupling poles are the zero polynomial")
-    acl = sys.A + sys.B * f
-    chi = charpoly(acl)
     dz = uncontrollable_polynomial(acl, sys.B * g, chi)
     unobs = unobservable_polynomial(acl, sys.C, chi)
     failures = []
@@ -219,38 +228,19 @@ class FixedPoleReport:
 
     input_dz_poly: Poly
     fixed_dec_poly: Poly
-    free_params: tuple  # ParamIds of the t parameters
-    t_assignment: dict
     input_dz_stable: bool
     fixed_dec_stable: bool
 
 
-def fixed_pole_report(square, mu_family, t_assignment) -> FixedPoleReport:
+def fixed_pole_report(square) -> FixedPoleReport:
     dz = input_decoupling_zeros(square)
     fixed = fixed_decoupling_poles(square)
     return FixedPoleReport(
         input_dz_poly=dz,
         fixed_dec_poly=fixed,
-        free_params=mu_family.all_t_params(),
-        t_assignment=dict(t_assignment),
         input_dz_stable=routh_hurwitz_stable(dz),
         fixed_dec_stable=routh_hurwitz_stable(fixed),
     )
-
-
-@dataclass(frozen=True)
-class BestEffortReport:
-    """Returned when exact zero placement is out of reach.
-
-    Carries the affine data X(t) = X0 - U T W so the caller can still explore
-    the parametric characteristic polynomial numerically.
-    """
-
-    reason: str
-    x0: RationalMatrix
-    u: RationalMatrix
-    w: RationalMatrix
-    t_params: tuple
 
 
 def companion(p: Poly) -> RationalMatrix:
@@ -267,29 +257,35 @@ def companion(p: Poly) -> RationalMatrix:
     return RationalMatrix(m)
 
 
-def _zero_block_data(pencil, squaring, mu_family):
-    """X0, U, W of the affine map t -> quotient block X(t) = X0 - U T W."""
+def _zero_block_data(pencil, config, q, q_inv, mu_family):
+    """X0, U, W of the affine map T -> quotient block X(T) = X0 - U T W.
+
+    At T = 0 the config rows of A_r + B_r G_I F_0 are -mu_0 (see
+    assemble_squaring); the other rows are those of A_r.
+    """
     n = pencil.n
     k = len(mu_family.nullbasis)
-    q, q_inv = squaring.Q, squaring.Q_inv
     ga = q_inv.submatrix(range(k), range(n))
     qa = q.submatrix(range(n), range(k))
-    a_cl0 = pencil.A_r + pencil.B_r_GI * squaring.F0
-    x0 = ga * a_cl0 * qa
-    u_cols = [ga.col(p - 1) for p in squaring.config.positions]
+    a_cl0 = [list(row) for row in pencil.A_r.entries]
+    for p, mu in zip(config.positions, mu_family.particulars):
+        a_cl0[p - 1] = [-x for x in mu]
+    x0 = ga * RationalMatrix(a_cl0) * qa
+    u_cols = [ga.col(p - 1) for p in config.positions]
     u = RationalMatrix.from_columns(u_cols) if u_cols else RationalMatrix.zeros(k, 0)
     w = RationalMatrix(mu_family.nullbasis) * qa
     return x0, u, w
 
 
-def assign_zeros(pencil, squaring_at_zero, mu_family, target: Poly):
-    """Choose the free t parameters so the input decoupling zeros are target.
+def assign_zeros(pencil, config, q, q_inv, mu_family, target: Poly):
+    """The free-parameter matrix T that makes the input decoupling zeros target.
 
-    When the rank-one update map is onto (U has full row rank) the quotient
-    block can be steered to the companion matrix of the target, which always
-    succeeds over Q.  Otherwise a BestEffortReport exposes the parametric
-    polynomial.  TargetDegreeMismatch when deg(target) != n - sum(sigma_tilde).
-    The target is monic: solve checks its options before the search.
+    q = [Q_A | Q_B] is the completed basis and q_inv its inverse.  When the
+    map T -> X(T) is onto (U and W of full rank k = n - sum(sigma_tilde)),
+    X(T) is steered to the companion matrix of the target, which always
+    succeeds over Q; otherwise NotSolvable.  Returns T as rows of Fraction
+    (feedback rows x vectors of N), or None when k = 0.  TargetDegreeMismatch
+    when deg(target) != k; solve has checked that the target is monic.
     """
     k = len(mu_family.nullbasis)
     if target.degree != k:
@@ -297,16 +293,10 @@ def assign_zeros(pencil, squaring_at_zero, mu_family, target: Poly):
             f"target degree {target.degree} != n - sum(sigma_tilde) = {k}"
         )
     if k == 0:
-        return {}
-    x0, u, w = _zero_block_data(pencil, squaring_at_zero, mu_family)
+        return None
+    x0, u, w = _zero_block_data(pencil, config, q, q_inv, mu_family)
     if u.rank() < k or w.rank() < k:
-        return BestEffortReport(
-            reason="free-parameter map does not reach every quotient block",
-            x0=x0,
-            u=u,
-            w=w,
-            t_params=mu_family.t_params,
-        )
+        raise NotSolvable("free-parameter map does not reach every quotient block")
     y = (x0 - companion(target)) * w.inverse()
     t_cols = []
     for c in range(k):
@@ -315,11 +305,6 @@ def assign_zeros(pencil, squaring_at_zero, mu_family, target: Poly):
             raise MorganError("onto map failed to solve (bug)")
         t_cols.append(sol)
     t_mat = RationalMatrix.from_columns(t_cols)
-    x_reached = x0 - u * t_mat * w
-    if charpoly(x_reached) != target.monic():
+    if charpoly(x0 - u * t_mat * w) != target.monic():
         raise MorganError("zero placement verification failed (bug)")
-    assignment = {}
-    for i, row in enumerate(mu_family.t_params):
-        for j, pid in enumerate(row):
-            assignment[pid] = t_mat[i, j]
-    return assignment
+    return t_mat.entries

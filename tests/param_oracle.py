@@ -235,7 +235,7 @@ def mu_row_forms(family: MuFamily):
             f = LinearForm.of_const(part[c])
             for k, basis in enumerate(family.nullbasis):
                 if basis[c]:
-                    f = f + LinearForm(0, {family.t_params[i][k]: basis[c]})
+                    f = f + LinearForm(0, {ParamId("t", i + 1, k + 1): basis[c]})
             row.append(f)
         out.append(tuple(row))
     return out

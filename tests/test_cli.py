@@ -593,6 +593,57 @@ class TestWrongShape:
             assert out == "FAIL: F/G dimensions do not match the system\n"
 
 
+class TestDiagonalCount:
+    """A solution file must record one diagonal entry per output (three here)."""
+
+    @pytest.mark.parametrize("count", [4, 2])
+    def test_wrong_count_fails(self, count, seed_1729_solutions, tmp_path, capsys):
+        system, solved = seed_1729_solutions["ex1"]
+        data = load_solution(solved)
+        data["diagonal"] = (data["diagonal"] + [{"num": ["1"], "den": ["5", "1"]}])[:count]
+        sol = tmp_path / f"ex1_{count}_diagonal_entries.json"
+        sol.write_text(dump_json(data))
+        capsys.readouterr()
+        for extra in ([], ["--json"]):
+            rc, out, _ = run(capsys, ["verify", system, str(sol)] + extra)
+            assert rc == 1
+            assert out == f"FAIL: {count} diagonal entries recorded for 3 outputs\n"
+
+
+class TestVerifySharesClosedLoop:
+    def test_one_resolvent_of_the_full_closed_loop(self, seed_1729_solutions, monkeypatch, capsys):
+        """verify forms the characteristic polynomial of A + BF once and hands it
+        to both the transfer-function check and the fixed-pole check."""
+        from morgan import exactalg, zeros
+
+        system, sol = seed_1729_solutions["ex2"]
+        sizes = []
+        original = exactalg.resolvent
+
+        def counted(a):
+            sizes.append(a.rows)
+            return original(a)
+
+        monkeypatch.setattr(exactalg, "resolvent", counted)
+        monkeypatch.setattr(zeros, "resolvent", counted)
+        capsys.readouterr()
+        rc, _, _ = run(capsys, ["verify", system, sol])
+        assert rc == 0
+        assert sizes.count(9) == 1
+
+
+class TestCommandLookup:
+    def test_rebound_command_is_called(self, files, monkeypatch, capsys):
+        """main looks the command function up when it runs, so rebinding
+        cmd_analyze after an earlier call still takes effect."""
+        import morgan.cli as cli
+
+        _, ex1, _ = files
+        assert run(capsys, ["analyze", ex1])[0] == 0
+        monkeypatch.setattr(cli, "cmd_analyze", lambda args: 7)
+        assert run(capsys, ["analyze", ex1])[0] == 7
+
+
 class TestZeroFixedPoleRecord:
     """A solution file recording the fixed poles as the zero polynomial."""
 

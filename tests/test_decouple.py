@@ -27,6 +27,7 @@ from morgan.squaring import (
     SquaringData,
     assemble_squaring,
     build_QB,
+    complete_basis,
     decouplability_search,
     solve_feedback_rows,
 )
@@ -51,7 +52,10 @@ def ex1_reference_squaring(ex1_reference_pencil):
     assignment = {ParamId(*k): Fraction(v) for k, v in pd.EX1_QB_ASSIGNMENT.items()}
     qb_num = instantiate(rep.constraints.apply(qb_matrix(qb)), assignment)
     fam = solve_feedback_rows(qb, cfg, qb_num)
-    return assemble_squaring(ex1_reference_pencil, qb, cfg, qb_num, fam, assignment, {})
+    q = complete_basis(qb_num)
+    return assemble_squaring(
+        ex1_reference_pencil, qb, cfg, qb_num, q, q.inverse(), fam, assignment, None
+    )
 
 
 def assert_diagonal(h, p_list):
@@ -75,7 +79,6 @@ def assert_decouples(sys_, sol):
 def ex2_reference_squaring(ex2_pencil, ex2_config_15, t=(0, 0, 0, 0)):
     """SquaringData for Example 2 with the reference Q and mu rows."""
     t1, t2, t3, t4 = map(Fraction, t)
-    qb_num = pd.EX2_Q.submatrix(range(9), range(2, 9))
     return SquaringData(
         sigma_tilde=(2, 2, 3),
         config=ex2_config_15,
@@ -84,9 +87,8 @@ def ex2_reference_squaring(ex2_pencil, ex2_config_15, t=(0, 0, 0, 0)):
         F0=pd.ex2_f0(t1, t2, t3, t4),
         G0=pd.EX2_G0,
         M_rows=(pd.ex2_mu1(t1, t2), pd.ex2_mu2(t3, t4)),
-        qb_num=qb_num,
         assignment={},
-        t_assignment={},
+        t=None,
     )
 
 
@@ -183,9 +185,8 @@ class TestComposeFinal:
             F0=RationalMatrix.zeros(1, 1),
             G0=RationalMatrix.identity(1),
             M_rows=(),
-            qb_num=RationalMatrix.identity(1),
             assignment={},
-            t_assignment={},
+            t=None,
         )
         f, g, diag = compose_final(
             sys_, pencil, sq, RationalMatrix.zeros(1, 1), RationalMatrix.identity(1),

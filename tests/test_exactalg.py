@@ -12,6 +12,7 @@ from fraction_reference import PolyMatrix, build_S, s_identity_minus
 from morgan.errors import MorganError
 from morgan.exactalg import (
     NEG_INF,
+    RESOLVENT_SIZE_CAP,
     Poly,
     RationalMatrix,
     det,
@@ -313,11 +314,9 @@ class TestNormalizationInvariant:
             assert v.denominator > 0
             assert math.gcd(abs(v.numerator), v.denominator) == 1
 
-    def test_resolvent_cap_override(self):
-        import pytest as _pytest
-
-        with _pytest.raises(Exception):
-            resolvent(RationalMatrix.identity(3), size_cap=2)
+    def test_resolvent_size_cap(self):
+        with pytest.raises(MorganError, match="size cap"):
+            resolvent(RationalMatrix.identity(RESOLVENT_SIZE_CAP + 1))
 
 
 class TestExample1NAlphaDisplay:

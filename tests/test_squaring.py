@@ -230,7 +230,7 @@ class TestFeedbackRows:
         assert cfg_all.blocks == ()
         qb_num = instantiate(qb_matrix(qb), {p: Fraction(1) for p in qb.params})
         fam = solve_feedback_rows(qb, cfg_all, qb_num)
-        assert fam.particulars == () and fam.t_params == ()
+        assert fam.particulars == () and fam.rows_at(None) == []
 
 
 class TestAssemble:
@@ -241,7 +241,8 @@ class TestAssemble:
         assignment = {ParamId(*k): Fraction(v) for k, v in pd.EX1_QB_ASSIGNMENT.items()}
         qb_num = instantiate(rep.constraints.apply(qb_matrix(qb)), assignment)
         fam = solve_feedback_rows(qb, cfg, qb_num)
-        sq = assemble_squaring(ex1_pencil, qb, cfg, qb_num, fam, assignment, {})
+        q = complete_basis(qb_num)
+        sq = assemble_squaring(ex1_pencil, qb, cfg, qb_num, q, q.inverse(), fam, assignment, None)
         assert sq.F0 == pd.EX1_F0
         assert sq.G0 == pd.EX1_G0
         assert sq.Q == qb_num  # square Q_B needs no completion
@@ -254,13 +255,11 @@ class TestAssemble:
 
     def test_mu_family_rows_at(self):
         fam = MuFamily(
-            config=None,
             particulars=((Fraction(1), Fraction(0)),),
             nullbasis=((Fraction(0), Fraction(1)),),
-            t_params=((ParamId("t", 1, 1),),),
         )
-        assert fam.rows_at({}) == [(Fraction(1), Fraction(0))]
-        assert fam.rows_at({ParamId("t", 1, 1): Fraction(3)}) == [
+        assert fam.rows_at(None) == [(Fraction(1), Fraction(0))]
+        assert fam.rows_at(((Fraction(3),),)) == [
             (Fraction(1), Fraction(3))
         ]
         forms = mu_row_forms(fam)

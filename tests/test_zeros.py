@@ -14,12 +14,11 @@ from morgan.decouple import (
     make_square_system,
     solve,
 )
-from morgan.errors import TargetDegreeMismatch
+from morgan.errors import NotSolvable, TargetDegreeMismatch
 from morgan.exactalg import Poly, RationalMatrix, parse_poly
-from morgan.paramalg import ParamId
-from morgan.squaring import MuFamily
+from morgan.squaring import MuFamily, SquaringData
 from morgan.zeros import (
-    BestEffortReport,
+    _zero_block_data,
     assign_zeros,
     charpoly,
     companion,
@@ -32,40 +31,25 @@ from morgan.zeros import (
 from test_decouple import ex1_reference_squaring, ex2_reference_squaring
 
 
-def char_poly_at(report: BestEffortReport, t_assignment: dict) -> Poly:
-    """charpoly(X0 - U T W) of a BestEffortReport at a t assignment."""
-    t = RationalMatrix(
-        [[Fraction(t_assignment.get(p, 0)) for p in row] for row in report.t_params]
-    )
-    return charpoly(report.x0 - report.u * t * report.w)
-
-
 def ex2_reference_family(ex2_config_15):
     z = Fraction(0)
     return MuFamily(
-        config=ex2_config_15,
         particulars=(pd.ex2_mu1(z, z), pd.ex2_mu2(z, z)),
         nullbasis=(
             tuple(map(Fraction, (-1, 0, 0, 0, 0, 1, 0, 0, 0))),
             tuple(map(Fraction, (0, -1, 0, 0, -1, 0, 0, 1, 0))),
         ),
-        t_params=(
-            (ParamId("t", 1, 1), ParamId("t", 1, 2)),
-            (ParamId("t", 2, 1), ParamId("t", 2, 2)),
-        ),
     )
 
 
-def ex2_squaring_at(ex2_pencil, ex2_config_15, fam, t_assignment):
-    rows = fam.rows_at(t_assignment)
+def ex2_squaring_at(ex2_pencil, ex2_config_15, fam, t):
+    rows = fam.rows_at(t)
     f0 = [[Fraction(0)] * 9 for _ in range(5)]
     for (block, p), mu in zip(
         zip(ex2_config_15.blocks, ex2_config_15.positions), rows
     ):
         lam = ex2_pencil.A_r.row(p - 1)
         f0[block - 1] = [-lv - mv for lv, mv in zip(lam, mu)]
-    from morgan.squaring import SquaringData
-
     return SquaringData(
         sigma_tilde=(2, 2, 3),
         config=ex2_config_15,
@@ -74,9 +58,8 @@ def ex2_squaring_at(ex2_pencil, ex2_config_15, fam, t_assignment):
         F0=RationalMatrix(f0),
         G0=pd.EX2_G0,
         M_rows=tuple(rows),
-        qb_num=pd.EX2_Q.submatrix(range(9), range(2, 9)),
         assignment={},
-        t_assignment=dict(t_assignment),
+        t=t,
     )
 
 
@@ -142,9 +125,9 @@ class TestFixedDecouplingPoles:
 class TestAssignZeros:
     def test_target_with_rational_roots(self, ex2_pencil, ex2_config_15):
         fam = ex2_reference_family(ex2_config_15)
-        sq0 = ex2_squaring_at(ex2_pencil, ex2_config_15, fam, {})
-        t = assign_zeros(ex2_pencil, sq0, fam, parse_poly("s^2+3s+2"))
-        assert not isinstance(t, BestEffortReport)
+        t = assign_zeros(ex2_pencil, ex2_config_15, pd.EX2_Q, pd.EX2_Q.inverse(), fam,
+                         parse_poly("s^2+3s+2"))
+        assert len(t) == 2 and all(len(row) == 2 for row in t)
         square = make_square_system(
             ex2_pencil, ex2_squaring_at(ex2_pencil, ex2_config_15, fam, t)
         )
@@ -152,8 +135,8 @@ class TestAssignZeros:
 
     def test_target_with_irrational_roots(self, ex2_pencil, ex2_config_15):
         fam = ex2_reference_family(ex2_config_15)
-        sq0 = ex2_squaring_at(ex2_pencil, ex2_config_15, fam, {})
-        t = assign_zeros(ex2_pencil, sq0, fam, parse_poly("s^2+s+1"))
+        t = assign_zeros(ex2_pencil, ex2_config_15, pd.EX2_Q, pd.EX2_Q.inverse(), fam,
+                         parse_poly("s^2+s+1"))
         square = make_square_system(
             ex2_pencil, ex2_squaring_at(ex2_pencil, ex2_config_15, fam, t)
         )
@@ -169,16 +152,14 @@ class TestAssignZeros:
 
     def test_degree_zero_target(self, ex1_reference_pencil):
         sq = ex1_reference_squaring(ex1_reference_pencil)
-        fam = MuFamily(
-            config=sq.config, particulars=(pd.EX1_MU,), nullbasis=(), t_params=((),)
-        )
-        assert assign_zeros(ex1_reference_pencil, sq, fam, Poly.one()) == {}
+        fam = MuFamily(particulars=(pd.EX1_MU,), nullbasis=())
+        assert assign_zeros(ex1_reference_pencil, sq.config, sq.Q, sq.Q_inv, fam, Poly.one()) is None
 
     def test_degree_mismatch(self, ex2_pencil, ex2_config_15):
         fam = ex2_reference_family(ex2_config_15)
-        sq0 = ex2_squaring_at(ex2_pencil, ex2_config_15, fam, {})
         with pytest.raises(TargetDegreeMismatch):
-            assign_zeros(ex2_pencil, sq0, fam, parse_poly("s^3+1"))
+            assign_zeros(ex2_pencil, ex2_config_15, pd.EX2_Q, pd.EX2_Q.inverse(), fam,
+                         parse_poly("s^3+1"))
 
     def test_companion(self):
         c = companion(parse_poly("s^2+3s+2"))
@@ -212,19 +193,14 @@ class TestBestEffort:
     def test_report_exposes_parametric_polynomial(self):
         sys_ = self._system()
         sol = solve(sys_, SolveOptions(seed=4))
-        from morgan.canonical import to_pencil_form
-
-        pencil = sol.pencil
-        report = assign_zeros(
-            pencil, sol.squaring, sol.mu_family, parse_poly("s^2+3s+2")
-        )
-        assert isinstance(report, BestEffortReport)
-        # the evaluator reproduces the solution's own zero polynomial at the
-        # solution's t assignment
-        assert (
-            char_poly_at(report, sol.squaring.t_assignment)
-            == sol.fixed_poles.input_dz_poly
-        )
+        sq = sol.squaring
+        assert sq.t is None
+        # the quotient block at T = 0 reproduces the solution's own zero polynomial
+        x0, _, _ = _zero_block_data(sol.pencil, sol.config, sq.Q, sq.Q_inv, sol.mu_family)
+        assert charpoly(x0) == sol.fixed_poles.input_dz_poly
+        with pytest.raises(NotSolvable, match="free-parameter map does not reach every quotient block"):
+            assign_zeros(sol.pencil, sol.config, sq.Q, sq.Q_inv, sol.mu_family,
+                         parse_poly("s^2+3s+2"))
 
 
 class TestRouthHurwitz:
