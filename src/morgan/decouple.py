@@ -195,7 +195,9 @@ def compose_final(
     """
     f = pencil.G_I * (squaring.F0 + squaring.G0 * f_f * squaring.Q_inv) * pencil.P_inv
     g = pencil.G_I * squaring.G0 * g_f
-    diag, failures = check_closed_loop(sys, f, g, [(Poly.one(), p.monic()) for p in p_list])
+    diag, failures = check_closed_loop(
+        sys, g, *zeros_mod.closed_loop(sys, f, g), [(Poly.one(), p.monic()) for p in p_list]
+    )
     if failures:
         raise failures[0]
     if g.rank() != sys.m:
@@ -203,24 +205,23 @@ def compose_final(
     return f, g, diag
 
 
-def check_closed_loop(sys: StateSpace, f, g, expected_diagonal, chi=None):
+def check_closed_loop(sys: StateSpace, g, acl, chi, expected_diagonal):
     """Check that (F, G) decouples (A, B, C) into the expected diagonal.
 
-    Computes C (sI - A - BF)^-1 BG exactly, once; chi, when given, is the
-    characteristic polynomial of A + BF.  Returns (diagonal (num, den)
-    pairs, failures): a VerificationFailed naming its entry for every
-    nonzero off-diagonal entry, then for each diagonal entry that is zero
-    or differs from expected_diagonal[i].  VerificationFailed is raised
-    when F or G does not fit the system, or when expected_diagonal does not
-    hold one entry per output.
+    acl = A + BF and chi, its characteristic polynomial, come from
+    zeros.closed_loop, which also checks that F and G fit the system.
+    Computes C (sI - A - BF)^-1 BG exactly, once.  Returns (diagonal
+    (num, den) pairs, failures): a VerificationFailed naming its entry for
+    every nonzero off-diagonal entry, then for each diagonal entry that is
+    zero or differs from expected_diagonal[i].  VerificationFailed is
+    raised when expected_diagonal does not hold one entry per output.
     """
-    sys.check_feedback(f, g)
     m = sys.m
     if len(expected_diagonal) != m:
         raise VerificationFailed(
             f"{len(expected_diagonal)} diagonal entries recorded for {m} outputs"
         )
-    h = transfer_function(sys.A, sys.B, sys.C, f, g, chi)
+    h = transfer_function(acl, sys.B * g, sys.C, chi)
     failures = [
         VerificationFailed(
             f"off-diagonal entry ({i + 1},{j + 1}) = "
@@ -282,9 +283,7 @@ class DecouplingSolution:
     ci_tuple: tuple
     config: RowConfig
     diag: tuple  # (num, den) Poly pairs
-    p_list: tuple
     squaring: SquaringData
-    square: SquareSystem
     pencil: PencilForm
     fixed_poles: "zeros_mod.FixedPoleReport"
     mu_family: object
@@ -434,9 +433,7 @@ def _evaluate_config(sys, pencil, qbasis, config, ti, ci, options):
         ci_tuple=ci_tuple,
         config=config,
         diag=tuple(diag),
-        p_list=tuple(p_list),
         squaring=squaring,
-        square=square,
         pencil=pencil,
         fixed_poles=fixed,
         mu_family=family,

@@ -580,31 +580,26 @@ def resolvent(a: RationalMatrix):
     return d, mats, Poly(coeffs[::-1])
 
 
-def transfer_function(a, b, c, f=None, g=None, chi=None):
-    """Exact closed-loop transfer function C (sI - A - BF)^(-1) B G.
+def transfer_function(a, b, c, chi=None):
+    """Exact transfer function C (sI - A)^(-1) B.
 
-    Returns a matrix (list of lists) of (numerator, denominator) Poly pairs in
-    lowest terms with monic denominators.  F defaults to 0, G to the identity;
-    chi, when given, is the characteristic polynomial of A + BF.
-    The numerators come from the Markov parameters of the closed loop: with
-    chi(s) = sum_j c_j s^(n-j) the characteristic polynomial of A + BF,
-    C adj(sI - A - BF) BG = sum_k s^(n-1-k) N_k, N_k = sum_{j<=k} c_j
-    C (A + BF)^(k-j) BG.  With d (A + BF), d_C C and d_B BG integer,
-    N_k = sum_j (d^j c_j) (d_C C)(d (A + BF))^(k-j)(d_B BG) / (d^k d_C d_B).
+    For a closed loop pass A + BF and BG (see zeros.closed_loop).  Returns
+    a matrix (list of lists) of (numerator, denominator) Poly pairs in
+    lowest terms with monic denominators; chi, when given, is the
+    characteristic polynomial of A.  The numerators come from the Markov
+    parameters: with chi(s) = sum_j c_j s^(n-j), C adj(sI - A) B =
+    sum_k s^(n-1-k) N_k, N_k = sum_{j<=k} c_j C A^(k-j) B.  With d A, d_C C
+    and d_B B integer, N_k = sum_j (d^j c_j) (d_C C)(d A)^(k-j)(d_B B) /
+    (d^k d_C d_B).
     """
     n = a.rows
-    if f is None:
-        f = RationalMatrix.zeros(b.cols, n)
-    if g is None:
-        g = RationalMatrix.identity(b.cols)
-    acl = a + b * f
     if chi is None:
-        chi = resolvent(acl)[2]
-    d_a, ah = _scaled_matrix(acl.entries)
+        chi = resolvent(a)[2]
+    d_a, ah = _scaled_matrix(a.entries)
     d_c, x = _scaled_matrix(c.entries)
-    d_b, bh = _scaled_matrix((b * g).entries)
+    d_b, bh = _scaled_matrix(b.entries)
     a_cols, b_cols = list(zip(*ah)), list(zip(*bh))
-    markov = []  # (d_C C)(dA)^i (d_B BG), i = 0..n-1
+    markov = []  # (d_C C)(dA)^i (d_B B), i = 0..n-1
     for i in range(n):
         if i:
             x = _int_product(x, a_cols)

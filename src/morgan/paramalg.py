@@ -4,17 +4,22 @@ The entries of the parametric basis matrix Q_B are single parameters or zero,
 so every expression that shows up downstream (output matrices, coefficient
 matrices, right-hand sides) is affine in the parameters.  The search runs on
 plain linear algebra over a fixed parameter index: dense forms, an
-incremental Gauss-Jordan Elimination, and matrices (FormGrid, ParamGrid)
-that are evaluated at points of the constraint set instead of being
-substituted symbolically.  LinearForm and ConstraintSet are the named view:
-a triangular substitution system produced by equating forms to zero, which
-renders the constraint text of the audit.
+incremental Gauss-Jordan Elimination on primitive integer rows, and matrices
+(FormGrid, ParamGrid) that are evaluated at points of the constraint set
+instead of being substituted symbolically.  generic_rank evaluates them at
+random points and stops evaluating at the structural rank of their nonzero
+pattern: a rank that reaches that bound is exact, a lower one stays a
+Monte-Carlo verdict, and the search's rejection reasons do not tell the two
+apart.  LinearForm and ConstraintSet are the named view: a triangular
+substitution system produced by equating forms to zero, which renders the
+constraint text of the audit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import Inconsistent, MissingParameter
 from .exactalg import RationalMatrix, rank, rat
@@ -241,62 +246,97 @@ def dense_form(f: LinearForm, index: dict, size: int) -> list:
     return row
 
 
-def linear_form(row, params) -> LinearForm:
-    """The LinearForm of a dense form over params."""
-    return LinearForm(row[0], [(params[k - 1], c) for k, c in enumerate(row) if k and c])
+def _quotient(x, d):
+    """x / d exactly, as an int when it is integral."""
+    if type(x) is int and not x % d:
+        return x // d
+    return _exact(Fraction(x) / d)
 
 
-def _reduce(rows, form):
-    out = form
+def _reduce(rows, scale, form):
+    """(out, d): out / d is form minus the rows that clear its pivot columns.
+
+    d is 1 when no row applies, else scale, the lcm of the pivot entries,
+    so out is scale * form - sum_c form[c] * (scale / pivot entry) * row c.
+    """
+    out = None
     for c, row in rows.items():
-        a = out[c]
+        a = form[c]
         if a:
-            out = [x - a * y if y else x for x, y in zip(out, row)]
-    return out
+            if out is None:
+                out = list(form) if scale == 1 else [scale * x for x in form]
+            a *= scale // row[c]
+            for k, y in row.items():
+                out[k] -= a * y
+    return (form, 1) if out is None else (out, scale)
+
+
+def _primitive(entries, pivot):
+    """The sparse primitive integer row of (column, value) entries, positive at pivot."""
+    dens = [x.denominator for _, x in entries if type(x) is not int]
+    if dens:
+        den = lcm(*dens)
+        entries = [(k, int(x * den)) for k, x in entries]
+    g = gcd(*[x for _, x in entries])
+    row = {k: x // g for k, x in entries}
+    return row if row[pivot] > 0 else {k: -x for k, x in row.items()}
 
 
 class Elimination:
     """Incremental Gauss-Jordan elimination of dense forms equated to zero.
 
-    rows maps each pivot column to its row, scaled to 1 at the pivot and 0 at
-    every other pivot column; order lists the pivots as they were added.
-    Each added form is reduced by the rows and pivots on its lowest nonzero
-    parameter column.  Given the row space and the pivots, the reduced rows
-    are unique, so a state reached by extending a shared prefix equals the
-    one built from scratch.  States are never changed in place: `extended`
-    returns a new state that shares the rows it did not touch.
+    rows maps each pivot column to its row: the reduced row echelon row
+    scaled to a primitive integer vector, positive at its pivot and 0 at
+    every other pivot column, kept as a dict of its nonzero entries by
+    column (0 for the constant).  order lists the pivots as they were
+    added, and scale is the lcm of the rows' pivot entries, so a reduction
+    runs in integers and divides once.  Each added form is reduced by the
+    rows and pivots on its lowest nonzero parameter column.  Given the row
+    space and the pivots, the reduced row echelon form is unique and so
+    are its primitive multiples: a state reached by extending a shared
+    prefix equals the one built from scratch.  States are never changed in
+    place: `extended` returns a new state that shares the rows it did not
+    touch.
     """
 
-    __slots__ = ("rows", "order")
+    __slots__ = ("rows", "order", "scale")
 
-    def __init__(self, rows=None, order=()):
+    def __init__(self, rows=None, order=(), scale=1):
         self.rows = {} if rows is None else rows
         self.order = order
+        self.scale = scale
 
-    def reduce(self, form):
-        """form minus the combination of rows that clears every pivot column."""
-        return _reduce(self.rows, form)
+    def reduce(self, form, den=1):
+        """form / den minus the combination of rows that clears every pivot column."""
+        out, d = _reduce(self.rows, self.scale, form)
+        d *= den
+        return out if d == 1 else [_quotient(x, d) if x else 0 for x in out]
 
     def extended(self, forms) -> "Elimination":
-        rows, order = self.rows, self.order
+        rows, order, scale = self.rows, self.order, self.scale
         for form in forms:
-            g = _reduce(rows, form)
-            pivot = next((k for k in range(1, len(g)) if g[k]), 0)
+            g, d = _reduce(rows, scale, form)
+            entries = [(k, x) for k, x in enumerate(g) if x]
+            pivot = next((k for k, _ in entries if k), 0)
             if not pivot:
-                if g[0]:
-                    raise Inconsistent(f"reduces to {g[0]} = 0")
+                if entries:
+                    raise Inconsistent(f"reduces to {_quotient(g[0], d)} = 0")
                 continue
             if rows is self.rows:
                 rows = dict(rows)
-            inv = 1 / Fraction(g[pivot])
-            g = [_exact(x * inv) if x else 0 for x in g]
+            g = _primitive(entries, pivot)
+            p = g[pivot]
             for c, row in rows.items():
-                a = row[pivot]
+                a = row.get(pivot)
                 if a:
-                    rows[c] = [_exact(x - a * y) if y else x for x, y in zip(row, g)]
+                    new = {k: p * x for k, x in row.items()} if p != 1 else dict(row)
+                    for k, y in g.items():
+                        new[k] = new.get(k, 0) - a * y
+                    rows[c] = _primitive([(k, x) for k, x in new.items() if x], c)
             rows[pivot] = g
             order += (pivot,)
-        return self if rows is self.rows else Elimination(rows, order)
+            scale = lcm(*[row[c] for c, row in rows.items()])
+        return self if rows is self.rows else Elimination(rows, order, scale)
 
     def free(self, size):
         """Parameter columns that are not pivots, ascending."""
@@ -307,20 +347,24 @@ class Elimination:
         row = self.rows.get(col)
         if row is None:
             return point[col]
-        acc = row[0]
-        for k in range(1, len(row)):
-            x = row[k]
-            if x and k != col:
+        acc = 0
+        for k, x in row.items():
+            if not k:
+                acc += x
+            elif k != col:
                 acc += x * point[k]
-        return -acc
+        p = row[col]
+        return -acc if p == 1 else _quotient(-acc, p)
 
     def constraint_set(self, params) -> ConstraintSet:
-        """The substitutions pivot = -(rest of its row), as LinearForms."""
+        """The substitutions pivot = -(rest of its row) / pivot entry, as LinearForms."""
         subs = {}
         for c in self.order:
             row = self.rows[c]
-            subs[params[c - 1]] = linear_form(
-                [-x if k != c else 0 for k, x in enumerate(row)], params
+            p = row[c]
+            subs[params[c - 1]] = LinearForm(
+                Fraction(-row.get(0, 0), p),
+                [(params[k - 1], Fraction(-x, p)) for k, x in row.items() if k and k != c],
             )
         return ConstraintSet(subs, [params[c - 1] for c in self.order])
 
@@ -343,6 +387,10 @@ class FormGrid:
                 if f is not None:
                     used.update(k for k in range(1, len(f)) if f[k])
         return sorted(used)
+
+    def pattern(self):
+        """Columns of the entries that are not identically zero, per row."""
+        return [[j for j, f in enumerate(row) if f is not None] for row in self.entries]
 
     def values(self, point) -> list:
         """Entry values at a point keyed by dense column, as rows."""
@@ -388,8 +436,19 @@ class ParamGrid:
             if row is None:
                 out.add(c)
             else:
-                out.update(k for k in range(1, len(row)) if row[k] and k != c)
+                out.update(k for k in row if k and k != c)
         return sorted(out)
+
+    def pattern(self):
+        """Columns of the entries that are not identically zero, per row.
+
+        An entry is identically zero when its parameter is a pivot whose row
+        has no other nonzero entry, constant included.
+        """
+        rows = self.elim.rows
+        zero = {c for c in self.used if len(rows.get(c, ())) == 1}
+        zero.add(0)
+        return [[j for j, c in enumerate(r) if c not in zero] for r in self.cells]
 
     def values(self, point) -> list:
         """Entry values at a point of the free columns, as rows."""
@@ -402,25 +461,64 @@ class ParamGrid:
 SAMPLE_BOUND = 10**6  # random evaluations drawn from [-SAMPLE_BOUND, SAMPLE_BOUND]
 
 
+def _augment(pattern, match, i, seen):
+    """Whether an augmenting path from row i extends match (column -> row)."""
+    for j in pattern[i]:
+        if j not in seen:
+            seen.add(j)
+            if j not in match or _augment(pattern, match, match[j], seen):
+                match[j] = i
+                return True
+    return False
+
+
+def structural_rank(pattern) -> int:
+    """Largest number of nonzero entries with no two in one row or column.
+
+    pattern lists, per row, the columns of the entries that are not
+    identically zero.  A maximum bipartite matching of rows to columns
+    (Kuhn's augmenting paths); every minor of a larger size contains a zero
+    term in each product of its expansion, so the rank at any point is at
+    most this.
+    """
+    match = {}
+    return sum(_augment(pattern, match, i, set()) for i in range(len(pattern)))
+
+
 def generic_rank(m, rng, repetitions: int = 3) -> int:
     """Rank of m for generic parameter values (randomized, Schwartz-Zippel).
 
-    m is a FormGrid, a ParamGrid or any matrix with rows, cols, params()
-    and values(point).  Evaluates the parameters it depends on (m.params(),
-    in ParamId order) at independent random integers and takes the maximum
-    exact rank over the repetitions.  Minors are polynomials of degree
-    <= min(rows, cols) in the parameters, so the per-trial failure
+    m is a FormGrid, a ParamGrid or any matrix with rows, cols, params(),
+    values(point) and pattern().  Evaluates the parameters it depends on
+    (m.params(), in ParamId order) at independent random integers and takes
+    the maximum exact rank over the repetitions.  Minors are polynomials of
+    degree <= min(rows, cols) in the parameters, so the per-trial failure
     probability is at most min(rows, cols) / (2 * SAMPLE_BOUND + 1).
+
+    When the first evaluation falls short of full rank, the structural rank
+    of m.pattern() bounds every evaluation from above; once the maximum
+    reaches it, the later trials still draw their points, so the random
+    stream is the same, but are not evaluated.  A result equal to the
+    structural bound is exact; a result below it is still a Monte-Carlo
+    verdict, and neither is told apart from the other in the rejection.
     """
     if m.rows == 0 or m.cols == 0:
         return 0
     params = m.params()
+    full = min(m.rows, m.cols)
+    bound = None
     best = 0
     for _ in range(repetitions):
+        if best == bound:
+            for _ in params:
+                rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND)
+            continue
         point = {p: rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND) for p in params}
         best = max(best, rank(m.values(point)))
-        if best == min(m.rows, m.cols):
+        if best == full:
             break
+        if bound is None:
+            bound = structural_rank(m.pattern())
     return best
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, product
+from math import lcm
 
 from .admissible import RowConfig
 from .canonical import PencilForm, positions_from_sigma
@@ -141,11 +142,13 @@ def _leading_entries(qbasis: QBasis, config: RowConfig):
 def _nhat_forms(c_r: RationalMatrix, qbasis: QBasis):
     """Dense coefficient forms of N_hat(s) = C_r Q_B S~(s) diag(s^{st_max - st_j}).
 
-    Returns (coeffs, units): coeffs[r][d][j] is (key, form) for the s^d
-    coefficient of entry (r, j), or None where it is identically zero;
-    units[c] is (key, form) for the single parameter of column c.  Equal
-    forms share one key, so a set of keys is the set of distinct forms.
-    Built once per (Q_B, C_r) and kept in qbasis.memo.
+    Returns (coeffs, dens, units): coeffs[r][d][j] is (key, form) for the
+    s^d coefficient of entry (r, j), or None where it is identically zero,
+    with form the integer form dens[r] times that coefficient (dens[r] is
+    the lcm of the denominators of row r of C_r); units[c] is (key, form)
+    for the single parameter of column c.  Equal coefficients share one
+    key, so a set of keys is the set of distinct forms.  Built once per
+    (Q_B, C_r) and kept in qbasis.memo.
     """
     cached = qbasis.memo.get(c_r)
     if cached is not None:
@@ -153,8 +156,9 @@ def _nhat_forms(c_r: RationalMatrix, qbasis: QBasis):
     size = len(qbasis.params)
     keys = {}
 
-    def keyed(form):
-        return keys.setdefault(tuple(form), len(keys)), form
+    def keyed(form, den=1):
+        value = tuple(form) if den == 1 else tuple(Fraction(x, den) for x in form)
+        return keys.setdefault(value, len(keys)), form
 
     units = [None]
     for c in range(1, size + 1):
@@ -162,8 +166,10 @@ def _nhat_forms(c_r: RationalMatrix, qbasis: QBasis):
         form[c] = 1
         units.append(keyed(form))
     chat = []
+    dens = []
     for r in range(c_r.rows):
-        coeff_row = [x.numerator if x.denominator == 1 else x for x in c_r.row(r)]
+        den = lcm(*[x.denominator for x in c_r.row(r)])
+        coeff_row = [x.numerator * (den // x.denominator) for x in c_r.row(r)]
         entries = []
         for col in range(qbasis.width):
             form = [0] * (size + 1)
@@ -171,8 +177,9 @@ def _nhat_forms(c_r: RationalMatrix, qbasis: QBasis):
                 c = qbasis.cells[k][col]
                 if x and c:
                     form[c] += x
-            entries.append(keyed(form) if any(form) else None)
+            entries.append(keyed(form, den) if any(form) else None)
         chat.append(entries)
+        dens.append(den)
     st = qbasis.sigma_tilde
     st_max = max(st)
     offs = qbasis.col_offsets
@@ -186,8 +193,8 @@ def _nhat_forms(c_r: RationalMatrix, qbasis: QBasis):
         ]
         for r in range(c_r.rows)
     ]
-    qbasis.memo[c_r] = coeffs, units
-    return coeffs, units
+    qbasis.memo[c_r] = coeffs, dens, units
+    return coeffs, dens, units
 
 
 def dtilde_hc(pencil: PencilForm, qbasis: QBasis, config: RowConfig) -> tuple:
@@ -215,16 +222,17 @@ def _ascending_deficits(bounds):
     return sorted(product(*(range(b + 1) for b in bounds)), key=lambda d: (sum(d), d))
 
 
-def _row_degree(coeffs_r, elim: Elimination, top: int):
+def _row_degree(coeffs_r, den, elim: Elimination, top: int):
     """Highest degree <= top of N_hat row r on the constraint set, with its forms.
 
-    Returns (degree, reduced coefficient forms, None where zero) or (-1, None)
-    when the row vanishes identically.
+    coeffs_r holds the row's forms scaled by den (see _nhat_forms).  Returns
+    (degree, reduced coefficient forms, None where zero) or (-1, None) when
+    the row vanishes identically.
     """
     for deg in range(top, -1, -1):
         row = []
         for e in coeffs_r[deg]:
-            f = None if e is None else elim.reduce(e[1])
+            f = None if e is None else elim.reduce(e[1], den)
             row.append(f if f is not None and any(f) else None)
         if any(f is not None for f in row):
             return deg, row
@@ -277,7 +285,7 @@ def decouplability_search(
     m = c_r.rows
     w = qbasis.width
     top = max(qbasis.sigma_tilde) - 1
-    coeffs, units = _nhat_forms(c_r, qbasis)
+    coeffs, dens, units = _nhat_forms(c_r, qbasis)
     seeds = [units[c] for c in _leading_entries(qbasis, config)]
     dhc = dtilde_hc(pencil, qbasis, config)
 
@@ -295,7 +303,7 @@ def decouplability_search(
     start = Elimination().extended(f for _, f in seeds)
     bounds = []
     for r in range(m):
-        d, _ = _row_degree(coeffs[r], start, top)
+        d, _ = _row_degree(coeffs[r], dens[r], start, top)
         if d < 0:
             return fail(
                 "output row %d of N_hat is identically zero under the "
@@ -326,7 +334,7 @@ def decouplability_search(
         elim = _eliminate(states, coeffs, bounds, deficits, top)
         rows = []
         for r in range(m):
-            d, row = _row_degree(coeffs[r], elim, bounds[r] - deficits[r])
+            d, row = _row_degree(coeffs[r], dens[r], elim, bounds[r] - deficits[r])
             if d < 0:
                 break
             rows.append(row)

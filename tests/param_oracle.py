@@ -6,7 +6,10 @@ polynomials and matrices (ParamMatrix), Q_B and [D~]_hc built as LinearForm
 matrices, the full D~(s) and a structural dependency test.  The tests
 compare the dense code against them.  The highest-coefficient matrices, the
 leading Q_B forms of a row configuration and the mu rows as LinearForms are
-here too, since only the tests use them.
+here too, since only the tests use them.  Last come the Fraction
+Gauss-Jordan elimination that the dense search ran before its rows became
+primitive integer vectors, and the generic rank without the structural
+bound.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from fraction_reference import PolyMatrix
 from morgan.admissible import RowConfig
 from morgan.canonical import PencilForm, positions_from_sigma
 from morgan.errors import Inconsistent, MorganError
-from morgan.exactalg import Poly, RationalMatrix
-from morgan.paramalg import SAMPLE_BOUND, ConstraintSet, LinearForm, ParamId, linear_form
+from morgan.exactalg import Poly, RationalMatrix, rank
+from morgan.paramalg import SAMPLE_BOUND, ConstraintSet, LinearForm, ParamId, _exact
 from morgan.squaring import (
     DecouplabilityReport,
     MuFamily,
@@ -78,12 +81,21 @@ class ParamMatrix:
     def subs(self, mapping) -> "ParamMatrix":
         return ParamMatrix([[e.subs(mapping) for e in r] for r in self.entries])
 
+    def pattern(self):
+        """Columns of the nonzero forms, per row."""
+        return [[j for j, e in enumerate(r) if not e.is_zero()] for r in self.entries]
+
     def values(self, assignment) -> list:
         """Entry values at a ParamId-keyed assignment, as rows."""
         return [[e.eval(assignment) for e in r] for r in self.entries]
 
     def __repr__(self):
         return f"ParamMatrix({[[str(e) for e in r] for r in self.entries]})"
+
+
+def linear_form(row, params) -> LinearForm:
+    """The LinearForm of a dense form over params."""
+    return LinearForm(row[0], [(params[k - 1], c) for k, c in enumerate(row) if k and c])
 
 
 def param_matrix(cells, params) -> ParamMatrix:
@@ -642,3 +654,82 @@ def high_col_coeff(m: PolyMatrix, col_degrees) -> RationalMatrix:
             for i in range(m.rows)
         ]
     )
+
+
+class FractionElimination:
+    """The dense Elimination with Fraction rows scaled to 1 at the pivot.
+
+    rows maps each pivot column to its dense row, 1 at the pivot and 0 at
+    every other pivot column; order lists the pivots as they were added.
+    """
+
+    __slots__ = ("rows", "order")
+
+    def __init__(self, rows=None, order=()):
+        self.rows = {} if rows is None else rows
+        self.order = order
+
+    def reduce(self, form):
+        out = form
+        for c, row in self.rows.items():
+            a = out[c]
+            if a:
+                out = [x - a * y if y else x for x, y in zip(out, row)]
+        return out
+
+    def extended(self, forms) -> "FractionElimination":
+        state = self
+        for form in forms:
+            g = state.reduce(form)
+            pivot = next((k for k in range(1, len(g)) if g[k]), 0)
+            if not pivot:
+                if g[0]:
+                    raise Inconsistent(f"reduces to {g[0]} = 0")
+                continue
+            rows = dict(state.rows)
+            inv = 1 / Fraction(g[pivot])
+            g = [_exact(x * inv) if x else 0 for x in g]
+            for c, row in rows.items():
+                a = row[pivot]
+                if a:
+                    rows[c] = [_exact(x - a * y) if y else x for x, y in zip(row, g)]
+            rows[pivot] = g
+            state = FractionElimination(rows, state.order + (pivot,))
+        return state
+
+    def free(self, size):
+        return [k for k in range(1, size + 1) if k not in self.rows]
+
+    def value(self, col, point):
+        row = self.rows.get(col)
+        if row is None:
+            return point[col]
+        acc = row[0]
+        for k in range(1, len(row)):
+            x = row[k]
+            if x and k != col:
+                acc += x * point[k]
+        return -acc
+
+    def constraint_set(self, params) -> ConstraintSet:
+        subs = {}
+        for c in self.order:
+            row = self.rows[c]
+            subs[params[c - 1]] = linear_form(
+                [-x if k != c else 0 for k, x in enumerate(row)], params
+            )
+        return ConstraintSet(subs, [params[c - 1] for c in self.order])
+
+
+def reference_generic_rank(m, rng, repetitions: int = 3) -> int:
+    """generic_rank evaluating every trial, with no structural bound."""
+    if m.rows == 0 or m.cols == 0:
+        return 0
+    params = m.params()
+    best = 0
+    for _ in range(repetitions):
+        point = {p: rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND) for p in params}
+        best = max(best, rank(m.values(point)))
+        if best == min(m.rows, m.cols):
+            break
+    return best

@@ -17,6 +17,7 @@ from morgan.canonical import StateSpace, to_pencil_form
 from morgan.decouple import (
     DecouplingSolution,
     SolveOptions,
+    make_square_system,
     relative_degrees,
     solve,
 )
@@ -73,7 +74,7 @@ def test_criterion_1_example1_structure(ex1):
 
 def test_criterion_2_example1_golden_verify(ex1):
     t0 = time.perf_counter()
-    h = transfer_function(ex1.A, ex1.B, ex1.C, pd.EX1_F_FINAL, pd.EX1_G_FINAL)
+    h = transfer_function(ex1.A + ex1.B * pd.EX1_F_FINAL, ex1.B * pd.EX1_G_FINAL, ex1.C)
     elapsed = time.perf_counter() - t0
     dens = [parse_poly(t) for t in pd.EX1_DIAG_DENS]
     for i in range(3):
@@ -101,12 +102,12 @@ def test_criterion_3_example1_synthesis(ex1):
     assert set(rejected) == set(pd.EX1_I_LIST) - {(1, 4, 4)}
     assert len(rejected) == 8
     # returned pair passes exact verification with the default 1/(s+1)^(d_i+1)
-    h = transfer_function(ex1.A, ex1.B, ex1.C, sol.F, sol.G)
+    h = transfer_function(ex1.A + ex1.B * sol.F, ex1.B * sol.G, ex1.C)
     for i in range(3):
         for j in range(3):
             num, den = h[i][j]
             if i == j:
-                assert num == Poly.one() and den == sol.p_list[i]
+                assert num == Poly.one() and den == sol.diag[i][1]
             else:
                 assert num.is_zero()
     assert elapsed < 30.0
@@ -120,7 +121,9 @@ def test_criterion_4_example2_structure_and_golden_verify(ex2):
     configs = enumerate_row_configs(pencil.sigma, ex2.m)
     assert tuples == pd.EX2_I_LIST and len(tuples) == 16
     assert [c.positions for c in configs] == pd.EX2_M_POSITIONS and len(configs) == 10
-    h = transfer_function(ex2.A, ex2.B, ex2.C, pd.ex2_f_final(0, 0, 0, 0), pd.EX2_G_FINAL)
+    h = transfer_function(
+        ex2.A + ex2.B * pd.ex2_f_final(0, 0, 0, 0), ex2.B * pd.EX2_G_FINAL, ex2.C
+    )
     dens = [parse_poly(t) for t in pd.EX2_DIAG_DENS]
     for i in range(3):
         for j in range(3):
@@ -216,12 +219,12 @@ def test_criterion_8_closed_loop_factorization(ex1, ex1_solution, ex2, ex2_solut
         acl = sys_.A + sys_.B * sol.F
         chi = charpoly(acl)
         prod = Poly.one()
-        for p in sol.p_list:
+        for _, p in sol.diag:
             prod = prod * p
         dz = sol.fixed_poles.input_dz_poly
         cofactor, rem = chi.divmod(prod * dz)
         assert rem.is_zero()
-        assert cofactor == fixed_decoupling_poles(sol.square)
+        assert cofactor == fixed_decoupling_poles(make_square_system(sol.pencil, sol.squaring))
         assert cofactor == sol.fixed_poles.fixed_dec_poly
     report(8, "charpoly(A+BF) = (prod p_i) * dz * unobservable factor; factor equals the Wolovich-Falb polynomial on Examples 1-2")
 

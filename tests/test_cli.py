@@ -394,6 +394,37 @@ class TestPinnedBytes:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+class TestPinnedFullGrid:
+    """Searches that decide every configuration, pinned at the default seed.
+
+    Example 2 --all and the three no-solution inputs of the benchmark's
+    full-grid workload: exit code, configurations searched and the sha256
+    of the solution file, as in perfbench/pins.json.
+    """
+
+    PINS = [
+        ("example2", ["--all"], 0, 160,
+         "4dc7f65a71830d676e5d1ea5cf6977ed0695e82b60962611583b247907707b32"),
+        ("nosol_7_112", [], 2, 24,
+         "458cc115cbc5f8a5f92c7498b3e9f2d7b70b0628b19d290f7b4551fe0e98bb60"),
+        ("nosol_7_66", [], 2, 72,
+         "3572d84824f4cb670b3938cc3cc06a500f0dae4e0c723d775dfb79259880b065"),
+        ("nosol_7_70", [], 2, 28,
+         "d30a2ad04da63ce63fa370bdf7cbce2b6e5d621c5ebb3d7dd62d88bdb9f39890"),
+    ]
+
+    @pytest.mark.parametrize("name, extra, code, searched, digest", PINS)
+    def test_solution_file(self, name, extra, code, searched, digest, tmp_path, capsys):
+        import hashlib
+
+        system = str(Path(__file__).resolve().parent.parent / "perfbench" / "data" / f"{name}.json")
+        out = tmp_path / "sol.json"
+        rc, _, _ = run(capsys, ["solve", system, "--out", str(out), "--seed", "1729"] + extra)
+        raw = out.read_bytes()
+        assert (rc, json.loads(raw)["audit"]["searched"]) == (code, searched)
+        assert hashlib.sha256(raw).hexdigest() == digest
+
+
 class TestDzTargetVerifies:
     """At these seeds the first numeric Q_B left a common factor in a row of
     C_r Q_B S~(s); that factor became an unobservable closed-loop mode the

@@ -31,7 +31,7 @@ from morgan.squaring import (
     decouplability_search,
     solve_feedback_rows,
 )
-from morgan.zeros import charpoly
+from morgan.zeros import charpoly, closed_loop
 from param_oracle import qb_matrix
 
 NOSOL_7_66 = str(Path(__file__).resolve().parent.parent / "perfbench" / "data" / "nosol_7_66.json")
@@ -70,8 +70,8 @@ def assert_diagonal(h, p_list):
 
 def assert_decouples(sys_, sol):
     """The solution's (F, G) decouples the original system into diag(1/p_i)."""
-    expected = [(Poly.one(), p.monic()) for p in sol.p_list]
-    diag, failures = check_closed_loop(sys_, sol.F, sol.G, expected)
+    expected = [(Poly.one(), den) for _, den in sol.diag]
+    diag, failures = check_closed_loop(sys_, sol.G, *closed_loop(sys_, sol.F, sol.G), expected)
     assert failures == []
     assert diag == expected
 
@@ -121,7 +121,7 @@ class TestSquareDecouple:
         f_f, g_f, p_list = square_decouple(square, targets)
         # matrix-level equality with the reference F_f is not required;
         # the closed loop must be exactly diag(1/p_i)
-        h = transfer_function(square.A_f, square.B_f, square.C_f, f_f, g_f)
+        h = transfer_function(square.A_f + square.B_f * f_f, square.B_f * g_f, square.C_f)
         assert_diagonal(h, p_list)
 
     def test_example2_reference_targets(self, ex2_pencil, ex2_config_15):
@@ -129,7 +129,7 @@ class TestSquareDecouple:
         square = make_square_system(ex2_pencil, sq)
         targets = [parse_poly(t) for t in pd.EX2_DIAG_DENS]
         f_f, g_f, p_list = square_decouple(square, targets)
-        h = transfer_function(square.A_f, square.B_f, square.C_f, f_f, g_f)
+        h = transfer_function(square.A_f + square.B_f * f_f, square.B_f * g_f, square.C_f)
         assert_diagonal(h, p_list)
 
     def test_single_chain(self):
@@ -203,9 +203,8 @@ class TestComposeFinal:
             C=RationalMatrix([[1, 1], [0, 1]]),
         )
         expected = [(Poly.one(), parse_poly("s+1")), (Poly.one(), parse_poly("s+2"))]
-        diag, failures = check_closed_loop(
-            sys_, RationalMatrix.zeros(2, 2), RationalMatrix.identity(2), expected
-        )
+        f, g = RationalMatrix.zeros(2, 2), RationalMatrix.identity(2)
+        diag, failures = check_closed_loop(sys_, g, *closed_loop(sys_, f, g), expected)
         assert diag == expected
         assert len(failures) == 1
         err = failures[0]
@@ -328,7 +327,7 @@ class TestClosedLoopFactorization:
             acl = sys_.A + sys_.B * sol.F
             chi = charpoly(acl)
             prod = Poly.one()
-            for p in sol.p_list:
+            for _, p in sol.diag:
                 prod = prod * p
             assert (
                 chi

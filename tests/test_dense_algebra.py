@@ -17,7 +17,6 @@ from morgan.paramalg import (
     dense_form,
     generic_rank,
     instantiate,
-    linear_form,
     solve_zero_constraints,
 )
 from morgan.squaring import build_QB, decouplability_search, dtilde_hc
@@ -27,6 +26,7 @@ from param_oracle import (
     dict_generic_rank,
     dict_solve_zero_constraints,
     dtilde_hc_formpoly,
+    linear_form,
     n_alpha_matrix,
     param_matrix,
 )

@@ -1,0 +1,313 @@
+"""Integer Elimination and the structural bound of generic_rank against their
+Fraction references in param_oracle: the same reductions, values, constraint
+text and Inconsistent messages, the same ranks and the same random stream."""
+
+import random
+from fractions import Fraction
+from itertools import combinations, permutations
+from math import gcd, lcm
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from morgan.errors import Inconsistent
+from morgan.exactalg import rank
+from morgan.paramalg import (
+    SAMPLE_BOUND,
+    Elimination,
+    FormGrid,
+    LinearForm,
+    ParamGrid,
+    ParamId,
+    dense_form,
+    generic_rank,
+    structural_rank,
+)
+from param_oracle import (
+    FractionElimination,
+    dict_solve_zero_constraints,
+    param_matrix,
+    reference_generic_rank,
+)
+
+PARAMS = tuple(ParamId("q", 1, 1, k) for k in range(1, 7))
+INDEX = {p: k + 1 for k, p in enumerate(PARAMS)}
+SIZE = len(PARAMS)
+
+coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+forms_st = st.one_of(
+    st.builds(
+        LinearForm,
+        st.one_of(st.just(Fraction(0)), coeffs),
+        st.dictionaries(st.sampled_from(PARAMS), coeffs, max_size=4),
+    ),
+    # a single parameter: equated to zero, it forces that parameter to 0
+    st.builds(LinearForm.of_param, st.sampled_from(PARAMS)),
+)
+form_lists = st.lists(forms_st, max_size=7)
+points = st.fixed_dictionaries(
+    {k: st.one_of(st.integers(-9, 9), coeffs) for k in range(1, SIZE + 1)}
+)
+cell_grids = st.lists(
+    st.lists(st.one_of(st.just(0), st.integers(1, SIZE)), min_size=4, max_size=4),
+    min_size=1,
+    max_size=4,
+)
+
+
+def dense(f):
+    return dense_form(f, INDEX, SIZE)
+
+
+def both(forms):
+    """(integer state, Fraction state), each built one form at a time, or the
+    Inconsistent message each raised."""
+    out = []
+    for cls in (Elimination, FractionElimination):
+        state = cls()
+        try:
+            for f in forms:
+                state = state.extended([dense(f)])
+        except Inconsistent as e:
+            state = str(e)
+        out.append(state)
+    return out
+
+
+def dense_row(row):
+    """A sparse integer row as a dense list over the parameters."""
+    out = [0] * (SIZE + 1)
+    for k, x in row.items():
+        out[k] = x
+    return out
+
+
+class CountingRandom(random.Random):
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.draws = 0
+
+    def randint(self, a, b):
+        self.draws += 1
+        return super().randint(a, b)
+
+
+def same_rank_and_stream(new_grid, ref_grid, seed):
+    a, b = CountingRandom(seed), CountingRandom(seed)
+    assert generic_rank(new_grid, a) == reference_generic_rank(ref_grid, b)
+    assert a.draws == b.draws and a.getstate() == b.getstate()
+
+
+class TestIntegerElimination:
+    @given(form_lists, forms_st, points)
+    @settings(max_examples=300, deadline=None)
+    def test_same_as_fraction_reference(self, forms, probe, point):
+        new, old = both(forms)
+        if isinstance(old, str):
+            assert new == old
+            return
+        assert new.order == old.order
+        assert new.free(SIZE) == old.free(SIZE)
+        assert new.constraint_set(PARAMS).describe() == old.constraint_set(PARAMS).describe()
+        assert new.reduce(dense(probe)) == old.reduce(dense(probe))
+        for col in range(1, SIZE + 1):
+            assert new.value(col, point) == old.value(col, point)
+
+    @given(form_lists)
+    @settings(max_examples=200, deadline=None)
+    def test_rows_are_primitive_multiples_of_the_reference(self, forms):
+        new, old = both(forms)
+        if isinstance(old, str):
+            return
+        assert new.rows.keys() == old.rows.keys()
+        for c, row in new.rows.items():
+            p = row[c]
+            assert p > 0 and all(type(x) is int and x for x in row.values())
+            assert gcd(*row.values()) == 1
+            assert [Fraction(x, p) for x in dense_row(row)] == old.rows[c]
+        assert new.scale == lcm(1, *(row[c] for c, row in new.rows.items()))
+
+    @given(form_lists, st.integers(0, 7))
+    @settings(max_examples=100, deadline=None)
+    def test_prefix_state_equals_state_from_scratch(self, forms, cut):
+        whole = Elimination()
+        try:
+            whole = whole.extended(dense(f) for f in forms)
+        except Inconsistent:
+            return
+        head = Elimination().extended(dense(f) for f in forms[:cut])
+        tail = head.extended(dense(f) for f in forms[cut:])
+        assert (tail.rows, tail.order, tail.scale) == (whole.rows, whole.order, whole.scale)
+
+    def test_inconsistent_message_keeps_the_exact_constant(self):
+        x, y = PARAMS[0], PARAMS[1]
+        forms = [LinearForm(0, {x: 3, y: 1}), LinearForm(Fraction(1, 2), {x: 6, y: 2})]
+        new, old = both(forms)
+        assert new == old == "reduces to 1/2 = 0"
+
+    def test_matches_the_substitution_solver(self):
+        x, y, z = PARAMS[:3]
+        forms = [LinearForm(0, {x: 2, y: 3}), LinearForm(1, {y: 4, z: Fraction(1, 3)})]
+        new, _ = both(forms)
+        assert new.constraint_set(PARAMS) == dict_solve_zero_constraints(forms)
+
+
+def brute_structural_rank(pattern, cols):
+    rows = len(pattern)
+    for k in range(min(rows, cols), 0, -1):
+        for rs in combinations(range(rows), k):
+            for cs in permutations(range(cols), k):
+                if all(c in pattern[r] for r, c in zip(rs, cs)):
+                    return k
+    return 0
+
+
+patterns = st.integers(1, 5).flatmap(
+    lambda cols: st.tuples(
+        st.just(cols),
+        st.lists(st.sets(st.integers(0, cols - 1)).map(sorted), min_size=1, max_size=5),
+    )
+)
+
+
+class TestStructuralRank:
+    @given(patterns)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_brute_force_matching(self, case):
+        cols, pattern = case
+        assert structural_rank(pattern) == brute_structural_rank(pattern, cols)
+
+    @given(patterns, st.integers(0, 10**6))
+    @settings(max_examples=200, deadline=None)
+    def test_bounds_the_rank_at_any_point(self, case, seed):
+        cols, pattern = case
+        rng = random.Random(seed)
+        for _ in range(3):
+            m = [[rng.randint(-2, 2) if j in row else 0 for j in range(cols)] for row in pattern]
+            assert rank(m) <= structural_rank(pattern)
+
+
+class TestGenericRankWithBound:
+    @given(
+        st.lists(st.lists(forms_st, min_size=3, max_size=3), min_size=1, max_size=4),
+        form_lists,
+        st.integers(0, 10**6),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_form_grid(self, entries, constraints, seed):
+        new, old = both(constraints)
+        if isinstance(old, str):
+            return
+        grids = [
+            FormGrid([[f if any(f) else None for f in (elim.reduce(dense(e)) for e in row)]
+                      for row in entries])
+            for elim in (new, old)
+        ]
+        assert [[f and list(map(Fraction, f)) for f in row] for row in grids[0].entries] == [
+            [f and list(map(Fraction, f)) for f in row] for row in grids[1].entries]
+        same_rank_and_stream(*grids, seed)
+
+    @given(cell_grids, form_lists, st.integers(0, 10**6), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_param_grid(self, cells, constraints, seed, zero_row):
+        new, old = both(constraints)
+        if isinstance(old, str):
+            return
+        if zero_row:
+            cells = cells + [[0] * 4]
+        substituted = old.constraint_set(PARAMS).apply(param_matrix(cells, PARAMS))
+        same_rank_and_stream(ParamGrid(cells, new), substituted, seed)
+
+    @given(
+        st.lists(st.lists(st.one_of(st.none(), st.sampled_from(PARAMS).map(
+            lambda p: dense(LinearForm.of_param(p)))), min_size=3, max_size=3),
+            min_size=1, max_size=4),
+        st.integers(0, 10**6),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_evaluates_until_the_brute_force_bound(self, entries, seed):
+        """Trial t > 0 is evaluated exactly when the best rank so far is below
+        the structural rank found by brute force."""
+        evaluated = []
+
+        class Counting(FormGrid):
+            def values(self, point):
+                evaluated.append(point)
+                return super().values(point)
+
+        grid = Counting(entries)
+        bound = brute_structural_rank(
+            [[j for j, f in enumerate(row) if f is not None] for row in entries], grid.cols)
+        rng, expected, best = random.Random(seed), 0, 0
+        for trial in range(3):
+            point = {p: rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND) for p in grid.params()}
+            if trial and best == bound:
+                continue
+            expected += 1
+            best = max(best, rank(FormGrid.values(grid, point)))
+            if best == min(grid.rows, grid.cols):
+                break
+        assert generic_rank(grid, random.Random(seed)) == best
+        assert len(evaluated) == expected
+
+    @given(cell_grids, form_lists, st.integers(0, 10**6))
+    @settings(max_examples=150, deadline=None)
+    def test_param_matrix(self, cells, constraints, seed):
+        try:
+            cs = dict_solve_zero_constraints(constraints)
+        except Inconsistent:
+            return
+        m = cs.apply(param_matrix(cells, PARAMS))
+        same_rank_and_stream(m, m, seed)
+
+    @given(cell_grids, form_lists, points)
+    @settings(max_examples=150, deadline=None)
+    def test_param_grid_pattern_is_the_support(self, cells, constraints, point):
+        new, old = both(constraints)
+        if isinstance(old, str):
+            return
+        grid = ParamGrid(cells, new)
+        pattern = grid.pattern()
+        for r, row in enumerate(grid.values(point)):
+            assert all(j in pattern[r] for j, x in enumerate(row) if x)
+        # an entry in the pattern depends on a free column or is a nonzero constant
+        for r, row in enumerate(cells):
+            for j in pattern[r]:
+                c = row[j]
+                assert c not in new.rows or len(new.rows[c]) > 1
+
+    def test_forced_zero_pivot_is_skipped_and_draws_stay(self):
+        x, y = PARAMS[0], PARAMS[1]
+        new, old = both([LinearForm.of_param(x)])  # x = 0 on the constraint set
+        cells = [[1, 2], [1, 0]]  # second row is x alone: zero
+        grid = ParamGrid(cells, new)
+        assert grid.pattern() == [[1], []]
+        substituted = old.constraint_set(PARAMS).apply(param_matrix(cells, PARAMS))
+        a, b = CountingRandom(5), CountingRandom(5)
+        assert generic_rank(grid, a) == reference_generic_rank(substituted, b) == 1
+        assert a.draws == b.draws == 3 and a.getstate() == b.getstate()
+
+
+def test_full_rank_matrices_never_read_the_pattern():
+    class NoPattern(FormGrid):
+        def pattern(self):
+            raise AssertionError("pattern read for a full-rank matrix")
+
+    grid = NoPattern([[[0, 1, 0], [0, 0, 1]], [[0, 0, 1], None]])
+    assert generic_rank(grid, random.Random(1)) == 2
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_short_rank_stops_evaluating_at_the_bound(seed):
+    calls = []
+
+    class Counting(FormGrid):
+        def values(self, point):
+            calls.append(point)
+            return super().values(point)
+
+    # rank 1 with structural rank 1: one evaluation, three draws
+    grid = Counting([[[0, 1, 0], [0, 0, 1]], [None, None]])
+    rng = CountingRandom(seed)
+    assert generic_rank(grid, rng) == 1
+    assert len(calls) == 1 and rng.draws == 3 * 2

@@ -249,7 +249,7 @@ class TestRandomSolvedSystems:
             assert dz.degree + sum(res.ci_tuple) == n
             assert uncontrollable_polynomial(acl, sys_.B * res.G) == dz
             prod = Poly.one()
-            for p in res.p_list:
+            for _, p in res.diag:
                 prod = prod * p
             # (prod * dz) divides charpoly exactly; the cofactor collects the
             # controllable-but-unobservable modes (the structural fixed poles
@@ -257,7 +257,7 @@ class TestRandomSolvedSystems:
             cofactor, rem = charpoly(acl).divmod(prod * dz)
             assert rem.is_zero()
             assert cofactor.degree == sum(res.ci_tuple) - sum(
-                d + 1 for d in res.square.rel_degrees
+                d + 1 for d in make_square_system(res.pencil, res.squaring).rel_degrees
             )
             unobs = unobservable_polynomial(acl, sys_.C)
             assert unobs.divmod(cofactor)[1].is_zero()
