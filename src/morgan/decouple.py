@@ -270,8 +270,6 @@ class ConfigOutcome:
     config: RowConfig
     status: str  # 'solved' or 'rejected'
     reason: str
-    constraints: tuple = ()
-    degree_deficits: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -288,6 +286,8 @@ class DecouplingSolution:
     fixed_poles: "zeros_mod.FixedPoleReport"
     mu_family: object
     seed: int
+    constraints: tuple  # the audit lines of the search's constraint set
+    degree_deficits: tuple
     outcomes: tuple = ()
 
     @property
@@ -321,7 +321,7 @@ def _evaluate_config(sys, pencil, qbasis, config, ti, ci, options):
     ci_tuple = qbasis.sigma_tilde
     rng = random.Random(_sub_seed(options.seed, ti, ci))
 
-    def rejected(reason, report=None):
+    def rejected(reason):
         return (
             ConfigOutcome(
                 tuple_index=ti,
@@ -330,8 +330,6 @@ def _evaluate_config(sys, pencil, qbasis, config, ti, ci, options):
                 config=config,
                 status="rejected",
                 reason=reason,
-                constraints=tuple(report.constraints.describe()) if report else (),
-                degree_deficits=report.degree_deficits if report else (),
             ),
             None,
         )
@@ -356,7 +354,7 @@ def _evaluate_config(sys, pencil, qbasis, config, ti, ci, options):
     # decoupling law would leave that gcd as an unobservable closed-loop
     # mode outside the recorded fixed poles.
     qb_grid, na_grid, dhc_grid = report.rank_grids
-    free = qb_grid.elim.free(len(qbasis.params))
+    free = report.constraints.free(len(qbasis.params))
     family = None
     assignment = None
     qb_num = None
@@ -392,7 +390,6 @@ def _evaluate_config(sys, pencil, qbasis, config, ti, ci, options):
                 if common_factors
                 else ""
             ),
-            report,
         )
 
     q = complete_basis(qb_num)
@@ -402,7 +399,7 @@ def _evaluate_config(sys, pencil, qbasis, config, ti, ci, options):
         try:
             t = zeros_mod.assign_zeros(pencil, config, q, q_inv, family, options.dz_target)
         except NotSolvable as e:
-            return rejected(f"cannot place the requested input decoupling zeros: {e}", report)
+            return rejected(f"cannot place the requested input decoupling zeros: {e}")
     squaring = assemble_squaring(pencil, qbasis, config, qb_num, q, q_inv, family, assignment, t)
     try:
         square = make_square_system(pencil, squaring)
@@ -412,7 +409,7 @@ def _evaluate_config(sys, pencil, qbasis, config, ti, ci, options):
         )
         f, g, diag = compose_final(sys, pencil, squaring, f_f, g_f, p_list)
     except TargetDegreeMismatch as e:
-        return rejected(str(e), report)
+        return rejected(str(e))
     except SingularBstar as e:
         raise  # internal inconsistency: surfaced, never skipped
     fixed = zeros_mod.fixed_pole_report(square)
@@ -424,8 +421,6 @@ def _evaluate_config(sys, pencil, qbasis, config, ti, ci, options):
         config=config,
         status="solved",
         reason="",
-        constraints=tuple(report.constraints.describe()),
-        degree_deficits=report.degree_deficits,
     )
     solution = DecouplingSolution(
         F=f,
@@ -438,6 +433,8 @@ def _evaluate_config(sys, pencil, qbasis, config, ti, ci, options):
         fixed_poles=fixed,
         mu_family=family,
         seed=options.seed,
+        constraints=tuple(report.constraints.describe(qbasis.params)),
+        degree_deficits=report.degree_deficits,
     )
     return outcome, solution
 

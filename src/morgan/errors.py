@@ -17,14 +17,6 @@ class Inconsistent(MorganError):
     """A linear constraint system over the free parameters has no solution."""
 
 
-class MissingParameter(MorganError):
-    """An instantiation assignment does not cover every free parameter."""
-
-    def __init__(self, param):
-        super().__init__(f"no value assigned for parameter {param}")
-        self.param = param
-
-
 class NotSolvable(MorganError):
     """A numeric system has no solution: an inconsistent feedback-row system,
     or a free-parameter map that cannot place the requested zeros."""

@@ -133,12 +133,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def shift(self, k: int) -> "Poly":
-        """Multiply by s^k."""
-        if self.is_zero() or k == 0:
-            return self
-        return Poly([Fraction(0)] * k + list(self.coeffs))
-
     def divmod(self, other: "Poly"):
         """(q, r) with self = q * other + r and deg r < deg other.
 
@@ -166,13 +160,6 @@ class Poly:
         if self.is_zero():
             return self
         return self * (1 / self.leading())
-
-    def eval(self, x) -> Fraction:
-        x = rat(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def eval_matrix(self, a: "RationalMatrix") -> "RationalMatrix":
         """p(A) for a square matrix A.

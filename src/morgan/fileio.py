@@ -96,7 +96,6 @@ def solution_to_dict(sol: DecouplingSolution) -> dict:
     t, fam = sol.squaring.t, sol.mu_family
     t_names = [[f"t^{{{i}}}_{k}" for k in range(1, len(fam.nullbasis) + 1)]
                for i in range(1, len(fam.particulars) + 1)]  # the entries of T
-    winner = next((o for o in sol.outcomes if o.status == "solved"), None)
     return {
         "format": SOLUTION_FORMAT,
         "seed": sol.seed,
@@ -123,8 +122,8 @@ def solution_to_dict(sol: DecouplingSolution) -> dict:
             },
         },
         "audit": {
-            "constraints": list(winner.constraints) if winner else [],
-            "degree_deficits": list(winner.degree_deficits) if winner else [],
+            "constraints": list(sol.constraints),
+            "degree_deficits": list(sol.degree_deficits),
             "q_assignment": {
                 str(p): str(v) for p, v in sorted(sol.squaring.assignment.items())
             },

@@ -1,18 +1,17 @@
-"""Affine expressions in named free parameters and exact operations on them.
+"""Affine expressions in the free parameters of Q_B and exact operations on them.
 
 The entries of the parametric basis matrix Q_B are single parameters or zero,
 so every expression that shows up downstream (output matrices, coefficient
 matrices, right-hand sides) is affine in the parameters.  The search runs on
-plain linear algebra over a fixed parameter index: dense forms, an
-incremental Gauss-Jordan Elimination on primitive integer rows, and matrices
-(FormGrid, ParamGrid) that are evaluated at points of the constraint set
-instead of being substituted symbolically.  generic_rank evaluates them at
-random points and stops evaluating at the structural rank of their nonzero
-pattern: a rank that reaches that bound is exact, a lower one stays a
-Monte-Carlo verdict, and the search's rejection reasons do not tell the two
-apart.  LinearForm and ConstraintSet are the named view: a triangular
-substitution system produced by equating forms to zero, which renders the
-constraint text of the audit.
+plain linear algebra over a fixed parameter index: dense forms, a
+ConstraintSet built by incremental Gauss-Jordan elimination on primitive
+integer rows, and matrices (FormGrid, ParamGrid) that are evaluated at
+points of the constraint set instead of being substituted symbolically.
+generic_rank evaluates them at random points and stops evaluating at the
+structural rank of their nonzero pattern: a rank that reaches that bound is
+exact, a lower one stays a Monte-Carlo verdict, and the search's rejection
+reasons do not tell the two apart.  ConstraintSet.describe renders the
+constraint text of the audit from the same rows.
 """
 
 from __future__ import annotations
@@ -21,205 +20,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import Inconsistent, MissingParameter
-from .exactalg import RationalMatrix, rank, rat
+from .errors import Inconsistent
+from .exactalg import RationalMatrix, rank
 
 
 @dataclass(frozen=True, order=True)
 class ParamId:
-    """One named parameter.
+    """The Q_B entry q^{i,j}_k: block row i, block column j, band shift k."""
 
-    Namespace 'q' holds the Q_B entries q^{i,j}_k (block row i, block column
-    j, band shift k).
-    """
-
-    ns: str
     i: int
     j: int
-    k: int = 0
+    k: int
 
     def __str__(self):
-        return f"{self.ns}^{{{self.i},{self.j}}}_{self.k}"
-
-
-class LinearForm:
-    """constant + sum(coeff * param); immutable, hashable."""
-
-    __slots__ = ("const", "terms")
-
-    def __init__(self, const=0, terms=()):
-        object.__setattr__(self, "const", rat(const))
-        if isinstance(terms, dict):
-            items = terms.items()
-        else:
-            items = terms
-        clean = {p: rat(c) for p, c in items if c != 0}
-        object.__setattr__(
-            self, "terms", tuple(sorted(clean.items(), key=lambda t: t[0]))
-        )
-
-    def __setattr__(self, *a):
-        raise AttributeError("LinearForm is immutable")
-
-    @staticmethod
-    def zero() -> "LinearForm":
-        return LinearForm(0)
-
-    @staticmethod
-    def of_param(p: ParamId) -> "LinearForm":
-        return LinearForm(0, {p: Fraction(1)})
-
-    @staticmethod
-    def of_const(c) -> "LinearForm":
-        return LinearForm(c)
-
-    def term_map(self) -> dict:
-        return dict(self.terms)
-
-    def params(self):
-        return tuple(p for p, _ in self.terms)
-
-    def is_zero(self) -> bool:
-        return self.const == 0 and not self.terms
-
-    def is_constant(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LinearForm)
-            and self.const == other.const
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.const, self.terms))
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return LinearForm(self.const + other, self.terms)
-        t = self.term_map()
-        for p, c in other.terms:
-            t[p] = t.get(p, Fraction(0)) + c
-        return LinearForm(self.const + other.const, t)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LinearForm(-self.const, [(p, -c) for p, c in self.terms])
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return LinearForm(self.const - other, self.terms)
-        return self + (-other)
-
-    def __mul__(self, scalar):
-        scalar = rat(scalar)
-        return LinearForm(self.const * scalar, [(p, c * scalar) for p, c in self.terms])
-
-    __rmul__ = __mul__
-
-    def subs(self, mapping: dict) -> "LinearForm":
-        """Substitute parameters by LinearForms (absent ones unchanged)."""
-        out_const = self.const
-        out_terms: dict[ParamId, Fraction] = {}
-        for p, c in self.terms:
-            rep = mapping.get(p)
-            if rep is None:
-                out_terms[p] = out_terms.get(p, Fraction(0)) + c
-            else:
-                out_const += c * rep.const
-                for p2, c2 in rep.terms:
-                    out_terms[p2] = out_terms.get(p2, Fraction(0)) + c * c2
-        return LinearForm(out_const, out_terms)
-
-    def eval(self, assignment: dict) -> Fraction:
-        acc = self.const
-        for p, c in self.terms:
-            if p not in assignment:
-                raise MissingParameter(p)
-            acc += c * rat(assignment[p])
-        return acc
-
-    def __str__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        if self.const != 0:
-            parts.append(str(self.const))
-        for p, c in self.terms:
-            if c == 1:
-                parts.append(f"+{p}" if parts else str(p))
-            elif c == -1:
-                parts.append(f"-{p}")
-            else:
-                sign = "+" if c > 0 and parts else ""
-                parts.append(f"{sign}{c}*{p}")
-        return "".join(parts)
-
-    __repr__ = __str__
-
-
-class ConstraintSet:
-    """Triangular substitutions ParamId -> LinearForm with idempotent closure.
-
-    Substituted parameters never appear on any right-hand side, so applying
-    the set twice equals applying it once.
-    """
-
-    __slots__ = ("subs_map", "order")
-
-    def __init__(self, subs_map: dict, order: tuple):
-        object.__setattr__(self, "subs_map", dict(subs_map))
-        object.__setattr__(self, "order", tuple(order))
-
-    def __setattr__(self, *a):
-        raise AttributeError("ConstraintSet is immutable")
-
-    @staticmethod
-    def empty() -> "ConstraintSet":
-        return ConstraintSet({}, ())
-
-    def __len__(self):
-        return len(self.order)
-
-    def __eq__(self, other):
-        return isinstance(other, ConstraintSet) and self.subs_map == other.subs_map
-
-    def apply_form(self, f: LinearForm) -> LinearForm:
-        return f.subs(self.subs_map)
-
-    def apply(self, m):
-        """Apply to a matrix of forms (anything with a subs method)."""
-        return m.subs(self.subs_map)
-
-    def items(self):
-        return [(p, self.subs_map[p]) for p in self.order]
-
-    def describe(self):
-        return [f"{p} = {self.subs_map[p]}" for p in self.order]
-
-    def __repr__(self):
-        return f"ConstraintSet({self.describe()})"
-
-
-def solve_zero_constraints(forms) -> ConstraintSet:
-    """Triangular substitution set making every listed form identically zero.
-
-    Pivots are chosen as the smallest ParamId (lexicographic on
-    (namespace, i, j, k)) present in each reduced form, so the result is
-    deterministic.  Raises Inconsistent for a nonzero constant form.
-    """
-    forms = list(forms)
-    params = tuple(sorted({p for f in forms for p in f.params()}))
-    index = {p: k + 1 for k, p in enumerate(params)}
-    elim = Elimination()
-    for f in forms:
-        try:
-            elim = elim.extended([dense_form(f, index, len(params))])
-        except Inconsistent as e:
-            raise Inconsistent(f"constraint {f} {e}") from None
-    return elim.constraint_set(params)
+        return f"q^{{{self.i},{self.j}}}_{self.k}"
 
 
 # ---------------------------------------------------------------------------
@@ -235,15 +49,6 @@ def solve_zero_constraints(forms) -> ConstraintSet:
 def _exact(x):
     """x as an int when it is integral (ints and Fractions alike)."""
     return x.numerator if x.denominator == 1 else x
-
-
-def dense_form(f: LinearForm, index: dict, size: int) -> list:
-    """f as a dense form over `size` parameters; index maps ParamId -> column."""
-    row = [0] * (size + 1)
-    row[0] = _exact(f.const)
-    for p, c in f.terms:
-        row[index[p]] = _exact(c)
-    return row
 
 
 def _quotient(x, d):
@@ -282,8 +87,8 @@ def _primitive(entries, pivot):
     return row if row[pivot] > 0 else {k: -x for k, x in row.items()}
 
 
-class Elimination:
-    """Incremental Gauss-Jordan elimination of dense forms equated to zero.
+class ConstraintSet:
+    """Dense forms equated to zero, kept in incremental Gauss-Jordan form.
 
     rows maps each pivot column to its row: the reduced row echelon row
     scaled to a primitive integer vector, positive at its pivot and 0 at
@@ -293,10 +98,10 @@ class Elimination:
     runs in integers and divides once.  Each added form is reduced by the
     rows and pivots on its lowest nonzero parameter column.  Given the row
     space and the pivots, the reduced row echelon form is unique and so
-    are its primitive multiples: a state reached by extending a shared
-    prefix equals the one built from scratch.  States are never changed in
-    place: `extended` returns a new state that shares the rows it did not
-    touch.
+    are its primitive multiples: a set reached by extending a shared prefix
+    equals the one built from scratch.  Sets are never changed in place:
+    `extended` returns a new set that shares the rows it did not touch.
+    On the solution set each pivot equals -(rest of its row) / pivot entry.
     """
 
     __slots__ = ("rows", "order", "scale")
@@ -312,7 +117,7 @@ class Elimination:
         d *= den
         return out if d == 1 else [_quotient(x, d) if x else 0 for x in out]
 
-    def extended(self, forms) -> "Elimination":
+    def extended(self, forms) -> "ConstraintSet":
         rows, order, scale = self.rows, self.order, self.scale
         for form in forms:
             g, d = _reduce(rows, scale, form)
@@ -336,7 +141,7 @@ class Elimination:
             rows[pivot] = g
             order += (pivot,)
             scale = lcm(*[row[c] for c, row in rows.items()])
-        return self if rows is self.rows else Elimination(rows, order, scale)
+        return self if rows is self.rows else ConstraintSet(rows, order, scale)
 
     def free(self, size):
         """Parameter columns that are not pivots, ascending."""
@@ -356,17 +161,37 @@ class Elimination:
         p = row[col]
         return -acc if p == 1 else _quotient(-acc, p)
 
-    def constraint_set(self, params) -> ConstraintSet:
-        """The substitutions pivot = -(rest of its row) / pivot entry, as LinearForms."""
-        subs = {}
+    def apply(self, cells, used=None) -> "ParamGrid":
+        """The cell matrix cells read on this constraint set (see ParamGrid)."""
+        return ParamGrid(cells, self, used)
+
+    def describe(self, params) -> list:
+        """The lines `pivot = rest` in pivot order; params names the columns."""
+        lines = []
         for c in self.order:
             row = self.rows[c]
             p = row[c]
-            subs[params[c - 1]] = LinearForm(
-                Fraction(-row.get(0, 0), p),
-                [(params[k - 1], Fraction(-x, p)) for k, x in row.items() if k and k != c],
-            )
-        return ConstraintSet(subs, [params[c - 1] for c in self.order])
+            parts = [str(Fraction(-row[0], p))] if 0 in row else []
+            for k in sorted(row):
+                if k and k != c:
+                    x = Fraction(-row[k], p)
+                    name = params[k - 1]
+                    if x == 1:
+                        parts.append(f"+{name}" if parts else str(name))
+                    elif x == -1:
+                        parts.append(f"-{name}")
+                    else:
+                        parts.append(f"{'+' if x > 0 and parts else ''}{x}*{name}")
+            lines.append(f"{params[c - 1]} = {''.join(parts) or 0}")
+        return lines
+
+
+def solve_zero_constraints(forms) -> ConstraintSet:
+    """The constraint set that makes every listed dense form vanish.
+
+    Raises Inconsistent when a form reduces to a nonzero constant.
+    """
+    return ConstraintSet().extended(forms)
 
 
 class FormGrid:
@@ -414,22 +239,23 @@ class ParamGrid:
 
     cells[i][j] is the dense column of the parameter in entry (i, j), or 0
     for a zero entry.  The matrix stands for its entries with every pivot of
-    the elimination replaced by its substitution; `values` evaluates it at
-    a point of the free columns by extending the point through the rows.
+    the constraint set solved for; `values` evaluates it at a point of the
+    free columns by extending the point through the rows.  used lists the
+    columns that the cells hold, when the caller knows them.
     """
 
-    __slots__ = ("cells", "used", "elim", "rows", "cols")
+    __slots__ = ("cells", "used", "constraints", "rows", "cols")
 
-    def __init__(self, cells, elim: Elimination, used=None):
+    def __init__(self, cells, constraints: ConstraintSet, used=None):
         self.cells = cells
         self.used = used if used is not None else sorted({c for r in cells for c in r if c})
-        self.elim = elim
+        self.constraints = constraints
         self.rows = len(cells)
         self.cols = len(cells[0]) if cells else 0
 
     def params(self):
         """Free columns on which the substituted entries depend, ascending."""
-        rows = self.elim.rows
+        rows = self.constraints.rows
         out = set()
         for c in self.used:
             row = rows.get(c)
@@ -445,7 +271,7 @@ class ParamGrid:
         An entry is identically zero when its parameter is a pivot whose row
         has no other nonzero entry, constant included.
         """
-        rows = self.elim.rows
+        rows = self.constraints.rows
         zero = {c for c in self.used if len(rows.get(c, ())) == 1}
         zero.add(0)
         return [[j for j, c in enumerate(r) if c not in zero] for r in self.cells]
@@ -454,7 +280,7 @@ class ParamGrid:
         """Entry values at a point of the free columns, as rows."""
         vals = {0: 0}
         for c in self.used:
-            vals[c] = self.elim.value(c, point)
+            vals[c] = self.constraints.value(c, point)
         return [[vals[c] for c in r] for r in self.cells]
 
 

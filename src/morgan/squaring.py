@@ -21,14 +21,7 @@ from .admissible import RowConfig
 from .canonical import PencilForm, positions_from_sigma
 from .errors import MorganError, NotSolvable, SingularQ
 from .exactalg import RationalMatrix
-from .paramalg import (
-    ConstraintSet,
-    Elimination,
-    FormGrid,
-    ParamGrid,
-    ParamId,
-    generic_rank,
-)
+from .paramalg import ConstraintSet, FormGrid, ParamId, generic_rank, solve_zero_constraints
 
 
 @dataclass(frozen=True)
@@ -75,7 +68,7 @@ def build_QB(sigma, sigma_tilde) -> QBasis:
             if sj >= si:
                 band = sj - si + 1
                 first = len(params) + 1
-                params.extend(ParamId("q", bi, bj, k) for k in range(1, band + 1))
+                params.extend(ParamId(bi, bj, k) for k in range(1, band + 1))
                 for r in range(si):
                     for k in range(band):
                         cells[roff + r][coff + r + k] = first + k
@@ -113,8 +106,6 @@ class DecouplabilityReport:
     """Outcome of the decouplability search for one configuration."""
 
     success: bool
-    ci_tuple: tuple
-    config: RowConfig
     constraints: ConstraintSet
     degree_deficits: tuple
     reason: str
@@ -222,7 +213,7 @@ def _ascending_deficits(bounds):
     return sorted(product(*(range(b + 1) for b in bounds)), key=lambda d: (sum(d), d))
 
 
-def _row_degree(coeffs_r, den, elim: Elimination, top: int):
+def _row_degree(coeffs_r, den, constraints: ConstraintSet, top: int):
     """Highest degree <= top of N_hat row r on the constraint set, with its forms.
 
     coeffs_r holds the row's forms scaled by den (see _nhat_forms).  Returns
@@ -232,35 +223,35 @@ def _row_degree(coeffs_r, den, elim: Elimination, top: int):
     for deg in range(top, -1, -1):
         row = []
         for e in coeffs_r[deg]:
-            f = None if e is None else elim.reduce(e[1], den)
+            f = None if e is None else constraints.reduce(e[1], den)
             row.append(f if f is not None and any(f) else None)
         if any(f is not None for f in row):
             return deg, row
     return -1, None
 
 
-def _eliminate(states: dict, coeffs, bounds, deficits, top: int) -> Elimination:
-    """Elimination of the zero forms of a deficit vector.
+def _eliminate(states: dict, coeffs, bounds, deficits, top: int) -> ConstraintSet:
+    """Constraint set of the zero forms of a deficit vector.
 
     The forms come in the order seeds, then row by row the coefficients above
     the row's target degree, so a deficit prefix fixes a prefix of the forms.
-    states maps prefixes to their eliminations; the longest stored one is
+    states maps prefixes to their constraint sets; the longest stored one is
     extended.
     """
     k = len(deficits)
     while deficits[:k] not in states:
         k -= 1
-    elim = states[deficits[:k]]
+    cs = states[deficits[:k]]
     for r in range(k, len(deficits)):
-        elim = elim.extended(
+        cs = cs.extended(
             e[1]
             for deg in range(bounds[r] - deficits[r] + 1, top + 1)
             for e in coeffs[r][deg]
             if e is not None
         )
         if r + 1 < len(deficits):
-            states[deficits[: r + 1]] = elim
-    return elim
+            states[deficits[: r + 1]] = cs
+    return cs
 
 
 def decouplability_search(
@@ -278,9 +269,9 @@ def decouplability_search(
     rank and [D~]_hc keeps rank m.  The per-config leading-coefficient
     constraints (solvability of the feedback-row systems) are seeded first.
     Candidates with the same set of distinct forms are tried once.  The
-    forms are dense rows over qbasis.params; eliminations are shared along
-    deficit prefixes, and LinearForms are built only for the reported
-    constraint set.
+    forms are dense rows over qbasis.params, and constraint sets are shared
+    along deficit prefixes.  A successful report keeps the constraint set
+    and the three rank-tested matrices on it.
     """
     m = c_r.rows
     w = qbasis.width
@@ -289,18 +280,16 @@ def decouplability_search(
     seeds = [units[c] for c in _leading_entries(qbasis, config)]
     dhc = dtilde_hc(pencil, qbasis, config)
 
-    def fail(reason, tried=0, deficits=()):
+    def fail(reason, tried=0):
         return DecouplabilityReport(
             success=False,
-            ci_tuple=qbasis.sigma_tilde,
-            config=config,
-            constraints=ConstraintSet.empty(),
-            degree_deficits=tuple(deficits),
+            constraints=ConstraintSet(),
+            degree_deficits=(),
             reason=reason,
             candidates_tried=tried,
         )
 
-    start = Elimination().extended(f for _, f in seeds)
+    start = solve_zero_constraints(f for _, f in seeds)
     bounds = []
     for r in range(m):
         d, _ = _row_degree(coeffs[r], dens[r], start, top)
@@ -331,10 +320,10 @@ def decouplability_search(
             continue
         seen.add(key)
         tried += 1
-        elim = _eliminate(states, coeffs, bounds, deficits, top)
+        cs = _eliminate(states, coeffs, bounds, deficits, top)
         rows = []
         for r in range(m):
-            d, row = _row_degree(coeffs[r], dens[r], elim, bounds[r] - deficits[r])
+            d, row = _row_degree(coeffs[r], dens[r], cs, bounds[r] - deficits[r])
             if d < 0:
                 break
             rows.append(row)
@@ -345,19 +334,17 @@ def decouplability_search(
         if generic_rank(na_grid, rng) != m:
             na_failures += 1
             continue
-        qb_grid = ParamGrid(qbasis.cells, elim, range(1, len(qbasis.params) + 1))
+        qb_grid = cs.apply(qbasis.cells, range(1, len(qbasis.params) + 1))
         if generic_rank(qb_grid, rng) != w:
             qb_failures += 1
             continue
-        dhc_grid = ParamGrid(dhc, elim)
+        dhc_grid = cs.apply(dhc)
         if generic_rank(dhc_grid, rng) != m:
             dhc_failures += 1
             continue
         return DecouplabilityReport(
             success=True,
-            ci_tuple=qbasis.sigma_tilde,
-            config=config,
-            constraints=elim.constraint_set(qbasis.params),
+            constraints=cs,
             degree_deficits=deficits,
             reason="",
             candidates_tried=tried,

@@ -23,6 +23,11 @@ from morgan.errors import MorganError, NotControllable
 from morgan.exactalg import RESOLVENT_SIZE_CAP, Poly, RationalMatrix, poly_gcd
 
 
+def shift(p: Poly, k: int) -> Poly:
+    """p times s^k."""
+    return Poly([0] * k + list(p.coeffs))
+
+
 def mul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     if a.cols != b.rows:
         raise MorganError(f"dimension mismatch {a.rows}x{a.cols} * {b.rows}x{b.cols}")

@@ -1,12 +1,15 @@
 """Reference implementations of the parameter algebra, kept for the tests.
 
 These are the dict-of-Fraction LinearForm versions that the solver used
-before its search moved to dense forms: the substitution solver, LinearForm
-polynomials and matrices (ParamMatrix), Q_B and [D~]_hc built as LinearForm
-matrices, the full D~(s) and a structural dependency test.  The tests
-compare the dense code against them.  The highest-coefficient matrices, the
-leading Q_B forms of a row configuration and the mu rows as LinearForms are
-here too, since only the tests use them.  Last come the Fraction
+before its search moved to dense forms: named affine forms (LinearForm),
+the triangular substitution system they solve to (SubstitutionSet) and its
+solver, LinearForm polynomials and matrices (ParamMatrix), Q_B and [D~]_hc
+built as LinearForm matrices, the full D~(s) and a structural dependency
+test.  The tests compare the dense code against them, and the rendering of
+a LinearForm is the reference for ConstraintSet.describe.  The
+highest-coefficient matrices, the leading Q_B forms of a row configuration
+and the mu rows as LinearForms in the entries of T (TParam) are here too,
+since only the tests use them.  Last come the Fraction
 Gauss-Jordan elimination that the dense search ran before its rows became
 primitive integer vectors, and the generic rank without the structural
 bound.
@@ -14,14 +17,15 @@ bound.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from fraction_reference import PolyMatrix
 from morgan.admissible import RowConfig
 from morgan.canonical import PencilForm, positions_from_sigma
 from morgan.errors import Inconsistent, MorganError
-from morgan.exactalg import Poly, RationalMatrix, rank
-from morgan.paramalg import SAMPLE_BOUND, ConstraintSet, LinearForm, ParamId, _exact
+from morgan.exactalg import Poly, RationalMatrix, rank, rat
+from morgan.paramalg import SAMPLE_BOUND, ParamId, _exact
 from morgan.squaring import (
     DecouplabilityReport,
     MuFamily,
@@ -29,6 +33,186 @@ from morgan.squaring import (
     _ascending_deficits,
     _leading_entries,
 )
+
+
+@dataclass(frozen=True, order=True)
+class TParam:
+    """The free feedback-row parameter t^{i}_k: entry (i, k) of T."""
+
+    i: int
+    k: int
+
+    def __str__(self):
+        return f"t^{{{self.i}}}_{self.k}"
+
+
+class LinearForm:
+    """constant + sum(coeff * param); immutable, hashable."""
+
+    __slots__ = ("const", "terms")
+
+    def __init__(self, const=0, terms=()):
+        object.__setattr__(self, "const", rat(const))
+        if isinstance(terms, dict):
+            items = terms.items()
+        else:
+            items = terms
+        clean = {p: rat(c) for p, c in items if c != 0}
+        object.__setattr__(
+            self, "terms", tuple(sorted(clean.items(), key=lambda t: t[0]))
+        )
+
+    def __setattr__(self, *a):
+        raise AttributeError("LinearForm is immutable")
+
+    @staticmethod
+    def zero() -> "LinearForm":
+        return LinearForm(0)
+
+    @staticmethod
+    def of_param(p) -> "LinearForm":
+        return LinearForm(0, {p: Fraction(1)})
+
+    @staticmethod
+    def of_const(c) -> "LinearForm":
+        return LinearForm(c)
+
+    def term_map(self) -> dict:
+        return dict(self.terms)
+
+    def params(self):
+        return tuple(p for p, _ in self.terms)
+
+    def is_zero(self) -> bool:
+        return self.const == 0 and not self.terms
+
+    def is_constant(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, LinearForm)
+            and self.const == other.const
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash((self.const, self.terms))
+
+    def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return LinearForm(self.const + other, self.terms)
+        t = self.term_map()
+        for p, c in other.terms:
+            t[p] = t.get(p, Fraction(0)) + c
+        return LinearForm(self.const + other.const, t)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return LinearForm(-self.const, [(p, -c) for p, c in self.terms])
+
+    def __sub__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return LinearForm(self.const - other, self.terms)
+        return self + (-other)
+
+    def __mul__(self, scalar):
+        scalar = rat(scalar)
+        return LinearForm(self.const * scalar, [(p, c * scalar) for p, c in self.terms])
+
+    __rmul__ = __mul__
+
+    def subs(self, mapping: dict) -> "LinearForm":
+        """Substitute parameters by LinearForms (absent ones unchanged)."""
+        out_const = self.const
+        out_terms = {}
+        for p, c in self.terms:
+            rep = mapping.get(p)
+            if rep is None:
+                out_terms[p] = out_terms.get(p, Fraction(0)) + c
+            else:
+                out_const += c * rep.const
+                for p2, c2 in rep.terms:
+                    out_terms[p2] = out_terms.get(p2, Fraction(0)) + c * c2
+        return LinearForm(out_const, out_terms)
+
+    def eval(self, assignment: dict) -> Fraction:
+        """Value at an assignment; KeyError names a parameter it does not cover."""
+        acc = self.const
+        for p, c in self.terms:
+            acc += c * rat(assignment[p])
+        return acc
+
+    def __str__(self):
+        if self.is_zero():
+            return "0"
+        parts = []
+        if self.const != 0:
+            parts.append(str(self.const))
+        for p, c in self.terms:
+            if c == 1:
+                parts.append(f"+{p}" if parts else str(p))
+            elif c == -1:
+                parts.append(f"-{p}")
+            else:
+                sign = "+" if c > 0 and parts else ""
+                parts.append(f"{sign}{c}*{p}")
+        return "".join(parts)
+
+    __repr__ = __str__
+
+
+class SubstitutionSet:
+    """Triangular substitutions ParamId -> LinearForm with idempotent closure.
+
+    Substituted parameters never appear on any right-hand side, so applying
+    the set twice equals applying it once.
+    """
+
+    __slots__ = ("subs_map", "order")
+
+    def __init__(self, subs_map: dict, order: tuple):
+        object.__setattr__(self, "subs_map", dict(subs_map))
+        object.__setattr__(self, "order", tuple(order))
+
+    def __setattr__(self, *a):
+        raise AttributeError("SubstitutionSet is immutable")
+
+    @staticmethod
+    def empty() -> "SubstitutionSet":
+        return SubstitutionSet({}, ())
+
+    def __len__(self):
+        return len(self.order)
+
+    def __eq__(self, other):
+        return isinstance(other, SubstitutionSet) and self.subs_map == other.subs_map
+
+    def apply_form(self, f: LinearForm) -> LinearForm:
+        return f.subs(self.subs_map)
+
+    def apply(self, m):
+        """Apply to a matrix of forms (anything with a subs method)."""
+        return m.subs(self.subs_map)
+
+    def items(self):
+        return [(p, self.subs_map[p]) for p in self.order]
+
+    def describe(self):
+        return [f"{p} = {self.subs_map[p]}" for p in self.order]
+
+    def __repr__(self):
+        return f"SubstitutionSet({self.describe()})"
+
+
+def dense_form(f: LinearForm, index: dict, size: int) -> list:
+    """f as a dense form over `size` parameters; index maps ParamId -> column."""
+    row = [0] * (size + 1)
+    row[0] = _exact(f.const)
+    for p, c in f.terms:
+        row[index[p]] = _exact(c)
+    return row
 
 
 class ParamMatrix:
@@ -108,6 +292,11 @@ def param_matrix(cells, params) -> ParamMatrix:
     )
 
 
+def at_columns(params, assignment) -> dict:
+    """A ParamId-keyed assignment as a point keyed by dense column of params."""
+    return {params.index(p) + 1: v for p, v in assignment.items()}
+
+
 def qb_matrix(qbasis: QBasis) -> ParamMatrix:
     """The solver's Q_B (its cells) as a ParamMatrix."""
     return param_matrix(qbasis.cells, qbasis.params)
@@ -152,7 +341,7 @@ def reference_build_QB(sigma, sigma_tilde):
         for bj, sj in enumerate(sigma_tilde, start=1):
             if sj >= si:
                 band = sj - si + 1
-                ids = [ParamId("q", bi, bj, k) for k in range(1, band + 1)]
+                ids = [ParamId(bi, bj, k) for k in range(1, band + 1)]
                 params.extend(ids)
                 for r in range(si):
                     for k, pid in enumerate(ids):
@@ -247,7 +436,7 @@ def mu_row_forms(family: MuFamily):
             f = LinearForm.of_const(part[c])
             for k, basis in enumerate(family.nullbasis):
                 if basis[c]:
-                    f = f + LinearForm(0, {ParamId("t", i + 1, k + 1): basis[c]})
+                    f = f + LinearForm(0, {TParam(i + 1, k + 1): basis[c]})
             row.append(f)
         out.append(tuple(row))
     return out
@@ -365,17 +554,17 @@ def instantiate_poly(m: "ParamPolyMatrix", assignment: dict) -> PolyMatrix:
     return PolyMatrix([[e.eval_poly(assignment) for e in r] for r in m.entries])
 
 
-def dict_solve_zero_constraints(forms) -> ConstraintSet:
-    """Dict-based substitution solver, the reference for the dense Elimination.
+def dict_solve_zero_constraints(forms) -> SubstitutionSet:
+    """Dict-based substitution solver, the reference for the dense ConstraintSet.
 
     Triangular substitution set making every listed form identically zero.
 
-    Pivots are chosen as the smallest ParamId (lexicographic on
-    (namespace, i, j, k)) present in each reduced form, so the result is
+    Pivots are chosen as the smallest ParamId (lexicographic on (i, j, k))
+    present in each reduced form, so the result is
     deterministic.  Raises Inconsistent for a nonzero constant form.
     """
-    subs_map: dict[ParamId, LinearForm] = {}
-    order: list[ParamId] = []
+    subs_map = {}
+    order = []
     for f in forms:
         g = f.subs(subs_map)
         if g.is_zero():
@@ -391,7 +580,7 @@ def dict_solve_zero_constraints(forms) -> ConstraintSet:
             subs_map[p] = subs_map[p].subs(one_step)
         subs_map[pivot] = rep
         order.append(pivot)
-    return ConstraintSet(subs_map, order)
+    return SubstitutionSet(subs_map, order)
 
 
 def structural_dependency(rows):
@@ -516,9 +705,7 @@ def dict_decouplability_search(
     def fail(reason, tried=0, deficits=()):
         return DecouplabilityReport(
             success=False,
-            ci_tuple=qbasis.sigma_tilde,
-            config=config,
-            constraints=ConstraintSet.empty(),
+            constraints=SubstitutionSet.empty(),
             degree_deficits=tuple(deficits),
             reason=reason,
             candidates_tried=tried,
@@ -578,8 +765,6 @@ def dict_decouplability_search(
             continue
         return DecouplabilityReport(
             success=True,
-            ci_tuple=qbasis.sigma_tilde,
-            config=config,
             constraints=cs,
             degree_deficits=deficits,
             reason="",
@@ -657,7 +842,7 @@ def high_col_coeff(m: PolyMatrix, col_degrees) -> RationalMatrix:
 
 
 class FractionElimination:
-    """The dense Elimination with Fraction rows scaled to 1 at the pivot.
+    """The dense ConstraintSet with Fraction rows scaled to 1 at the pivot.
 
     rows maps each pivot column to its dense row, 1 at the pivot and 0 at
     every other pivot column; order lists the pivots as they were added.
@@ -711,14 +896,14 @@ class FractionElimination:
                 acc += x * point[k]
         return -acc
 
-    def constraint_set(self, params) -> ConstraintSet:
+    def constraint_set(self, params) -> SubstitutionSet:
         subs = {}
         for c in self.order:
             row = self.rows[c]
             subs[params[c - 1]] = linear_form(
                 [-x if k != c else 0 for k, x in enumerate(row)], params
             )
-        return ConstraintSet(subs, [params[c - 1] for c in self.order])
+        return SubstitutionSet(subs, [params[c - 1] for c in self.order])
 
 
 def reference_generic_rank(m, rng, repetitions: int = 3) -> int:

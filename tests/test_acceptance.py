@@ -11,7 +11,7 @@ import time
 from fractions import Fraction
 
 import golden_data as pd
-from fraction_reference import build_S, kalman_matrix
+from fraction_reference import build_S, kalman_matrix, shift
 from morgan.admissible import enumerate_row_configs, enumerate_tuples
 from morgan.canonical import StateSpace, to_pencil_form
 from morgan.decouple import (
@@ -191,7 +191,7 @@ def test_criterion_7_oracles():
         nmat = pencil.C_r * build_S(pencil.sigma)
         smax = max(pencil.sigma)
         shifted = [
-            [nmat[i, j].shift(smax - pencil.sigma[j]) for j in range(l)]
+            [shift(nmat[i, j], smax - pencil.sigma[j]) for j in range(l)]
             for i in range(l)
         ]
         rows = []

@@ -32,7 +32,7 @@ from morgan.squaring import (
     solve_feedback_rows,
 )
 from morgan.zeros import charpoly, closed_loop
-from param_oracle import qb_matrix
+from param_oracle import at_columns
 
 NOSOL_7_66 = str(Path(__file__).resolve().parent.parent / "perfbench" / "data" / "nosol_7_66.json")
 
@@ -49,8 +49,8 @@ def ex1_reference_squaring(ex1_reference_pencil):
     rep = decouplability_search(
         ex1_reference_pencil.C_r, ex1_reference_pencil, qb, cfg, random.Random(0)
     )
-    assignment = {ParamId(*k): Fraction(v) for k, v in pd.EX1_QB_ASSIGNMENT.items()}
-    qb_num = instantiate(rep.constraints.apply(qb_matrix(qb)), assignment)
+    assignment = {ParamId(*k[1:]): Fraction(v) for k, v in pd.EX1_QB_ASSIGNMENT.items()}
+    qb_num = instantiate(rep.constraints.apply(qb.cells), at_columns(qb.params, assignment))
     fam = solve_feedback_rows(qb, cfg, qb_num)
     q = complete_basis(qb_num)
     return assemble_squaring(

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import fraction_reference as ref
 import golden_data as pd
-from fraction_reference import PolyMatrix, build_S, s_identity_minus
+from fraction_reference import PolyMatrix, build_S, s_identity_minus, shift
 from morgan.errors import MorganError
 from morgan.exactalg import (
     NEG_INF,
@@ -174,7 +174,7 @@ class TestHighCoeff:
             hr = high_row_coeff(m, degs)
             for i in range(rows):
                 for j in range(cols):
-                    reduced = m[i, j] - Poly([hr[i, j]]).shift(degs[i])
+                    reduced = m[i, j] - shift(Poly([hr[i, j]]), degs[i])
                     assert reduced.degree < degs[i]
 
 
@@ -325,7 +325,7 @@ class TestExample1NAlphaDisplay:
         nmat = PolyMatrix.from_rational(chat) * s_tilde
         nhat = PolyMatrix(
             [
-                [nmat[i, 0].shift(3), nmat[i, 1], nmat[i, 2]]
+                [shift(nmat[i, 0], 3), nmat[i, 1], nmat[i, 2]]
                 for i in range(3)
             ]
         )

@@ -1,6 +1,7 @@
-"""Integer Elimination and the structural bound of generic_rank against their
-Fraction references in param_oracle: the same reductions, values, constraint
-text and Inconsistent messages, the same ranks and the same random stream."""
+"""The integer ConstraintSet and the structural bound of generic_rank against
+their Fraction references in param_oracle: the same reductions, values,
+constraint text and Inconsistent messages, the same ranks and the same
+random stream."""
 
 import random
 from fractions import Fraction
@@ -14,23 +15,22 @@ from morgan.errors import Inconsistent
 from morgan.exactalg import rank
 from morgan.paramalg import (
     SAMPLE_BOUND,
-    Elimination,
+    ConstraintSet,
     FormGrid,
-    LinearForm,
-    ParamGrid,
     ParamId,
-    dense_form,
     generic_rank,
     structural_rank,
 )
 from param_oracle import (
     FractionElimination,
+    LinearForm,
+    dense_form,
     dict_solve_zero_constraints,
     param_matrix,
     reference_generic_rank,
 )
 
-PARAMS = tuple(ParamId("q", 1, 1, k) for k in range(1, 7))
+PARAMS = tuple(ParamId(1, 1, k) for k in range(1, 7))
 INDEX = {p: k + 1 for k, p in enumerate(PARAMS)}
 SIZE = len(PARAMS)
 
@@ -63,7 +63,7 @@ def both(forms):
     """(integer state, Fraction state), each built one form at a time, or the
     Inconsistent message each raised."""
     out = []
-    for cls in (Elimination, FractionElimination):
+    for cls in (ConstraintSet, FractionElimination):
         state = cls()
         try:
             for f in forms:
@@ -108,7 +108,7 @@ class TestIntegerElimination:
             return
         assert new.order == old.order
         assert new.free(SIZE) == old.free(SIZE)
-        assert new.constraint_set(PARAMS).describe() == old.constraint_set(PARAMS).describe()
+        assert new.describe(PARAMS) == old.constraint_set(PARAMS).describe()
         assert new.reduce(dense(probe)) == old.reduce(dense(probe))
         for col in range(1, SIZE + 1):
             assert new.value(col, point) == old.value(col, point)
@@ -130,12 +130,12 @@ class TestIntegerElimination:
     @given(form_lists, st.integers(0, 7))
     @settings(max_examples=100, deadline=None)
     def test_prefix_state_equals_state_from_scratch(self, forms, cut):
-        whole = Elimination()
+        whole = ConstraintSet()
         try:
             whole = whole.extended(dense(f) for f in forms)
         except Inconsistent:
             return
-        head = Elimination().extended(dense(f) for f in forms[:cut])
+        head = ConstraintSet().extended(dense(f) for f in forms[:cut])
         tail = head.extended(dense(f) for f in forms[cut:])
         assert (tail.rows, tail.order, tail.scale) == (whole.rows, whole.order, whole.scale)
 
@@ -149,7 +149,7 @@ class TestIntegerElimination:
         x, y, z = PARAMS[:3]
         forms = [LinearForm(0, {x: 2, y: 3}), LinearForm(1, {y: 4, z: Fraction(1, 3)})]
         new, _ = both(forms)
-        assert new.constraint_set(PARAMS) == dict_solve_zero_constraints(forms)
+        assert new.describe(PARAMS) == dict_solve_zero_constraints(forms).describe()
 
 
 def brute_structural_rank(pattern, cols):
@@ -216,7 +216,7 @@ class TestGenericRankWithBound:
         if zero_row:
             cells = cells + [[0] * 4]
         substituted = old.constraint_set(PARAMS).apply(param_matrix(cells, PARAMS))
-        same_rank_and_stream(ParamGrid(cells, new), substituted, seed)
+        same_rank_and_stream(new.apply(cells), substituted, seed)
 
     @given(
         st.lists(st.lists(st.one_of(st.none(), st.sampled_from(PARAMS).map(
@@ -266,7 +266,7 @@ class TestGenericRankWithBound:
         new, old = both(constraints)
         if isinstance(old, str):
             return
-        grid = ParamGrid(cells, new)
+        grid = new.apply(cells)
         pattern = grid.pattern()
         for r, row in enumerate(grid.values(point)):
             assert all(j in pattern[r] for j, x in enumerate(row) if x)
@@ -280,7 +280,7 @@ class TestGenericRankWithBound:
         x, y = PARAMS[0], PARAMS[1]
         new, old = both([LinearForm.of_param(x)])  # x = 0 on the constraint set
         cells = [[1, 2], [1, 0]]  # second row is x alone: zero
-        grid = ParamGrid(cells, new)
+        grid = new.apply(cells)
         assert grid.pattern() == [[1], []]
         substituted = old.constraint_set(PARAMS).apply(param_matrix(cells, PARAMS))
         a, b = CountingRandom(5), CountingRandom(5)

@@ -74,3 +74,4 @@ def test_state_similarity(originals, name, t_seed):
         assert res2.F == res.F * t
         assert res2.G == res.G
         assert res2.diag == res.diag
+        assert (res2.constraints, res2.degree_deficits) == (res.constraints, res.degree_deficits)

@@ -7,11 +7,7 @@ import golden_data as pd
 from morgan.admissible import enumerate_row_configs
 from fraction_reference import PolyMatrix, build_L, build_S
 from morgan.exactalg import RationalMatrix
-from morgan.paramalg import (
-    LinearForm,
-    ParamId,
-    instantiate,
-)
+from morgan.paramalg import ParamId, instantiate
 from morgan.squaring import (
     MuFamily,
     assemble_squaring,
@@ -22,6 +18,9 @@ from morgan.squaring import (
     solve_feedback_rows,
 )
 from param_oracle import (
+    LinearForm,
+    TParam,
+    at_columns,
     dtilde_formpoly,
     high_col_coeff,
     instantiate_poly,
@@ -33,7 +32,7 @@ from param_oracle import (
 
 
 def q(i, j, k):
-    return ParamId("q", i, j, k)
+    return ParamId(i, j, k)
 
 
 def expect_qb(pattern):
@@ -122,13 +121,13 @@ class TestDecouplabilitySearch:
         cfg = enumerate_row_configs(ex1_pencil.sigma, 3)[0]
         rep = decouplability_search(ex1_pencil.C_r, ex1_pencil, qb, cfg, random.Random(0))
         assert rep.success
-        assert set(rep.constraints.order) == {
+        assert {qb.params[c - 1] for c in rep.constraints.order} == {
             q(1, 1, 1), q(1, 2, 2), q(1, 2, 3), q(1, 2, 4),
             q(1, 3, 2), q(1, 3, 3), q(1, 3, 4),
         }
         # every constraint pins the parameter to zero
-        for p, rhs in rep.constraints.items():
-            assert rhs.is_zero()
+        for line in rep.constraints.describe(qb.params):
+            assert line.endswith(" = 0")
 
     def test_example1_n_alpha_structure(self, ex1_pencil):
         qb = build_QB((1, 1, 3, 4), (1, 4, 4))
@@ -155,7 +154,8 @@ class TestDecouplabilitySearch:
             ex2_pencil.C_r, ex2_pencil, qb, ex2_config_15, random.Random(0)
         )
         assert rep.success
-        assert set(rep.constraints.order) == {ParamId(*t) for t in pd.EX2_CONSTRAINED}
+        assert {qb.params[c - 1] for c in rep.constraints.order} == {
+            ParamId(*t[1:]) for t in pd.EX2_CONSTRAINED}
         assert rep.degree_deficits == (0, 0, 0)
 
     def test_example2_first_configuration_fails(self, ex2_pencil):
@@ -194,8 +194,8 @@ class TestFeedbackRows:
         qb = build_QB((1, 1, 3, 4), (1, 4, 4))
         cfg = enumerate_row_configs(ex1_pencil.sigma, 3)[0]
         rep = decouplability_search(ex1_pencil.C_r, ex1_pencil, qb, cfg, random.Random(0))
-        assignment = {ParamId(*k): Fraction(v) for k, v in pd.EX1_QB_ASSIGNMENT.items()}
-        qb_num = instantiate(rep.constraints.apply(qb_matrix(qb)), assignment)
+        assignment = {ParamId(*k[1:]): Fraction(v) for k, v in pd.EX1_QB_ASSIGNMENT.items()}
+        qb_num = instantiate(rep.constraints.apply(qb.cells), at_columns(qb.params, assignment))
         return qb, cfg, qb_num
 
     def test_example1_unique_mu(self, ex1_pencil):
@@ -209,8 +209,8 @@ class TestFeedbackRows:
         rep = decouplability_search(
             ex2_pencil.C_r, ex2_pencil, qb, ex2_config_15, random.Random(0)
         )
-        assignment = {ParamId(*k): Fraction(v) for k, v in pd.EX2_QB_ASSIGNMENT.items()}
-        qb_num = instantiate(rep.constraints.apply(qb_matrix(qb)), assignment)
+        assignment = {ParamId(*k[1:]): Fraction(v) for k, v in pd.EX2_QB_ASSIGNMENT.items()}
+        qb_num = instantiate(rep.constraints.apply(qb.cells), at_columns(qb.params, assignment))
         fam = solve_feedback_rows(qb, ex2_config_15, qb_num)
         assert len(fam.nullbasis) == 2  # n - sum(sigma_tilde)
         w_mu = qb_num.transpose()
@@ -238,8 +238,8 @@ class TestAssemble:
         qb = build_QB((1, 1, 3, 4), (1, 4, 4))
         cfg = enumerate_row_configs(ex1_pencil.sigma, 3)[0]
         rep = decouplability_search(ex1_pencil.C_r, ex1_pencil, qb, cfg, random.Random(0))
-        assignment = {ParamId(*k): Fraction(v) for k, v in pd.EX1_QB_ASSIGNMENT.items()}
-        qb_num = instantiate(rep.constraints.apply(qb_matrix(qb)), assignment)
+        assignment = {ParamId(*k[1:]): Fraction(v) for k, v in pd.EX1_QB_ASSIGNMENT.items()}
+        qb_num = instantiate(rep.constraints.apply(qb.cells), at_columns(qb.params, assignment))
         fam = solve_feedback_rows(qb, cfg, qb_num)
         q = complete_basis(qb_num)
         sq = assemble_squaring(ex1_pencil, qb, cfg, qb_num, q, q.inverse(), fam, assignment, None)
@@ -263,4 +263,4 @@ class TestAssemble:
             (Fraction(1), Fraction(3))
         ]
         forms = mu_row_forms(fam)
-        assert forms[0][1] == LinearForm(0, {ParamId("t", 1, 1): 1})
+        assert forms[0][1] == LinearForm(0, {TParam(1, 1): 1})
