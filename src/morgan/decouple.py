@@ -73,10 +73,6 @@ class SquareSystem:
     def n(self):
         return self.A_f.rows
 
-    @property
-    def m(self):
-        return self.C_f.rows
-
 
 def relative_degrees(a: RationalMatrix, b: RationalMatrix, c: RationalMatrix):
     """Per-output relative degrees d_i and the decoupling matrix B*.
@@ -156,6 +152,14 @@ def default_diagonal_polys(square: SquareSystem):
     return out
 
 
+def _row_times_poly(row: RationalMatrix, p: Poly, a: RationalMatrix) -> RationalMatrix:
+    """The 1 x n product row * p(A), by Horner's rule on the row."""
+    v = row * p.leading()
+    for c in reversed(p.coeffs[:-1]):
+        v = v * a + row * c
+    return v
+
+
 def square_decouple(square: SquareSystem, target_polys=None):
     """Static decoupling law: F_f = -B*^-1 stack(C_i p_i(A_f)), G_f = B*^-1.
 
@@ -172,7 +176,7 @@ def square_decouple(square: SquareSystem, target_polys=None):
             )
     g_f = square.B_star.inverse()
     rows = [
-        (square.C_f.submatrix([i], range(square.n)) * p.eval_matrix(square.A_f)).row(0)
+        _row_times_poly(square.C_f.submatrix([i], range(square.n)), p, square.A_f).row(0)
         for i, p in enumerate(target_polys)
     ]
     f_f = -(g_f * RationalMatrix(rows))
@@ -183,6 +187,7 @@ def compose_final(
     sys: StateSpace,
     pencil: PencilForm,
     squaring: SquaringData,
+    square: SquareSystem,
     f_f: RationalMatrix,
     g_f: RationalMatrix,
     p_list,
@@ -192,17 +197,19 @@ def compose_final(
     The exact closed-loop transfer function is recomputed from the original
     (A, B, C) and must equal diag(1/p_i) identically; VerificationFailed
     otherwise (this would be an implementation bug, never a search miss).
+    Returns (F, G, diagonal, fixed-pole report read off the closed loop).
     """
     f = pencil.G_I * (squaring.F0 + squaring.G0 * f_f * squaring.Q_inv) * pencil.P_inv
     g = pencil.G_I * squaring.G0 * g_f
+    acl, chi = zeros_mod.closed_loop(sys, f, g)
     diag, failures = check_closed_loop(
-        sys, g, *zeros_mod.closed_loop(sys, f, g), [(Poly.one(), p.monic()) for p in p_list]
+        sys, g, acl, chi, [(Poly.one(), p.monic()) for p in p_list]
     )
     if failures:
         raise failures[0]
     if g.rank() != sys.m:
         raise VerificationFailed("final G is not monic")
-    return f, g, diag
+    return f, g, diag, zeros_mod.fixed_pole_report(square, chi, p_list)
 
 
 def check_closed_loop(sys: StateSpace, g, acl, chi, expected_diagonal):
@@ -321,18 +328,12 @@ def _evaluate_config(sys, pencil, qbasis, config, ti, ci, options):
     ci_tuple = qbasis.sigma_tilde
     rng = random.Random(_sub_seed(options.seed, ti, ci))
 
+    def outcome(status, reason=""):
+        return ConfigOutcome(tuple_index=ti, config_index=ci, ci_tuple=ci_tuple,
+                             config=config, status=status, reason=reason)
+
     def rejected(reason):
-        return (
-            ConfigOutcome(
-                tuple_index=ti,
-                config_index=ci,
-                ci_tuple=ci_tuple,
-                config=config,
-                status="rejected",
-                reason=reason,
-            ),
-            None,
-        )
+        return outcome("rejected", reason), None
 
     w = qbasis.width
     n, m = pencil.n, sys.m
@@ -350,9 +351,9 @@ def _evaluate_config(sys, pencil, qbasis, config, ti, ci, options):
     # The search checked generic full rank of these three matrices on the
     # constraint set; draw small integer points of its free parameters
     # until all three have full rank there.  A point where a row of
-    # C_r Q_B S~(s) has a nonconstant gcd is also redrawn: the static
-    # decoupling law would leave that gcd as an unobservable closed-loop
-    # mode outside the recorded fixed poles.
+    # C_r Q_B S~(s) has a nonconstant gcd is also redrawn: the static law
+    # would leave that gcd as an unobservable closed-loop mode, which
+    # fixed_pole_report would count as a fixed pole.
     qb_grid, na_grid, dhc_grid = report.rank_grids
     free = report.constraints.free(len(qbasis.params))
     family = None
@@ -407,21 +408,10 @@ def _evaluate_config(sys, pencil, qbasis, config, ti, ci, options):
             square,
             list(options.diag_polys) if options.diag_polys else None,
         )
-        f, g, diag = compose_final(sys, pencil, squaring, f_f, g_f, p_list)
+        f, g, diag, fixed = compose_final(sys, pencil, squaring, square, f_f, g_f, p_list)
     except TargetDegreeMismatch as e:
         return rejected(str(e))
-    except SingularBstar as e:
-        raise  # internal inconsistency: surfaced, never skipped
-    fixed = zeros_mod.fixed_pole_report(square)
 
-    outcome = ConfigOutcome(
-        tuple_index=ti,
-        config_index=ci,
-        ci_tuple=ci_tuple,
-        config=config,
-        status="solved",
-        reason="",
-    )
     solution = DecouplingSolution(
         F=f,
         G=g,
@@ -436,7 +426,7 @@ def _evaluate_config(sys, pencil, qbasis, config, ti, ci, options):
         constraints=tuple(report.constraints.describe(qbasis.params)),
         degree_deficits=report.degree_deficits,
     )
-    return outcome, solution
+    return outcome("solved"), solution
 
 
 def _check_options(options: SolveOptions, m: int):

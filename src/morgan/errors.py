@@ -46,4 +46,4 @@ class TargetDegreeMismatch(MorganError):
 
 
 class DegenerateNumerator(MorganError):
-    """det(C_f * S_f(s)) is identically zero (non-right-invertible configuration)."""
+    """A row of C_f S_f(s) is zero, so it has no gcd (zeros.row_gcds)."""

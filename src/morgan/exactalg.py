@@ -3,7 +3,7 @@
 Everything here is immutable and pure.  Scalars are `fractions.Fraction`
 (always normalized: positive denominator, gcd(num, den) = 1), so every
 comparison in the package is exact with zero tolerance.  The matrix kernels
-(products, Horner evaluation, elimination, Faddeev-LeVerrier) scale rows or
+(products, elimination, Faddeev-LeVerrier, Markov parameters) scale rows or
 matrices to integers by the lcm of their denominators, compute with Python
 ints and build one normalized Fraction per output entry.
 """
@@ -160,29 +160,6 @@ class Poly:
         if self.is_zero():
             return self
         return self * (1 / self.leading())
-
-    def eval_matrix(self, a: "RationalMatrix") -> "RationalMatrix":
-        """p(A) for a square matrix A.
-
-        Horner's rule on the integer matrix d * A: with e the lcm of the
-        coefficient denominators and N the degree,
-        p(A) = (sum_k e c_k d^(N-k) (dA)^k) / (e d^N).
-        """
-        n = a.rows
-        if self.is_zero():
-            return RationalMatrix.zeros(n, n)
-        d, ah = _scaled_matrix(a.entries)
-        cols = list(zip(*ah))
-        e, cs = _scaled(self.coeffs)
-        top = len(cs) - 1
-        acc = [[cs[top] if i == j else 0 for j in range(n)] for i in range(n)]
-        for k in range(top - 1, -1, -1):
-            acc = _int_product(acc, cols)
-            ck = cs[k] * d ** (top - k)
-            for i in range(n):
-                acc[i][i] += ck
-        den = e * d**top
-        return RationalMatrix._of([[Fraction(x, den) for x in row] for row in acc])
 
     def __repr__(self):
         return f"Poly({format_poly(self)!r})"
@@ -612,31 +589,3 @@ def transfer_function(a, b, c, chi=None):
         out.append(row)
     return out
 
-
-def det(rows) -> Poly:
-    """Exact determinant of a square matrix given as rows of Poly (fraction-free Bareiss)."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise MorganError("determinant of a nonsquare matrix")
-    if n == 0:
-        return Poly.one()
-    a = [list(r) for r in rows]
-    sign = 1
-    prev = Poly.one()
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            pr = next((i for i in range(k + 1, n) if not a[i][k].is_zero()), None)
-            if pr is None:
-                return Poly.zero()
-            a[k], a[pr] = a[pr], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                q, r = num.divmod(prev)
-                if not r.is_zero():
-                    raise MorganError("Bareiss division not exact (bug)")
-                a[i][j] = q
-        prev = a[k][k]
-    d = a[n - 1][n - 1]
-    return d if sign == 1 else -d

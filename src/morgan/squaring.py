@@ -409,21 +409,17 @@ def solve_feedback_rows(qbasis: QBasis, config: RowConfig, qb_num: RationalMatri
 
 
 def complete_basis(qb_num: RationalMatrix) -> RationalMatrix:
-    """Q = [Q_A | Q_B] with Q_A greedily chosen standard basis vectors."""
-    n = qb_num.rows
-    cols = [qb_num.col(j) for j in range(qb_num.cols)]
-    chosen = []
-    for i in range(n):
-        if len(chosen) + len(cols) == n:
-            break
-        e = tuple(Fraction(1 if r == i else 0) for r in range(n))
-        trial = RationalMatrix.from_columns(chosen + [e] + cols)
-        if trial.rank() == len(chosen) + 1 + len(cols):
-            chosen.append(e)
-    q = RationalMatrix.from_columns(chosen + cols)
-    if q.rows != q.cols or q.rank() != n:
+    """Q = [Q_A | Q_B], Q_A the unit columns that are pivots of [Q_B | I]: each
+    e_i independent of Q_B and the e_j before it.  SingularQ unless Q_B has
+    full column rank."""
+    n, w = qb_num.rows, qb_num.cols
+    ident = RationalMatrix.identity(n).entries
+    pivots = RationalMatrix._of([r + e for r, e in zip(qb_num.entries, ident)])._echelon()[1]
+    if pivots[:w] != list(range(w)):
         raise SingularQ("could not complete Q_B to an invertible Q")
-    return q
+    units = [p - w for p in pivots[w:]]
+    return RationalMatrix._of([[e[i] for i in units] + list(r)
+                               for e, r in zip(ident, qb_num.entries)])
 
 
 @dataclass(frozen=True)

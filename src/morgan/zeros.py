@@ -1,15 +1,27 @@
 """Fixed poles of a decoupled solution.
 
-Two kinds: the input decoupling zeros created by the singular input
+Two kinds: the input decoupling zeros dz created by the singular input
 transformation (the uncontrollable modes of the squared-down system, present
-whenever sum(sigma_tilde) < n), and the classical fixed decoupling poles
-det(C_f S_f(s)) / prod(row gcds).  The former can often be placed through the
-free parameters of the feedback-row solution families, the entries of one
-rational matrix T: the zeros are the characteristic polynomial of the
-quotient block X(T) = X0 - U T W, and this module places them exactly when
-the affine map T -> X(T) is onto (NotSolvable otherwise).  check_fixed_poles
-cross-checks a recorded pair of them against the closed loop of the original
-system.
+whenever sum(sigma_tilde) < n), and the classical fixed decoupling poles of
+Wolovich and Falb, det(C_f S_f(s)) / prod(row gcds).  The former can often be
+placed through the free parameters of the feedback-row solution families,
+the entries of one rational matrix T: the zeros are the characteristic
+polynomial of the quotient block X(T) = X0 - U T W, and this module places
+them exactly when the affine map T -> X(T) is onto (NotSolvable otherwise).
+check_fixed_poles cross-checks a recorded pair of them against the closed
+loop of the original system.
+
+The fixed decoupling poles are read off the verified closed loop, by
+chi(A + BF) = dz * prod(p_i) * monic det(C_f S_f(s)).  Proof: A + BF is
+similar to A_f + B_f F_f, block lower triangular since B_f and the top
+right block of A_f vanish, with leading block the quotient block (charpoly
+dz).  On the trailing block, in controller form with indices sigma_tilde,
+(sI - A_c - B_c F_c)^-1 B_c = S~(s) D_cl(s)^-1 with det D_cl a constant
+times chi(A_c + B_c F_c), so H = N D_cl^-1 G_f with N = C_f S_f(s).
+H = diag(1/p_i) gives det D_cl = det N * prod(p_i) * const.  The row gcds
+of N are 1 at every solution: decouple._evaluate_config redraws each
+instantiation where a row of C_r Q_B S~(s), which is N, has a nonconstant
+gcd.  So chi / (dz * prod(p_i)) is the Wolovich-Falb polynomial.
 
 The uncontrollable and unobservable polynomials of a closed loop follow the
 Kalman decomposition: chi_A divided by the characteristic polynomial of A
@@ -21,8 +33,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
-from .canonical import times_S
 from .errors import (
     DegenerateNumerator,
     MorganError,
@@ -33,7 +45,6 @@ from .errors import (
 from .exactalg import (
     Poly,
     RationalMatrix,
-    det,
     format_poly,
     krylov_select,
     poly_gcd,
@@ -167,28 +178,6 @@ def row_gcds(rows) -> list:
     return out
 
 
-def fixed_decoupling_poles(square) -> Poly:
-    """det(C_f S_f(s)) divided by the product of the row gcds, monic.
-
-    S_f pads the controller-part basis S~(s) with zero rows for the quotient
-    coordinates.  DegenerateNumerator when the determinant vanishes
-    identically (a non-right-invertible configuration, rejected upstream).
-    """
-    k = square.uncontrollable_dim
-    c_f = square.C_f
-    cfs = times_S(c_f.submatrix(range(c_f.rows), range(k, c_f.cols)), square.sigma_tilde)
-    d = det(cfs)
-    if d.is_zero():
-        raise DegenerateNumerator("det(C_f S_f) is identically zero")
-    out = d
-    for g in row_gcds(cfs):
-        q, r = out.divmod(g)
-        if not r.is_zero():
-            raise MorganError("row gcd does not divide det(C_f S_f) (bug)")
-        out = q
-    return out.monic()
-
-
 def routh_hurwitz_stable(p: Poly) -> bool:
     """Exact sign test: True iff every root has negative real part.
 
@@ -232,9 +221,12 @@ class FixedPoleReport:
     fixed_dec_stable: bool
 
 
-def fixed_pole_report(square) -> FixedPoleReport:
+def fixed_pole_report(square, chi: Poly, p_list) -> FixedPoleReport:
+    """fixed = chi / (dz * prod(monic p_i)), chi = chi(A + BF) (module docstring)."""
     dz = input_decoupling_zeros(square)
-    fixed = fixed_decoupling_poles(square)
+    fixed, rem = chi.divmod(prod((p.monic() for p in p_list), start=dz))
+    if not rem.is_zero():
+        raise MorganError("closed-loop polynomial is not a multiple of dz * prod(p_i) (bug)")
     return FixedPoleReport(
         input_dz_poly=dz,
         fixed_dec_poly=fixed,

@@ -2,25 +2,33 @@
 
 These are the bodies that `morgan.exactalg` ran before its kernels moved to
 scaled integers: a `Fraction` sum per product entry, Horner's rule on
-`Fraction` matrices, Gauss-Jordan elimination over Q, Faddeev-LeVerrier over
-Q with the polynomial adjugate, and the transfer function as the product of
-that adjugate with C and BG.  Below them are the constructions that
-`canonical` and `zeros` used before the Krylov selection: the staircase
-selection over Q, the uncontrollable polynomial from the Kalman matrix and a
-completed basis, the unobservable polynomial from the nullspace of the
-observability matrix, and polynomial long division by `Poly` arithmetic.
-Last come the polynomial matrices that `exactalg` and `canonical` kept
-before M S(s) was read off by slicing rows (`canonical.times_S`): the
-`PolyMatrix` type, sI - A, the chain block L(s) and the basis S(s).
-The tests require the current code to return exactly the same values.
+`Fraction` matrices (now run row by row in `decouple.square_decouple`),
+Gauss-Jordan elimination over Q, Faddeev-LeVerrier over Q with the
+polynomial adjugate, and the transfer function as the product of that
+adjugate with C and BG.  Below them are the constructions that `canonical`
+and `zeros` used before the Krylov selection: the staircase selection over
+Q, the uncontrollable polynomial from the Kalman matrix and a completed
+basis, the unobservable polynomial from the nullspace of the observability
+matrix, and polynomial long division by `Poly` arithmetic.  Then come the
+polynomial matrices that `exactalg` and `canonical` kept before M S(s) was
+read off by slicing rows (`canonical.times_S`): the `PolyMatrix` type,
+sI - A, the chain block L(s) and the basis S(s).  Last come the
+constructions that `solve` ran before it read the fixed poles off the closed
+loop and completed Q_B by one echelon form: the fraction-free (Bareiss)
+polynomial determinant, the Wolovich-Falb polynomial
+det(C_f S_f(s)) / prod(row gcds), and the greedy completion of Q_B by unit
+vectors, one rank test per candidate.  The tests require the current code
+to return exactly the same values.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from morgan.errors import MorganError, NotControllable
+from morgan.canonical import times_S
+from morgan.errors import DegenerateNumerator, MorganError, NotControllable, SingularQ
 from morgan.exactalg import RESOLVENT_SIZE_CAP, Poly, RationalMatrix, poly_gcd
+from morgan.zeros import row_gcds
 
 
 def shift(p: Poly, k: int) -> Poly:
@@ -386,3 +394,72 @@ def build_L(sigma) -> PolyMatrix:
             rows.append(row)
         col_off += s
     return PolyMatrix(rows) if rows else PolyMatrix.zeros(0, n)
+
+
+def det(rows) -> Poly:
+    """Exact determinant of a square matrix given as rows of Poly (fraction-free Bareiss)."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise MorganError("determinant of a nonsquare matrix")
+    if n == 0:
+        return Poly.one()
+    a = [list(r) for r in rows]
+    sign = 1
+    prev = Poly.one()
+    for k in range(n - 1):
+        if a[k][k].is_zero():
+            pr = next((i for i in range(k + 1, n) if not a[i][k].is_zero()), None)
+            if pr is None:
+                return Poly.zero()
+            a[k], a[pr] = a[pr], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
+                q, r = num.divmod(prev)
+                if not r.is_zero():
+                    raise MorganError("Bareiss division not exact (bug)")
+                a[i][j] = q
+        prev = a[k][k]
+    d = a[n - 1][n - 1]
+    return d if sign == 1 else -d
+
+
+def fixed_decoupling_poles(square) -> Poly:
+    """det(C_f S_f(s)) divided by the product of the row gcds, monic.
+
+    S_f pads the controller-part basis S~(s) with zero rows for the quotient
+    coordinates.  DegenerateNumerator when the determinant vanishes
+    identically.
+    """
+    k = square.uncontrollable_dim
+    c_f = square.C_f
+    cfs = times_S(c_f.submatrix(range(c_f.rows), range(k, c_f.cols)), square.sigma_tilde)
+    d = det(cfs)
+    if d.is_zero():
+        raise DegenerateNumerator("det(C_f S_f) is identically zero")
+    out = d
+    for g in row_gcds(cfs):
+        q, r = out.divmod(g)
+        if not r.is_zero():
+            raise MorganError("row gcd does not divide det(C_f S_f) (bug)")
+        out = q
+    return out.monic()
+
+
+def complete_basis(qb_num: RationalMatrix) -> RationalMatrix:
+    """Q = [Q_A | Q_B] with Q_A greedily chosen standard basis vectors."""
+    n = qb_num.rows
+    cols = [qb_num.col(j) for j in range(qb_num.cols)]
+    chosen = []
+    for i in range(n):
+        if len(chosen) + len(cols) == n:
+            break
+        e = tuple(Fraction(1 if r == i else 0) for r in range(n))
+        trial = RationalMatrix.from_columns(chosen + [e] + cols)
+        if trial.rank() == len(chosen) + 1 + len(cols):
+            chosen.append(e)
+    q = RationalMatrix.from_columns(chosen + cols)
+    if q.rows != q.cols or q.rank() != n:
+        raise SingularQ("could not complete Q_B to an invertible Q")
+    return q

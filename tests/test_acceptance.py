@@ -11,7 +11,7 @@ import time
 from fractions import Fraction
 
 import golden_data as pd
-from fraction_reference import build_S, kalman_matrix, shift
+from fraction_reference import build_S, fixed_decoupling_poles, kalman_matrix, shift
 from morgan.admissible import enumerate_row_configs, enumerate_tuples
 from morgan.canonical import StateSpace, to_pencil_form
 from morgan.decouple import (
@@ -31,7 +31,6 @@ from morgan.exactalg import (
 from morgan.fileio import dump_json, solution_to_dict
 from morgan.zeros import (
     charpoly,
-    fixed_decoupling_poles,
     uncontrollable_polynomial,
 )
 

@@ -1,6 +1,7 @@
 """Command-line surface: files, flags, exit codes, determinism."""
 
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,9 +9,12 @@ from pathlib import Path
 import pytest
 
 import golden_data as pd
+from morgan.canonical import StateSpace
 from morgan.cli import main
+from morgan.decouple import _check_right_invertible
+from morgan.errors import InvalidSystem
 from morgan.fileio import dump_json, load_solution, matrix_to_json, poly_to_json
-from morgan.exactalg import parse_poly
+from morgan.exactalg import RationalMatrix, parse_poly
 
 NOSOL_7_66 = str(Path(__file__).resolve().parent.parent / "perfbench" / "data" / "nosol_7_66.json")
 NOSOL_7_70 = str(Path(__file__).resolve().parent.parent / "perfbench" / "data" / "nosol_7_70.json")
@@ -336,6 +340,47 @@ class TestFixedPoles:
         assert rc == 0
         data = json.loads(out)
         assert data["consistent"] is True
+
+
+def random_system_files(d, seed, count):
+    """count seeded random controllable, right-invertible systems (n 4-6) as files."""
+    rng = random.Random(seed)
+    paths = []
+    while len(paths) < count:
+        n = rng.randint(4, 6)
+        l = rng.randint(2, min(4, n))
+        m = rng.randint(1, l)
+        a, b, c = (
+            RationalMatrix([[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)])
+            for rows, cols in ((n, n), (n, l), (m, n))
+        )
+        try:
+            _check_right_invertible(StateSpace(A=a, B=b, C=c))
+        except InvalidSystem:
+            continue
+        path = d / f"random_{len(paths)}.json"
+        path.write_text(dump_json({k: matrix_to_json(x) for k, x in zip("ABC", (a, b, c))}))
+        paths.append(str(path))
+    return paths
+
+
+class TestRandomRoundTrip:
+    """solve --out, then verify and fixed-poles on the file, on random systems."""
+
+    def test_solve_verify_fixed_poles(self, tmp_path, capsys):
+        solved = 0
+        for i, system in enumerate(random_system_files(tmp_path, 4242, 10)):
+            out = str(tmp_path / f"sol_{i}.json")
+            rc, text, _ = run(capsys, ["solve", system, "--out", out, "--seed", str(i)])
+            assert rc in (0, 2), text
+            if rc == 2:
+                continue
+            solved += 1
+            rc, text, _ = run(capsys, ["verify", system, out])
+            assert rc == 0 and text.startswith("PASS"), text
+            rc, text, _ = run(capsys, ["fixed-poles", system, out])
+            assert rc == 0 and text.endswith("consistent\n"), text
+        assert solved > 0
 
 
 class TestEntryPoint:

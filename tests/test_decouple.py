@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import fraction_reference as ref
 import golden_data as pd
 from morgan.admissible import enumerate_row_configs, enumerate_tuples
 from morgan.canonical import StateSpace
@@ -132,6 +133,23 @@ class TestSquareDecouple:
         h = transfer_function(square.A_f + square.B_f * f_f, square.B_f * g_f, square.C_f)
         assert_diagonal(h, p_list)
 
+    def test_f_f_matches_reference_horner(self, ex1_reference_pencil, ex2_pencil, ex2_config_15,
+                                          ex1_solution, ex2_solution):
+        # F_f = -B*^-1 [C_i p_i(A_f)], p_i(A_f) by Horner on Fraction matrices
+        squares = [
+            make_square_system(ex1_reference_pencil, ex1_reference_squaring(ex1_reference_pencil)),
+            make_square_system(ex2_pencil, ex2_reference_squaring(ex2_pencil, ex2_config_15, (1, 2, 3, 4))),
+        ] + [make_square_system(s.pencil, s.squaring) for s in (ex1_solution, ex2_solution)]
+        for square in squares:
+            for targets in (None, [Poly([Fraction(1, 3)] * (d + 1) + [1]) for d in square.rel_degrees]):
+                f_f, g_f, p_list = square_decouple(square, targets)
+                rows = [
+                    (square.C_f.submatrix([i], range(square.n)) * ref.eval_matrix(p, square.A_f)).row(0)
+                    for i, p in enumerate(p_list)
+                ]
+                assert g_f == square.B_star.inverse()
+                assert f_f == -(g_f * RationalMatrix(rows))
+
     def test_single_chain(self):
         a = RationalMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
         b = RationalMatrix([[0], [0], [1]])
@@ -154,19 +172,26 @@ class TestComposeFinal:
     def test_example1_reference_pair(self, ex1, ex1_reference_pencil):
         sq = ex1_reference_squaring(ex1_reference_pencil)
         p_list = [parse_poly(t) for t in pd.EX1_DIAG_DENS]
-        f, g, diag = compose_final(
-            ex1, ex1_reference_pencil, sq, pd.EX1_F_F, pd.EX1_G_F, p_list
+        square = make_square_system(ex1_reference_pencil, sq)
+        f, g, diag, fixed = compose_final(
+            ex1, ex1_reference_pencil, sq, square, pd.EX1_F_F, pd.EX1_G_F, p_list
         )
         assert f == pd.EX1_F_FINAL
         assert g == pd.EX1_G_FINAL
         assert [den for _, den in diag] == p_list
+        assert fixed.fixed_dec_poly == ref.fixed_decoupling_poles(square) == Poly.one()
 
     def test_example2_reference_pair(self, ex2, ex2_pencil, ex2_config_15):
         sq = ex2_reference_squaring(ex2_pencil, ex2_config_15)
         p_list = [parse_poly(t) for t in pd.EX2_DIAG_DENS]
-        f, g, diag = compose_final(ex2, ex2_pencil, sq, pd.EX2_F_F, pd.EX2_G_F, p_list)
+        square = make_square_system(ex2_pencil, sq)
+        f, g, diag, fixed = compose_final(
+            ex2, ex2_pencil, sq, square, pd.EX2_F_F, pd.EX2_G_F, p_list
+        )
         assert f == pd.ex2_f_final(0, 0, 0, 0)
         assert g == pd.EX2_G_FINAL
+        assert fixed.fixed_dec_poly == ref.fixed_decoupling_poles(square)
+        assert fixed.input_dz_poly == parse_poly("s^2")
 
     def test_trivial_integrator(self):
         sys_ = StateSpace(
@@ -188,12 +213,13 @@ class TestComposeFinal:
             assignment={},
             t=None,
         )
-        f, g, diag = compose_final(
-            sys_, pencil, sq, RationalMatrix.zeros(1, 1), RationalMatrix.identity(1),
-            [parse_poly("s")],
+        f, g, diag, fixed = compose_final(
+            sys_, pencil, sq, make_square_system(pencil, sq),
+            RationalMatrix.zeros(1, 1), RationalMatrix.identity(1), [parse_poly("s")],
         )
         assert f == RationalMatrix.zeros(1, 1)
         assert g == RationalMatrix.identity(1)
+        assert fixed.fixed_dec_poly == Poly.one()
 
     def test_verification_guards_diagonal(self):
         # C (sI - A)^-1 = [[1/(s+1), 1/(s+2)], [0, 1/(s+2)]]

@@ -8,14 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 import fraction_reference as ref
 import golden_data as pd
-from fraction_reference import PolyMatrix, build_S, s_identity_minus, shift
+from fraction_reference import PolyMatrix, build_S, det, s_identity_minus, shift
 from morgan.errors import MorganError
 from morgan.exactalg import (
     NEG_INF,
     RESOLVENT_SIZE_CAP,
     Poly,
     RationalMatrix,
-    det,
     format_poly,
     parse_poly,
     poly_gcd,

@@ -1,7 +1,8 @@
 """The integer kernels of exactalg against their Fraction references.
 
 Every kernel must return exactly the values of the `Fraction` bodies kept in
-`fraction_reference`: products, matrix-vector products, Horner evaluation,
+`fraction_reference`: products, matrix-vector products, Horner evaluation
+(on rows, as `decouple.square_decouple` runs it),
 reduced row echelon forms, Faddeev-LeVerrier and the transfer function, on
 mixed denominators, zero rows and columns, empty shapes and rank-deficient
 matrices up to n = 12.
@@ -15,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import fraction_reference as ref
 from fraction_reference import PolyMatrix, s_identity_minus
+from morgan.decouple import _row_times_poly
 from morgan.errors import MorganError
 from morgan.exactalg import Poly, RationalMatrix, resolvent, transfer_function
 
@@ -111,11 +113,15 @@ class TestProduct:
 
 
 class TestEvalMatrix:
+    """Row-wise Horner (square_decouple's C_i p_i(A_f)) against p(A)."""
+
     @given(square_matrices(), st.lists(ENTRIES, max_size=6).map(Poly))
     @example(DENSE_12, Poly([Fraction(1, 3), -2, 0, Fraction(5, 7), 1]))
     @settings(max_examples=60, deadline=None)
     def test_matches_reference(self, a, p):
-        assert p.eval_matrix(a) == ref.eval_matrix(p, a)
+        unit_rows = RationalMatrix.identity(a.rows).entries
+        got = [_row_times_poly(RationalMatrix([e]), p, a).row(0) for e in unit_rows]
+        assert RationalMatrix(got) == ref.eval_matrix(p, a)
 
 
 class TestEchelon:

@@ -1,8 +1,8 @@
 """M S(s) by slicing rows, the determinant on rows of Poly, and the pencil-form check.
 
 `canonical.times_S` is compared with the product PolyMatrix(M) * S(s) of the
-polynomial matrices kept in `fraction_reference`, and `exactalg.det` with a
-Laplace expansion.  The chain-row check of `_verify_pencil_form` is
+polynomial matrices kept in `fraction_reference`, and the reference Bareiss
+`det` there, which the fixed-pole tests rely on, with a Laplace expansion.  The chain-row check of `_verify_pencil_form` is
 compared with the reassembly [L(s); sK - Lambda] of the permuted sI - A_r.
 """
 
@@ -14,10 +14,10 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fraction_reference import PolyMatrix, build_L, build_S, s_identity_minus
+from fraction_reference import PolyMatrix, build_L, build_S, det, s_identity_minus
 from morgan.canonical import _verify_pencil_form, times_S
 from morgan.errors import MorganError
-from morgan.exactalg import Poly, RationalMatrix, det
+from morgan.exactalg import Poly, RationalMatrix
 
 ENTRIES = st.one_of(
     st.just(Fraction(0)),

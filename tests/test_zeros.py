@@ -6,23 +6,27 @@ from fractions import Fraction
 import pytest
 
 import golden_data as pd
-from morgan.canonical import StateSpace
+from fraction_reference import fixed_decoupling_poles
+from morgan.admissible import enumerate_row_configs, enumerate_tuples
+from morgan.canonical import StateSpace, to_pencil_form
 from morgan.decouple import (
     DecouplingSolution,
     SolveOptions,
     SquareSystem,
+    _evaluate_config,
     make_square_system,
     solve,
 )
-from morgan.errors import NotSolvable, TargetDegreeMismatch
+from morgan.errors import InvalidSystem, NotSolvable, TargetDegreeMismatch
 from morgan.exactalg import Poly, RationalMatrix, parse_poly
-from morgan.squaring import MuFamily, SquaringData
+from morgan.squaring import MuFamily, SquaringData, build_QB
 from morgan.zeros import (
     _zero_block_data,
     assign_zeros,
     charpoly,
+    check_fixed_poles,
+    closed_loop,
     companion,
-    fixed_decoupling_poles,
     input_decoupling_zeros,
     routh_hurwitz_stable,
     uncontrollable_polynomial,
@@ -265,3 +269,69 @@ class TestRandomSolvedSystems:
             if dz == Poly.one():
                 assert unobs == cofactor
         assert checked == 20
+
+
+def solved_configurations(sys_, options):
+    """The solution of every (tuple, configuration) that _evaluate_config solves."""
+    pencil = to_pencil_form(sys_)
+    configs = enumerate_row_configs(pencil.sigma, sys_.m)
+    for ti, ci_tuple in enumerate(enumerate_tuples(pencil.sigma, sys_.m)):
+        qbasis = build_QB(pencil.sigma, ci_tuple)
+        for ci, config in enumerate(configs):
+            _, sol = _evaluate_config(sys_, pencil, qbasis, config, ti, ci, options)
+            if sol is not None:
+                yield sol
+
+
+def random_systems(seed, count):
+    """count seeded random systems (n 3-6) that pass the StateSpace checks."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(3, 6)
+        l = rng.randint(2, min(4, n))
+        m = rng.randint(1, l)
+        a, b, c = (
+            RationalMatrix([[rng.randint(-k, k) for _ in range(cols)] for _ in range(rows)])
+            for rows, cols, k in ((n, n, 2), (n, l, 1), (m, n, 2))
+        )
+        try:
+            out.append(StateSpace(A=a, B=b, C=c))
+        except InvalidSystem:
+            continue
+    return out
+
+
+class TestFixedPolesFromClosedLoop:
+    """fixed_dec_poly = chi(A + BF) / (dz * prod p_i) is the Wolovich-Falb
+    polynomial det(C_f S_f) / prod(row gcds) at every solved configuration."""
+
+    def _check(self, sys_, options):
+        solved = 0
+        for sol in solved_configurations(sys_, options):
+            square = make_square_system(sol.pencil, sol.squaring)
+            fp = sol.fixed_poles
+            assert fp.fixed_dec_poly == fixed_decoupling_poles(square)
+            acl, chi = closed_loop(sys_, sol.F, sol.G)
+            _, _, failures = check_fixed_poles(
+                sys_, sol.G, acl, chi, fp.input_dz_poly, fp.fixed_dec_poly
+            )
+            assert failures == []
+            solved += 1
+        return solved
+
+    def test_example1_all(self, ex1):
+        assert self._check(ex1, SolveOptions(return_all=True)) > 0
+
+    def test_example2_all(self, ex2):
+        assert self._check(ex2, SolveOptions(return_all=True)) > 0
+
+    @pytest.mark.parametrize("seed", [1729, 1731, 2734])  # each redraws one common row factor
+    def test_example2_dz_target(self, ex2, seed):
+        options = SolveOptions(seed=seed, return_all=True, dz_target=parse_poly("s^2+3s+2"))
+        assert self._check(ex2, options) > 0
+
+    def test_random_systems(self):
+        solved = sum(self._check(sys_, SolveOptions(seed=i))
+                     for i, sys_ in enumerate(random_systems(808, 6)))
+        assert solved > 0
