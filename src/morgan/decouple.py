@@ -5,7 +5,9 @@ order in one loop.  Each configuration is evaluated purely from its own
 derived sub-seed, so its outcome does not depend on which configurations
 ran before it; the winner is the first configuration whose entire pipeline
 (search, instantiation, feedback solve, square decoupling, exact closed-loop
-verification) goes through.
+verification) goes through.  The square system stays in the pencil
+coordinates of to_pencil_form: the static decoupling law does not depend on
+the basis, so no basis completing Q_B is formed (see zeros for the poles).
 
 A NoSolution means that no solution was found among the searched
 configurations, not that none exists.  The rank tests of the search are
@@ -25,13 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .admissible import RowConfig, enumerate_row_configs, enumerate_tuples
-from .canonical import (
-    PencilForm,
-    StateSpace,
-    controllability_indices,
-    times_S,
-    to_pencil_form,
-)
+from .canonical import PencilForm, StateSpace, times_S, to_pencil_form
 from .errors import (
     InvalidSystem,
     MorganError,
@@ -40,13 +36,19 @@ from .errors import (
     TargetDegreeMismatch,
     VerificationFailed,
 )
-from .exactalg import Poly, RationalMatrix, format_poly, rank, transfer_function
+from .exactalg import (
+    Poly,
+    RationalMatrix,
+    format_poly,
+    krylov_select,
+    rank,
+    transfer_function,
+)
 from .paramalg import instantiate
 from .squaring import (
     SquaringData,
     assemble_squaring,
     build_QB,
-    complete_basis,
     decouplability_search,
     solve_feedback_rows,
 )
@@ -59,19 +61,12 @@ INSTANTIATION_BOUND = 5  # numeric Q_B entries drawn from [-5, 5]
 
 @dataclass(frozen=True)
 class SquareSystem:
-    """The squared-down system (A_f, B_f, C_f) of one configuration."""
+    """The squared-down system of one configuration, in pencil coordinates."""
 
     A_f: RationalMatrix
-    B_f: RationalMatrix
     C_f: RationalMatrix
-    sigma_tilde: tuple
-    uncontrollable_dim: int
     rel_degrees: tuple
     B_star: RationalMatrix
-
-    @property
-    def n(self):
-        return self.A_f.rows
 
 
 def relative_degrees(a: RationalMatrix, b: RationalMatrix, c: RationalMatrix):
@@ -100,45 +95,23 @@ def relative_degrees(a: RationalMatrix, b: RationalMatrix, c: RationalMatrix):
 
 
 def make_square_system(pencil: PencilForm, squaring: SquaringData) -> SquareSystem:
-    """A_f = Q^-1 (A_r + B_r G_I F_0) Q, B_f = Q^-1 B_r G_I G_0, C_f = C_r Q.
+    """A_f = A_r + B_r G_I F_0, B_f = B_r G_I G_0 and C_f = C_r, in pencil coordinates.
 
-    The controllable part sits in the trailing sum(sigma_tilde) coordinates in
-    controller canonical form with indices sigma_tilde; both facts are
-    asserted exactly.
+    The controllability indices of (A_f, B_f), its sorted Krylov chain
+    lengths, must be sigma_tilde; no change of basis alters them.
     """
-    q, q_inv = squaring.Q, squaring.Q_inv
-    a_cl = pencil.A_r + pencil.B_r_GI * squaring.F0
-    a_f = q_inv * a_cl * q
-    b_f = q_inv * pencil.B_r_GI * squaring.G0
-    c_f = pencil.C_r * q
-    n = a_f.rows
-    w = sum(squaring.sigma_tilde)
-    k = n - w
-
-    for i in range(k):
-        if any(a_f[i, j] != 0 for j in range(k, n)):
-            raise MorganError("controllable subspace not invariant (bug)")
-        if any(b_f[i, j] != 0 for j in range(b_f.cols)):
-            raise MorganError("B_f leaks into the quotient block (bug)")
-    a_c = a_f.submatrix(range(k, n), range(k, n))
-    b_c = b_f.submatrix(range(k, n), range(b_f.cols))
-    if controllability_indices(a_c, b_c) != tuple(squaring.sigma_tilde):
-        raise MorganError("squared system does not have the requested indices")
+    a_f = pencil.A_r + pencil.B_r_GI * squaring.F0
+    b_f = pencil.B_r_GI * squaring.G0
+    c_f = pencil.C_r
+    if tuple(sorted(krylov_select(a_f, b_f)[0])) != squaring.sigma_tilde:
+        raise MorganError("squared system does not have the requested indices (bug)")
 
     ds, b_star = relative_degrees(a_f, b_f, c_f)
     if b_star.rank() != c_f.rows:
         raise SingularBstar(
             "decoupling matrix singular although the rank tests passed"
         )
-    return SquareSystem(
-        A_f=a_f,
-        B_f=b_f,
-        C_f=c_f,
-        sigma_tilde=tuple(squaring.sigma_tilde),
-        uncontrollable_dim=k,
-        rel_degrees=ds,
-        B_star=b_star,
-    )
+    return SquareSystem(A_f=a_f, C_f=c_f, rel_degrees=ds, B_star=b_star)
 
 
 def default_diagonal_polys(square: SquareSystem):
@@ -175,8 +148,9 @@ def square_decouple(square: SquareSystem, target_polys=None):
                 f"{square.rel_degrees[i] + 1}, got {p.degree}"
             )
     g_f = square.B_star.inverse()
+    n = square.A_f.rows
     rows = [
-        _row_times_poly(square.C_f.submatrix([i], range(square.n)), p, square.A_f).row(0)
+        _row_times_poly(square.C_f.submatrix([i], range(n)), p, square.A_f).row(0)
         for i, p in enumerate(target_polys)
     ]
     f_f = -(g_f * RationalMatrix(rows))
@@ -187,19 +161,20 @@ def compose_final(
     sys: StateSpace,
     pencil: PencilForm,
     squaring: SquaringData,
-    square: SquareSystem,
     f_f: RationalMatrix,
     g_f: RationalMatrix,
     p_list,
 ):
-    """F = G_I (F_0 + G_0 F_f Q^-1) P^-1 and G = G_I G_0 G_f, verified.
+    """F = G_I (F_0 + G_0 F_f) P^-1 and G = G_I G_0 G_f, verified.
 
     The exact closed-loop transfer function is recomputed from the original
     (A, B, C) and must equal diag(1/p_i) identically; VerificationFailed
     otherwise (this would be an implementation bug, never a search miss).
-    Returns (F, G, diagonal, fixed-pole report read off the closed loop).
+    Returns (F, G, diagonal, fixed-pole report read off the closed loop);
+    the input decoupling zeros are the uncontrollable polynomial of
+    (A + BF, BG), as verify computes them.
     """
-    f = pencil.G_I * (squaring.F0 + squaring.G0 * f_f * squaring.Q_inv) * pencil.P_inv
+    f = pencil.G_I * (squaring.F0 + squaring.G0 * f_f) * pencil.P_inv
     g = pencil.G_I * squaring.G0 * g_f
     acl, chi = zeros_mod.closed_loop(sys, f, g)
     diag, failures = check_closed_loop(
@@ -209,7 +184,8 @@ def compose_final(
         raise failures[0]
     if g.rank() != sys.m:
         raise VerificationFailed("final G is not monic")
-    return f, g, diag, zeros_mod.fixed_pole_report(square, chi, p_list)
+    dz = zeros_mod.uncontrollable_polynomial(acl, sys.B * g, chi)
+    return f, g, diag, zeros_mod.fixed_pole_report(dz, chi, p_list)
 
 
 def check_closed_loop(sys: StateSpace, g, acl, chi, expected_diagonal):
@@ -271,8 +247,6 @@ class SolveOptions:
 class ConfigOutcome:
     """Audit record for one (tuple, config) cell."""
 
-    tuple_index: int
-    config_index: int
     ci_tuple: tuple
     config: RowConfig
     status: str  # 'solved' or 'rejected'
@@ -329,8 +303,7 @@ def _evaluate_config(sys, pencil, qbasis, config, ti, ci, options):
     rng = random.Random(_sub_seed(options.seed, ti, ci))
 
     def outcome(status, reason=""):
-        return ConfigOutcome(tuple_index=ti, config_index=ci, ci_tuple=ci_tuple,
-                             config=config, status=status, reason=reason)
+        return ConfigOutcome(ci_tuple=ci_tuple, config=config, status=status, reason=reason)
 
     def rejected(reason):
         return outcome("rejected", reason), None
@@ -393,24 +366,28 @@ def _evaluate_config(sys, pencil, qbasis, config, ti, ci, options):
             ),
         )
 
-    q = complete_basis(qb_num)
-    q_inv = q.inverse()
     t = None
     if options.dz_target is not None:
         try:
-            t = zeros_mod.assign_zeros(pencil, config, q, q_inv, family, options.dz_target)
+            t = zeros_mod.assign_zeros(pencil, config, qb_num, family, options.dz_target)
         except NotSolvable as e:
             return rejected(f"cannot place the requested input decoupling zeros: {e}")
-    squaring = assemble_squaring(pencil, qbasis, config, qb_num, q, q_inv, family, assignment, t)
+    squaring = assemble_squaring(pencil, qbasis, config, qb_num, family, assignment, t)
     try:
         square = make_square_system(pencil, squaring)
         f_f, g_f, p_list = square_decouple(
             square,
             list(options.diag_polys) if options.diag_polys else None,
         )
-        f, g, diag, fixed = compose_final(sys, pencil, squaring, square, f_f, g_f, p_list)
+        f, g, diag, fixed = compose_final(sys, pencil, squaring, f_f, g_f, p_list)
     except TargetDegreeMismatch as e:
         return rejected(str(e))
+    dz = fixed.input_dz_poly
+    if options.dz_target is not None and dz != options.dz_target:
+        raise MorganError(
+            f"closed-loop input decoupling zeros {format_poly(dz)} differ from the "
+            f"placed target {format_poly(options.dz_target)} (bug)"
+        )
 
     solution = DecouplingSolution(
         F=f,

@@ -8,6 +8,11 @@ highest-coefficient matrix of the shifted numerator has full row rank while
 Q_B stays monic and the denominator stays column reduced.  The search runs
 over per-row degree deficits in ascending total deficit and derives the
 induced zero constraints exactly.
+
+A numeric Q_B spans the controllable subspace of the squared-down system
+(A_r + B_r G_I F_0, B_r G_I G_0), with that system in controller form on
+it.  The square system is decoupled in pencil coordinates, so only zero
+assignment completes Q_B to a basis Q = [Q_A | Q_B] (complete_basis).
 """
 
 from __future__ import annotations
@@ -427,9 +432,6 @@ class SquaringData:
     """Numeric output of one successful configuration."""
 
     sigma_tilde: tuple
-    config: RowConfig
-    Q: RationalMatrix
-    Q_inv: RationalMatrix
     F0: RationalMatrix  # l x n, rows at config blocks
     G0: RationalMatrix  # l x m
     M_rows: tuple  # numeric mu rows
@@ -442,18 +444,15 @@ def assemble_squaring(
     qbasis: QBasis,
     config: RowConfig,
     qb_num: RationalMatrix,
-    q: RationalMatrix,
-    q_inv: RationalMatrix,
     mu_family: MuFamily,
     assignment: dict,
     t,
 ) -> SquaringData:
     """Build (F_0, G_0) from a numeric Q_B and the mu rows at T.
 
-    q = complete_basis(qb_num) and q_inv is its inverse; t is None for
-    T = 0.  F_0 rows at the config positions are (sK^a - Lambda^a) - M(s),
-    whose s-parts cancel; all other rows are zero.  G_0 drops the config
-    columns from the identity.
+    t is None for T = 0.  F_0 rows at the config positions are
+    (sK^a - Lambda^a) - M(s), whose s-parts cancel; all other rows are
+    zero.  G_0 drops the config columns from the identity.
     """
     n, l = pencil.n, pencil.l
     st = qbasis.sigma_tilde
@@ -484,9 +483,6 @@ def assemble_squaring(
 
     return SquaringData(
         sigma_tilde=st,
-        config=config,
-        Q=q,
-        Q_inv=q_inv,
         F0=f0,
         G0=g0,
         M_rows=tuple(mu_rows),

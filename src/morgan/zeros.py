@@ -3,25 +3,26 @@
 Two kinds: the input decoupling zeros dz created by the singular input
 transformation (the uncontrollable modes of the squared-down system, present
 whenever sum(sigma_tilde) < n), and the classical fixed decoupling poles of
-Wolovich and Falb, det(C_f S_f(s)) / prod(row gcds).  The former can often be
-placed through the free parameters of the feedback-row solution families,
-the entries of one rational matrix T: the zeros are the characteristic
-polynomial of the quotient block X(T) = X0 - U T W, and this module places
-them exactly when the affine map T -> X(T) is onto (NotSolvable otherwise).
-check_fixed_poles cross-checks a recorded pair of them against the closed
-loop of the original system.
+Wolovich and Falb, det N / prod(row gcds of N) with N = C_r Q_B S~(s).
+assign_zeros places dz through the free parameters of the feedback-row
+solution families, the entries of one rational matrix T, exactly when the
+affine map T -> X(T) = X0 - U T W onto the quotient block is onto
+(NotSolvable otherwise); no other code completes Q_B to a basis Q.
+check_fixed_poles cross-checks a recorded pair against the closed loop.
 
-The fixed decoupling poles are read off the verified closed loop, by
-chi(A + BF) = dz * prod(p_i) * monic det(C_f S_f(s)).  Proof: A + BF is
-similar to A_f + B_f F_f, block lower triangular since B_f and the top
-right block of A_f vanish, with leading block the quotient block (charpoly
-dz).  On the trailing block, in controller form with indices sigma_tilde,
-(sI - A_c - B_c F_c)^-1 B_c = S~(s) D_cl(s)^-1 with det D_cl a constant
-times chi(A_c + B_c F_c), so H = N D_cl^-1 G_f with N = C_f S_f(s).
+Both are read off the verified closed loop: dz is the uncontrollable
+polynomial of (A + BF, BG), as check_fixed_poles computes it, and
+chi(A + BF) = dz * prod(p_i) * monic det N.  Proof: P carries (A + BF, BG)
+to (A_s + B_s F_f, B_s G_f), where A_s = A_r + B_r G_I F_0 and
+B_s = B_r G_I G_0 form the squared-down system in pencil coordinates.  Its
+controllable subspace V, which feedback keeps, is spanned by the numeric
+Q_B, so chi(A + BF) is dz times the characteristic polynomial on V.  In the
+basis Q_B the restriction is in controller form with indices sigma_tilde:
+(sI - A_V)^-1 B_V = S~(s) D_cl(s)^-1, det D_cl a constant times that
+polynomial.  The inputs reach only V, so H = N D_cl^-1 G_f, and
 H = diag(1/p_i) gives det D_cl = det N * prod(p_i) * const.  The row gcds
 of N are 1 at every solution: decouple._evaluate_config redraws each
-instantiation where a row of C_r Q_B S~(s), which is N, has a nonconstant
-gcd.  So chi / (dz * prod(p_i)) is the Wolovich-Falb polynomial.
+instantiation where a row of N has a nonconstant gcd.
 
 The uncontrollable and unobservable polynomials of a closed loop follow the
 Kalman decomposition: chi_A divided by the characteristic polynomial of A
@@ -50,6 +51,7 @@ from .exactalg import (
     poly_gcd,
     resolvent,
 )
+from .squaring import complete_basis
 
 
 def charpoly(a: RationalMatrix) -> Poly:
@@ -147,20 +149,6 @@ def check_fixed_poles(sys, g, acl, chi, dz_recorded: Poly, fixed_recorded: Poly)
     return dz, unobs, failures
 
 
-def input_decoupling_zeros(square) -> Poly:
-    """Monic characteristic polynomial of the uncontrollable part of (A_f, B_f).
-
-    That part is the leading uncontrollable_dim x uncontrollable_dim block of
-    A_f: make_square_system asserts that the trailing coordinates are
-    invariant, that B_f vanishes on the leading rows and that the trailing
-    part is controllable.  Equals the product of the finite elementary
-    divisors of the augmented input-state pencil; 1 when the squared system
-    is controllable.
-    """
-    k = square.uncontrollable_dim
-    return charpoly(square.A_f.submatrix(range(k), range(k)))
-
-
 def row_gcds(rows) -> list:
     """Monic gcd of the nonzero entries of each row, the rows given as lists of Poly.
 
@@ -221,9 +209,9 @@ class FixedPoleReport:
     fixed_dec_stable: bool
 
 
-def fixed_pole_report(square, chi: Poly, p_list) -> FixedPoleReport:
-    """fixed = chi / (dz * prod(monic p_i)), chi = chi(A + BF) (module docstring)."""
-    dz = input_decoupling_zeros(square)
+def fixed_pole_report(dz: Poly, chi: Poly, p_list) -> FixedPoleReport:
+    """fixed = chi / (dz * prod(monic p_i)), chi = chi(A + BF) and dz the
+    uncontrollable polynomial of (A + BF, BG) (module docstring)."""
     fixed, rem = chi.divmod(prod((p.monic() for p in p_list), start=dz))
     if not rem.is_zero():
         raise MorganError("closed-loop polynomial is not a multiple of dz * prod(p_i) (bug)")
@@ -249,14 +237,18 @@ def companion(p: Poly) -> RationalMatrix:
     return RationalMatrix(m)
 
 
-def _zero_block_data(pencil, config, q, q_inv, mu_family):
+def _zero_block_data(pencil, config, qb_num, mu_family):
     """X0, U, W of the affine map T -> quotient block X(T) = X0 - U T W.
 
-    At T = 0 the config rows of A_r + B_r G_I F_0 are -mu_0 (see
-    assemble_squaring); the other rows are those of A_r.
+    The quotient block is the leading k x k block of Q^-1 (A_r + B_r G_I F_0) Q
+    for Q = [Q_A | Q_B] = complete_basis(qb_num).  At T = 0 the config rows
+    of A_r + B_r G_I F_0 are -mu_0 (see assemble_squaring); the other rows
+    are those of A_r.
     """
     n = pencil.n
     k = len(mu_family.nullbasis)
+    q = complete_basis(qb_num)
+    q_inv = q.inverse()
     ga = q_inv.submatrix(range(k), range(n))
     qa = q.submatrix(range(n), range(k))
     a_cl0 = [list(row) for row in pencil.A_r.entries]
@@ -269,15 +261,16 @@ def _zero_block_data(pencil, config, q, q_inv, mu_family):
     return x0, u, w
 
 
-def assign_zeros(pencil, config, q, q_inv, mu_family, target: Poly):
+def assign_zeros(pencil, config, qb_num, mu_family, target: Poly):
     """The free-parameter matrix T that makes the input decoupling zeros target.
 
-    q = [Q_A | Q_B] is the completed basis and q_inv its inverse.  When the
-    map T -> X(T) is onto (U and W of full rank k = n - sum(sigma_tilde)),
-    X(T) is steered to the companion matrix of the target, which always
-    succeeds over Q; otherwise NotSolvable.  Returns T as rows of Fraction
-    (feedback rows x vectors of N), or None when k = 0.  TargetDegreeMismatch
-    when deg(target) != k; solve has checked that the target is monic.
+    qb_num is the numeric Q_B of the configuration.  When the map
+    T -> X(T) is onto (U and W of full rank k = n - sum(sigma_tilde)), X(T)
+    is steered to the companion matrix of the target, which always succeeds
+    over Q; otherwise NotSolvable.  Returns T as rows of Fraction (feedback
+    rows x vectors of N), or None when k = 0.  TargetDegreeMismatch when
+    deg(target) != k; solve has checked that the target is monic, and
+    decouple._evaluate_config checks the zeros of the verified closed loop.
     """
     k = len(mu_family.nullbasis)
     if target.degree != k:
@@ -286,7 +279,7 @@ def assign_zeros(pencil, config, q, q_inv, mu_family, target: Poly):
         )
     if k == 0:
         return None
-    x0, u, w = _zero_block_data(pencil, config, q, q_inv, mu_family)
+    x0, u, w = _zero_block_data(pencil, config, qb_num, mu_family)
     if u.rank() < k or w.rank() < k:
         raise NotSolvable("free-parameter map does not reach every quotient block")
     y = (x0 - companion(target)) * w.inverse()
@@ -296,7 +289,4 @@ def assign_zeros(pencil, config, q, q_inv, mu_family, target: Poly):
         if sol is None:
             raise MorganError("onto map failed to solve (bug)")
         t_cols.append(sol)
-    t_mat = RationalMatrix.from_columns(t_cols)
-    if charpoly(x0 - u * t_mat * w) != target.monic():
-        raise MorganError("zero placement verification failed (bug)")
-    return t_mat.entries
+    return RationalMatrix.from_columns(t_cols).entries

@@ -14,8 +14,10 @@ polynomial matrices that `exactalg` and `canonical` kept before M S(s) was
 read off by slicing rows (`canonical.times_S`): the `PolyMatrix` type,
 sI - A, the chain block L(s) and the basis S(s).  Last come the
 constructions that `solve` ran before it read the fixed poles off the closed
-loop and completed Q_B by one echelon form: the fraction-free (Bareiss)
-polynomial determinant, the Wolovich-Falb polynomial
+loop, decoupled the square system in pencil coordinates and completed Q_B
+by one echelon form: the fraction-free (Bareiss) polynomial determinant,
+the square system in the basis Q = [Q_A | Q_B] with the input decoupling
+zeros read off its quotient block, the Wolovich-Falb polynomial
 det(C_f S_f(s)) / prod(row gcds), and the greedy completion of Q_B by unit
 vectors, one rank test per candidate.  The tests require the current code
 to return exactly the same values.
@@ -24,6 +26,7 @@ to return exactly the same values.
 from __future__ import annotations
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 from morgan.canonical import times_S
 from morgan.errors import DegenerateNumerator, MorganError, NotControllable, SingularQ
@@ -423,6 +426,32 @@ def det(rows) -> Poly:
         prev = a[k][k]
     d = a[n - 1][n - 1]
     return d if sign == 1 else -d
+
+
+def q_coordinate_square(pencil, squaring, q: RationalMatrix):
+    """The squared-down system in the basis q = [Q_A | Q_B].
+
+    A_f = Q^-1 (A_r + B_r G_I F_0) Q, B_f = Q^-1 B_r G_I G_0 and C_f = C_r Q,
+    with sigma_tilde and the quotient dimension k = n - sum(sigma_tilde).
+    MorganError unless the trailing coordinates are invariant and B_f
+    vanishes on the leading k rows.
+    """
+    q_inv = q.inverse()
+    a_f = mul(mul(q_inv, pencil.A_r + mul(pencil.B_r_GI, squaring.F0)), q)
+    b_f = mul(q_inv, mul(pencil.B_r_GI, squaring.G0))
+    n, k = q.rows, q.rows - sum(squaring.sigma_tilde)
+    if any(a_f[i, j] != 0 for i in range(k) for j in range(k, n)):
+        raise MorganError("controllable subspace not invariant")
+    if any(b_f[i, j] != 0 for i in range(k) for j in range(b_f.cols)):
+        raise MorganError("B_f leaks into the quotient block")
+    return SimpleNamespace(A_f=a_f, B_f=b_f, C_f=mul(pencil.C_r, q),
+                           sigma_tilde=tuple(squaring.sigma_tilde), uncontrollable_dim=k)
+
+
+def input_decoupling_zeros(square) -> Poly:
+    """Characteristic polynomial of the quotient block of a q_coordinate_square."""
+    k = square.uncontrollable_dim
+    return charpoly(square.A_f.submatrix(range(k), range(k)))
 
 
 def fixed_decoupling_poles(square) -> Poly:

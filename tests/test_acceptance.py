@@ -17,7 +17,6 @@ from morgan.canonical import StateSpace, to_pencil_form
 from morgan.decouple import (
     DecouplingSolution,
     SolveOptions,
-    make_square_system,
     relative_degrees,
     solve,
 )
@@ -136,21 +135,15 @@ def test_criterion_4_example2_structure_and_golden_verify(ex2):
     report(4, f"Example 2 I (16) / M (10) exact; reference (F, G) at t=0 verify to diag{{1/(s+10), 1/(s+3), 1/(s+1)}} ({elapsed:.3f}s < 5s)")
 
 
-def test_criterion_5_input_dz_formula(ex2_pencil, ex2_config_15):
-    from test_decouple import ex2_reference_squaring
-    from morgan.decouple import make_square_system
-    from morgan.zeros import input_decoupling_zeros
+def test_criterion_5_input_dz_formula(ex2, ex2_pencil, ex2_config_15):
+    from test_decouple import closed_loop_dz, ex2_reference_squaring
 
     rng = random.Random(55)
     for k in range(5):
         t1, t2, t3, t4 = (Fraction(rng.randint(-7, 7)) for _ in range(4))
-        square = make_square_system(
-            ex2_pencil, ex2_reference_squaring(ex2_pencil, ex2_config_15, (t1, t2, t3, t4))
-        )
-        assert input_decoupling_zeros(square) == Poly(
-            [t1 * t4 - t2 * t3, -(t1 + t4), 1]
-        )
-    report(5, "input decoupling zeros equal s^2 - (t1+t4)s + (t1 t4 - t2 t3) at 5 seeded assignments (exact)")
+        sq = ex2_reference_squaring(ex2_pencil, ex2_config_15, (t1, t2, t3, t4))
+        assert closed_loop_dz(ex2, ex2_pencil, sq) == Poly([t1 * t4 - t2 * t3, -(t1 + t4), 1])
+    report(5, "closed-loop input decoupling zeros equal s^2 - (t1+t4)s + (t1 t4 - t2 t3) at 5 seeded assignments (exact)")
 
 
 def test_criterion_6_zero_assignment(ex2):
@@ -213,8 +206,12 @@ def test_criterion_7_oracles():
     report(7, "CI oracle agreement on 100 systems; rank criterion <=> invertible decoupling matrix on 20 square systems")
 
 
-def test_criterion_8_closed_loop_factorization(ex1, ex1_solution, ex2, ex2_solution):
-    for sys_, sol in [(ex1, ex1_solution), (ex2, ex2_solution)]:
+def test_criterion_8_closed_loop_factorization(ex1, ex2):
+    from test_zeros import q_square_of, recorded_qb_nums
+
+    for sys_ in (ex1, ex2):
+        with recorded_qb_nums() as seen:
+            sol = solve(sys_, SolveOptions(seed=1729))
         acl = sys_.A + sys_.B * sol.F
         chi = charpoly(acl)
         prod = Poly.one()
@@ -223,7 +220,7 @@ def test_criterion_8_closed_loop_factorization(ex1, ex1_solution, ex2, ex2_solut
         dz = sol.fixed_poles.input_dz_poly
         cofactor, rem = chi.divmod(prod * dz)
         assert rem.is_zero()
-        assert cofactor == fixed_decoupling_poles(make_square_system(sol.pencil, sol.squaring))
+        assert cofactor == fixed_decoupling_poles(q_square_of(sol, seen[-1]))
         assert cofactor == sol.fixed_poles.fixed_dec_poly
     report(8, "charpoly(A+BF) = (prod p_i) * dz * unobservable factor; factor equals the Wolovich-Falb polynomial on Examples 1-2")
 

@@ -1,5 +1,6 @@
 """Square-system assembly, square decoupling, composition, search driver."""
 
+import dataclasses
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -28,7 +29,6 @@ from morgan.squaring import (
     SquaringData,
     assemble_squaring,
     build_QB,
-    complete_basis,
     decouplability_search,
     solve_feedback_rows,
 )
@@ -53,10 +53,24 @@ def ex1_reference_squaring(ex1_reference_pencil):
     assignment = {ParamId(*k[1:]): Fraction(v) for k, v in pd.EX1_QB_ASSIGNMENT.items()}
     qb_num = instantiate(rep.constraints.apply(qb.cells), at_columns(qb.params, assignment))
     fam = solve_feedback_rows(qb, cfg, qb_num)
-    q = complete_basis(qb_num)
-    return assemble_squaring(
-        ex1_reference_pencil, qb, cfg, qb_num, q, q.inverse(), fam, assignment, None
-    )
+    return assemble_squaring(ex1_reference_pencil, qb, cfg, qb_num, fam, assignment, None)
+
+
+# Example 1's Q_B is square, so it is the whole basis Q of the paper's
+# (A_f, B_f, C_f) (test_squaring.TestAssemble); Example 2's Q is pd.EX2_Q.
+EX1_Q = pd.EX1_QB_NUM
+
+
+def square_input(pencil, squaring):
+    """B_f = B_r G_I G_0 of the square system in pencil coordinates."""
+    return pencil.B_r_GI * squaring.G0
+
+
+def closed_loop_dz(sys_, pencil, squaring):
+    """The input decoupling zeros that compose_final reads off the verified
+    closed loop of the default static law on the squaring."""
+    f_f, g_f, p_list = square_decouple(make_square_system(pencil, squaring))
+    return compose_final(sys_, pencil, squaring, f_f, g_f, p_list)[3].input_dz_poly
 
 
 def assert_diagonal(h, p_list):
@@ -78,13 +92,10 @@ def assert_decouples(sys_, sol):
 
 
 def ex2_reference_squaring(ex2_pencil, ex2_config_15, t=(0, 0, 0, 0)):
-    """SquaringData for Example 2 with the reference Q and mu rows."""
+    """SquaringData for Example 2 with the reference mu rows (basis pd.EX2_Q)."""
     t1, t2, t3, t4 = map(Fraction, t)
     return SquaringData(
         sigma_tilde=(2, 2, 3),
-        config=ex2_config_15,
-        Q=pd.EX2_Q,
-        Q_inv=pd.EX2_Q.inverse(),
         F0=pd.ex2_f0(t1, t2, t3, t4),
         G0=pd.EX2_G0,
         M_rows=(pd.ex2_mu1(t1, t2), pd.ex2_mu2(t3, t4)),
@@ -94,24 +105,38 @@ def ex2_reference_squaring(ex2_pencil, ex2_config_15, t=(0, 0, 0, 0)):
 
 
 class TestMakeSquareSystem:
+    """The square system is the paper's (A_f, B_f, C_f) mapped back through Q."""
+
     def test_example1_reference(self, ex1_reference_pencil):
         sq = ex1_reference_squaring(ex1_reference_pencil)
         square = make_square_system(ex1_reference_pencil, sq)
-        assert square.A_f == pd.EX1_A_F
-        assert square.B_f == pd.EX1_B_F
-        assert square.C_f == pd.EX1_C_F
+        q_inv = EX1_Q.inverse()
+        assert square.A_f == EX1_Q * pd.EX1_A_F * q_inv
+        assert square_input(ex1_reference_pencil, sq) == EX1_Q * pd.EX1_B_F
+        assert square.C_f == pd.EX1_C_F * q_inv
         assert square.rel_degrees == (3, 0, 3)
-        assert square.uncontrollable_dim == 0
+        assert ref.q_coordinate_square(ex1_reference_pencil, sq, EX1_Q).uncontrollable_dim == 0
 
     def test_example2_reference(self, ex2_pencil, ex2_config_15):
+        q_inv = pd.EX2_Q.inverse()
         for t in [(0, 0, 0, 0), (1, 2, 3, 4)]:
             sq = ex2_reference_squaring(ex2_pencil, ex2_config_15, t)
             square = make_square_system(ex2_pencil, sq)
-            assert square.A_f == pd.ex2_a_f(*map(Fraction, t))
-            assert square.B_f == pd.EX2_B_F
-            assert square.C_f == pd.EX2_C_F
-            assert square.uncontrollable_dim == 2
+            assert square.A_f == pd.EX2_Q * pd.ex2_a_f(*map(Fraction, t)) * q_inv
+            assert square_input(ex2_pencil, sq) == pd.EX2_Q * pd.EX2_B_F
+            assert square.C_f == pd.EX2_C_F * q_inv
             assert square.rel_degrees == (0, 0, 0)
+            qsq = ref.q_coordinate_square(ex2_pencil, sq, pd.EX2_Q)
+            assert (qsq.A_f, qsq.B_f, qsq.C_f) == (
+                pd.ex2_a_f(*map(Fraction, t)), pd.EX2_B_F, pd.EX2_C_F
+            )
+            assert qsq.uncontrollable_dim == 2
+
+    def test_wrong_indices_raise(self, ex2_pencil, ex2_config_15):
+        sq = ex2_reference_squaring(ex2_pencil, ex2_config_15)
+        for st in [(1, 3, 3), (2, 2, 2)]:
+            with pytest.raises(MorganError, match="requested indices"):
+                make_square_system(ex2_pencil, dataclasses.replace(sq, sigma_tilde=st))
 
 
 class TestSquareDecouple:
@@ -122,7 +147,8 @@ class TestSquareDecouple:
         f_f, g_f, p_list = square_decouple(square, targets)
         # matrix-level equality with the reference F_f is not required;
         # the closed loop must be exactly diag(1/p_i)
-        h = transfer_function(square.A_f + square.B_f * f_f, square.B_f * g_f, square.C_f)
+        b_f = square_input(ex1_reference_pencil, sq)
+        h = transfer_function(square.A_f + b_f * f_f, b_f * g_f, square.C_f)
         assert_diagonal(h, p_list)
 
     def test_example2_reference_targets(self, ex2_pencil, ex2_config_15):
@@ -130,7 +156,8 @@ class TestSquareDecouple:
         square = make_square_system(ex2_pencil, sq)
         targets = [parse_poly(t) for t in pd.EX2_DIAG_DENS]
         f_f, g_f, p_list = square_decouple(square, targets)
-        h = transfer_function(square.A_f + square.B_f * f_f, square.B_f * g_f, square.C_f)
+        b_f = square_input(ex2_pencil, sq)
+        h = transfer_function(square.A_f + b_f * f_f, b_f * g_f, square.C_f)
         assert_diagonal(h, p_list)
 
     def test_f_f_matches_reference_horner(self, ex1_reference_pencil, ex2_pencil, ex2_config_15,
@@ -144,7 +171,7 @@ class TestSquareDecouple:
             for targets in (None, [Poly([Fraction(1, 3)] * (d + 1) + [1]) for d in square.rel_degrees]):
                 f_f, g_f, p_list = square_decouple(square, targets)
                 rows = [
-                    (square.C_f.submatrix([i], range(square.n)) * ref.eval_matrix(p, square.A_f)).row(0)
+                    (square.C_f.submatrix([i], range(square.A_f.rows)) * ref.eval_matrix(p, square.A_f)).row(0)
                     for i, p in enumerate(p_list)
                 ]
                 assert g_f == square.B_star.inverse()
@@ -169,29 +196,32 @@ class TestSquareDecouple:
 
 
 class TestComposeFinal:
+    """The paper's F_f, in pencil coordinates F_f Q^-1, composes to its final pair."""
+
     def test_example1_reference_pair(self, ex1, ex1_reference_pencil):
         sq = ex1_reference_squaring(ex1_reference_pencil)
         p_list = [parse_poly(t) for t in pd.EX1_DIAG_DENS]
-        square = make_square_system(ex1_reference_pencil, sq)
         f, g, diag, fixed = compose_final(
-            ex1, ex1_reference_pencil, sq, square, pd.EX1_F_F, pd.EX1_G_F, p_list
+            ex1, ex1_reference_pencil, sq, pd.EX1_F_F * EX1_Q.inverse(), pd.EX1_G_F, p_list
         )
         assert f == pd.EX1_F_FINAL
         assert g == pd.EX1_G_FINAL
         assert [den for _, den in diag] == p_list
-        assert fixed.fixed_dec_poly == ref.fixed_decoupling_poles(square) == Poly.one()
+        qsq = ref.q_coordinate_square(ex1_reference_pencil, sq, EX1_Q)
+        assert fixed.fixed_dec_poly == ref.fixed_decoupling_poles(qsq) == Poly.one()
+        assert fixed.input_dz_poly == ref.input_decoupling_zeros(qsq) == Poly.one()
 
     def test_example2_reference_pair(self, ex2, ex2_pencil, ex2_config_15):
         sq = ex2_reference_squaring(ex2_pencil, ex2_config_15)
         p_list = [parse_poly(t) for t in pd.EX2_DIAG_DENS]
-        square = make_square_system(ex2_pencil, sq)
         f, g, diag, fixed = compose_final(
-            ex2, ex2_pencil, sq, square, pd.EX2_F_F, pd.EX2_G_F, p_list
+            ex2, ex2_pencil, sq, pd.EX2_F_F * pd.EX2_Q.inverse(), pd.EX2_G_F, p_list
         )
         assert f == pd.ex2_f_final(0, 0, 0, 0)
         assert g == pd.EX2_G_FINAL
-        assert fixed.fixed_dec_poly == ref.fixed_decoupling_poles(square)
-        assert fixed.input_dz_poly == parse_poly("s^2")
+        qsq = ref.q_coordinate_square(ex2_pencil, sq, pd.EX2_Q)
+        assert fixed.fixed_dec_poly == ref.fixed_decoupling_poles(qsq)
+        assert fixed.input_dz_poly == ref.input_decoupling_zeros(qsq) == parse_poly("s^2")
 
     def test_trivial_integrator(self):
         sys_ = StateSpace(
@@ -204,17 +234,15 @@ class TestComposeFinal:
         pencil = to_pencil_form(sys_)
         sq = SquaringData(
             sigma_tilde=(1,),
-            config=enumerate_row_configs((1,), 1)[0],
-            Q=RationalMatrix.identity(1),
-            Q_inv=RationalMatrix.identity(1),
             F0=RationalMatrix.zeros(1, 1),
             G0=RationalMatrix.identity(1),
             M_rows=(),
             assignment={},
             t=None,
         )
+        assert make_square_system(pencil, sq).rel_degrees == (0,)
         f, g, diag, fixed = compose_final(
-            sys_, pencil, sq, make_square_system(pencil, sq),
+            sys_, pencil, sq,
             RationalMatrix.zeros(1, 1), RationalMatrix.identity(1), [parse_poly("s")],
         )
         assert f == RationalMatrix.zeros(1, 1)

@@ -5,6 +5,12 @@ same input-output behaviour in other state coordinates.  Its controller form
 is the same (P' = T^-1 P), the search takes the same steps at the same seed,
 and the returned pair is the same pair in the new coordinates: F' = F T and
 G' = G.
+
+An output scaling C -> DC with D diagonal and invertible leaves the
+decoupling problem unchanged, since a closed loop is diagonal for DC exactly
+when it is for C.  The search works on C_r, so only the verdict and the
+winning configuration are required to stay; the pair, the audit text and
+the rejection counts may differ.
 """
 
 import random
@@ -14,11 +20,14 @@ import pytest
 
 import golden_data as pd
 from morgan.canonical import StateSpace, to_pencil_form
-from morgan.decouple import DecouplingSolution, NoSolution, SolveOptions, solve
+from morgan.decouple import DecouplingSolution, NoSolution, SolveOptions, check_closed_loop, solve
 from morgan.exactalg import RationalMatrix
 from morgan.fileio import load_system
+from morgan.zeros import check_fixed_poles, closed_loop
+from test_zeros import random_systems
 
-NOSOL_7_66 = str(Path(__file__).resolve().parent.parent / "perfbench" / "data" / "nosol_7_66.json")
+DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data"
+NOSOL_7_66 = str(DATA / "nosol_7_66.json")
 SYSTEMS = {
     "ex1": pd.ex1_system,
     "ex2": pd.ex2_system,
@@ -75,3 +84,36 @@ def test_state_similarity(originals, name, t_seed):
         assert res2.G == res.G
         assert res2.diag == res.diag
         assert (res2.constraints, res2.degree_deficits) == (res.constraints, res.degree_deficits)
+
+
+SCALED = {
+    "ex1": pd.ex1_system,
+    "ex2": pd.ex2_system,
+    **{name: (lambda name=name: load_system(str(DATA / f"{name}.json")))
+       for name in ("nosol_7_66", "nosol_7_70", "nosol_7_112")},
+    **{f"random_{i}": (lambda i=i: random_systems(808, 6)[i]) for i in range(6)},
+}
+SCALINGS = [(2, "-1/3", "5/2", -7), ("-1/2", 3, 1, "4/5")]
+
+
+@pytest.mark.parametrize("name", sorted(SCALED))
+def test_output_scaling(name):
+    sys_ = SCALED[name]()
+    res = solve(sys_, SolveOptions(seed=SEED))
+    for scaling in SCALINGS:
+        d = RationalMatrix([[scaling[i] if i == j else 0 for j in range(sys_.m)]
+                            for i in range(sys_.m)])
+        scaled = StateSpace(A=sys_.A, B=sys_.B, C=d * sys_.C)
+        res2 = solve(scaled, SolveOptions(seed=SEED))
+        assert type(res2) is type(res)
+        if isinstance(res, NoSolution):
+            assert res2.searched == res.searched
+            continue
+        assert (res2.ci_tuple, res2.config) == (res.ci_tuple, res.config)
+        acl, chi = closed_loop(scaled, res2.F, res2.G)
+        _, failures = check_closed_loop(scaled, res2.G, acl, chi, res2.diag)
+        assert failures == []
+        fp = res2.fixed_poles
+        assert check_fixed_poles(
+            scaled, res2.G, acl, chi, fp.input_dz_poly, fp.fixed_dec_poly
+        )[2] == []

@@ -245,11 +245,10 @@ class TestAssemble:
         assignment = {ParamId(*k[1:]): Fraction(v) for k, v in pd.EX1_QB_ASSIGNMENT.items()}
         qb_num = instantiate(rep.constraints.apply(qb.cells), at_columns(qb.params, assignment))
         fam = solve_feedback_rows(qb, cfg, qb_num)
-        q = complete_basis(qb_num)
-        sq = assemble_squaring(ex1_pencil, qb, cfg, qb_num, q, q.inverse(), fam, assignment, None)
+        sq = assemble_squaring(ex1_pencil, qb, cfg, qb_num, fam, assignment, None)
         assert sq.F0 == pd.EX1_F0
         assert sq.G0 == pd.EX1_G0
-        assert sq.Q == qb_num  # square Q_B needs no completion
+        assert complete_basis(qb_num) == qb_num == pd.EX1_QB_NUM  # square Q_B needs no completion
         assert sq.G0.transpose() * sq.G0 == RationalMatrix.identity(3)
 
     def test_complete_basis_prefers_low_units(self):

@@ -1,25 +1,29 @@
 """Fixed-pole analysis: input decoupling zeros, Wolovich-Falb poles, placement."""
 
 import random
+from contextlib import contextmanager
 from fractions import Fraction
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 
+import fraction_reference as ref
 import golden_data as pd
-from fraction_reference import fixed_decoupling_poles
+from fraction_reference import fixed_decoupling_poles, input_decoupling_zeros, q_coordinate_square
+from morgan import decouple, zeros
 from morgan.admissible import enumerate_row_configs, enumerate_tuples
 from morgan.canonical import StateSpace, to_pencil_form
 from morgan.decouple import (
     DecouplingSolution,
     SolveOptions,
-    SquareSystem,
     _evaluate_config,
     make_square_system,
     solve,
 )
-from morgan.errors import InvalidSystem, NotSolvable, TargetDegreeMismatch
+from morgan.errors import InvalidSystem, MorganError, NotSolvable, TargetDegreeMismatch
 from morgan.exactalg import Poly, RationalMatrix, parse_poly
-from morgan.squaring import MuFamily, SquaringData, build_QB
+from morgan.squaring import MuFamily, SquaringData, build_QB, solve_feedback_rows
 from morgan.zeros import (
     _zero_block_data,
     assign_zeros,
@@ -27,12 +31,34 @@ from morgan.zeros import (
     check_fixed_poles,
     closed_loop,
     companion,
-    input_decoupling_zeros,
     routh_hurwitz_stable,
     uncontrollable_polynomial,
     unobservable_polynomial,
 )
-from test_decouple import ex1_reference_squaring, ex2_reference_squaring
+from test_decouple import EX1_Q, closed_loop_dz, ex1_reference_squaring, ex2_reference_squaring
+
+# the numeric Q_B of Example 2's reference basis: the trailing sum(sigma_tilde) columns
+EX2_QB_NUM = pd.EX2_Q.submatrix(range(9), range(2, 9))
+
+
+@contextmanager
+def recorded_qb_nums():
+    """Record the numeric Q_B of every feedback-row solve of decouple.  The
+    last entry is the Q_B of a configuration solved just before: once its
+    feedback rows solve, _evaluate_config draws no other point."""
+    seen = []
+
+    def recording(qbasis, config, qb_num):
+        seen.append(qb_num)
+        return solve_feedback_rows(qbasis, config, qb_num)
+
+    with mock.patch.object(decouple, "solve_feedback_rows", recording):
+        yield seen
+
+
+def q_square_of(sol, qb_num):
+    """The solution's square system in the basis that completes its Q_B."""
+    return q_coordinate_square(sol.pencil, sol.squaring, ref.complete_basis(qb_num))
 
 
 def ex2_reference_family(ex2_config_15):
@@ -56,9 +82,6 @@ def ex2_squaring_at(ex2_pencil, ex2_config_15, fam, t):
         f0[block - 1] = [-lv - mv for lv, mv in zip(lam, mu)]
     return SquaringData(
         sigma_tilde=(2, 2, 3),
-        config=ex2_config_15,
-        Q=pd.EX2_Q,
-        Q_inv=pd.EX2_Q.inverse(),
         F0=RationalMatrix(f0),
         G0=pd.EX2_G0,
         M_rows=tuple(rows),
@@ -68,42 +91,42 @@ def ex2_squaring_at(ex2_pencil, ex2_config_15, fam, t):
 
 
 class TestInputDecouplingZeros:
-    def test_example2_formula_five_seeded_assignments(self, ex2_pencil, ex2_config_15):
+    """The closed-loop dz equals the paper's formula and the Q-block reference."""
+
+    def test_example2_formula_five_seeded_assignments(self, ex2, ex2_pencil, ex2_config_15):
         rng = random.Random(20250809)
         for _ in range(5):
             t1, t2, t3, t4 = (Fraction(rng.randint(-9, 9)) for _ in range(4))
             sq = ex2_reference_squaring(ex2_pencil, ex2_config_15, (t1, t2, t3, t4))
-            square = make_square_system(ex2_pencil, sq)
-            dz = input_decoupling_zeros(square)
+            dz = closed_loop_dz(ex2, ex2_pencil, sq)
             # t(s) = s^2 - (t1 + t4) s + (t1 t4 - t2 t3)
             assert dz == Poly([t1 * t4 - t2 * t3, -(t1 + t4), 1])
+            assert dz == input_decoupling_zeros(q_coordinate_square(ex2_pencil, sq, pd.EX2_Q))
 
-    def test_example1_no_zeros(self, ex1_reference_pencil):
-        square = make_square_system(ex1_reference_pencil, ex1_reference_squaring(ex1_reference_pencil))
-        assert input_decoupling_zeros(square) == Poly.one()
+    def test_example1_no_zeros(self, ex1, ex1_reference_pencil):
+        sq = ex1_reference_squaring(ex1_reference_pencil)
+        assert closed_loop_dz(ex1, ex1_reference_pencil, sq) == Poly.one()
+        assert input_decoupling_zeros(q_coordinate_square(ex1_reference_pencil, sq, EX1_Q)) == Poly.one()
 
-    def test_degree_complements_sigma_sum(self, ex2_pencil, ex2_config_15):
+    def test_degree_complements_sigma_sum(self, ex2, ex2_pencil, ex2_config_15):
         sq = ex2_reference_squaring(ex2_pencil, ex2_config_15)
-        square = make_square_system(ex2_pencil, sq)
-        assert input_decoupling_zeros(square).degree == 9 - 7
+        assert closed_loop_dz(ex2, ex2_pencil, sq).degree == 9 - 7
 
 
 class TestFixedDecouplingPoles:
     def test_row_gcd_cancellation(self):
         # C_f S~(s) = diag(s+1, s+2): the row gcds absorb everything
-        square = SquareSystem(
-            A_f=RationalMatrix.zeros(4, 4),
-            B_f=RationalMatrix.zeros(4, 2),
+        square = SimpleNamespace(
             C_f=RationalMatrix([[1, 1, 0, 0], [0, 0, 2, 1]]),
             sigma_tilde=(2, 2),
             uncontrollable_dim=0,
-            rel_degrees=(0, 0),
-            B_star=RationalMatrix.identity(2),
         )
         assert fixed_decoupling_poles(square) == Poly.one()
 
     def test_example1(self, ex1_reference_pencil, ex1, ex1_solution):
-        square = make_square_system(ex1_reference_pencil, ex1_reference_squaring(ex1_reference_pencil))
+        square = q_coordinate_square(
+            ex1_reference_pencil, ex1_reference_squaring(ex1_reference_pencil), EX1_Q
+        )
         fixed = fixed_decoupling_poles(square)
         assert fixed == Poly.one()
         # oracle: the reference closed loop has no unobservable modes
@@ -111,8 +134,8 @@ class TestFixedDecouplingPoles:
         assert unobservable_polynomial(acl, pd.EX1_C) == Poly.one()
 
     def test_example2(self, ex2_pencil, ex2_config_15):
-        square = make_square_system(
-            ex2_pencil, ex2_reference_squaring(ex2_pencil, ex2_config_15)
+        square = q_coordinate_square(
+            ex2_pencil, ex2_reference_squaring(ex2_pencil, ex2_config_15), pd.EX2_Q
         )
         fixed = fixed_decoupling_poles(square)
         assert fixed == parse_poly("s^4-s^3-2s^2+s+2")
@@ -127,24 +150,34 @@ class TestFixedDecouplingPoles:
 
 
 class TestAssignZeros:
-    def test_target_with_rational_roots(self, ex2_pencil, ex2_config_15):
+    def test_target_with_rational_roots(self, ex2, ex2_pencil, ex2_config_15):
         fam = ex2_reference_family(ex2_config_15)
-        t = assign_zeros(ex2_pencil, ex2_config_15, pd.EX2_Q, pd.EX2_Q.inverse(), fam,
-                         parse_poly("s^2+3s+2"))
+        t = assign_zeros(ex2_pencil, ex2_config_15, EX2_QB_NUM, fam, parse_poly("s^2+3s+2"))
         assert len(t) == 2 and all(len(row) == 2 for row in t)
-        square = make_square_system(
-            ex2_pencil, ex2_squaring_at(ex2_pencil, ex2_config_15, fam, t)
+        sq = ex2_squaring_at(ex2_pencil, ex2_config_15, fam, t)
+        assert closed_loop_dz(ex2, ex2_pencil, sq) == parse_poly("s^2+3s+2")
+        assert input_decoupling_zeros(q_coordinate_square(ex2_pencil, sq, pd.EX2_Q)) == parse_poly(
+            "s^2+3s+2"
         )
-        assert input_decoupling_zeros(square) == parse_poly("s^2+3s+2")
 
-    def test_target_with_irrational_roots(self, ex2_pencil, ex2_config_15):
+    def test_target_with_irrational_roots(self, ex2, ex2_pencil, ex2_config_15):
         fam = ex2_reference_family(ex2_config_15)
-        t = assign_zeros(ex2_pencil, ex2_config_15, pd.EX2_Q, pd.EX2_Q.inverse(), fam,
-                         parse_poly("s^2+s+1"))
-        square = make_square_system(
-            ex2_pencil, ex2_squaring_at(ex2_pencil, ex2_config_15, fam, t)
-        )
-        assert input_decoupling_zeros(square) == parse_poly("s^2+s+1")
+        t = assign_zeros(ex2_pencil, ex2_config_15, EX2_QB_NUM, fam, parse_poly("s^2+s+1"))
+        sq = ex2_squaring_at(ex2_pencil, ex2_config_15, fam, t)
+        assert closed_loop_dz(ex2, ex2_pencil, sq) == parse_poly("s^2+s+1")
+
+    def test_closed_loop_zeros_checked_against_target(self, ex2, monkeypatch):
+        # a placement that misses the requested target is caught on the
+        # verified closed loop instead of being reported
+        place = zeros.assign_zeros
+
+        def wrong_target(pencil, config, qb_num, fam, target):
+            return place(pencil, config, qb_num, fam, parse_poly("s^2+s+1"))
+
+        monkeypatch.setattr(zeros, "assign_zeros", wrong_target)
+        with pytest.raises(MorganError, match=r"s\^2\+s\+1 differ from the placed target "
+                                              r"s\^2\+3s\+2 \(bug\)"):
+            solve(ex2, SolveOptions(seed=1729, dz_target=parse_poly("s^2+3s+2")))
 
     def test_formula_substitutions(self):
         # t(s) at t1=-1, t4=-2, t2=t3=0 gives (s+1)(s+2)
@@ -155,15 +188,14 @@ class TestAssignZeros:
         assert Poly([t1 * t4 - t2 * t3, -(t1 + t4), 1]) == parse_poly("s^2+s+1")
 
     def test_degree_zero_target(self, ex1_reference_pencil):
-        sq = ex1_reference_squaring(ex1_reference_pencil)
+        cfg = enumerate_row_configs((1, 1, 3, 4), 3)[0]
         fam = MuFamily(particulars=(pd.EX1_MU,), nullbasis=())
-        assert assign_zeros(ex1_reference_pencil, sq.config, sq.Q, sq.Q_inv, fam, Poly.one()) is None
+        assert assign_zeros(ex1_reference_pencil, cfg, EX1_Q, fam, Poly.one()) is None
 
     def test_degree_mismatch(self, ex2_pencil, ex2_config_15):
         fam = ex2_reference_family(ex2_config_15)
         with pytest.raises(TargetDegreeMismatch):
-            assign_zeros(ex2_pencil, ex2_config_15, pd.EX2_Q, pd.EX2_Q.inverse(), fam,
-                         parse_poly("s^3+1"))
+            assign_zeros(ex2_pencil, ex2_config_15, EX2_QB_NUM, fam, parse_poly("s^3+1"))
 
     def test_companion(self):
         c = companion(parse_poly("s^2+3s+2"))
@@ -196,15 +228,16 @@ class TestBestEffort:
 
     def test_report_exposes_parametric_polynomial(self):
         sys_ = self._system()
-        sol = solve(sys_, SolveOptions(seed=4))
-        sq = sol.squaring
-        assert sq.t is None
+        with recorded_qb_nums() as seen:
+            sol = solve(sys_, SolveOptions(seed=4))
+        qb_num = seen[-1]
+        assert sol.squaring.t is None
         # the quotient block at T = 0 reproduces the solution's own zero polynomial
-        x0, _, _ = _zero_block_data(sol.pencil, sol.config, sq.Q, sq.Q_inv, sol.mu_family)
+        x0, _, _ = _zero_block_data(sol.pencil, sol.config, qb_num, sol.mu_family)
         assert charpoly(x0) == sol.fixed_poles.input_dz_poly
+        assert input_decoupling_zeros(q_square_of(sol, qb_num)) == sol.fixed_poles.input_dz_poly
         with pytest.raises(NotSolvable, match="free-parameter map does not reach every quotient block"):
-            assign_zeros(sol.pencil, sol.config, sq.Q, sq.Q_inv, sol.mu_family,
-                         parse_poly("s^2+3s+2"))
+            assign_zeros(sol.pencil, sol.config, qb_num, sol.mu_family, parse_poly("s^2+3s+2"))
 
 
 class TestRouthHurwitz:
@@ -272,15 +305,19 @@ class TestRandomSolvedSystems:
 
 
 def solved_configurations(sys_, options):
-    """The solution of every (tuple, configuration) that _evaluate_config solves."""
+    """(solution, numeric Q_B) of every (tuple, configuration) that
+    _evaluate_config solves."""
     pencil = to_pencil_form(sys_)
     configs = enumerate_row_configs(pencil.sigma, sys_.m)
-    for ti, ci_tuple in enumerate(enumerate_tuples(pencil.sigma, sys_.m)):
-        qbasis = build_QB(pencil.sigma, ci_tuple)
-        for ci, config in enumerate(configs):
-            _, sol = _evaluate_config(sys_, pencil, qbasis, config, ti, ci, options)
-            if sol is not None:
-                yield sol
+    out = []
+    with recorded_qb_nums() as seen:
+        for ti, ci_tuple in enumerate(enumerate_tuples(pencil.sigma, sys_.m)):
+            qbasis = build_QB(pencil.sigma, ci_tuple)
+            for ci, config in enumerate(configs):
+                _, sol = _evaluate_config(sys_, pencil, qbasis, config, ti, ci, options)
+                if sol is not None:
+                    out.append((sol, seen[-1]))
+    return out
 
 
 def random_systems(seed, count):
@@ -304,14 +341,17 @@ def random_systems(seed, count):
 
 class TestFixedPolesFromClosedLoop:
     """fixed_dec_poly = chi(A + BF) / (dz * prod p_i) is the Wolovich-Falb
-    polynomial det(C_f S_f) / prod(row gcds) at every solved configuration."""
+    polynomial det(C_f S_f) / prod(row gcds), and the closed-loop dz is the
+    characteristic polynomial of the quotient block, at every solved
+    configuration."""
 
     def _check(self, sys_, options):
         solved = 0
-        for sol in solved_configurations(sys_, options):
-            square = make_square_system(sol.pencil, sol.squaring)
+        for sol, qb_num in solved_configurations(sys_, options):
+            square = q_square_of(sol, qb_num)
             fp = sol.fixed_poles
             assert fp.fixed_dec_poly == fixed_decoupling_poles(square)
+            assert fp.input_dz_poly == input_decoupling_zeros(square)
             acl, chi = closed_loop(sys_, sol.F, sol.G)
             _, _, failures = check_fixed_poles(
                 sys_, sol.G, acl, chi, fp.input_dz_poly, fp.fixed_dec_poly
