@@ -1,17 +1,20 @@
 """Controllability indices, controller (Popov) canonical form, M S(s) rows.
 
-The working form used by the search: a similarity P takes (A, B) to
-controller canonical form, and an input transformation G_I normalizes the
+The working form used by the search: a similarity, kept as P^-1, takes (A, B)
+to controller canonical form, and an input transformation G_I normalizes the
 block-end rows of the input matrix to unit rows.  times_S gives the rows of
 M S(s) for the block basis S(s) of a list of indices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 from .errors import InvalidSystem, MorganError, NotControllable, VerificationFailed
-from .exactalg import Poly, RationalMatrix, krylov_select
+from .exactalg import Poly, RationalMatrix, _scaled, _scaled_matrix, krylov_select
 
 
 @dataclass(frozen=True)
@@ -21,6 +24,8 @@ class StateSpace:
     A: RationalMatrix
     B: RationalMatrix
     C: RationalMatrix
+    # staircase chain lengths per input, in input order (see _staircase_select)
+    chain_lengths: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = self.A.rows
@@ -36,7 +41,7 @@ class StateSpace:
             )
         if self.B.rank() != self.l:
             raise InvalidSystem("B must have full column rank")
-        _staircase_select(self.A, self.B)
+        object.__setattr__(self, "chain_lengths", tuple(_staircase_select(self.A, self.B)))
 
     @property
     def n(self):
@@ -77,12 +82,7 @@ def controllability_indices(a: RationalMatrix, b: RationalMatrix):
 
 def positions_from_sigma(sigma):
     """s-positions p_i = sigma_1 + ... + sigma_i (1-based)."""
-    out = []
-    acc = 0
-    for s in sigma:
-        acc += s
-        out.append(acc)
-    return tuple(out)
+    return tuple(accumulate(sigma))
 
 
 def times_S(m: RationalMatrix, sigma) -> list:
@@ -101,13 +101,12 @@ def times_S(m: RationalMatrix, sigma) -> list:
 class PencilForm:
     """Controller canonical data for one system.
 
-    sigma is nondecreasing; P and G_I satisfy A_r = P^-1 A P and
-    B_r_GI = P^-1 B G_I with unit rows at the block-end positions p_i, and
-    every other row of A_r is the next unit row (the chain structure).
+    sigma is nondecreasing; A_r P^-1 = P^-1 A, C_r P^-1 = C and B_r_GI =
+    P^-1 B G_I with unit rows at the block-end positions p_i, and every other
+    row of A_r is the next unit row (the chain structure); P is not formed.
     """
 
     sigma: tuple
-    P: RationalMatrix
     P_inv: RationalMatrix
     G_I: RationalMatrix
     A_r: RationalMatrix
@@ -127,88 +126,83 @@ class PencilForm:
         return positions_from_sigma(self.sigma)
 
 
+def _krylov(x, lines, d, count):
+    """[x, Mx, ..., M^(count-1) x] as Fraction lists, for the integer matrix
+    dM given by the lines (rows or columns) that each vector is dotted with."""
+    e, v = _scaled(x)
+    out = []
+    for k in range(count):
+        if k:
+            v = [sum(map(mul, r, v)) for r in lines]
+        out.append([Fraction(y, e * d**k) for y in v])
+    return out
+
+
 def to_pencil_form(sys: StateSpace) -> PencilForm:
     """Transform (A, B, C) to controller canonical form.
 
-    Construction: staircase-selected chain vectors {A^k b_j}, inputs sorted by
-    chain length (ties keep the original input order), change of basis built
-    from the block-end rows of the chain matrix inverse.  The result is
-    checked exactly before returning.
+    The staircase-selected chains {A^k b_j}, inputs sorted by chain length
+    (ties keep the input order), are the columns of the chain matrix K.  One
+    solve with K^T gives the block-end rows q_i of K^-1.  P^-1 stacks the rows
+    q_i A^k, k < sigma_i, and w_i = q_i A^sigma_i is kept; both Krylov
+    sequences run on A scaled to integers.  A_r has unit chain rows; its
+    block-end rows and C_r come from one solve X P^-1 = [w_1; ...; w_l; C].
+    The result is checked exactly before returning.
     """
     a, b, c = sys.A, sys.B, sys.C
-    n, l = sys.n, sys.l
-    raw = _staircase_select(a, b)
-    if any(x == 0 for x in raw):
-        raise InvalidSystem("an input column contributes no chain (B rank deficient)")
+    n, l, raw = sys.n, sys.l, sys.chain_lengths
     order = sorted(range(l), key=lambda j: (raw[j], j))
     sigma = tuple(raw[j] for j in order)
-    pos = positions_from_sigma(sigma)
+    ends = [p - 1 for p in positions_from_sigma(sigma)]
+    d, ah = _scaled_matrix(a.entries)
+    a_cols = list(zip(*ah))
+    ident = RationalMatrix.identity(n).entries
 
-    # chain matrix: columns grouped by (sorted) input, ascending power
-    cols = []
-    for j in order:
-        v = b.col(j)
-        for _ in range(raw[j]):
-            cols.append(v)
-            v = a.mul_vector(v)
-    chain = RationalMatrix.from_columns(cols)
-    chain_inv = chain.inverse()
+    chain = [v for j in order for v in _krylov(b.col(j), ah, d, raw[j])]
+    qs = RationalMatrix._of(chain).solve([ident[p] for p in ends])
+    if None in qs:
+        raise MorganError("chain matrix is singular")
+    t_inv_rows, w = [], []
+    for q, s in zip(qs, sigma):
+        *rows, last = _krylov(q, a_cols, d, s + 1)
+        t_inv_rows += rows
+        w.append(last)
+    p_inv = RationalMatrix._of(t_inv_rows)
+    xs = p_inv.transpose().solve(w + list(c.entries))
+    if None in xs:
+        raise MorganError("P^-1 is singular")
+    end_rows = dict(zip(ends, xs))
+    a_r = RationalMatrix._of(end_rows.get(i) or ident[i + 1] for i in range(n))
 
-    # controller-form basis: stack q_i A^k, q_i = block-end row of chain^-1
-    t_inv_rows = []
-    for i, p in enumerate(pos):
-        q = chain_inv.submatrix([p - 1], range(n))
-        for _ in range(sigma[i]):
-            t_inv_rows.append(q.row(0))
-            q = q * a
-    p_inv = RationalMatrix(t_inv_rows)
-    p_mat = p_inv.inverse()
-
-    perm = RationalMatrix.from_columns(
-        [RationalMatrix.identity(l).col(j) for j in order]
-    )
-    a_r = p_inv * a * p_mat
-    b_sorted = p_inv * b * perm
-    v = RationalMatrix([b_sorted.row(p - 1) for p in pos])
-    g_i = perm * v.inverse()
-    b_r_gi = p_inv * b * g_i
-    c_r = c * p_mat
-
-    pf = PencilForm(
-        sigma=sigma,
-        P=p_mat,
-        P_inv=p_inv,
-        G_I=g_i,
-        A_r=a_r,
-        B_r_GI=b_r_gi,
-        C_r=c_r,
-    )
+    pb = p_inv * b
+    v_inv = RationalMatrix._of([[pb[p, j] for j in order] for p in ends]).inverse()
+    g_i = RationalMatrix._of([v_inv.row(order.index(j)) for j in range(l)])
+    pf = PencilForm(sigma=sigma, P_inv=p_inv, G_I=g_i, A_r=a_r,
+                    B_r_GI=pb * g_i, C_r=RationalMatrix._of(xs[l:]))
     _verify_pencil_form(sys, pf)
     return pf
 
 
 def _verify_pencil_form(sys: StateSpace, pf: PencilForm):
-    """Exact checks of the controller form: P P^-1 = I, the unit input rows
-    of B_r G_I and the chain rows of A_r.  A_r, B_r G_I and C_r are the
-    products of P, P^-1 and G_I with (A, B, C) by construction."""
-    n, l = sys.n, sys.l
-    pos = pf.positions
-    if pf.P * pf.P_inv != RationalMatrix.identity(n):
-        raise MorganError("P inverse mismatch")
-    # unit input rows exactly at the block ends
+    """Exact checks of the defining identities of the controller form.
+
+    A_r P^-1 = P^-1 A on the block-end rows, C_r P^-1 = C, the unit input
+    rows of B_r G_I and the unit chain rows of A_r, in O((l + m) n^2).  On a
+    chain row both sides of A_r P^-1 = P^-1 A are the same computed row
+    q_i A^(k+1), and B_r G_I = P^-1 B G_I by construction.  So P^-1 maps the
+    controllability matrix of (A, B G_I) onto that of (A_r, B_r G_I), which
+    has rank n by the unit-row patterns: the checks prove P^-1 nonsingular.
+    """
+    n = sys.n
+    ends = [p - 1 for p in pf.positions]
+    if (pf.A_r.submatrix(ends, range(n)) * pf.P_inv
+            != pf.P_inv.submatrix(ends, range(n)) * sys.A):
+        raise MorganError("A_r P^-1 != P^-1 A on the block-end rows")
+    if pf.C_r * pf.P_inv != sys.C:
+        raise MorganError("C_r P^-1 != C")
+    ident = RationalMatrix.identity(n).entries
     for i in range(n):
-        expected_row = [0] * l
-        if (i + 1) in pos:
-            expected_row[pos.index(i + 1)] = 1
-        if any(x != e for x, e in zip(pf.B_r_GI.row(i), expected_row)):
+        if pf.B_r_GI.row(i) != tuple(int(i == p) for p in ends):
             raise MorganError("B_r_GI does not have the unit-row pattern")
-    # chain rows of A_r are unit rows pointing at the next chain state
-    pos_set = set(pos)
-    for i in range(1, n + 1):
-        if i in pos_set:
-            continue
-        row = pf.A_r.row(i - 1)
-        if any(
-            row[j] != (1 if j == i else 0) for j in range(n)
-        ):
+        if i not in ends and pf.A_r.row(i) != ident[i + 1]:
             raise MorganError("A_r chain structure broken")

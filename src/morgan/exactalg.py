@@ -37,6 +37,35 @@ def _scaled_matrix(rows):
     return d, [[x.numerator * (d // x.denominator) for x in row] for row in rows]
 
 
+def _reduce(rows, width):
+    """(integer rows, pivot columns) of Gauss-Jordan elimination pivoting in the
+    first width columns: rows scaled to integers, the first nonzero row of each
+    column as pivot, each updated row divided by its content.  The rows past
+    the pivot rows are zero in the first width columns.
+    """
+    m = [_scaled(r)[1] for r in rows]
+    pivots = []
+    r = 0
+    for c in range(width):
+        if r == len(m):
+            break
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        top = m[r]
+        p = top[c]
+        for i, row in enumerate(m):
+            f = row[c]
+            if f and i != r:
+                row = [p * x - f * y for x, y in zip(row, top)]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
 def _int_product(rows, cols):
     """Integer matrix product, the right factor given by its columns."""
     return [[sum(map(mul, r, c)) for c in cols] for r in rows]
@@ -351,36 +380,12 @@ class RationalMatrix:
     # -- elimination-based operations ---------------------------------------
 
     def _echelon(self):
-        """Reduced row echelon form; returns (rows, pivot column list).
-
-        Gauss-Jordan elimination on the rows scaled to integers, pivoting on
-        the first nonzero row of each column.  Each updated row is divided by
-        its content and each pivot row by its pivot at the end; every row
-        stays a nonzero multiple of the row that elimination over Q holds,
-        and the reduced form is unique, so the values are the same.
-        """
-        m = [_scaled(r)[1] for r in self.entries]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            pr = next((i for i in range(r, len(m)) if m[i][c]), None)
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            top = m[r]
-            p = top[c]
-            for i, row in enumerate(m):
-                f = row[c]
-                if f and i != r:
-                    row = [p * x - f * y for x, y in zip(row, top)]
-                    g = gcd(*row)
-                    m[i] = [x // g for x in row] if g > 1 else row
-            pivots.append(c)
-            r += 1
-            if r == len(m):
-                break
+        """Reduced row echelon form: (rows, pivot column list).  The pivot rows
+        of _reduce divided by their pivots; each is a multiple of the row that
+        elimination over Q holds, and the reduced form is unique."""
+        m, pivots = _reduce(self.entries, self.cols)
         rows = [[Fraction(x, m[i][c]) for x in m[i]] for i, c in enumerate(pivots)]
-        return rows + [[Fraction(0)] * self.cols for _ in m[r:]], pivots
+        return rows + [[Fraction(0)] * self.cols for _ in m[len(pivots):]], pivots
 
     def rank(self) -> int:
         return rank(self.entries)
@@ -396,17 +401,21 @@ class RationalMatrix:
             raise MorganError("matrix is singular")
         return RationalMatrix._of([row[n:] for row in m[:n]])
 
-    def solve(self, rhs):
-        """One solution x of self * x = rhs (vector), or None if inconsistent."""
-        aug = RationalMatrix([list(r) + [v] for r, v in zip(self.entries, rhs)])
-        m, pivots = aug._echelon()
-        # inconsistent iff a pivot lands in the rhs column
-        if self.cols in pivots:
-            return None
-        x = [Fraction(0)] * self.cols
-        for r, c in enumerate(pivots):
-            x[c] = m[r][-1]
-        return tuple(x)
+    def solve(self, rhss):
+        """Per right-hand side v in the list rhss, one solution x of
+        self * x = v (free variables 0), or None if inconsistent: one
+        elimination of [self | v_1 ... v_k], pivoting in the columns of self.
+        """
+        n = self.cols
+        aug = [list(r) + [v[i] for v in rhss] for i, r in enumerate(self.entries)]
+        m, pivots = _reduce(aug, n)
+        out = []
+        for t in range(n, n + len(rhss)):
+            x = [Fraction(0)] * n
+            for row, c in zip(m, pivots):
+                x[c] = Fraction(row[t], row[c])
+            out.append(None if any(row[t] for row in m[len(pivots):]) else tuple(x))
+        return out
 
     def nullspace(self):
         """Canonical basis of the right null space (free-variable columns)."""

@@ -400,16 +400,16 @@ def solve_feedback_rows(qbasis: QBasis, config: RowConfig, qb_num: RationalMatri
     w_mu = qb_num.transpose()
     nullbasis = tuple(w_mu.nullspace())
     offs = qbasis.col_offsets
-    particulars = []
+    rhss = []
     for p in config.positions:
         rhs = [Fraction(0)] * qbasis.width
         for j, sj in enumerate(qbasis.sigma_tilde):
             for k in range(1, sj):
                 rhs[offs[j] + k] = -qb_num[p - 1, offs[j] + k - 1]
-        sol = w_mu.solve(rhs)
-        if sol is None:
-            raise NotSolvable("feedback-row system inconsistent")
-        particulars.append(sol)
+        rhss.append(rhs)
+    particulars = w_mu.solve(rhss) if rhss else []
+    if None in particulars:
+        raise NotSolvable("feedback-row system inconsistent")
     return MuFamily(particulars=tuple(particulars), nullbasis=nullbasis)
 
 

@@ -19,8 +19,10 @@ by one echelon form: the fraction-free (Bareiss) polynomial determinant,
 the square system in the basis Q = [Q_A | Q_B] with the input decoupling
 zeros read off its quotient block, the Wolovich-Falb polynomial
 det(C_f S_f(s)) / prod(row gcds), and the greedy completion of Q_B by unit
-vectors, one rank test per candidate.  The tests require the current code
-to return exactly the same values.
+vectors, one rank test per candidate.  Last is the controller form as it
+was built before the Krylov-row construction: the full chain inverse,
+P = (P^-1)^-1 and full products.  The tests require the current code to
+return exactly the same values.
 """
 
 from __future__ import annotations
@@ -211,7 +213,7 @@ def restriction(a: RationalMatrix, basis_cols) -> RationalMatrix:
     cols = []
     for j in range(v.cols):
         img = mul_vector(a, v.col(j))
-        x = v.solve(img)
+        x = v.solve([img])[0]
         if x is None:
             raise MorganError("subspace is not invariant (bug)")
         cols.append(x)
@@ -492,3 +494,49 @@ def complete_basis(qb_num: RationalMatrix) -> RationalMatrix:
     if q.rows != q.cols or q.rank() != n:
         raise SingularQ("could not complete Q_B to an invertible Q")
     return q
+
+
+def inverse(a: RationalMatrix) -> RationalMatrix:
+    """A^-1 from the reduced echelon form of [A | I]; MorganError if singular."""
+    n = a.rows
+    m, pivots = echelon(hstack(a, RationalMatrix.identity(n)))
+    if pivots[:n] != list(range(n)):
+        raise MorganError("matrix is singular")
+    return RationalMatrix([row[n:] for row in m[:n]])
+
+
+def pencil_form(sys_):
+    """The controller form as canonical.to_pencil_form built it with P.
+
+    The full inverse of the chain matrix, P^-1 from its block-end rows,
+    P = (P^-1)^-1, G_I through the input permutation matrix, and the full
+    products A_r = P^-1 A P, B_r G_I = P^-1 B G_I and C_r = C P.
+    """
+    a, b, c = sys_.A, sys_.B, sys_.C
+    n, l = a.rows, b.cols
+    raw = staircase_select(a, b)
+    order = sorted(range(l), key=lambda j: (raw[j], j))
+    sigma = tuple(raw[j] for j in order)
+    pos = [sum(sigma[: i + 1]) for i in range(l)]
+    cols = []
+    for j in order:
+        v = b.col(j)
+        for _ in range(raw[j]):
+            cols.append(v)
+            v = mul_vector(a, v)
+    chain_inv = inverse(RationalMatrix.from_columns(cols))
+    t_inv_rows = []
+    for i, p in enumerate(pos):
+        q = chain_inv.submatrix([p - 1], range(n))
+        for _ in range(sigma[i]):
+            t_inv_rows.append(q.row(0))
+            q = mul(q, a)
+    p_inv = RationalMatrix(t_inv_rows)
+    p = inverse(p_inv)
+    perm = RationalMatrix.from_columns([RationalMatrix.identity(l).col(j) for j in order])
+    b_sorted = mul(mul(p_inv, b), perm)
+    g_i = mul(perm, inverse(RationalMatrix([b_sorted.row(q - 1) for q in pos])))
+    return SimpleNamespace(
+        sigma=sigma, P=p, P_inv=p_inv, G_I=g_i, A_r=mul(mul(p_inv, a), p),
+        B_r_GI=mul(mul(p_inv, b), g_i), C_r=mul(c, p),
+    )

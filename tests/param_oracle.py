@@ -615,7 +615,7 @@ def structural_dependency(rows):
         v = flatten(row)
         if seen:
             mat = RationalMatrix(seen).transpose()
-            sol = mat.solve(v)
+            sol = mat.solve([v])[0]
             if sol is not None:
                 # exact verification of the witness
                 combo = [LinearForm.zero()] * width

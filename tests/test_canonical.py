@@ -1,9 +1,13 @@
 """Controllability indices, controller form, pencil split."""
 
 import random
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import fraction_reference as ref
 import golden_data as pd
 from fraction_reference import PolyMatrix, build_L, build_S, kalman_matrix
 from morgan.canonical import (
@@ -14,6 +18,9 @@ from morgan.canonical import (
 )
 from morgan.errors import InvalidSystem, NotControllable
 from morgan.exactalg import Poly, RationalMatrix
+from morgan.fileio import load_system
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def random_controllable(rng, n, l, tries=50):
@@ -91,16 +98,17 @@ class TestToPencilForm:
         assert ex1_pencil.sigma == (1, 1, 3, 4)
         assert ex1_pencil.A_r == pd.EX1_A_R
         assert ex1_pencil.B_r_GI == pd.EX1_B_R_GI
-        assert ex1_pencil.C_r == pd.EX1_C * ex1_pencil.P
+        assert ex1_pencil.C_r == pd.EX1_C * ex1_pencil.P_inv.inverse()
 
     def test_example1_defining_identities(self, ex1, ex1_pencil):
         pf = ex1_pencil
-        assert pf.P_inv * ex1.A * pf.P == pf.A_r
+        p = pf.P_inv.inverse()
+        assert pf.P_inv * ex1.A * p == pf.A_r
         assert pf.P_inv * ex1.B * pf.G_I == pf.B_r_GI
-        assert pf.P.rank() == 9 and pf.G_I.rank() == 4
+        assert p.rank() == 9 and pf.G_I.rank() == 4
 
     def test_example2_already_in_form(self, ex2_pencil):
-        assert ex2_pencil.P == RationalMatrix.identity(9)
+        assert ex2_pencil.P_inv.inverse() == RationalMatrix.identity(9)
         assert ex2_pencil.G_I == RationalMatrix.identity(5)
         assert ex2_pencil.C_r == pd.EX2_C
 
@@ -109,7 +117,7 @@ class TestToPencilForm:
         b = RationalMatrix([[0], [0], [1]])
         c = RationalMatrix([[1, 0, 0]])
         pf = to_pencil_form(StateSpace(A=a, B=b, C=c))
-        assert pf.P == RationalMatrix.identity(3)
+        assert pf.P_inv.inverse() == RationalMatrix.identity(3)
         assert pf.G_I == RationalMatrix.identity(1)
 
     def test_random_reassembly(self):
@@ -129,6 +137,65 @@ class TestToPencilForm:
         b = RationalMatrix([[0, 0], [1, 1]])
         with pytest.raises(InvalidSystem):
             StateSpace(A=a, B=b, C=RationalMatrix([[1, 0]]))
+
+
+def dense_systems(seed):
+    """The random-dense systems of the benchmark at a workload seed."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import systems
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return [StateSpace(*(RationalMatrix(s[k]) for k in "ABC"))
+            for s in systems.dense_systems(seed)]
+
+
+def rational_systems(seed, count):
+    """Controllable systems with non-integer A, B and C (denominators up to 4)."""
+    rng = random.Random(seed)
+
+    def entry():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+    out = []
+    while len(out) < count:
+        n = rng.randint(2, 7)
+        l = rng.randint(1, min(4, n))
+        m = rng.randint(1, l)
+        try:
+            out.append(StateSpace(
+                A=RationalMatrix([[entry() for _ in range(n)] for _ in range(n)]),
+                B=RationalMatrix([[entry() for _ in range(l)] for _ in range(n)]),
+                C=RationalMatrix([[entry() for _ in range(n)] for _ in range(m)]),
+            ))
+        except (InvalidSystem, NotControllable):
+            continue
+    return out
+
+
+REFERENCE_SYSTEMS = {
+    "ex1": lambda: [pd.ex1_system()],
+    "ex2": lambda: [pd.ex2_system()],
+    **{name: (lambda name=name: [load_system(str(PERFBENCH / "data" / f"{name}.json"))])
+       for name in ("nosol_7_66", "nosol_7_70", "nosol_7_112")},
+    "random-dense-0": lambda: dense_systems(0),
+    "random-dense-1": lambda: dense_systems(1),
+    "rational": lambda: rational_systems(606, 40),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_SYSTEMS))
+def test_matches_reference_construction(name):
+    """The Krylov-row construction returns exactly the fields of the one with
+    the full chain inverse, P = (P^-1)^-1 and full products."""
+    for sys_ in REFERENCE_SYSTEMS[name]():
+        pf, want = to_pencil_form(sys_), ref.pencil_form(sys_)
+        assert pf.sigma == want.sigma
+        assert pf.P_inv == want.P_inv
+        assert pf.G_I == want.G_I
+        assert pf.A_r == want.A_r
+        assert pf.B_r_GI == want.B_r_GI
+        assert pf.C_r == want.C_r
 
 
 class TestStateSpace:

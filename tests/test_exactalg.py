@@ -130,8 +130,8 @@ class TestRationalMatrix:
         m = RationalMatrix([[1, 2, 3], [2, 4, 6]])
         for v in m.nullspace():
             assert all(x == 0 for x in m.mul_vector(v))
-        assert m.solve((1, 2)) is not None
-        assert m.solve((1, 3)) is None
+        assert m.solve([(1, 2)])[0] is not None
+        assert m.solve([(1, 3)]) == [None]
 
 
 class TestHighCoeff:

@@ -136,13 +136,22 @@ class TestEchelon:
     @settings(max_examples=60, deadline=None)
     def test_solve_inverse_nullspace(self, a, pool):
         rhs = tuple(pool[: a.rows])
-        assert a.solve(rhs) == ref_solve(a, rhs)
+        assert a.solve([rhs]) == [ref_solve(a, rhs)]
         assert a.nullspace() == ref_nullspace(a)
         if a.rank() == a.rows:
             assert a.inverse() * a == RationalMatrix.identity(a.rows)
         else:
             with pytest.raises(MorganError):
                 a.inverse()
+
+    @given(st.integers(0, 12).flatmap(lambda r: SIZES.flatmap(lambda c: matrices(r, c))),
+           st.lists(st.lists(ENTRIES, min_size=12, max_size=12), max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_solve_many_right_hand_sides(self, a, pool):
+        """One elimination for several right-hand sides, consistent (images
+        a * x) or not, gives what solving each alone gives."""
+        rhss = [v[: a.rows] for v in pool] + [a.mul_vector(v[: a.cols]) for v in pool]
+        assert a.solve(rhss) == [ref_solve(a, v) for v in rhss]
 
 
 def ref_solve(a, rhs):

@@ -3,7 +3,9 @@
 `canonical.times_S` is compared with the product PolyMatrix(M) * S(s) of the
 polynomial matrices kept in `fraction_reference`, and the reference Bareiss
 `det` there, which the fixed-pole tests rely on, with a Laplace expansion.  The chain-row check of `_verify_pencil_form` is
-compared with the reassembly [L(s); sK - Lambda] of the permuted sI - A_r.
+compared with the reassembly [L(s); sK - Lambda] of the permuted sI - A_r,
+and each identity it checks must fail on a pencil form corrupted in one
+entry, and on chain lengths that make the chain matrix or P^-1 wrong.
 """
 
 import dataclasses
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fraction_reference import PolyMatrix, build_L, build_S, det, s_identity_minus
-from morgan.canonical import _verify_pencil_form, times_S
+from morgan.canonical import StateSpace, _verify_pencil_form, times_S, to_pencil_form
 from morgan.errors import MorganError
 from morgan.exactalg import Poly, RationalMatrix
 
@@ -107,7 +109,7 @@ def corrupted(sys_, pf, i, j, delta):
     rows[i][j] += delta
     a_r = RationalMatrix(rows)
     bad_sys = SimpleNamespace(
-        n=sys_.n, l=sys_.l, A=pf.P * a_r * pf.P_inv, B=sys_.B, C=sys_.C
+        n=sys_.n, l=sys_.l, A=pf.P_inv.inverse() * a_r * pf.P_inv, B=sys_.B, C=sys_.C
     )
     return bad_sys, dataclasses.replace(pf, A_r=a_r)
 
@@ -133,3 +135,61 @@ class TestVerifyPencilForm:
                 except MorganError:
                     passed = False
                 assert passed == reassembles(bad)
+
+    def test_block_end_entry_of_a_r_raises(self, ex1, ex1_pencil):
+        for p in ex1_pencil.positions:
+            bad = dataclasses.replace(ex1_pencil, A_r=moved(ex1_pencil.A_r, p - 1, 0))
+            with pytest.raises(MorganError, match="block-end rows"):
+                _verify_pencil_form(ex1, bad)
+
+    def test_c_r_entry_raises(self, ex1, ex1_pencil):
+        for i, j in [(0, 0), (2, 8)]:
+            bad = dataclasses.replace(ex1_pencil, C_r=moved(ex1_pencil.C_r, i, j))
+            with pytest.raises(MorganError, match="C_r P"):
+                _verify_pencil_form(ex1, bad)
+
+    def test_broken_unit_row_of_b_r_gi_raises(self, ex1, ex1_pencil):
+        for p in ex1_pencil.positions:
+            for i in (p - 1, p % ex1.n):
+                bad = dataclasses.replace(ex1_pencil, B_r_GI=moved(ex1_pencil.B_r_GI, i, 0))
+                with pytest.raises(MorganError, match="unit-row pattern"):
+                    _verify_pencil_form(ex1, bad)
+
+    def test_singular_p_inv_raises(self, ex1, ex1_pencil):
+        rows = list(ex1_pencil.P_inv.entries)
+        rows[0] = rows[1]
+        bad = dataclasses.replace(ex1_pencil, P_inv=RationalMatrix(rows))
+        assert bad.P_inv.rank() < ex1.n
+        with pytest.raises(MorganError):
+            _verify_pencil_form(ex1, bad)
+
+    def test_singular_chain_raises(self, ex1):
+        sys_ = StateSpace(A=ex1.A, B=ex1.B, C=ex1.C)
+        assert sys_.chain_lengths == (1, 1, 4, 3)
+        object.__setattr__(sys_, "chain_lengths", (1, 1, 3, 4))
+        with pytest.raises(MorganError, match="chain matrix is singular"):
+            to_pencil_form(sys_)
+
+    def test_wrong_chain_lengths_raise(self):
+        """A nonsingular chain matrix of the wrong lengths (2, 2) -> (1, 3):
+        sigma is not the controllability indices, so no P^-1 can satisfy
+        every identity."""
+        sys_ = StateSpace(
+            A=RationalMatrix([[2, -2, 0, 1], [-1, -2, -1, 1], [2, 1, 2, -1], [2, 1, -1, 2]]),
+            B=RationalMatrix([[-2, 1], [2, 0], [1, -2], [0, -1]]),
+            C=RationalMatrix([[-1, -2, 0, -2]]),
+        )
+        assert sys_.chain_lengths == (2, 2)
+        b0, b1 = sys_.B.col(0), sys_.B.col(1)
+        ab1 = sys_.A.mul_vector(b1)
+        assert RationalMatrix.from_columns([b0, b1, ab1, sys_.A.mul_vector(ab1)]).rank() == 4
+        object.__setattr__(sys_, "chain_lengths", (1, 3))
+        with pytest.raises(MorganError, match="unit-row pattern"):
+            to_pencil_form(sys_)
+
+
+def moved(m, i, j):
+    """m with entry (i, j) off by 1."""
+    rows = [list(r) for r in m.entries]
+    rows[i][j] += 1
+    return RationalMatrix(rows)

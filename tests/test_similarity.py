@@ -71,7 +71,7 @@ def test_state_similarity(originals, name, t_seed):
     pf2 = to_pencil_form(moved)
     assert pf2.sigma == pf.sigma
     assert (pf2.A_r, pf2.B_r_GI, pf2.C_r, pf2.G_I) == (pf.A_r, pf.B_r_GI, pf.C_r, pf.G_I)
-    assert pf2.P == t_inv * pf.P
+    assert pf2.P_inv.inverse() == t_inv * pf.P_inv.inverse()
 
     res2 = solve(moved, SolveOptions(seed=SEED))
     assert type(res2) is type(res)
