@@ -159,7 +159,7 @@ def to_pencil_form(sys: StateSpace) -> PencilForm:
     ident = RationalMatrix.identity(n).entries
 
     chain = [v for j in order for v in _krylov(b.col(j), ah, d, raw[j])]
-    qs = RationalMatrix._of(chain).solve([ident[p] for p in ends])
+    qs = RationalMatrix._of(chain).solve([ident[p] for p in ends])[0]
     if None in qs:
         raise MorganError("chain matrix is singular")
     t_inv_rows, w = [], []
@@ -168,7 +168,7 @@ def to_pencil_form(sys: StateSpace) -> PencilForm:
         t_inv_rows += rows
         w.append(last)
     p_inv = RationalMatrix._of(t_inv_rows)
-    xs = p_inv.transpose().solve(w + list(c.entries))
+    xs = p_inv.transpose().solve(w + list(c.entries))[0]
     if None in xs:
         raise MorganError("P^-1 is singular")
     end_rows = dict(zip(ends, xs))

@@ -44,7 +44,7 @@ from .exactalg import (
     rank,
     transfer_function,
 )
-from .paramalg import instantiate
+from .paramalg import instantiate, randints
 from .squaring import (
     SquaringData,
     assemble_squaring,
@@ -334,9 +334,7 @@ def _evaluate_config(sys, pencil, qbasis, config, ti, ci, options):
     qb_num = None
     common_factors = 0
     for _ in range(INSTANTIATION_RETRIES):
-        trial = {
-            c: rng.randint(-INSTANTIATION_BOUND, INSTANTIATION_BOUND) for c in free
-        }
+        trial = dict(zip(free, randints(rng, INSTANTIATION_BOUND, len(free))))
         qn = instantiate(qb_grid, trial)
         if qn.rank() != w:
             continue

@@ -371,12 +371,6 @@ class RationalMatrix:
     def is_zero(self) -> bool:
         return all(x == 0 for r in self.entries for x in r)
 
-    def mul_vector(self, v) -> tuple:
-        e, w = _scaled(v)
-        return tuple(
-            Fraction(sum(map(mul, r, w)), d * e) for d, r in map(_scaled, self.entries)
-        )
-
     # -- elimination-based operations ---------------------------------------
 
     def _echelon(self):
@@ -402,34 +396,33 @@ class RationalMatrix:
         return RationalMatrix._of([row[n:] for row in m[:n]])
 
     def solve(self, rhss):
-        """Per right-hand side v in the list rhss, one solution x of
-        self * x = v (free variables 0), or None if inconsistent: one
-        elimination of [self | v_1 ... v_k], pivoting in the columns of self.
+        """(solutions, null basis) of self * x = v for each v in the list rhss:
+        per v one x with free variables 0, or None if inconsistent, and the
+        canonical basis of the right null space, one vector per free column;
+        one elimination of [self | v_1 ... v_k], pivoting in self's columns.
         """
         n = self.cols
         aug = [list(r) + [v[i] for v in rhss] for i, r in enumerate(self.entries)]
         m, pivots = _reduce(aug, n)
-        out = []
-        for t in range(n, n + len(rhss)):
+
+        def column(t, sign):
             x = [Fraction(0)] * n
             for row, c in zip(m, pivots):
-                x[c] = Fraction(row[t], row[c])
-            out.append(None if any(row[t] for row in m[len(pivots):]) else tuple(x))
-        return out
+                x[c] = Fraction(sign * row[t], row[c])
+            return x
+
+        out = [None if any(row[t] for row in m[len(pivots):]) else tuple(column(t, 1))
+               for t in range(n, n + len(rhss))]
+        basis = []
+        for f in sorted(set(range(n)).difference(pivots)):
+            v = column(f, -1)
+            v[f] = Fraction(1)
+            basis.append(tuple(v))
+        return out, basis
 
     def nullspace(self):
         """Canonical basis of the right null space (free-variable columns)."""
-        m, pivots = self._echelon()
-        piv_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in piv_set]
-        basis = []
-        for fc in free:
-            v = [Fraction(0)] * self.cols
-            v[fc] = Fraction(1)
-            for r, c in enumerate(pivots):
-                v[c] = -m[r][fc]
-            basis.append(tuple(v))
-        return basis
+        return self.solve([])[1]
 
     def __repr__(self):
         return f"RationalMatrix({[list(map(str, r)) for r in self.entries]})"

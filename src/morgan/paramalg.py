@@ -7,11 +7,13 @@ plain linear algebra over a fixed parameter index: dense forms, a
 ConstraintSet built by incremental Gauss-Jordan elimination on primitive
 integer rows, and matrices (FormGrid, ParamGrid) that are evaluated at
 points of the constraint set instead of being substituted symbolically.
-generic_rank evaluates them at random points and stops evaluating at the
-structural rank of their nonzero pattern: a rank that reaches that bound is
-exact, a lower one stays a Monte-Carlo verdict, and the search's rejection
-reasons do not tell the two apart.  ConstraintSet.describe renders the
-constraint text of the audit from the same rows.
+Reductions return integer multiples of the reduced forms, which ranks do
+not see.  generic_rank evaluates at random points, drawn by randints with
+the stream of random.randint, and stops evaluating at the structural rank
+of the nonzero pattern: a rank that reaches that bound is exact, a lower
+one stays a Monte-Carlo verdict, and the search's rejection reasons do not
+tell the two apart.  ConstraintSet.describe renders the constraint text of
+the audit from the same rows.
 """
 
 from __future__ import annotations
@@ -59,32 +61,28 @@ def _quotient(x, d):
 
 
 def _reduce(rows, scale, form):
-    """(out, d): out / d is form minus the rows that clear its pivot columns.
-
-    d is 1 when no row applies, else scale, the lcm of the pivot entries,
-    so out is scale * form - sum_c form[c] * (scale / pivot entry) * row c.
-    """
-    out = None
-    for c, row in rows.items():
-        a = form[c]
-        if a:
-            if out is None:
-                out = list(form) if scale == 1 else [scale * x for x in form]
-            a *= scale // row[c]
-            for k, y in row.items():
-                out[k] -= a * y
-    return (form, 1) if out is None else (out, scale)
+    """scale * form - sum_c form[c] * (scale / pivot entry) * row c over the
+    pivot columns c: form reduced by the rows, times scale, the lcm of the
+    pivot entries."""
+    out = list(form) if scale == 1 else [scale * x for x in form]
+    for c in filter(form.__getitem__, rows):
+        row = rows[c]
+        a = form[c] * (scale // row[c])
+        for k, y in row.items():
+            out[k] -= a * y
+    return out
 
 
-def _primitive(entries, pivot):
-    """The sparse primitive integer row of (column, value) entries, positive at pivot."""
-    dens = [x.denominator for _, x in entries if type(x) is not int]
+def _primitive(row, pivot):
+    """The dict row of nonzero entries as a primitive integer row, positive at pivot."""
+    dens = [x.denominator for x in row.values() if type(x) is not int]
     if dens:
         den = lcm(*dens)
-        entries = [(k, int(x * den)) for k, x in entries]
-    g = gcd(*[x for _, x in entries])
-    row = {k: x // g for k, x in entries}
-    return row if row[pivot] > 0 else {k: -x for k, x in row.items()}
+        row = {k: int(x * den) for k, x in row.items()}
+    g = gcd(*row.values())
+    if row[pivot] < 0:
+        g = -g
+    return row if g == 1 else {k: x // g for k, x in row.items()}
 
 
 class ConstraintSet:
@@ -95,7 +93,7 @@ class ConstraintSet:
     every other pivot column, kept as a dict of its nonzero entries by
     column (0 for the constant).  order lists the pivots as they were
     added, and scale is the lcm of the rows' pivot entries, so a reduction
-    runs in integers and divides once.  Each added form is reduced by the
+    runs in integers with no division.  Each added form is reduced by the
     rows and pivots on its lowest nonzero parameter column.  Given the row
     space and the pivots, the reduced row echelon form is unique and so
     are its primitive multiples: a set reached by extending a shared prefix
@@ -111,36 +109,36 @@ class ConstraintSet:
         self.order = order
         self.scale = scale
 
-    def reduce(self, form, den=1):
-        """form / den minus the combination of rows that clears every pivot column."""
-        out, d = _reduce(self.rows, self.scale, form)
-        d *= den
-        return out if d == 1 else [_quotient(x, d) if x else 0 for x in out]
+    def reduce(self, form):
+        """scale times the reduced form, with no division: scale * form minus
+        the combination of rows that clears every pivot column."""
+        return _reduce(self.rows, self.scale, form)
 
     def extended(self, forms) -> "ConstraintSet":
         rows, order, scale = self.rows, self.order, self.scale
         for form in forms:
-            g, d = _reduce(rows, scale, form)
-            entries = [(k, x) for k, x in enumerate(g) if x]
-            pivot = next((k for k, _ in entries if k), 0)
+            g = _reduce(rows, scale, form)
+            pivot = next(filter(g.__getitem__, range(1, len(g))), 0)
             if not pivot:
-                if entries:
-                    raise Inconsistent(f"reduces to {_quotient(g[0], d)} = 0")
+                if g[0]:
+                    raise Inconsistent(f"reduces to {_quotient(g[0], scale)} = 0")
                 continue
             if rows is self.rows:
                 rows = dict(rows)
-            g = _primitive(entries, pivot)
+            g = _primitive({k: x for k, x in enumerate(g) if x}, pivot)
             p = g[pivot]
+            touched = False
             for c, row in rows.items():
                 a = row.get(pivot)
                 if a:
                     new = {k: p * x for k, x in row.items()} if p != 1 else dict(row)
                     for k, y in g.items():
                         new[k] = new.get(k, 0) - a * y
-                    rows[c] = _primitive([(k, x) for k, x in new.items() if x], c)
+                    rows[c] = _primitive({k: x for k, x in new.items() if x}, c)
+                    touched = True
             rows[pivot] = g
             order += (pivot,)
-            scale = lcm(*[row[c] for c, row in rows.items()])
+            scale = lcm(*[row[c] for c, row in rows.items()]) if touched else lcm(scale, p)
         return self if rows is self.rows else ConstraintSet(rows, order, scale)
 
     def free(self, size):
@@ -287,6 +285,22 @@ class ParamGrid:
 SAMPLE_BOUND = 10**6  # random evaluations drawn from [-SAMPLE_BOUND, SAMPLE_BOUND]
 
 
+def randints(rng, bound, count) -> list:
+    """count values of rng.randint(-bound, bound), consuming the same stream:
+    CPython's randint(a, b) draws getrandbits(k), k the bit length of the
+    range size b - a + 1, until a draw falls below that size, and adds a."""
+    size = 2 * bound + 1
+    k = size.bit_length()
+    bits = rng.getrandbits
+    out = []
+    for _ in range(count):
+        r = bits(k)
+        while r >= size:
+            r = bits(k)
+        out.append(r - bound)
+    return out
+
+
 def _augment(pattern, match, i, seen):
     """Whether an augmenting path from row i extends match (column -> row)."""
     for j in pattern[i]:
@@ -317,8 +331,12 @@ def generic_rank(m, rng, repetitions: int = 3) -> int:
     m is a FormGrid, a ParamGrid or any matrix with rows, cols, params(),
     values(point) and pattern().  Evaluates the parameters it depends on
     (m.params(), in ParamId order) at independent random integers and takes
-    the maximum exact rank over the repetitions.  Minors are polynomials of
-    degree <= min(rows, cols) in the parameters, so the per-trial failure
+    the maximum exact rank over the repetitions.  The points come from
+    randints, which consumes rng exactly as randint(-SAMPLE_BOUND,
+    SAMPLE_BOUND) per parameter would.  A FormGrid of integer forms
+    evaluates to plain ints; rows that are positive multiples of the exact
+    rows (ConstraintSet.reduce) have the same rank.  Minors are polynomials
+    of degree <= min(rows, cols) in the parameters, so the per-trial failure
     probability is at most min(rows, cols) / (2 * SAMPLE_BOUND + 1).
 
     When the first evaluation falls short of full rank, the structural rank
@@ -335,11 +353,10 @@ def generic_rank(m, rng, repetitions: int = 3) -> int:
     bound = None
     best = 0
     for _ in range(repetitions):
+        draws = randints(rng, SAMPLE_BOUND, len(params))
         if best == bound:
-            for _ in params:
-                rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND)
             continue
-        point = {p: rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND) for p in params}
+        point = dict(zip(params, draws))
         best = max(best, rank(m.values(point)))
         if best == full:
             break

@@ -138,13 +138,13 @@ def _leading_entries(qbasis: QBasis, config: RowConfig):
 def _nhat_forms(c_r: RationalMatrix, qbasis: QBasis):
     """Dense coefficient forms of N_hat(s) = C_r Q_B S~(s) diag(s^{st_max - st_j}).
 
-    Returns (coeffs, dens, units): coeffs[r][d][j] is (key, form) for the
-    s^d coefficient of entry (r, j), or None where it is identically zero,
-    with form the integer form dens[r] times that coefficient (dens[r] is
-    the lcm of the denominators of row r of C_r); units[c] is (key, form)
-    for the single parameter of column c.  Equal coefficients share one
-    key, so a set of keys is the set of distinct forms.  Built once per
-    (Q_B, C_r) and kept in qbasis.memo.
+    Returns (coeffs, units): coeffs[r][d][j] is (key, form) for the s^d
+    coefficient of entry (r, j), or None where it is identically zero,
+    with form the integer form den_r times that coefficient (den_r is the
+    lcm of the denominators of row r of C_r); units[c] is (key, form) for
+    the single parameter of column c.  Equal coefficients share one key, so
+    a set of keys is the set of distinct forms.  Built once per (Q_B, C_r)
+    and kept in qbasis.memo.
     """
     cached = qbasis.memo.get(c_r)
     if cached is not None:
@@ -162,7 +162,6 @@ def _nhat_forms(c_r: RationalMatrix, qbasis: QBasis):
         form[c] = 1
         units.append(keyed(form))
     chat = []
-    dens = []
     for r in range(c_r.rows):
         den = lcm(*[x.denominator for x in c_r.row(r)])
         coeff_row = [x.numerator * (den // x.denominator) for x in c_r.row(r)]
@@ -175,7 +174,6 @@ def _nhat_forms(c_r: RationalMatrix, qbasis: QBasis):
                     form[c] += x
             entries.append(keyed(form, den) if any(form) else None)
         chat.append(entries)
-        dens.append(den)
     st = qbasis.sigma_tilde
     st_max = max(st)
     offs = qbasis.col_offsets
@@ -189,8 +187,8 @@ def _nhat_forms(c_r: RationalMatrix, qbasis: QBasis):
         ]
         for r in range(c_r.rows)
     ]
-    qbasis.memo[c_r] = coeffs, dens, units
-    return coeffs, dens, units
+    qbasis.memo[c_r] = coeffs, units
+    return coeffs, units
 
 
 def dtilde_hc(pencil: PencilForm, qbasis: QBasis, config: RowConfig) -> tuple:
@@ -218,19 +216,22 @@ def _ascending_deficits(bounds):
     return sorted(product(*(range(b + 1) for b in bounds)), key=lambda d: (sum(d), d))
 
 
-def _row_degree(coeffs_r, den, constraints: ConstraintSet, top: int):
+def _row_degree(coeffs_r, constraints: ConstraintSet, top: int):
     """Highest degree <= top of N_hat row r on the constraint set, with its forms.
 
-    coeffs_r holds the row's forms scaled by den (see _nhat_forms).  Returns
-    (degree, reduced coefficient forms, None where zero) or (-1, None) when
-    the row vanishes identically.
+    coeffs_r holds the row's forms scaled by den_r (see _nhat_forms).
+    Returns (degree, reduced coefficient forms, None where zero) or (-1, None)
+    when the row vanishes identically.  The reduced forms are the exact ones
+    times scale * den_r, scale that of the constraint set: one positive
+    factor for the whole row, which ranks and zero tests do not see.
     """
+    reduce = constraints.reduce
     for deg in range(top, -1, -1):
         row = []
         for e in coeffs_r[deg]:
-            f = None if e is None else constraints.reduce(e[1], den)
-            row.append(f if f is not None and any(f) else None)
-        if any(f is not None for f in row):
+            f = e and reduce(e[1])
+            row.append(f if f and any(f) else None)
+        if any(row):
             return deg, row
     return -1, None
 
@@ -281,7 +282,7 @@ def decouplability_search(
     m = c_r.rows
     w = qbasis.width
     top = max(qbasis.sigma_tilde) - 1
-    coeffs, dens, units = _nhat_forms(c_r, qbasis)
+    coeffs, units = _nhat_forms(c_r, qbasis)
     seeds = [units[c] for c in _leading_entries(qbasis, config)]
     dhc = dtilde_hc(pencil, qbasis, config)
 
@@ -297,7 +298,7 @@ def decouplability_search(
     start = solve_zero_constraints(f for _, f in seeds)
     bounds = []
     for r in range(m):
-        d, _ = _row_degree(coeffs[r], dens[r], start, top)
+        d, _ = _row_degree(coeffs[r], start, top)
         if d < 0:
             return fail(
                 "output row %d of N_hat is identically zero under the "
@@ -328,7 +329,7 @@ def decouplability_search(
         cs = _eliminate(states, coeffs, bounds, deficits, top)
         rows = []
         for r in range(m):
-            d, row = _row_degree(coeffs[r], dens[r], cs, bounds[r] - deficits[r])
+            d, row = _row_degree(coeffs[r], cs, bounds[r] - deficits[r])
             if d < 0:
                 break
             rows.append(row)
@@ -395,10 +396,10 @@ def solve_feedback_rows(qbasis: QBasis, config: RowConfig, qb_num: RationalMatri
     of s * (row p_i of Q_B) * S~(s) gives the right-hand sides: entry
     off_j + k is -Q_B[p_i, off_j + k - 1] for 0 < k < sigma_tilde_j and 0
     for k = 0; k = sigma_tilde_j would need the leading entry, which the
-    decouplability search zeroes.  NotSolvable when a system is inconsistent.
+    decouplability search zeroes.  One elimination of [W_mu | rhs_1 ...
+    rhs_k] gives the particular solutions and the null basis.  NotSolvable
+    when a system is inconsistent.
     """
-    w_mu = qb_num.transpose()
-    nullbasis = tuple(w_mu.nullspace())
     offs = qbasis.col_offsets
     rhss = []
     for p in config.positions:
@@ -407,10 +408,10 @@ def solve_feedback_rows(qbasis: QBasis, config: RowConfig, qb_num: RationalMatri
             for k in range(1, sj):
                 rhs[offs[j] + k] = -qb_num[p - 1, offs[j] + k - 1]
         rhss.append(rhs)
-    particulars = w_mu.solve(rhss) if rhss else []
+    particulars, nullbasis = qb_num.transpose().solve(rhss)
     if None in particulars:
         raise NotSolvable("feedback-row system inconsistent")
-    return MuFamily(particulars=tuple(particulars), nullbasis=nullbasis)
+    return MuFamily(particulars=tuple(particulars), nullbasis=tuple(nullbasis))
 
 
 def complete_basis(qb_num: RationalMatrix) -> RationalMatrix:

@@ -283,7 +283,7 @@ def assign_zeros(pencil, config, qb_num, mu_family, target: Poly):
     if u.rank() < k or w.rank() < k:
         raise NotSolvable("free-parameter map does not reach every quotient block")
     y = (x0 - companion(target)) * w.inverse()
-    t_cols = u.solve([y.col(c) for c in range(k)])
+    t_cols = u.solve([y.col(c) for c in range(k)])[0]
     if None in t_cols:
         raise MorganError("onto map failed to solve (bug)")
     return RationalMatrix.from_columns(t_cols).entries

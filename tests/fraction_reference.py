@@ -213,7 +213,7 @@ def restriction(a: RationalMatrix, basis_cols) -> RationalMatrix:
     cols = []
     for j in range(v.cols):
         img = mul_vector(a, v.col(j))
-        x = v.solve([img])[0]
+        x = v.solve([img])[0][0]
         if x is None:
             raise MorganError("subspace is not invariant (bug)")
         cols.append(x)

@@ -12,13 +12,16 @@ and the mu rows as LinearForms in the entries of T (TParam) are here too,
 since only the tests use them.  Last come the Fraction
 Gauss-Jordan elimination that the dense search ran before its rows became
 primitive integer vectors, and the generic rank without the structural
-bound.
+bound, which draws with random.randint; CountingRandom counts those draws
+and state_after_draws gives the stream state after a number of them.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from fraction_reference import PolyMatrix
 from morgan.admissible import RowConfig
@@ -302,23 +305,29 @@ def qb_matrix(qbasis: QBasis) -> ParamMatrix:
     return param_matrix(qbasis.cells, qbasis.params)
 
 
-def n_alpha_matrix(report: DecouplabilityReport, params) -> ParamMatrix | None:
+def n_alpha_matrix(report: DecouplabilityReport, params, c_r) -> ParamMatrix | None:
     """N_alpha of a successful report (rank_grids[1]) as a ParamMatrix, else None.
 
-    The dense search keeps a FormGrid of dense forms over params there; the
-    dict search below keeps the ParamMatrix itself.
+    The dense search keeps a FormGrid of integer dense forms over params
+    there, row r the exact row times scale * den_r: scale that of the
+    report's constraint set and den_r the lcm of the denominators of row r
+    of C_r (see squaring._row_degree).  The dict search below keeps the
+    ParamMatrix itself.
     """
     if not report.rank_grids:
         return None
     grid = report.rank_grids[1]
     if isinstance(grid, ParamMatrix):
         return grid
-    return ParamMatrix(
-        [
-            [LinearForm.zero() if f is None else linear_form(f, params) for f in row]
-            for row in grid.entries
-        ]
-    )
+    rows = []
+    for forms, c_row in zip(grid.entries, c_r.entries):
+        factor = report.constraints.scale * lcm(*[x.denominator for x in c_row])
+        rows.append([
+            LinearForm.zero() if f is None
+            else linear_form([Fraction(x, factor) for x in f], params)
+            for f in forms
+        ])
+    return ParamMatrix(rows)
 
 
 def reference_build_QB(sigma, sigma_tilde):
@@ -615,7 +624,7 @@ def structural_dependency(rows):
         v = flatten(row)
         if seen:
             mat = RationalMatrix(seen).transpose()
-            sol = mat.solve([v])[0]
+            sol = mat.solve([v])[0][0]
             if sol is not None:
                 # exact verification of the witness
                 combo = [LinearForm.zero()] * width
@@ -904,6 +913,26 @@ class FractionElimination:
                 [-x if k != c else 0 for k, x in enumerate(row)], params
             )
         return SubstitutionSet(subs, [params[c - 1] for c in self.order])
+
+
+class CountingRandom(random.Random):
+    """random.Random that counts randint calls."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.draws = 0
+
+    def randint(self, a, b):
+        self.draws += 1
+        return super().randint(a, b)
+
+
+def state_after_draws(seed, count, bound=SAMPLE_BOUND):
+    """State of random.Random(seed) after count calls of randint(-bound, bound)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        rng.randint(-bound, bound)
+    return rng.getstate()
 
 
 def reference_generic_rank(m, rng, repetitions: int = 3) -> int:

@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fraction_reference import PolyMatrix, build_L, build_S, det, s_identity_minus
+from fraction_reference import PolyMatrix, build_L, build_S, det, mul_vector, s_identity_minus
 from morgan.canonical import StateSpace, _verify_pencil_form, times_S, to_pencil_form
 from morgan.errors import MorganError
 from morgan.exactalg import Poly, RationalMatrix
@@ -181,8 +181,8 @@ class TestVerifyPencilForm:
         )
         assert sys_.chain_lengths == (2, 2)
         b0, b1 = sys_.B.col(0), sys_.B.col(1)
-        ab1 = sys_.A.mul_vector(b1)
-        assert RationalMatrix.from_columns([b0, b1, ab1, sys_.A.mul_vector(ab1)]).rank() == 4
+        ab1 = mul_vector(sys_.A, b1)
+        assert RationalMatrix.from_columns([b0, b1, ab1, mul_vector(sys_.A, ab1)]).rank() == 4
         object.__setattr__(sys_, "chain_lengths", (1, 3))
         with pytest.raises(MorganError, match="unit-row pattern"):
             to_pencil_form(sys_)

@@ -1,7 +1,7 @@
 """The integer ConstraintSet and the structural bound of generic_rank against
-their Fraction references in param_oracle: the same reductions, values,
-constraint text and Inconsistent messages, the same ranks and the same
-random stream."""
+their Fraction references in param_oracle: the same reductions (up to the
+set's scale), values, constraint text and Inconsistent messages, the same
+ranks and the same random stream; randints against random.randint."""
 
 import random
 from fractions import Fraction
@@ -11,6 +11,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from morgan.decouple import INSTANTIATION_BOUND
 from morgan.errors import Inconsistent
 from morgan.exactalg import rank
 from morgan.paramalg import (
@@ -19,15 +20,19 @@ from morgan.paramalg import (
     FormGrid,
     ParamId,
     generic_rank,
+    randints,
     structural_rank,
 )
+from morgan.squaring import _row_degree
 from param_oracle import (
+    CountingRandom,
     FractionElimination,
     LinearForm,
     dense_form,
     dict_solve_zero_constraints,
     param_matrix,
     reference_generic_rank,
+    state_after_draws,
 )
 
 PARAMS = tuple(ParamId(1, 1, k) for k in range(1, 7))
@@ -82,20 +87,11 @@ def dense_row(row):
     return out
 
 
-class CountingRandom(random.Random):
-    def __init__(self, seed):
-        super().__init__(seed)
-        self.draws = 0
-
-    def randint(self, a, b):
-        self.draws += 1
-        return super().randint(a, b)
-
-
 def same_rank_and_stream(new_grid, ref_grid, seed):
-    a, b = CountingRandom(seed), CountingRandom(seed)
+    """The same rank as the reference, after exactly the reference's draws."""
+    a, b = random.Random(seed), CountingRandom(seed)
     assert generic_rank(new_grid, a) == reference_generic_rank(ref_grid, b)
-    assert a.draws == b.draws and a.getstate() == b.getstate()
+    assert a.getstate() == b.getstate() == state_after_draws(seed, b.draws)
 
 
 class TestIntegerElimination:
@@ -109,7 +105,7 @@ class TestIntegerElimination:
         assert new.order == old.order
         assert new.free(SIZE) == old.free(SIZE)
         assert new.describe(PARAMS) == old.constraint_set(PARAMS).describe()
-        assert new.reduce(dense(probe)) == old.reduce(dense(probe))
+        assert new.reduce(dense(probe)) == [new.scale * x for x in old.reduce(dense(probe))]
         for col in range(1, SIZE + 1):
             assert new.value(col, point) == old.value(col, point)
 
@@ -150,6 +146,42 @@ class TestIntegerElimination:
         forms = [LinearForm(0, {x: 2, y: 3}), LinearForm(1, {y: 4, z: Fraction(1, 3)})]
         new, _ = both(forms)
         assert new.describe(PARAMS) == dict_solve_zero_constraints(forms).describe()
+
+    @given(
+        form_lists,
+        st.lists(st.lists(st.one_of(st.none(), forms_st), min_size=3, max_size=3),
+                 min_size=1, max_size=3),
+        st.integers(1, 6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_row_degree_rows_are_one_positive_multiple_of_the_exact_row(
+            self, constraints, degrees, extra):
+        """N_hat row forms come as integer forms den times the exact
+        coefficients; each row _row_degree returns is the exact reduced row
+        times the one factor scale * den."""
+        new, old = both(constraints)
+        if isinstance(old, str):
+            return
+        exact = [[f and dense(f) for f in entries] for entries in degrees]
+        den = extra * lcm(*[x.denominator for entries in exact for f in entries if f
+                            for x in f])
+        coeffs_r = [[f and (None, [int(x * den) for x in f]) for f in entries]
+                    for entries in exact]
+        reduced = [[f and old.reduce(f) for f in entries] for entries in exact]
+        nonzero = [d for d, entries in enumerate(reduced) if any(f and any(f) for f in entries)]
+        deg, row = _row_degree(coeffs_r, new, len(degrees) - 1)
+        if not nonzero:
+            assert (deg, row) == (-1, None)
+            return
+        assert deg == nonzero[-1]
+        factor = new.scale * den
+        assert factor > 0
+        for f, g in zip(row, reduced[deg]):
+            if f is None:
+                assert not (g and any(g))
+            else:
+                assert all(type(x) is int for x in f)
+                assert f == [factor * x for x in g]
 
 
 def brute_structural_rank(pattern, cols):
@@ -203,7 +235,8 @@ class TestGenericRankWithBound:
                       for row in entries])
             for elim in (new, old)
         ]
-        assert [[f and list(map(Fraction, f)) for f in row] for row in grids[0].entries] == [
+        assert [[f and [Fraction(x, new.scale) for x in f] for f in row]
+                for row in grids[0].entries] == [
             [f and list(map(Fraction, f)) for f in row] for row in grids[1].entries]
         same_rank_and_stream(*grids, seed)
 
@@ -283,9 +316,9 @@ class TestGenericRankWithBound:
         grid = new.apply(cells)
         assert grid.pattern() == [[1], []]
         substituted = old.constraint_set(PARAMS).apply(param_matrix(cells, PARAMS))
-        a, b = CountingRandom(5), CountingRandom(5)
+        a, b = random.Random(5), CountingRandom(5)
         assert generic_rank(grid, a) == reference_generic_rank(substituted, b) == 1
-        assert a.draws == b.draws == 3 and a.getstate() == b.getstate()
+        assert b.draws == 3 and a.getstate() == b.getstate() == state_after_draws(5, 3)
 
 
 def test_full_rank_matrices_never_read_the_pattern():
@@ -308,6 +341,16 @@ def test_short_rank_stops_evaluating_at_the_bound(seed):
 
     # rank 1 with structural rank 1: one evaluation, three draws
     grid = Counting([[[0, 1, 0], [0, 0, 1]], [None, None]])
-    rng = CountingRandom(seed)
+    rng = random.Random(seed)
     assert generic_rank(grid, rng) == 1
-    assert len(calls) == 1 and rng.draws == 3 * 2
+    assert len(calls) == 1 and rng.getstate() == state_after_draws(seed, 3 * 2)
+
+
+@pytest.mark.parametrize("bound", [SAMPLE_BOUND, INSTANTIATION_BOUND])
+def test_randints_is_randint(bound):
+    """randints gives the values of randint(-bound, bound) and leaves the
+    generator in the same state, over 200 seeds and 1000 draws each."""
+    for seed in range(200):
+        a, b = random.Random(seed), random.Random(seed)
+        assert randints(a, bound, 1000) == [b.randint(-bound, bound) for _ in range(1000)]
+        assert a.getstate() == b.getstate()
