@@ -5,7 +5,7 @@ All arithmetic is over Q (big-integer rationals), so every reported result
 is exact.  See the README for the CLI and the file formats.
 """
 
-from .canonical import StateSpace, controllability_indices, to_pencil_form
+from .canonical import StateSpace, to_pencil_form
 from .decouple import (
     DecouplingSolution,
     NoSolution,
@@ -16,7 +16,6 @@ from .exactalg import Poly, RationalMatrix, parse_poly, rat
 
 __all__ = [
     "StateSpace",
-    "controllability_indices",
     "to_pencil_form",
     "DecouplingSolution",
     "NoSolution",

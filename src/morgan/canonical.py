@@ -75,11 +75,6 @@ def _staircase_select(a: RationalMatrix, b: RationalMatrix):
     return lengths
 
 
-def controllability_indices(a: RationalMatrix, b: RationalMatrix):
-    """The l controllability indices, nondecreasing.  Raises NotControllable."""
-    return tuple(sorted(_staircase_select(a, b)))
-
-
 def positions_from_sigma(sigma):
     """s-positions p_i = sigma_1 + ... + sigma_i (1-based)."""
     return tuple(accumulate(sigma))

@@ -190,15 +190,14 @@ def cmd_fixed_poles(args) -> int:
         print(f"FAIL: {e}")
         return 1
     consistent = not failures
-    fixed_json = data["fixed_poles"]["wolovich_falb"]
-    fixed_rec = poly_from_json(fixed_json, "wolovich_falb")
+    fixed_rec = recorded[1]
     if args.json:
         print(
             dump_json(
                 {
                     "input_decoupling_zeros": poly_to_json(dz),
                     "input_decoupling_stable": routh_hurwitz_stable(dz),
-                    "wolovich_falb_recorded": fixed_json,
+                    "wolovich_falb_recorded": data["fixed_poles"]["wolovich_falb"],
                     "wolovich_falb_stable": routh_hurwitz_stable(fixed_rec),
                     "unobservable_polynomial": poly_to_json(unobs),
                     "consistent": consistent,

@@ -7,7 +7,8 @@ ran before it; the winner is the first configuration whose entire pipeline
 (search, instantiation, feedback solve, square decoupling, exact closed-loop
 verification) goes through.  The square system stays in the pencil
 coordinates of to_pencil_form: the static decoupling law does not depend on
-the basis, so no basis completing Q_B is formed (see zeros for the poles).
+the basis, so no basis completing Q_B is formed.  --dz-target places the
+input decoupling zeros in the quotient by the span of Q_B (see zeros).
 
 A NoSolution means that no solution was found among the searched
 configurations, not that none exists.  The rank tests of the search are
@@ -367,7 +368,7 @@ def _evaluate_config(sys, pencil, qbasis, config, ti, ci, options):
     t = None
     if options.dz_target is not None:
         try:
-            t = zeros_mod.assign_zeros(pencil, config, qb_num, family, options.dz_target)
+            t = zeros_mod.assign_zeros(pencil, config, family, options.dz_target)
         except NotSolvable as e:
             return rejected(f"cannot place the requested input decoupling zeros: {e}")
     squaring = assemble_squaring(pencil, qbasis, config, qb_num, family, assignment, t)

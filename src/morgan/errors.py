@@ -22,10 +22,6 @@ class NotSolvable(MorganError):
     or a free-parameter map that cannot place the requested zeros."""
 
 
-class SingularQ(MorganError):
-    """No basis completion makes Q = [Q_A, Q_B] invertible (should be impossible)."""
-
-
 class SingularBstar(MorganError):
     """The decoupling matrix of a square system that passed the rank tests is singular.
 
@@ -46,4 +42,4 @@ class TargetDegreeMismatch(MorganError):
 
 
 class DegenerateNumerator(MorganError):
-    """A row of C_f S_f(s) is zero, so it has no gcd (zeros.row_gcds)."""
+    """A row of N(s) = C_r Q_B S~(s) is zero, so it has no gcd (zeros.row_gcds)."""

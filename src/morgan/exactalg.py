@@ -546,21 +546,19 @@ def resolvent(a: RationalMatrix):
     return d, mats, Poly(coeffs[::-1])
 
 
-def transfer_function(a, b, c, chi=None):
+def transfer_function(a, b, c, chi):
     """Exact transfer function C (sI - A)^(-1) B.
 
     For a closed loop pass A + BF and BG (see zeros.closed_loop).  Returns
     a matrix (list of lists) of (numerator, denominator) Poly pairs in
-    lowest terms with monic denominators; chi, when given, is the
-    characteristic polynomial of A.  The numerators come from the Markov
+    lowest terms with monic denominators; chi is the characteristic
+    polynomial of A (zeros.charpoly).  The numerators come from the Markov
     parameters: with chi(s) = sum_j c_j s^(n-j), C adj(sI - A) B =
     sum_k s^(n-1-k) N_k, N_k = sum_{j<=k} c_j C A^(k-j) B.  With d A, d_C C
     and d_B B integer, N_k = sum_j (d^j c_j) (d_C C)(d A)^(k-j)(d_B B) /
     (d^k d_C d_B).
     """
     n = a.rows
-    if chi is None:
-        chi = resolvent(a)[2]
     d_a, ah = _scaled_matrix(a.entries)
     d_c, x = _scaled_matrix(c.entries)
     d_b, bh = _scaled_matrix(b.entries)

@@ -283,6 +283,7 @@ class ParamGrid:
 
 
 SAMPLE_BOUND = 10**6  # random evaluations drawn from [-SAMPLE_BOUND, SAMPLE_BOUND]
+RANK_TRIALS = 3  # random evaluations per generic_rank, the best one counts
 
 
 def randints(rng, bound, count) -> list:
@@ -325,13 +326,13 @@ def structural_rank(pattern) -> int:
     return sum(_augment(pattern, match, i, set()) for i in range(len(pattern)))
 
 
-def generic_rank(m, rng, repetitions: int = 3) -> int:
+def generic_rank(m, rng) -> int:
     """Rank of m for generic parameter values (randomized, Schwartz-Zippel).
 
     m is a FormGrid, a ParamGrid or any matrix with rows, cols, params(),
     values(point) and pattern().  Evaluates the parameters it depends on
-    (m.params(), in ParamId order) at independent random integers and takes
-    the maximum exact rank over the repetitions.  The points come from
+    (m.params(), in ParamId order) at RANK_TRIALS independent random integer
+    points and takes the maximum exact rank.  The points come from
     randints, which consumes rng exactly as randint(-SAMPLE_BOUND,
     SAMPLE_BOUND) per parameter would.  A FormGrid of integer forms
     evaluates to plain ints; rows that are positive multiples of the exact
@@ -352,7 +353,7 @@ def generic_rank(m, rng, repetitions: int = 3) -> int:
     full = min(m.rows, m.cols)
     bound = None
     best = 0
-    for _ in range(repetitions):
+    for _ in range(RANK_TRIALS):
         draws = randints(rng, SAMPLE_BOUND, len(params))
         if best == bound:
             continue

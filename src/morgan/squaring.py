@@ -11,8 +11,9 @@ induced zero constraints exactly.
 
 A numeric Q_B spans the controllable subspace of the squared-down system
 (A_r + B_r G_I F_0, B_r G_I G_0), with that system in controller form on
-it.  The square system is decoupled in pencil coordinates, so only zero
-assignment completes Q_B to a basis Q = [Q_A | Q_B] (complete_basis).
+it.  The square system is decoupled in pencil coordinates, and zero
+assignment works in the quotient by that subspace through the basis N of
+ker Q_B^T (MuFamily.nullbasis), so no code completes Q_B to a basis.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from math import lcm
 
 from .admissible import RowConfig
 from .canonical import PencilForm, positions_from_sigma
-from .errors import MorganError, NotSolvable, SingularQ
+from .errors import MorganError, NotSolvable
 from .exactalg import RationalMatrix
 from .paramalg import ConstraintSet, FormGrid, ParamId, generic_rank, solve_zero_constraints
 
@@ -412,20 +413,6 @@ def solve_feedback_rows(qbasis: QBasis, config: RowConfig, qb_num: RationalMatri
     if None in particulars:
         raise NotSolvable("feedback-row system inconsistent")
     return MuFamily(particulars=tuple(particulars), nullbasis=tuple(nullbasis))
-
-
-def complete_basis(qb_num: RationalMatrix) -> RationalMatrix:
-    """Q = [Q_A | Q_B], Q_A the unit columns that are pivots of [Q_B | I]: each
-    e_i independent of Q_B and the e_j before it.  SingularQ unless Q_B has
-    full column rank."""
-    n, w = qb_num.rows, qb_num.cols
-    ident = RationalMatrix.identity(n).entries
-    pivots = RationalMatrix._of([r + e for r, e in zip(qb_num.entries, ident)])._echelon()[1]
-    if pivots[:w] != list(range(w)):
-        raise SingularQ("could not complete Q_B to an invertible Q")
-    units = [p - w for p in pivots[w:]]
-    return RationalMatrix._of([[e[i] for i in units] + list(r)
-                               for e, r in zip(ident, qb_num.entries)])
 
 
 @dataclass(frozen=True)

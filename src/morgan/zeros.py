@@ -3,26 +3,27 @@
 Two kinds: the input decoupling zeros dz created by the singular input
 transformation (the uncontrollable modes of the squared-down system, present
 whenever sum(sigma_tilde) < n), and the classical fixed decoupling poles of
-Wolovich and Falb, det N / prod(row gcds of N) with N = C_r Q_B S~(s).
+Wolovich and Falb, det N(s) / prod(row gcds of N(s)) with N(s) = C_r Q_B S~(s).
 assign_zeros places dz through the free parameters of the feedback-row
-solution families, the entries of one rational matrix T, exactly when the
-affine map T -> X(T) = X0 - U T W onto the quotient block is onto
-(NotSolvable otherwise); no other code completes Q_B to a basis Q.
+solution families, the entries of one rational matrix T, in the quotient by
+the controllable subspace: with N the basis of ker Q_B^T, N A(T) = X(T) N
+for an X(T) affine in T, and dz = chi(X(T)) is placed exactly when
+T -> X(T) is onto (NotSolvable otherwise).  No code completes Q_B to a basis.
 check_fixed_poles cross-checks a recorded pair against the closed loop.
 
 Both are read off the verified closed loop: dz is the uncontrollable
 polynomial of (A + BF, BG), as check_fixed_poles computes it, and
-chi(A + BF) = dz * prod(p_i) * monic det N.  Proof: P carries (A + BF, BG)
+chi(A + BF) = dz * prod(p_i) * monic det N(s).  Proof: P carries (A + BF, BG)
 to (A_s + B_s F_f, B_s G_f), where A_s = A_r + B_r G_I F_0 and
 B_s = B_r G_I G_0 form the squared-down system in pencil coordinates.  Its
 controllable subspace V, which feedback keeps, is spanned by the numeric
 Q_B, so chi(A + BF) is dz times the characteristic polynomial on V.  In the
 basis Q_B the restriction is in controller form with indices sigma_tilde:
 (sI - A_V)^-1 B_V = S~(s) D_cl(s)^-1, det D_cl a constant times that
-polynomial.  The inputs reach only V, so H = N D_cl^-1 G_f, and
-H = diag(1/p_i) gives det D_cl = det N * prod(p_i) * const.  The row gcds
-of N are 1 at every solution: decouple._evaluate_config redraws each
-instantiation where a row of N has a nonconstant gcd.
+polynomial.  The inputs reach only V, so H = N(s) D_cl^-1 G_f, and
+H = diag(1/p_i) gives det D_cl = det N(s) * prod(p_i) * const.  The row
+gcds of N(s) are 1 at every solution: decouple._evaluate_config redraws
+each instantiation where a row of N(s) has a nonconstant gcd.
 
 The uncontrollable and unobservable polynomials of a closed loop follow the
 Kalman decomposition: chi_A divided by the characteristic polynomial of A
@@ -40,7 +41,6 @@ from .errors import (
     DegenerateNumerator,
     MorganError,
     NotSolvable,
-    TargetDegreeMismatch,
     VerificationFailed,
 )
 from .exactalg import (
@@ -51,7 +51,6 @@ from .exactalg import (
     poly_gcd,
     resolvent,
 )
-from .squaring import complete_basis
 
 
 def charpoly(a: RationalMatrix) -> Poly:
@@ -80,28 +79,27 @@ def _restriction(a: RationalMatrix, basis_cols) -> RationalMatrix:
 
 
 def _outside_krylov_span(a: RationalMatrix, b: RationalMatrix, chi) -> Poly:
-    """chi_A (chi when given) divided by the charpoly of A on <A | Im B>."""
+    """chi = chi_A divided by the charpoly of A on <A | Im B>."""
     kept = krylov_select(a, b)[1]
     if len(kept) == a.rows:
         return Poly.one()
-    if chi is None:
-        chi = charpoly(a)
     out, rem = chi.divmod(charpoly(_restriction(a, kept)))
     if not rem.is_zero():
         raise MorganError("characteristic polynomial of a subspace does not divide (bug)")
     return out
 
 
-def uncontrollable_polynomial(a: RationalMatrix, b: RationalMatrix, chi=None) -> Poly:
-    """Characteristic polynomial of the quotient map on R^n / <A | Im B>."""
+def uncontrollable_polynomial(a: RationalMatrix, b: RationalMatrix, chi: Poly) -> Poly:
+    """Characteristic polynomial of the quotient map on R^n / <A | Im B>;
+    chi is chi_A."""
     return _outside_krylov_span(a, b, chi)
 
 
-def unobservable_polynomial(a: RationalMatrix, c: RationalMatrix, chi=None) -> Poly:
+def unobservable_polynomial(a: RationalMatrix, c: RationalMatrix, chi: Poly) -> Poly:
     """Characteristic polynomial of A restricted to the unobservable subspace.
 
     By duality that is chi_A divided by the characteristic polynomial of the
-    observable part, A^T on <A^T | Im C^T>; chi, when given, is chi_A.
+    observable part, A^T on <A^T | Im C^T>; chi is chi_A.
     """
     return _outside_krylov_span(a.transpose(), c.transpose(), chi)
 
@@ -150,15 +148,14 @@ def check_fixed_poles(sys, g, acl, chi, dz_recorded: Poly, fixed_recorded: Poly)
 
 
 def row_gcds(rows) -> list:
-    """Monic gcd of the nonzero entries of each row, the rows given as lists of Poly.
-
-    DegenerateNumerator for a zero row.
+    """Monic gcd of the nonzero entries of each row of N(s) = C_r Q_B S~(s),
+    the rows given as lists of Poly.  DegenerateNumerator for a zero row.
     """
     out = []
     for i, row in enumerate(rows):
         entries = [e for e in row if not e.is_zero()]
         if not entries:
-            raise DegenerateNumerator(f"row {i + 1} of C_f S_f is zero")
+            raise DegenerateNumerator(f"row {i + 1} of C_r Q_B S~(s) is zero")
         g = entries[0].monic()
         for e in entries[1:]:
             g = poly_gcd(g, e)
@@ -237,53 +234,38 @@ def companion(p: Poly) -> RationalMatrix:
     return RationalMatrix(m)
 
 
-def _zero_block_data(pencil, config, qb_num, mu_family):
-    """X0, U, W of the affine map T -> quotient block X(T) = X0 - U T W.
-
-    The quotient block is the leading k x k block of Q^-1 (A_r + B_r G_I F_0) Q
-    for Q = [Q_A | Q_B] = complete_basis(qb_num).  At T = 0 the config rows
-    of A_r + B_r G_I F_0 are -mu_0 (see assemble_squaring); the other rows
-    are those of A_r.
-    """
-    n = pencil.n
-    k = len(mu_family.nullbasis)
-    q = complete_basis(qb_num)
-    q_inv = q.inverse()
-    ga = q_inv.submatrix(range(k), range(n))
-    qa = q.submatrix(range(n), range(k))
-    a_cl0 = [list(row) for row in pencil.A_r.entries]
-    for p, mu in zip(config.positions, mu_family.particulars):
-        a_cl0[p - 1] = [-x for x in mu]
-    x0 = ga * RationalMatrix(a_cl0) * qa
-    u_cols = [ga.col(p - 1) for p in config.positions]
-    u = RationalMatrix.from_columns(u_cols) if u_cols else RationalMatrix.zeros(k, 0)
-    w = RationalMatrix(mu_family.nullbasis) * qa
-    return x0, u, w
-
-
-def assign_zeros(pencil, config, qb_num, mu_family, target: Poly):
+def assign_zeros(pencil, config, mu_family, target: Poly):
     """The free-parameter matrix T that makes the input decoupling zeros target.
 
-    qb_num is the numeric Q_B of the configuration.  When the map
-    T -> X(T) is onto (U and W of full rank k = n - sum(sigma_tilde)), X(T)
-    is steered to the companion matrix of the target, which always succeeds
-    over Q; otherwise NotSolvable.  Returns T as rows of Fraction (feedback
-    rows x vectors of N), or None when k = 0.  TargetDegreeMismatch when
-    deg(target) != k; solve has checked that the target is monic, and
-    decouple._evaluate_config checks the zeros of the verified closed loop.
+    N = mu_family.nullbasis (k x n, N Q_B = 0) maps the state onto the
+    quotient by the controllable subspace, the span of Q_B.  The closed loop
+    is A(T) = A0 - E T N, with E the unit columns at the config rows and A0
+    the A_r whose config rows are -mu_0 (see assemble_squaring).  It keeps
+    that subspace, so N A(T) = X(T) N, and the input decoupling zeros are
+    chi(X(T)).  With u the pivot columns of N and W = N[:, u], which is
+    invertible, X(T) = (N A0)[:, u] W^-1 - (N E) T.  When N E has rank k
+    the map T -> X(T) is onto, and X(T) = W companion(target) W^-1 solves
+    (N E)(T W) = (N A0)[:, u] - W companion(target) over Q; otherwise
+    NotSolvable.  Returns T as rows of Fraction (feedback rows x vectors of
+    N), or None when k = 0.  The caller has checked that the target is
+    monic of degree k; decouple._evaluate_config checks the zeros of the
+    verified closed loop.
     """
     k = len(mu_family.nullbasis)
-    if target.degree != k:
-        raise TargetDegreeMismatch(
-            f"target degree {target.degree} != n - sum(sigma_tilde) = {k}"
-        )
     if k == 0:
         return None
-    x0, u, w = _zero_block_data(pencil, config, qb_num, mu_family)
-    if u.rank() < k or w.rank() < k:
+    n = pencil.n
+    nb = RationalMatrix(mu_family.nullbasis)
+    ne = nb.submatrix(range(k), [p - 1 for p in config.positions])
+    u = nb._echelon()[1]
+    w = nb.submatrix(range(k), u)
+    a0 = [list(row) for row in pencil.A_r.entries]
+    for p, mu in zip(config.positions, mu_family.particulars):
+        a0[p - 1] = [-x for x in mu]
+    rhs = nb * RationalMatrix(a0).submatrix(range(n), u) - w * companion(target)
+    tw_cols, free = ne.solve([rhs.col(c) for c in range(k)])
+    if ne.cols - len(free) < k:
         raise NotSolvable("free-parameter map does not reach every quotient block")
-    y = (x0 - companion(target)) * w.inverse()
-    t_cols = u.solve([y.col(c) for c in range(k)])[0]
-    if None in t_cols:
+    if None in tw_cols:
         raise MorganError("onto map failed to solve (bug)")
-    return RationalMatrix.from_columns(t_cols).entries
+    return (RationalMatrix.from_columns(tw_cols) * w.inverse()).entries

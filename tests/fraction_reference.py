@@ -14,12 +14,12 @@ polynomial matrices that `exactalg` and `canonical` kept before M S(s) was
 read off by slicing rows (`canonical.times_S`): the `PolyMatrix` type,
 sI - A, the chain block L(s) and the basis S(s).  Last come the
 constructions that `solve` ran before it read the fixed poles off the closed
-loop, decoupled the square system in pencil coordinates and completed Q_B
-by one echelon form: the fraction-free (Bareiss) polynomial determinant,
-the square system in the basis Q = [Q_A | Q_B] with the input decoupling
-zeros read off its quotient block, the Wolovich-Falb polynomial
-det(C_f S_f(s)) / prod(row gcds), and the greedy completion of Q_B by unit
-vectors, one rank test per candidate.  Last is the controller form as it
+loop, decoupled the square system in pencil coordinates and placed the
+input decoupling zeros in the quotient by the span of Q_B: the
+fraction-free (Bareiss) polynomial determinant, the square system in the
+basis Q = [Q_A | Q_B] with the input decoupling zeros read off its quotient
+block, the Wolovich-Falb polynomial det(C_f S_f(s)) / prod(row gcds), and
+the greedy completion of Q_B by unit vectors, one rank test per candidate.  Last is the controller form as it
 was built before the Krylov-row construction: the full chain inverse,
 P = (P^-1)^-1 and full products.  The tests require the current code to
 return exactly the same values.
@@ -31,7 +31,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from morgan.canonical import times_S
-from morgan.errors import DegenerateNumerator, MorganError, NotControllable, SingularQ
+from morgan.errors import DegenerateNumerator, MorganError, NotControllable
 from morgan.exactalg import RESOLVENT_SIZE_CAP, Poly, RationalMatrix, poly_gcd
 from morgan.zeros import row_gcds
 
@@ -476,6 +476,10 @@ def fixed_decoupling_poles(square) -> Poly:
             raise MorganError("row gcd does not divide det(C_f S_f) (bug)")
         out = q
     return out.monic()
+
+
+class SingularQ(MorganError):
+    """No basis completion makes Q = [Q_A, Q_B] invertible."""
 
 
 def complete_basis(qb_num: RationalMatrix) -> RationalMatrix:

@@ -13,7 +13,7 @@ from fractions import Fraction
 import golden_data as pd
 from fraction_reference import build_S, fixed_decoupling_poles, kalman_matrix, shift
 from morgan.admissible import enumerate_row_configs, enumerate_tuples
-from morgan.canonical import StateSpace, to_pencil_form
+from morgan.canonical import StateSpace, _staircase_select, to_pencil_form
 from morgan.decouple import (
     DecouplingSolution,
     SolveOptions,
@@ -72,7 +72,8 @@ def test_criterion_1_example1_structure(ex1):
 
 def test_criterion_2_example1_golden_verify(ex1):
     t0 = time.perf_counter()
-    h = transfer_function(ex1.A + ex1.B * pd.EX1_F_FINAL, ex1.B * pd.EX1_G_FINAL, ex1.C)
+    acl = ex1.A + ex1.B * pd.EX1_F_FINAL
+    h = transfer_function(acl, ex1.B * pd.EX1_G_FINAL, ex1.C, charpoly(acl))
     elapsed = time.perf_counter() - t0
     dens = [parse_poly(t) for t in pd.EX1_DIAG_DENS]
     for i in range(3):
@@ -100,7 +101,8 @@ def test_criterion_3_example1_synthesis(ex1):
     assert set(rejected) == set(pd.EX1_I_LIST) - {(1, 4, 4)}
     assert len(rejected) == 8
     # returned pair passes exact verification with the default 1/(s+1)^(d_i+1)
-    h = transfer_function(ex1.A + ex1.B * sol.F, ex1.B * sol.G, ex1.C)
+    acl = ex1.A + ex1.B * sol.F
+    h = transfer_function(acl, ex1.B * sol.G, ex1.C, charpoly(acl))
     for i in range(3):
         for j in range(3):
             num, den = h[i][j]
@@ -119,9 +121,8 @@ def test_criterion_4_example2_structure_and_golden_verify(ex2):
     configs = enumerate_row_configs(pencil.sigma, ex2.m)
     assert tuples == pd.EX2_I_LIST and len(tuples) == 16
     assert [c.positions for c in configs] == pd.EX2_M_POSITIONS and len(configs) == 10
-    h = transfer_function(
-        ex2.A + ex2.B * pd.ex2_f_final(0, 0, 0, 0), ex2.B * pd.EX2_G_FINAL, ex2.C
-    )
+    acl = ex2.A + ex2.B * pd.ex2_f_final(0, 0, 0, 0)
+    h = transfer_function(acl, ex2.B * pd.EX2_G_FINAL, ex2.C, charpoly(acl))
     dens = [parse_poly(t) for t in pd.EX2_DIAG_DENS]
     for i in range(3):
         for j in range(3):
@@ -153,7 +154,7 @@ def test_criterion_6_zero_assignment(ex2):
     assert sol.fixed_poles.input_dz_poly == target
     # oracle: uncontrollable polynomial of the actual closed loop
     acl = ex2.A + ex2.B * sol.F
-    assert uncontrollable_polynomial(acl, ex2.B * sol.G) == target
+    assert uncontrollable_polynomial(acl, ex2.B * sol.G, charpoly(acl)) == target
     report(6, "--dz-target s^2+3s+2 on Example 2 places the uncontrollable polynomial exactly")
 
 
@@ -163,9 +164,7 @@ def test_criterion_7_oracles():
         n = rng.randint(2, 6)
         l = rng.randint(1, min(4, n))
         a, b = random_controllable(rng, n, l)
-        from morgan.canonical import controllability_indices
-
-        assert controllability_indices(a, b) == ci_oracle(a, b)
+        assert tuple(sorted(_staircase_select(a, b))) == ci_oracle(a, b)
 
     # static decouplability rank criterion coincides with invertibility of
     # the decoupling matrix

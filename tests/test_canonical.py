@@ -12,7 +12,7 @@ import golden_data as pd
 from fraction_reference import PolyMatrix, build_L, build_S, kalman_matrix
 from morgan.canonical import (
     StateSpace,
-    controllability_indices,
+    _staircase_select,
     positions_from_sigma,
     to_pencil_form,
 )
@@ -45,6 +45,11 @@ def ci_oracle(a, b):
     for j in range(l):
         ci.append(sum(1 for inc in increments if inc > j))
     return tuple(sorted(x for x in ci if x > 0))
+
+
+def controllability_indices(a, b):
+    """The staircase chain lengths, sorted: the controllability indices."""
+    return tuple(sorted(_staircase_select(a, b)))
 
 
 class TestControllabilityIndices:

@@ -153,6 +153,15 @@ class TestSolve:
         rc, out, _ = run(capsys, ["verify", ex2, out_path])
         assert rc == 0
 
+    def test_dz_target_degree_mismatch_exit_2(self, files, capsys):
+        # only the search checks deg(target) = n - sum(sigma_tilde); a
+        # configuration of another degree is rejected with that reason
+        _, _, ex2 = files
+        rc, out, _ = run(capsys, ["solve", ex2, "--dz-target", "s^3+1", "--json"])
+        assert rc == 2
+        reasons = {c["reason"] for c in json.loads(out)["audit"]["configurations"]}
+        assert "input-decoupling-zero target degree 3 != n - sum(sigma_tilde) = 2" in reasons
+
     def test_diag_polys(self, files, capsys):
         _, ex1, _ = files
         rc, out, _ = run(

@@ -221,13 +221,13 @@ class TestResolvent:
 
 class TestTransferFunction:
     def test_integrator(self):
-        h = transfer_function(RationalMatrix([[0]]), RationalMatrix([[1]]), RationalMatrix([[1]]))
+        h = transfer_function(RationalMatrix([[0]]), RationalMatrix([[1]]), RationalMatrix([[1]]),
+                              P("s"))
         assert h[0][0] == (Poly.one(), P("s"))
 
     def test_example1_golden_verify(self):
-        h = transfer_function(
-            pd.EX1_A + pd.EX1_B * pd.EX1_F_FINAL, pd.EX1_B * pd.EX1_G_FINAL, pd.EX1_C
-        )
+        acl = pd.EX1_A + pd.EX1_B * pd.EX1_F_FINAL
+        h = transfer_function(acl, pd.EX1_B * pd.EX1_G_FINAL, pd.EX1_C, resolvent(acl)[2])
         dens = [P(t) for t in pd.EX1_DIAG_DENS]
         for i in range(3):
             for j in range(3):
@@ -238,9 +238,8 @@ class TestTransferFunction:
                     assert num.is_zero()
 
     def test_example2_golden_verify_t0(self):
-        h = transfer_function(
-            pd.EX2_A + pd.EX2_B * pd.ex2_f_final(0, 0, 0, 0), pd.EX2_B * pd.EX2_G_FINAL, pd.EX2_C
-        )
+        acl = pd.EX2_A + pd.EX2_B * pd.ex2_f_final(0, 0, 0, 0)
+        h = transfer_function(acl, pd.EX2_B * pd.EX2_G_FINAL, pd.EX2_C, resolvent(acl)[2])
         dens = [P(t) for t in pd.EX2_DIAG_DENS]
         for i in range(3):
             for j in range(3):
@@ -258,7 +257,7 @@ class TestTransferFunction:
             a = RationalMatrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
             b = RationalMatrix([[rng.randint(-2, 2)] for _ in range(n)])
             c = RationalMatrix([[rng.randint(-2, 2) for _ in range(n)]])
-            h = transfer_function(a, b, c)
+            h = transfer_function(a, b, c, resolvent(a)[2])
             si_a = s_identity_minus(a)
             chi = det(si_a.entries)
             # adjugate via cofactors

@@ -227,4 +227,4 @@ class TestTransferFunction:
         a, b, c, f, g = system
         acl = a if f is None else a + b * f
         bg = b if g is None else b * g
-        assert transfer_function(acl, bg, c) == ref.transfer_function(*system)
+        assert transfer_function(acl, bg, c, resolvent(acl)[2]) == ref.transfer_function(*system)

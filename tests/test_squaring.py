@@ -3,20 +3,17 @@
 import random
 from fractions import Fraction
 
-import pytest
 
 import fraction_reference as ref
 import golden_data as pd
 from morgan.admissible import enumerate_row_configs
 from fraction_reference import PolyMatrix, build_L, build_S
-from morgan.errors import SingularQ
 from morgan.exactalg import RationalMatrix
 from morgan.paramalg import ParamId, instantiate
 from morgan.squaring import (
     MuFamily,
     assemble_squaring,
     build_QB,
-    complete_basis,
     decouplability_search,
     dtilde_hc,
     solve_feedback_rows,
@@ -248,32 +245,8 @@ class TestAssemble:
         sq = assemble_squaring(ex1_pencil, qb, cfg, qb_num, fam, assignment, None)
         assert sq.F0 == pd.EX1_F0
         assert sq.G0 == pd.EX1_G0
-        assert complete_basis(qb_num) == qb_num == pd.EX1_QB_NUM  # square Q_B needs no completion
+        assert qb_num == pd.EX1_QB_NUM
         assert sq.G0.transpose() * sq.G0 == RationalMatrix.identity(3)
-
-    def test_complete_basis_prefers_low_units(self):
-        qb_num = RationalMatrix([[0], [0], [1]])
-        qmat = complete_basis(qb_num)
-        assert qmat == RationalMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-
-    def test_complete_basis_matches_greedy(self):
-        # one echelon of [Q_B | I] picks the same units as one rank test per unit
-        rng = random.Random(31)
-        checked = 0
-        while checked < 40:
-            n = rng.randint(1, 8)
-            w = n if checked % 5 == 0 else rng.randint(1, n)  # every fifth is square
-            qb_num = RationalMatrix(
-                [[rng.choice((0, 0, 0, rng.randint(-4, 4))) for _ in range(w)] for _ in range(n)]
-            )
-            if qb_num.rank() < w:
-                with pytest.raises(SingularQ):
-                    complete_basis(qb_num)
-                with pytest.raises(SingularQ):
-                    ref.complete_basis(qb_num)
-                continue
-            assert complete_basis(qb_num) == ref.complete_basis(qb_num)
-            checked += 1
 
     def test_mu_family_rows_at(self):
         fam = MuFamily(

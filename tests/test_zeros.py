@@ -21,11 +21,10 @@ from morgan.decouple import (
     make_square_system,
     solve,
 )
-from morgan.errors import InvalidSystem, MorganError, NotSolvable, TargetDegreeMismatch
+from morgan.errors import InvalidSystem, MorganError, NotSolvable
 from morgan.exactalg import Poly, RationalMatrix, parse_poly
 from morgan.squaring import MuFamily, SquaringData, build_QB, solve_feedback_rows
 from morgan.zeros import (
-    _zero_block_data,
     assign_zeros,
     charpoly,
     check_fixed_poles,
@@ -36,10 +35,6 @@ from morgan.zeros import (
     unobservable_polynomial,
 )
 from test_decouple import EX1_Q, closed_loop_dz, ex1_reference_squaring, ex2_reference_squaring
-
-# the numeric Q_B of Example 2's reference basis: the trailing sum(sigma_tilde) columns
-EX2_QB_NUM = pd.EX2_Q.submatrix(range(9), range(2, 9))
-
 
 @contextmanager
 def recorded_qb_nums():
@@ -59,6 +54,54 @@ def recorded_qb_nums():
 def q_square_of(sol, qb_num):
     """The solution's square system in the basis that completes its Q_B."""
     return q_coordinate_square(sol.pencil, sol.squaring, ref.complete_basis(qb_num))
+
+
+def q_basis_assignment(pencil, config, qb_num, mu_family, target):
+    """T by the construction that completed Q_B to Q = [Q_A | Q_B].
+
+    The quotient block of Q^-1 A(T) Q is X(T) = X0 - U T W, with G_A the
+    leading k rows of Q^-1, X0 = G_A A0 Q_A, U = G_A E and W = N Q_A; T
+    solves U T = (X0 - companion(target)) W^-1.  None when k = 0.
+    """
+    k = len(mu_family.nullbasis)
+    if k == 0:
+        return None
+    n = pencil.n
+    q = ref.complete_basis(qb_num)
+    q_inv = ref.inverse(q)
+    ga = q_inv.submatrix(range(k), range(n))
+    qa = q.submatrix(range(n), range(k))
+    a0 = [list(row) for row in pencil.A_r.entries]
+    for p, mu in zip(config.positions, mu_family.particulars):
+        a0[p - 1] = [-x for x in mu]
+    x0 = ref.mul(ref.mul(ga, RationalMatrix(a0)), qa)
+    u = RationalMatrix.from_columns([ga.col(p - 1) for p in config.positions])
+    w = ref.mul(RationalMatrix(mu_family.nullbasis), qa)
+    if u.rank() < k or w.rank() < k:
+        raise NotSolvable("free-parameter map does not reach every quotient block")
+    y = ref.mul(x0 - companion(target), ref.inverse(w))
+    t_cols = u.solve([y.col(c) for c in range(k)])[0]
+    return RationalMatrix.from_columns(t_cols).entries
+
+
+def pivot_columns(m: RationalMatrix) -> list:
+    """Columns independent of the columns before them, one rank test each."""
+    out = []
+    for j in range(m.cols):
+        if m.submatrix(range(m.rows), out + [j]).rank() > len(out):
+            out.append(j)
+    return out
+
+
+def quotient_block_at_zero(sol):
+    """W^-1 (N A_s)[:, u] for the solution's squared-down system at T = 0,
+    A_s = A_r + B_r G_I F_0: N its basis of ker Q_B^T, u the pivot columns
+    of N and W = N[:, u]."""
+    nb = RationalMatrix(sol.mu_family.nullbasis)
+    u = pivot_columns(nb)
+    a_s = sol.pencil.A_r + ref.mul(sol.pencil.B_r_GI, sol.squaring.F0)
+    w_inv = ref.inverse(nb.submatrix(range(nb.rows), u))
+    return ref.mul(ref.mul(w_inv, nb), a_s).submatrix(range(nb.rows), u)
 
 
 def ex2_reference_family(ex2_config_15):
@@ -131,7 +174,7 @@ class TestFixedDecouplingPoles:
         assert fixed == Poly.one()
         # oracle: the reference closed loop has no unobservable modes
         acl = pd.EX1_A + pd.EX1_B * pd.EX1_F_FINAL
-        assert unobservable_polynomial(acl, pd.EX1_C) == Poly.one()
+        assert unobservable_polynomial(acl, pd.EX1_C, charpoly(acl)) == Poly.one()
 
     def test_example2(self, ex2_pencil, ex2_config_15):
         square = q_coordinate_square(
@@ -142,17 +185,18 @@ class TestFixedDecouplingPoles:
         # oracle relations on the reference closed loop at t = 0:
         # fixed | unobservable | fixed * dz (one zero mode is also unobservable)
         acl = pd.EX2_A + pd.EX2_B * pd.ex2_f_final(0, 0, 0, 0)
-        unobs = unobservable_polynomial(acl, pd.EX2_C)
+        chi = charpoly(acl)
+        unobs = unobservable_polynomial(acl, pd.EX2_C, chi)
         dz = input_decoupling_zeros(square)
         assert unobs.divmod(fixed)[1].is_zero()
         assert (fixed * dz).divmod(unobs)[1].is_zero()
-        assert uncontrollable_polynomial(acl, pd.EX2_B * pd.EX2_G_FINAL) == dz
+        assert uncontrollable_polynomial(acl, pd.EX2_B * pd.EX2_G_FINAL, chi) == dz
 
 
 class TestAssignZeros:
     def test_target_with_rational_roots(self, ex2, ex2_pencil, ex2_config_15):
         fam = ex2_reference_family(ex2_config_15)
-        t = assign_zeros(ex2_pencil, ex2_config_15, EX2_QB_NUM, fam, parse_poly("s^2+3s+2"))
+        t = assign_zeros(ex2_pencil, ex2_config_15, fam, parse_poly("s^2+3s+2"))
         assert len(t) == 2 and all(len(row) == 2 for row in t)
         sq = ex2_squaring_at(ex2_pencil, ex2_config_15, fam, t)
         assert closed_loop_dz(ex2, ex2_pencil, sq) == parse_poly("s^2+3s+2")
@@ -162,7 +206,7 @@ class TestAssignZeros:
 
     def test_target_with_irrational_roots(self, ex2, ex2_pencil, ex2_config_15):
         fam = ex2_reference_family(ex2_config_15)
-        t = assign_zeros(ex2_pencil, ex2_config_15, EX2_QB_NUM, fam, parse_poly("s^2+s+1"))
+        t = assign_zeros(ex2_pencil, ex2_config_15, fam, parse_poly("s^2+s+1"))
         sq = ex2_squaring_at(ex2_pencil, ex2_config_15, fam, t)
         assert closed_loop_dz(ex2, ex2_pencil, sq) == parse_poly("s^2+s+1")
 
@@ -171,8 +215,8 @@ class TestAssignZeros:
         # verified closed loop instead of being reported
         place = zeros.assign_zeros
 
-        def wrong_target(pencil, config, qb_num, fam, target):
-            return place(pencil, config, qb_num, fam, parse_poly("s^2+s+1"))
+        def wrong_target(pencil, config, fam, target):
+            return place(pencil, config, fam, parse_poly("s^2+s+1"))
 
         monkeypatch.setattr(zeros, "assign_zeros", wrong_target)
         with pytest.raises(MorganError, match=r"s\^2\+s\+1 differ from the placed target "
@@ -190,16 +234,77 @@ class TestAssignZeros:
     def test_degree_zero_target(self, ex1_reference_pencil):
         cfg = enumerate_row_configs((1, 1, 3, 4), 3)[0]
         fam = MuFamily(particulars=(pd.EX1_MU,), nullbasis=())
-        assert assign_zeros(ex1_reference_pencil, cfg, EX1_Q, fam, Poly.one()) is None
-
-    def test_degree_mismatch(self, ex2_pencil, ex2_config_15):
-        fam = ex2_reference_family(ex2_config_15)
-        with pytest.raises(TargetDegreeMismatch):
-            assign_zeros(ex2_pencil, ex2_config_15, EX2_QB_NUM, fam, parse_poly("s^3+1"))
+        assert assign_zeros(ex1_reference_pencil, cfg, fam, Poly.one()) is None
 
     def test_companion(self):
         c = companion(parse_poly("s^2+3s+2"))
         assert charpoly(c) == parse_poly("s^2+3s+2")
+
+
+class TestQuotientByNullbasis:
+    """assign_zeros works on N = ker Q_B^T with no completed basis Q."""
+
+    def _null_basis(self, qb_num):
+        # as solve_feedback_rows forms it
+        return RationalMatrix(qb_num.transpose().solve([])[1])
+
+    def test_pivots_prefer_low_units(self):
+        qb_num = RationalMatrix([[0], [0], [1]])
+        assert ref.complete_basis(qb_num) == RationalMatrix.identity(3)
+        nb = self._null_basis(qb_num)
+        assert nb._echelon()[1] == pivot_columns(nb) == [0, 1]
+
+    def test_pivots_are_the_completing_units(self):
+        # the pivot columns u of N are the unit columns that complete Q_B,
+        # and W^-1 N, W = N[:, u], is the leading block of rows of Q^-1
+        rng = random.Random(31)
+        checked = 0
+        while checked < 40:
+            n = rng.randint(1, 8)
+            w = n if checked % 5 == 0 else rng.randint(1, n)  # every fifth is square
+            qb_num = RationalMatrix(
+                [[rng.choice((0, 0, 0, rng.randint(-4, 4))) for _ in range(w)] for _ in range(n)]
+            )
+            if qb_num.rank() < w:
+                with pytest.raises(ref.SingularQ):
+                    ref.complete_basis(qb_num)
+                continue
+            q = ref.complete_basis(qb_num)
+            k = n - w
+            units = [q.col(j).index(1) for j in range(k)]
+            nb = self._null_basis(qb_num)
+            assert nb._echelon()[1] == pivot_columns(nb) == units
+            if k:
+                w_inv = ref.inverse(nb.submatrix(range(k), units))
+                assert ref.mul(w_inv, nb) == ref.inverse(q).submatrix(range(k), range(n))
+            checked += 1
+
+    def test_same_t_as_the_completed_basis(self):
+        # random monic targets at every solved configuration with k > 0;
+        # W != I at most of them
+        rng = random.Random(2323)
+        refused = placed = placed_with_w_not_i = 0
+        for i, sys_ in enumerate(random_systems(808, 6)):
+            for sol, qb_num in solved_configurations(sys_, SolveOptions(seed=i)):
+                fam = sol.mu_family
+                k = len(fam.nullbasis)
+                if k == 0:
+                    continue
+                nb = RationalMatrix(fam.nullbasis)
+                w_not_i = nb.submatrix(range(k), pivot_columns(nb)) != RationalMatrix.identity(k)
+                for _ in range(2):
+                    target = Poly([rng.randint(-5, 5) for _ in range(k)] + [1])
+                    try:
+                        expected = q_basis_assignment(sol.pencil, sol.config, qb_num, fam, target)
+                    except NotSolvable:
+                        with pytest.raises(NotSolvable):
+                            assign_zeros(sol.pencil, sol.config, fam, target)
+                        refused += 1
+                        continue
+                    assert assign_zeros(sol.pencil, sol.config, fam, target) == expected
+                    placed += 1
+                    placed_with_w_not_i += w_not_i
+        assert refused > 0 and placed > 0 and placed_with_w_not_i > 0
 
 
 class TestBestEffort:
@@ -233,11 +338,10 @@ class TestBestEffort:
         qb_num = seen[-1]
         assert sol.squaring.t is None
         # the quotient block at T = 0 reproduces the solution's own zero polynomial
-        x0, _, _ = _zero_block_data(sol.pencil, sol.config, qb_num, sol.mu_family)
-        assert charpoly(x0) == sol.fixed_poles.input_dz_poly
+        assert charpoly(quotient_block_at_zero(sol)) == sol.fixed_poles.input_dz_poly
         assert input_decoupling_zeros(q_square_of(sol, qb_num)) == sol.fixed_poles.input_dz_poly
         with pytest.raises(NotSolvable, match="free-parameter map does not reach every quotient block"):
-            assign_zeros(sol.pencil, sol.config, qb_num, sol.mu_family, parse_poly("s^2+3s+2"))
+            assign_zeros(sol.pencil, sol.config, sol.mu_family, parse_poly("s^2+3s+2"))
 
 
 class TestRouthHurwitz:
@@ -282,21 +386,22 @@ class TestRandomSolvedSystems:
                 continue
             checked += 1
             acl = sys_.A + sys_.B * res.F
+            chi = charpoly(acl)
             dz = res.fixed_poles.input_dz_poly
             assert dz.degree + sum(res.ci_tuple) == n
-            assert uncontrollable_polynomial(acl, sys_.B * res.G) == dz
+            assert uncontrollable_polynomial(acl, sys_.B * res.G, chi) == dz
             prod = Poly.one()
             for _, p in res.diag:
                 prod = prod * p
             # (prod * dz) divides charpoly exactly; the cofactor collects the
             # controllable-but-unobservable modes (the structural fixed poles
             # plus any numerator zeros cancelled by the chosen 1/p_i law)
-            cofactor, rem = charpoly(acl).divmod(prod * dz)
+            cofactor, rem = chi.divmod(prod * dz)
             assert rem.is_zero()
             assert cofactor.degree == sum(res.ci_tuple) - sum(
                 d + 1 for d in make_square_system(res.pencil, res.squaring).rel_degrees
             )
-            unobs = unobservable_polynomial(acl, sys_.C)
+            unobs = unobservable_polynomial(acl, sys_.C, chi)
             assert unobs.divmod(cofactor)[1].is_zero()
             assert (cofactor * dz).divmod(unobs)[1].is_zero()
             if dz == Poly.one():
