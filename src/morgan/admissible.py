@@ -8,10 +8,11 @@ lexicographically so the whole search is deterministic.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 
-from .canonical import positions_from_sigma
+from .canonical import offsets_from_sigma, positions_from_sigma
 from .errors import MorganError
 
 
@@ -21,46 +22,23 @@ def enumerate_tuples(sigma, m: int):
     A nondecreasing tuple (st_1, ..., st_m) qualifies iff every prefix
     satisfies st_1 + ... + st_i <= sigma_1 + ... + sigma_{k_i} with
     k_i the largest index such that sigma_{k_i} <= st_i.  Components below
-    sigma_1 are rejected (k_i undefined).  Lexicographic order.
+    sigma_1 are rejected (k_i undefined).  The rule holds for every prefix of
+    an admissible tuple, so the list grows one position at a time and only
+    admissible prefixes are extended.  Lexicographic order.
     """
     sigma = tuple(sigma)
-    l = len(sigma)
-    if m > l:
+    if m > len(sigma):
         raise MorganError("m must not exceed the number of inputs")
-    n = sum(sigma)
-    prefix = [0]
-    for s in sigma:
-        prefix.append(prefix[-1] + s)
-
-    def k_of(value):
-        k = 0
-        for s in sigma:
-            if s <= value:
-                k += 1
-            else:
-                break
-        return k
-
-    out = []
-
-    def extend(partial, total):
-        i = len(partial)
-        if i == m:
-            out.append(tuple(partial))
-            return
-        lo = partial[-1] if partial else sigma[0]
-        for v in range(lo, n - total + 1):
-            k = k_of(v)
-            if k == 0:
-                continue
-            if total + v > prefix[k]:
-                continue
-            partial.append(v)
-            extend(partial, total + v)
-            partial.pop()
-
-    extend([], 0)
-    return out
+    prefix = offsets_from_sigma(sigma)
+    tuples = [()]
+    for _ in range(m):
+        tuples = [
+            t + (v,)
+            for t in tuples
+            for v in range(t[-1] if t else sigma[0], prefix[-1] - sum(t) + 1)
+            if sum(t) + v <= prefix[bisect_right(sigma, v)]
+        ]
+    return tuples
 
 
 @dataclass(frozen=True)

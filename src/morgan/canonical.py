@@ -80,6 +80,11 @@ def positions_from_sigma(sigma):
     return tuple(accumulate(sigma))
 
 
+def offsets_from_sigma(sigma):
+    """0-based start of each block followed by n: (0, p_1, ..., p_l)."""
+    return tuple(accumulate(sigma, initial=0))
+
+
 def times_S(m: RationalMatrix, sigma) -> list:
     """Rows of M S(s), S(s) = diag([1, s, ..., s^(sigma_j - 1)]^T), as lists of Poly.
 
@@ -88,7 +93,7 @@ def times_S(m: RationalMatrix, sigma) -> list:
     """
     if m.cols != sum(sigma):
         raise MorganError(f"M has {m.cols} columns, S(s) has {sum(sigma)} rows")
-    offs = (0,) + positions_from_sigma(sigma)
+    offs = offsets_from_sigma(sigma)
     return [[Poly(row[a:b]) for a, b in zip(offs, offs[1:])] for row in m.entries]
 
 

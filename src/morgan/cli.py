@@ -79,26 +79,16 @@ def cmd_solve(args) -> int:
         dz_target=dz_target,
     )
     result = run_solve(sys_, options)
-    if isinstance(result, NoSolution):
-        payload = no_solution_to_dict(result)
-        text = dump_json(payload)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        if args.json:
-            print(text, end="")
-        else:
-            print("NO SOLUTION: every configuration of the finite search was rejected")
-            print(f"  sigma = {tuple(result.sigma)}, configurations examined = {result.searched}")
-        return 2
-
-    payload = solution_to_dict(result)
-    text = dump_json(payload)
+    solved = not isinstance(result, NoSolution)
+    text = dump_json(solution_to_dict(result) if solved else no_solution_to_dict(result))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     if args.json:
         print(text, end="")
+    elif not solved:
+        print("NO SOLUTION: every configuration of the finite search was rejected")
+        print(f"  sigma = {tuple(result.sigma)}, configurations examined = {result.searched}")
     else:
         print(f"SOLVED with closed-loop indices {tuple(result.ci_tuple)} "
               f"at feedback rows {result.config}")
@@ -112,7 +102,7 @@ def cmd_solve(args) -> int:
               f" ({'stable' if fp.fixed_dec_stable else 'not stable'})")
         if args.out:
             print(f"solution written to {args.out}")
-    return 0
+    return 0 if solved else 2
 
 
 def _load_feedback(args):
@@ -264,10 +254,7 @@ def main(argv=None) -> int:
         return 0 if e.code == 0 else 1
     try:
         return globals()["cmd_" + args.command.replace("-", "_")](args)
-    except MorganError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as e:
+    except (MorganError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except (KeyError, IndexError, TypeError, ValueError) as e:

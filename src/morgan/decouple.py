@@ -26,6 +26,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .admissible import RowConfig, enumerate_row_configs, enumerate_tuples
 from .canonical import PencilForm, StateSpace, times_S, to_pencil_form
@@ -117,13 +118,7 @@ def make_square_system(pencil: PencilForm, squaring: SquaringData) -> SquareSyst
 
 def default_diagonal_polys(square: SquareSystem):
     """(s+1)^(d_i+1) for each output."""
-    out = []
-    for d in square.rel_degrees:
-        p = Poly.one()
-        for _ in range(d + 1):
-            p = p * Poly([1, 1])
-        out.append(p)
-    return out
+    return [Poly([comb(d + 1, k) for k in range(d + 2)]) for d in square.rel_degrees]
 
 
 def _row_times_poly(row: RationalMatrix, p: Poly, a: RationalMatrix) -> RationalMatrix:
@@ -318,7 +313,7 @@ def _evaluate_config(sys, pencil, qbasis, config, ti, ci, options):
             f"!= n - sum(sigma_tilde) = {n - w}"
         )
 
-    report = decouplability_search(pencil.C_r, pencil, qbasis, config, rng)
+    report = decouplability_search(pencil, qbasis, config, rng)
     if not report.success:
         return rejected(report.reason)
 

@@ -368,18 +368,7 @@ class RationalMatrix:
             [[self.entries[i][j] for j in col_idx] for i in row_idx]
         )
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for r in self.entries for x in r)
-
     # -- elimination-based operations ---------------------------------------
-
-    def _echelon(self):
-        """Reduced row echelon form: (rows, pivot column list).  The pivot rows
-        of _reduce divided by their pivots; each is a multiple of the row that
-        elimination over Q holds, and the reduced form is unique."""
-        m, pivots = _reduce(self.entries, self.cols)
-        rows = [[Fraction(x, m[i][c]) for x in m[i]] for i, c in enumerate(pivots)]
-        return rows + [[Fraction(0)] * self.cols for _ in m[len(pivots):]], pivots
 
     def rank(self) -> int:
         return rank(self.entries)
@@ -388,12 +377,10 @@ class RationalMatrix:
         n = self.rows
         if n != self.cols:
             raise MorganError("inverse of a nonsquare matrix")
-        ident = RationalMatrix.identity(n).entries
-        aug = RationalMatrix([r + e for r, e in zip(self.entries, ident)])
-        m, pivots = aug._echelon()
-        if len(pivots) < n or pivots[:n] != list(range(n)):
+        cols, null = self.solve([[int(i == j) for i in range(n)] for j in range(n)])
+        if null:
             raise MorganError("matrix is singular")
-        return RationalMatrix._of([row[n:] for row in m[:n]])
+        return RationalMatrix._of(zip(*cols))
 
     def solve(self, rhss):
         """(solutions, null basis) of self * x = v for each v in the list rhss:
@@ -438,11 +425,7 @@ def rank(m) -> int:
     """
     rows = []
     for entries in m.entries if isinstance(m, RationalMatrix) else m:
-        den = 1
-        for x in entries:
-            if x.denominator != 1:
-                den = lcm(den, x.denominator)
-        row = [x.numerator * (den // x.denominator) for x in entries]
+        row = _scaled(entries)[1]
         if any(row):
             rows.append(row)
     found = 0

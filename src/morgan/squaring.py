@@ -20,13 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, product
-from math import lcm
+from itertools import product
 
 from .admissible import RowConfig
-from .canonical import PencilForm, positions_from_sigma
+from .canonical import PencilForm, offsets_from_sigma, positions_from_sigma
 from .errors import MorganError, NotSolvable
-from .exactalg import RationalMatrix
+from .exactalg import RationalMatrix, _scaled
 from .paramalg import ConstraintSet, FormGrid, ParamId, generic_rank, solve_zero_constraints
 
 
@@ -46,12 +45,7 @@ class QBasis:
 
     @property
     def col_offsets(self):
-        return _offsets(self.sigma_tilde)
-
-
-def _offsets(sizes):
-    """Start of each block of the given sizes."""
-    return tuple(accumulate(sizes, initial=0))[:-1]
+        return offsets_from_sigma(self.sigma_tilde)[:-1]
 
 
 def build_QB(sigma, sigma_tilde) -> QBasis:
@@ -93,7 +87,7 @@ def _check_shift_identity(sigma, sigma_tilde, cells):
     feasible k, plus the boundary terms.  Entries are single parameters or
     zero, so equal forms are equal cells.
     """
-    col_off = _offsets(sigma_tilde)
+    col_off = offsets_from_sigma(sigma_tilde)
     roff = 0
     for si in sigma:
         for c in range(si - 1):
@@ -119,6 +113,16 @@ class DecouplabilityReport:
     rank_grids: tuple = ()  # Q_B, N_alpha, [D~]_hc on the constraint set (success only)
 
 
+def _leading_cells(qbasis: QBasis, positions) -> tuple:
+    """Cells of the leading entries of the rows of Q_B at the given 1-based
+    positions: per row, the last entry of each column block j."""
+    offs = qbasis.col_offsets
+    return tuple(
+        tuple(qbasis.cells[p - 1][offs[j] + sj - 1] for j, sj in enumerate(qbasis.sigma_tilde))
+        for p in positions
+    )
+
+
 def _leading_entries(qbasis: QBasis, config: RowConfig):
     """Dense columns of the nonzero leading entries of the config rows of Q_B.
 
@@ -126,14 +130,7 @@ def _leading_entries(qbasis: QBasis, config: RowConfig):
     cannot be matched by any mu, so these entries must vanish for the
     feedback-row systems to be solvable.
     """
-    offs = qbasis.col_offsets
-    cells = []
-    for p in config.positions:
-        for j, sj in enumerate(qbasis.sigma_tilde):
-            c = qbasis.cells[p - 1][offs[j] + sj - 1]
-            if c:
-                cells.append(c)
-    return cells
+    return [c for row in _leading_cells(qbasis, config.positions) for c in row if c]
 
 
 def _nhat_forms(c_r: RationalMatrix, qbasis: QBasis):
@@ -164,8 +161,7 @@ def _nhat_forms(c_r: RationalMatrix, qbasis: QBasis):
         units.append(keyed(form))
     chat = []
     for r in range(c_r.rows):
-        den = lcm(*[x.denominator for x in c_r.row(r)])
-        coeff_row = [x.numerator * (den // x.denominator) for x in c_r.row(r)]
+        den, coeff_row = _scaled(c_r.row(r))
         entries = []
         for col in range(qbasis.width):
             form = [0] * (size + 1)
@@ -201,15 +197,8 @@ def dtilde_hc(pencil: PencilForm, qbasis: QBasis, config: RowConfig) -> tuple:
     the leading entry of row p_b of Q_B in block j.  Returned as cells of
     Q_B: the dense column of each entry's parameter, 0 for a zero entry.
     """
-    offs = qbasis.col_offsets
     pos = positions_from_sigma(qbasis.sigma)
-    return tuple(
-        tuple(
-            qbasis.cells[pos[b - 1] - 1][offs[j] + sj - 1]
-            for j, sj in enumerate(qbasis.sigma_tilde)
-        )
-        for b in config.complement(pencil.l)
-    )
+    return _leading_cells(qbasis, [pos[b - 1] for b in config.complement(pencil.l)])
 
 
 def _ascending_deficits(bounds):
@@ -262,11 +251,7 @@ def _eliminate(states: dict, coeffs, bounds, deficits, top: int) -> ConstraintSe
 
 
 def decouplability_search(
-    c_r: RationalMatrix,
-    pencil: PencilForm,
-    qbasis: QBasis,
-    config: RowConfig,
-    rng,
+    pencil: PencilForm, qbasis: QBasis, config: RowConfig, rng
 ) -> DecouplabilityReport:
     """Search degree-deficit vectors for a parameter selection that decouples.
 
@@ -278,12 +263,12 @@ def decouplability_search(
     Candidates with the same set of distinct forms are tried once.  The
     forms are dense rows over qbasis.params, and constraint sets are shared
     along deficit prefixes.  A successful report keeps the constraint set
-    and the three rank-tested matrices on it.
+    and the three rank-tested matrices on it.  N_hat is read from pencil.C_r.
     """
-    m = c_r.rows
+    m = pencil.C_r.rows
     w = qbasis.width
     top = max(qbasis.sigma_tilde) - 1
-    coeffs, units = _nhat_forms(c_r, qbasis)
+    coeffs, units = _nhat_forms(pencil.C_r, qbasis)
     seeds = [units[c] for c in _leading_entries(qbasis, config)]
     dhc = dtilde_hc(pencil, qbasis, config)
 

@@ -46,6 +46,7 @@ from .errors import (
 from .exactalg import (
     Poly,
     RationalMatrix,
+    _reduce,
     format_poly,
     krylov_select,
     poly_gcd,
@@ -55,27 +56,22 @@ from .exactalg import (
 
 def charpoly(a: RationalMatrix) -> Poly:
     """Monic characteristic polynomial (exact)."""
-    if a.rows == 0:
-        return Poly.one()
     return resolvent(a)[2]
 
 
 def _restriction(a: RationalMatrix, basis_cols) -> RationalMatrix:
     """Matrix X with A V = V X for a basis V of an A-invariant subspace.
 
-    One echelon of [V | AV]: V has full column rank, so the reduced form
-    carries X beside an identity, and a pivot past V means AV leaves the span.
+    The columns of X solve V x = (AV)_j, one elimination; an inconsistent
+    column means AV leaves the span, a null vector that V is rank-deficient.
     """
-    r = len(basis_cols)
-    if not r:
+    if not basis_cols:
         return RationalMatrix.zeros(0, 0)
     v = RationalMatrix.from_columns(basis_cols)
-    m, pivots = RationalMatrix._of(
-        [x + y for x, y in zip(v.entries, (a * v).entries)]
-    )._echelon()
-    if pivots != list(range(r)):
+    cols, null = v.solve(list(zip(*(a * v).entries)))
+    if null or None in cols:
         raise MorganError("subspace is not invariant (bug)")
-    return RationalMatrix._of([row[r:] for row in m[:r]])
+    return RationalMatrix._of(zip(*cols))
 
 
 def _outside_krylov_span(a: RationalMatrix, b: RationalMatrix, chi) -> Poly:
@@ -257,7 +253,7 @@ def assign_zeros(pencil, config, mu_family, target: Poly):
     n = pencil.n
     nb = RationalMatrix(mu_family.nullbasis)
     ne = nb.submatrix(range(k), [p - 1 for p in config.positions])
-    u = nb._echelon()[1]
+    u = _reduce(nb.entries, n)[1]
     w = nb.submatrix(range(k), u)
     a0 = [list(row) for row in pencil.A_r.entries]
     for p, mu in zip(config.positions, mu_family.particulars):

@@ -81,6 +81,12 @@ class TestEnumerateTuples:
     def test_square_case(self):
         assert enumerate_tuples((1, 1), 2) == [(1, 1)]
 
+    def test_one_admissible_tuple_among_many_candidates(self):
+        # only admissible prefixes are extended: C(40, 8) and C(64, 16)
+        # multisets fit the component bounds, but each sigma admits one tuple
+        assert enumerate_tuples((1,) * 7 + (33,), 8) == [(1,) * 7 + (33,)]
+        assert enumerate_tuples((1,) * 15 + (49,), 16) == [(1,) * 15 + (49,)]
+
     def test_sum_bounded_by_n(self):
         for sigma in [(1, 1, 3, 4), (1, 2, 2, 2, 2), (2, 3, 4)]:
             for m in range(1, len(sigma) + 1):
@@ -88,7 +94,8 @@ class TestEnumerateTuples:
                     assert sum(t) <= sum(sigma)
 
     def test_brute_force_oracle_all_small_sigma(self):
-        # every nondecreasing sigma with sum <= 9
+        # every nondecreasing sigma with sum <= 9 and every m, and up to
+        # sum 12 with m <= 4, the largest shapes the benchmark solves
         def partitions(total, minimum=1):
             if total == 0:
                 yield ()
@@ -97,9 +104,9 @@ class TestEnumerateTuples:
                 for rest in partitions(total - first, first):
                     yield (first,) + rest
 
-        for n in range(1, 10):
+        for n in range(1, 13):
             for sigma in partitions(n):
-                for m in range(1, len(sigma) + 1):
+                for m in range(1, (len(sigma) if n <= 9 else min(len(sigma), 4)) + 1):
                     assert enumerate_tuples(sigma, m) == brute_force_tuples(sigma, m)
 
 

@@ -18,6 +18,7 @@ from morgan.exactalg import RationalMatrix, parse_poly
 
 NOSOL_7_66 = str(Path(__file__).resolve().parent.parent / "perfbench" / "data" / "nosol_7_66.json")
 NOSOL_7_70 = str(Path(__file__).resolve().parent.parent / "perfbench" / "data" / "nosol_7_70.json")
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 @pytest.fixture(scope="module")
@@ -338,6 +339,21 @@ class TestVerify:
         rc, out, _ = run(capsys, ["verify", ex1, path])
         assert rc == 1
 
+    def test_zero_column_of_g(self, files, capsys):
+        # H = diag(1/(s+1), 0): the second input never reaches the output
+        d, _, _ = files
+        sys_path = d / "diag_zero_g.json"
+        sys_path.write_text(
+            dump_json({"A": [[-1, 0], [0, -2]], "B": [[1, 0], [0, 1]], "C": [[1, 0], [0, 1]]})
+        )
+        path = self._hand_solution(
+            d, RationalMatrix.zeros(2, 2), RationalMatrix([[1, 0], [0, 0]]), ["s+1", "s+2"]
+        )
+        rc, out, _ = run(capsys, ["verify", str(sys_path), path])
+        assert rc == 1
+        assert out.startswith("FAIL\n")
+        assert "  diagonal entry 2 is zero\n" in out
+
 
 class TestFixedPoles:
     def test_consistent_solution(self, files, capsys):
@@ -349,6 +365,102 @@ class TestFixedPoles:
         assert rc == 0
         data = json.loads(out)
         assert data["consistent"] is True
+
+
+class TestErrorPaths:
+    """User-facing errors: each exits 1 with its message."""
+
+    @pytest.mark.parametrize("cmd", ["verify", "fixed-poles"])
+    def test_no_solution_file(self, cmd, tmp_path, capsys):
+        out = str(tmp_path / "nosol.json")
+        rc, _, _ = run(capsys, ["solve", NOSOL_7_70, "--out", out])
+        assert rc == 2
+        rc, text, _ = run(capsys, [cmd, NOSOL_7_70, out])
+        assert rc == 1
+        assert text == "FAIL: solution file records no solution\n"
+
+    def test_missing_system_file(self, tmp_path, capsys):
+        rc, out, err = run(capsys, ["solve", str(tmp_path / "absent.json")])
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error: ") and "absent.json" in err
+
+    def test_other_solution_format(self, files, capsys):
+        d, ex1, _ = files
+        path = d / "other_format.json"
+        path.write_text(dump_json({"format": "morgan-solution/0", "F": [[1]]}))
+        rc, _, err = run(capsys, ["verify", ex1, str(path)])
+        assert rc == 1
+        assert "unsupported solution format 'morgan-solution/0'" in err
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"A": [[0, 1]], "B": [[1]], "C": [[1, 0]]}, "A must be square"),
+            ({"A": [[0, 1], [0, 0]], "B": [[1]], "C": [[1, 0]]}, "B must have as many rows as A"),
+            ({"A": [[0, 1], [0, 0]], "B": [[0], [1]], "C": [[1]]},
+             "C must have as many columns as A"),
+            ({"A": [[0, 1], [0]], "B": [[0], [1]], "C": [[1, 0]]}, "A is ragged"),
+            ({"A": [[0, True], [0, 0]], "B": [[0], [1]], "C": [[1, 0]]},
+             "entries must be integers or 'p/q' strings"),
+            ({"A": [[0, 0.5], [0, 0]], "B": [[0], [1]], "C": [[1, 0]]},
+             "bad entry 0.5 (use integers or 'p/q' strings)"),
+            ({"A": [[0, 1], [0, 0]], "B": [[0], [1]]}, "missing matrix 'C'"),
+        ],
+        ids=["nonsquare_A", "B_rows", "C_cols", "ragged", "bool", "float", "missing_C"],
+    )
+    def test_invalid_system(self, payload, message, tmp_path, capsys):
+        path = tmp_path / "invalid.json"
+        path.write_text(json.dumps(payload))
+        rc, out, err = run(capsys, ["solve", str(path)])
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+
+
+def perfbench_oracle():
+    """perfbench/oracle.py, the reference checks that do not import morgan."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import oracle
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return oracle
+
+
+def falb_wolovich_pair(system, oracle):
+    """The Falb-Wolovich decoupling pair of a system dict, as a solution dict.
+
+    With d_i the relative degree of output i and B* the rows C_i A^{d_i} B,
+    of rank m, G = B*^T (B* B*^T)^-1 and F = -G [C_i A^{d_i+1}] give
+    H = diag(1/s^{d_i+1}).  Plain fractions through the oracle's helpers.
+    """
+    a, b, c = (oracle.matrix(system[k]) for k in "ABC")
+    m = len(c)
+    b_star, next_rows, dens = [], [], []
+    for c_i in c:
+        row = [c_i]
+        for d in range(len(a)):
+            (head,) = oracle.matmul(row, b)
+            if any(head):
+                break
+            row = oracle.matmul(row, a)
+        else:
+            raise AssertionError("an output row with no relative degree")
+        b_star.append(head)
+        next_rows.append(oracle.matmul(row, a)[0])
+        dens.append(["0"] * (d + 1) + ["1"])
+    b_star_t = [list(col) for col in zip(*b_star)]
+    ident = [[int(i == j) for j in range(m)] for i in range(m)]
+    inv = oracle.solve_square(oracle.matmul(b_star, b_star_t), ident)
+    assert inv is not None, "B* does not have rank m"
+    g = oracle.matmul(b_star_t, inv)
+    f = [[-x for x in row] for row in oracle.matmul(g, next_rows)]
+    return {
+        "F": [[str(x) for x in row] for row in f],
+        "G": [[str(x) for x in row] for row in g],
+        "diagonal": [{"num": ["1"], "den": den} for den in dens],
+    }
 
 
 def random_system_files(d, seed, count):
@@ -374,22 +486,39 @@ def random_system_files(d, seed, count):
 
 
 class TestRandomRoundTrip:
-    """solve --out, then verify and fixed-poles on the file, on random systems."""
+    """solve --out, then verify and fixed-poles on the file, on random systems.
+
+    Systems 0, 1 and 4 (all with one output) exit 2 although each has a
+    Falb-Wolovich decoupling pair that the independent oracle accepts: known
+    false negatives of the NO SOLUTION verdict (ROADMAP).  A change that
+    makes them solve, or that loses another system, fails here.
+    """
+
+    KNOWN_FALSE_NEGATIVES = {0, 1, 4}
 
     def test_solve_verify_fixed_poles(self, tmp_path, capsys):
-        solved = 0
+        unsolved = set()
         for i, system in enumerate(random_system_files(tmp_path, 4242, 10)):
             out = str(tmp_path / f"sol_{i}.json")
             rc, text, _ = run(capsys, ["solve", system, "--out", out, "--seed", str(i)])
             assert rc in (0, 2), text
             if rc == 2:
+                unsolved.add(i)
                 continue
-            solved += 1
             rc, text, _ = run(capsys, ["verify", system, out])
             assert rc == 0 and text.startswith("PASS"), text
             rc, text, _ = run(capsys, ["fixed-poles", system, out])
             assert rc == 0 and text.endswith("consistent\n"), text
-        assert solved > 0
+        assert unsolved == self.KNOWN_FALSE_NEGATIVES
+
+    def test_every_system_has_a_decoupling_pair(self, tmp_path):
+        oracle = perfbench_oracle()
+        for path in random_system_files(tmp_path, 4242, 10):
+            system = json.loads(Path(path).read_text())
+            assert oracle.system_problems(system) == []
+            pair = falb_wolovich_pair(system, oracle)
+            assert oracle.solution_problems(system, pair) == []
+            assert oracle.solution_problems(system, oracle.perturbed(pair)) != []
 
 
 class TestEntryPoint:

@@ -47,9 +47,7 @@ def ex1_reference_squaring(ex1_reference_pencil):
     """SquaringData for Example 1 built with the reference values."""
     qb = build_QB((1, 1, 3, 4), (1, 4, 4))
     cfg = enumerate_row_configs((1, 1, 3, 4), 3)[0]
-    rep = decouplability_search(
-        ex1_reference_pencil.C_r, ex1_reference_pencil, qb, cfg, random.Random(0)
-    )
+    rep = decouplability_search(ex1_reference_pencil, qb, cfg, random.Random(0))
     assignment = {ParamId(*k[1:]): Fraction(v) for k, v in pd.EX1_QB_ASSIGNMENT.items()}
     qb_num = instantiate(rep.constraints.apply(qb.cells), at_columns(qb.params, assignment))
     fam = solve_feedback_rows(qb, cfg, qb_num)
@@ -324,7 +322,7 @@ class TestSolve:
         sys_ = StateSpace(A=a, B=RationalMatrix.identity(3), C=RationalMatrix.identity(3))
         sol = solve(sys_, SolveOptions(seed=5))
         assert isinstance(sol, DecouplingSolution)
-        assert sol.squaring.F0.is_zero()
+        assert sol.squaring.F0 == RationalMatrix.zeros(3, 3)
         assert sol.squaring.G0 == RationalMatrix.identity(3)
 
     def test_no_solution_zero_output_row(self):

@@ -172,7 +172,7 @@ class TestSearchMatchesReference:
     def check(self, pencil, tuple_step):
         for seed, qb, cfg in search_cases(pencil, tuple_step):
             a, b = random.Random(seed), random.Random(seed)
-            new = decouplability_search(pencil.C_r, pencil, qb, cfg, a)
+            new = decouplability_search(pencil, qb, cfg, a)
             old = dict_decouplability_search(pencil.C_r, pencil, qb, cfg, b)
             assert (new.success, new.reason, new.candidates_tried) == (
                 old.success, old.reason, old.candidates_tried)

@@ -23,7 +23,7 @@ from morgan.exactalg import (
     transfer_function,
 )
 from param_oracle import DegreeExceeded, high_col_coeff, high_row_coeff
-from test_integer_kernels import adjugate
+from test_integer_kernels import adjugate, reduced_echelon
 
 fractions_st = st.fractions(
     min_value=-10, max_value=10, max_denominator=6
@@ -79,6 +79,11 @@ class TestRationalMatrix:
     def test_rank_identity(self):
         assert rank(RationalMatrix.identity(2)) == 2
 
+    def test_zero_test_is_equality_with_zeros(self):
+        # no is_zero method: compare with RationalMatrix.zeros
+        assert "is_zero" not in vars(RationalMatrix)
+        assert RationalMatrix([[0, 0]]) == RationalMatrix.zeros(1, 2)
+
     @given(
         st.integers(1, 6),
         st.integers(1, 6),
@@ -93,7 +98,8 @@ class TestRationalMatrix:
                 a, b = rows[k % len(rows)], rows[(k + 1) % len(rows)]
                 rows.append([x + 2 * y for x, y in zip(a, b)])
         m = RationalMatrix(rows)
-        assert m.rank() == len(m._echelon()[1])
+        assert reduced_echelon(m) == ref.echelon(m)
+        assert m.rank() == len(ref.echelon(m)[1])
         assert rank([list(row) for row in rows]) == m.rank()
 
     def test_rank_zero(self):

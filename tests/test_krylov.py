@@ -107,6 +107,12 @@ class TestFixedPolePolynomials:
         with pytest.raises(MorganError, match="not invariant"):
             zeros._restriction(a, [[1, 0]])
 
+    def test_restriction_rejects_a_rank_deficient_basis(self):
+        # every subspace of I is invariant, so only the null vector of V fails
+        a = RationalMatrix.identity(2)
+        with pytest.raises(MorganError, match="not invariant"):
+            zeros._restriction(a, [[1, 0], [2, 0]])
+
     def test_block_read_matches_reference_on_example2_all(self, ex2):
         # every solved configuration: the Krylov dz of the closed loop, the
         # quotient block of the Q-coordinate square system and the Kalman

@@ -120,7 +120,7 @@ class TestDecouplabilitySearch:
     def test_example1_winner(self, ex1_pencil):
         qb = build_QB((1, 1, 3, 4), (1, 4, 4))
         cfg = enumerate_row_configs(ex1_pencil.sigma, 3)[0]
-        rep = decouplability_search(ex1_pencil.C_r, ex1_pencil, qb, cfg, random.Random(0))
+        rep = decouplability_search(ex1_pencil, qb, cfg, random.Random(0))
         assert rep.success
         assert {qb.params[c - 1] for c in rep.constraints.order} == {
             q(1, 1, 1), q(1, 2, 2), q(1, 2, 3), q(1, 2, 4),
@@ -133,7 +133,7 @@ class TestDecouplabilitySearch:
     def test_example1_n_alpha_structure(self, ex1_pencil):
         qb = build_QB((1, 1, 3, 4), (1, 4, 4))
         cfg = enumerate_row_configs(ex1_pencil.sigma, 3)[0]
-        rep = decouplability_search(ex1_pencil.C_r, ex1_pencil, qb, cfg, random.Random(0))
+        rep = decouplability_search(ex1_pencil, qb, cfg, random.Random(0))
         na = n_alpha_matrix(rep, qb.params, ex1_pencil.C_r)
         assert na[0, 0].is_zero()
         assert na[0, 1] == LinearForm(0, {q(1, 2, 1): 1})
@@ -146,14 +146,12 @@ class TestDecouplabilitySearch:
     def test_example1_117_rejected(self, ex1_pencil):
         qb = build_QB((1, 1, 3, 4), (1, 1, 7))
         cfg = enumerate_row_configs(ex1_pencil.sigma, 3)[0]
-        rep = decouplability_search(ex1_pencil.C_r, ex1_pencil, qb, cfg, random.Random(0))
+        rep = decouplability_search(ex1_pencil, qb, cfg, random.Random(0))
         assert not rep.success
 
     def test_example2_paper_configuration(self, ex2_pencil, ex2_config_15):
         qb = build_QB(ex2_pencil.sigma, (2, 2, 3))
-        rep = decouplability_search(
-            ex2_pencil.C_r, ex2_pencil, qb, ex2_config_15, random.Random(0)
-        )
+        rep = decouplability_search(ex2_pencil, qb, ex2_config_15, random.Random(0))
         assert rep.success
         assert {qb.params[c - 1] for c in rep.constraints.order} == {
             ParamId(*t[1:]) for t in pd.EX2_CONSTRAINED}
@@ -162,7 +160,7 @@ class TestDecouplabilitySearch:
     def test_example2_first_configuration_fails(self, ex2_pencil):
         qb = build_QB(ex2_pencil.sigma, (2, 2, 3))
         cfg = enumerate_row_configs(ex2_pencil.sigma, 3)[0]  # positions (1, 3)
-        rep = decouplability_search(ex2_pencil.C_r, ex2_pencil, qb, cfg, random.Random(0))
+        rep = decouplability_search(ex2_pencil, qb, cfg, random.Random(0))
         assert not rep.success
 
 
@@ -194,7 +192,7 @@ class TestFeedbackRows:
     def _ex1_family(self, ex1_pencil):
         qb = build_QB((1, 1, 3, 4), (1, 4, 4))
         cfg = enumerate_row_configs(ex1_pencil.sigma, 3)[0]
-        rep = decouplability_search(ex1_pencil.C_r, ex1_pencil, qb, cfg, random.Random(0))
+        rep = decouplability_search(ex1_pencil, qb, cfg, random.Random(0))
         assignment = {ParamId(*k[1:]): Fraction(v) for k, v in pd.EX1_QB_ASSIGNMENT.items()}
         qb_num = instantiate(rep.constraints.apply(qb.cells), at_columns(qb.params, assignment))
         return qb, cfg, qb_num
@@ -207,9 +205,7 @@ class TestFeedbackRows:
 
     def test_example2_affine_family_contains_paper_rows(self, ex2_pencil, ex2_config_15):
         qb = build_QB(ex2_pencil.sigma, (2, 2, 3))
-        rep = decouplability_search(
-            ex2_pencil.C_r, ex2_pencil, qb, ex2_config_15, random.Random(0)
-        )
+        rep = decouplability_search(ex2_pencil, qb, ex2_config_15, random.Random(0))
         assignment = {ParamId(*k[1:]): Fraction(v) for k, v in pd.EX2_QB_ASSIGNMENT.items()}
         qb_num = instantiate(rep.constraints.apply(qb.cells), at_columns(qb.params, assignment))
         fam = solve_feedback_rows(qb, ex2_config_15, qb_num)
@@ -238,7 +234,7 @@ class TestAssemble:
     def test_example1_f0_g0(self, ex1_pencil):
         qb = build_QB((1, 1, 3, 4), (1, 4, 4))
         cfg = enumerate_row_configs(ex1_pencil.sigma, 3)[0]
-        rep = decouplability_search(ex1_pencil.C_r, ex1_pencil, qb, cfg, random.Random(0))
+        rep = decouplability_search(ex1_pencil, qb, cfg, random.Random(0))
         assignment = {ParamId(*k[1:]): Fraction(v) for k, v in pd.EX1_QB_ASSIGNMENT.items()}
         qb_num = instantiate(rep.constraints.apply(qb.cells), at_columns(qb.params, assignment))
         fam = solve_feedback_rows(qb, cfg, qb_num)
