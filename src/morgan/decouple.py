@@ -11,11 +11,12 @@ the basis, so no basis completing Q_B is formed.  --dz-target places the
 input decoupling zeros in the quotient by the span of Q_B (see zeros).
 
 A NoSolution means that no solution was found among the searched
-configurations, not that none exists.  The rank tests of the search are
-randomized (one-sided error, bounded per trial by min(rows, cols) /
-(2 * SAMPLE_BOUND + 1)), the numeric instantiation tries only
-INSTANTIATION_RETRIES points from a small range, and the configurations
-are taken in the one controller-form basis that to_pencil_form picks, so
+configurations, not that none exists.  The rank tests of the search take
+the structural bound first: a bound below full is an exact rejection, with
+its points still drawn.  The others are randomized (one-sided error,
+bounded per trial by min(rows, cols) / (2 * SAMPLE_BOUND + 1)), the
+numeric instantiation tries only INSTANTIATION_RETRIES points from a
+small range, and the configurations are taken in the one controller-form basis that to_pencil_form picks, so
 the verdict can depend on that representative.
 """
 

@@ -8,12 +8,13 @@ ConstraintSet built by incremental Gauss-Jordan elimination on primitive
 integer rows, and matrices (FormGrid, ParamGrid) that are evaluated at
 points of the constraint set instead of being substituted symbolically.
 Reductions return integer multiples of the reduced forms, which ranks do
-not see.  generic_rank evaluates at random points, drawn by randints with
-the stream of random.randint, and stops evaluating at the structural rank
-of the nonzero pattern: a rank that reaches that bound is exact, a lower
-one stays a Monte-Carlo verdict, and the search's rejection reasons do not
-tell the two apart.  ConstraintSet.describe renders the constraint text of
-the audit from the same rows.
+not see.  generic_rank takes the structural bound first: a bound below
+full is an exact rejection, with its points still drawn (randints, the
+stream of random.randint); otherwise it evaluates at random points, and a
+short evaluated rank stays a Monte-Carlo verdict that the search's
+rejection reasons do not tell apart from an exact one.
+ConstraintSet.describe renders the constraint text of the audit from the
+same rows.
 """
 
 from __future__ import annotations
@@ -195,12 +196,13 @@ def solve_zero_constraints(forms) -> ConstraintSet:
 class FormGrid:
     """Matrix of dense forms, None for identically zero entries."""
 
-    __slots__ = ("entries", "rows", "cols")
+    __slots__ = ("entries", "rows", "cols", "structure")
 
     def __init__(self, entries):
         self.entries = entries
         self.rows = len(entries)
         self.cols = len(entries[0]) if entries else 0
+        self.structure = None  # (params, structural rank), kept by generic_rank
 
     def params(self):
         """Parameter columns with a nonzero coefficient somewhere, ascending."""
@@ -242,7 +244,7 @@ class ParamGrid:
     columns that the cells hold, when the caller knows them.
     """
 
-    __slots__ = ("cells", "used", "constraints", "rows", "cols")
+    __slots__ = ("cells", "used", "constraints", "rows", "cols", "structure")
 
     def __init__(self, cells, constraints: ConstraintSet, used=None):
         self.cells = cells
@@ -250,6 +252,7 @@ class ParamGrid:
         self.constraints = constraints
         self.rows = len(cells)
         self.cols = len(cells[0]) if cells else 0
+        self.structure = None  # (params, structural rank), kept by generic_rank
 
     def params(self):
         """Free columns on which the substituted entries depend, ascending."""
@@ -330,39 +333,39 @@ def generic_rank(m, rng) -> int:
     """Rank of m for generic parameter values (randomized, Schwartz-Zippel).
 
     m is a FormGrid, a ParamGrid or any matrix with rows, cols, params(),
-    values(point) and pattern().  Evaluates the parameters it depends on
-    (m.params(), in ParamId order) at RANK_TRIALS independent random integer
-    points and takes the maximum exact rank.  The points come from
-    randints, which consumes rng exactly as randint(-SAMPLE_BOUND,
-    SAMPLE_BOUND) per parameter would.  A FormGrid of integer forms
-    evaluates to plain ints; rows that are positive multiples of the exact
-    rows (ConstraintSet.reduce) have the same rank.  Minors are polynomials
-    of degree <= min(rows, cols) in the parameters, so the per-trial failure
-    probability is at most min(rows, cols) / (2 * SAMPLE_BOUND + 1).
-
-    When the first evaluation falls short of full rank, the structural rank
-    of m.pattern() bounds every evaluation from above; once the maximum
-    reaches it, the later trials still draw their points, so the random
-    stream is the same, but are not evaluated.  A result equal to the
-    structural bound is exact; a result below it is still a Monte-Carlo
-    verdict, and neither is told apart from the other in the rejection.
+    values(point) and pattern().  Structural bound first: the structural
+    rank of m.pattern() bounds the rank at every point, so a bound below
+    full, min(rows, cols), is an exact rejection, returned unevaluated with
+    its points still drawn.  Otherwise the parameters m depends on
+    (m.params(), in ParamId order) are evaluated at up to RANK_TRIALS
+    random integer points, stopping at full rank, and the best exact rank
+    is returned.  Either way randints consumes rng exactly as
+    randint(-SAMPLE_BOUND, SAMPLE_BOUND) per parameter and trial would.
+    Rows that are positive multiples of the exact rows
+    (ConstraintSet.reduce) have the same rank.  Minors are polynomials of
+    degree <= min(rows, cols), so a short evaluated rank misses full rank
+    with probability at most min(rows, cols) / (2 * SAMPLE_BOUND + 1) per
+    trial; rejection reasons do not tell it from an exact one.  A grid
+    keeps its params and bound in its structure slot for the next test.
     """
     if m.rows == 0 or m.cols == 0:
         return 0
-    params = m.params()
+    structure = getattr(m, "structure", None)
+    if structure is None:
+        structure = m.params(), structural_rank(m.pattern())
+        if hasattr(m, "structure"):
+            m.structure = structure
+    params, bound = structure
     full = min(m.rows, m.cols)
-    bound = None
+    if bound < full:
+        randints(rng, SAMPLE_BOUND, RANK_TRIALS * len(params))
+        return bound
     best = 0
     for _ in range(RANK_TRIALS):
-        draws = randints(rng, SAMPLE_BOUND, len(params))
-        if best == bound:
-            continue
-        point = dict(zip(params, draws))
+        point = dict(zip(params, randints(rng, SAMPLE_BOUND, len(params))))
         best = max(best, rank(m.values(point)))
         if best == full:
             break
-        if bound is None:
-            bound = structural_rank(m.pattern())
     return best
 
 

@@ -262,8 +262,14 @@ def decouplability_search(
     constraints (solvability of the feedback-row systems) are seeded first.
     Candidates with the same set of distinct forms are tried once.  The
     forms are dense rows over qbasis.params, and constraint sets are shared
-    along deficit prefixes.  A successful report keeps the constraint set
-    and the three rank-tested matrices on it.  N_hat is read from pencil.C_r.
+    along deficit prefixes.  Same-set rule: when the rows of a candidate
+    with targets t = bounds - deficits have degrees a <= t on its set, every
+    t' with a <= t' <= t has the same rows, scale and grids (its extra forms
+    reduce to zero), so such a later candidate reuses them and only redoes
+    the rank tests, with the same draws.  Only the pivot order may differ,
+    so a reused candidate that succeeds eliminates its own forms for the
+    audit.  A successful report keeps the constraint set and the three
+    rank-tested matrices on it.  N_hat is read from pencil.C_r.
     """
     m = pencil.C_r.rows
     w = qbasis.width
@@ -292,8 +298,16 @@ def decouplability_search(
             )
         bounds.append(d)
 
-    seed_keys = [k for k, _ in seeds]
+    # keysets[r][d]: keys of the forms of row r above target bounds[r] - d
+    keysets = [
+        [frozenset(e[0] for deg in range(b - d + 1, top + 1) for e in coeffs[r][deg]
+                   if e is not None)
+         for d in range(b + 1)]
+        for r, b in enumerate(bounds)
+    ]
+    seed_keys = frozenset(k for k, _ in seeds)
     states = {(): start}
+    shared = {}  # targets -> [constraint set, N_alpha, Q_B, [D~]_hc grids]
     tried = 0
     seen = set()
     pruned = []
@@ -303,40 +317,46 @@ def decouplability_search(
     for deficits in _ascending_deficits(bounds):
         if any(all(dv >= pv for dv, pv in zip(deficits, pr)) for pr in pruned):
             continue
-        keys = list(seed_keys)
-        for r, d in enumerate(deficits):
-            for deg in range(bounds[r] - d + 1, top + 1):
-                keys.extend(e[0] for e in coeffs[r][deg] if e is not None)
-        key = frozenset(keys)
+        key = seed_keys.union(*(keysets[r][d] for r, d in enumerate(deficits)))
         if key in seen:
             continue
         seen.add(key)
         tried += 1
-        cs = _eliminate(states, coeffs, bounds, deficits, top)
-        rows = []
-        for r in range(m):
-            d, row = _row_degree(coeffs[r], cs, bounds[r] - deficits[r])
-            if d < 0:
-                break
-            rows.append(row)
-        if len(rows) < m:
-            pruned.append(deficits)
-            continue
-        na_grid = FormGrid(rows)
+        targets = tuple(b - d for b, d in zip(bounds, deficits))
+        grids = shared.get(targets)
+        own = None  # this candidate's own constraint set, when it built one
+        if grids is None:
+            own = cs = _eliminate(states, coeffs, bounds, deficits, top)
+            rows, degrees = [], []
+            for r in range(m):
+                d, row = _row_degree(coeffs[r], cs, targets[r])
+                if d < 0:
+                    break
+                rows.append(row)
+                degrees.append(d)
+            if len(rows) < m:
+                pruned.append(deficits)
+                continue
+            grids = [cs, FormGrid(rows), None, None]
+            for same in product(*(range(a, t + 1) for a, t in zip(degrees, targets))):
+                shared[same] = grids
+        cs, na_grid, qb_grid, dhc_grid = grids
         if generic_rank(na_grid, rng) != m:
             na_failures += 1
             continue
-        qb_grid = cs.apply(qbasis.cells, range(1, len(qbasis.params) + 1))
+        if qb_grid is None:
+            qb_grid = grids[2] = cs.apply(qbasis.cells, range(1, len(qbasis.params) + 1))
         if generic_rank(qb_grid, rng) != w:
             qb_failures += 1
             continue
-        dhc_grid = cs.apply(dhc)
+        if dhc_grid is None:
+            dhc_grid = grids[3] = cs.apply(dhc)
         if generic_rank(dhc_grid, rng) != m:
             dhc_failures += 1
             continue
         return DecouplabilityReport(
             success=True,
-            constraints=cs,
+            constraints=own or _eliminate(states, coeffs, bounds, deficits, top),
             degree_deficits=deficits,
             reason="",
             candidates_tried=tried,

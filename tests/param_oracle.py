@@ -14,12 +14,15 @@ Gauss-Jordan elimination that the dense search ran before its rows became
 primitive integer vectors, and the generic rank without the structural
 bound, which draws with random.randint; CountingRandom counts those draws
 and state_after_draws gives the stream state after a number of them.
+bound_first_rank puts a brute-force structural bound in front of such an
+evaluate-first rank, which is the contract of generic_rank.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations, permutations
 from fractions import Fraction
 from math import lcm
 
@@ -947,3 +950,74 @@ def reference_generic_rank(m, rng, repetitions: int = 3) -> int:
         if best == min(m.rows, m.cols):
             break
     return best
+
+
+def brute_structural_rank(pattern, cols) -> int:
+    """Largest k with k nonzero entries in distinct rows and columns, by
+    trying every k x k placement."""
+    rows = len(pattern)
+    for k in range(min(rows, cols), 0, -1):
+        for rs in combinations(range(rows), k):
+            for cs in permutations(range(cols), k):
+                if all(c in pattern[r] for r, c in zip(rs, cs)):
+                    return k
+    return 0
+
+
+def bound_first_rank(m, rng, evaluate=reference_generic_rank) -> int:
+    """The structural rank of m.pattern() when it is below min(rows, cols),
+    returned after drawing the points of every trial; otherwise evaluate(m, rng)."""
+    if m.rows == 0 or m.cols == 0:
+        return 0
+    bound = brute_structural_rank(m.pattern(), m.cols)
+    if bound < min(m.rows, m.cols):
+        for _ in range(3 * len(m.params())):
+            rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND)
+        return bound
+    return evaluate(m, rng)
+
+
+class CountingValues:
+    """A matrix that forwards to m and counts its evaluations."""
+
+    def __init__(self, m):
+        self.m, self.rows, self.cols, self.evaluations = m, m.rows, m.cols, 0
+
+    def params(self):
+        return self.m.params()
+
+    def pattern(self):
+        return self.m.pattern()
+
+    def values(self, point):
+        self.evaluations += 1
+        return self.m.values(point)
+
+
+def check_bound_first(generic_rank, new, ref, seed, evaluate=reference_generic_rank):
+    """generic_rank(new) against the reference matrix ref at one seed.
+
+    The rank of bound_first_rank(ref) after the same draws.  A bound below
+    full is returned with no evaluation of new after exactly 3 draws per
+    parameter; a full bound evaluates new as often as the evaluate-first
+    reference evaluates ref.  Either way the full/not-full verdict and the
+    stream are the evaluate-first reference's.
+    """
+    a, b, c = random.Random(seed), CountingRandom(seed), CountingRandom(seed)
+    got = generic_rank(new, a)
+    assert got == bound_first_rank(ref, b, evaluate)
+    assert a.getstate() == b.getstate() == state_after_draws(seed, b.draws)
+    full = min(ref.rows, ref.cols)
+    assert (got == full) == (evaluate(ref, c) == full)
+    assert c.getstate() == a.getstate()
+    counted = CountingValues(new)
+    assert generic_rank(counted, random.Random(seed)) == got
+    params = len(ref.params())
+    if not full:
+        assert counted.evaluations == 0
+    elif brute_structural_rank(ref.pattern(), ref.cols) < full:
+        assert counted.evaluations == 0 and b.draws == 3 * params
+    else:
+        trials = c.draws // params if params else (1 if got == full else 3)
+        assert counted.evaluations == trials
+    return got

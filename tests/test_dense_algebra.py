@@ -2,12 +2,15 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from morgan.admissible import enumerate_row_configs, enumerate_tuples
+from morgan.canonical import to_pencil_form
 from morgan.errors import Inconsistent
+from morgan.fileio import load_system
 from morgan.paramalg import (
     ConstraintSet,
     FormGrid,
@@ -18,9 +21,9 @@ from morgan.paramalg import (
 )
 from morgan.squaring import build_QB, decouplability_search, dtilde_hc
 from param_oracle import (
-    CountingRandom,
     LinearForm,
     ParamMatrix,
+    check_bound_first,
     dense_form,
     dict_decouplability_search,
     dict_generic_rank,
@@ -29,8 +32,9 @@ from param_oracle import (
     linear_form,
     n_alpha_matrix,
     param_matrix,
-    state_after_draws,
 )
+
+DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data"
 
 PARAMS = tuple(ParamId(1, 1, k) for k in range(1, 7))
 INDEX = {p: k + 1 for k, p in enumerate(PARAMS)}
@@ -124,9 +128,7 @@ class TestDenseGenericRank:
             [r if any(r) else None for r in (elim.reduce(dense(e)) for e in row)]
             for row in entries
         ]
-        a, b = random.Random(seed), CountingRandom(seed)
-        assert generic_rank(FormGrid(reduced), a) == dict_generic_rank(cs.apply(m), b)
-        assert a.getstate() == b.getstate() == state_after_draws(seed, b.draws)
+        check_bound_first(generic_rank, FormGrid(reduced), cs.apply(m), seed, dict_generic_rank)
 
     @given(
         st.lists(st.lists(st.integers(0, 6), min_size=4, max_size=4), min_size=1, max_size=4),
@@ -147,9 +149,7 @@ class TestDenseGenericRank:
             ]
         )
         grid = elim.apply(cells)
-        a, b = random.Random(seed), CountingRandom(seed)
-        assert generic_rank(grid, a) == dict_generic_rank(cs.apply(m), b)
-        assert a.getstate() == b.getstate() == state_after_draws(seed, b.draws)
+        check_bound_first(generic_rank, grid, cs.apply(m), seed, dict_generic_rank)
         # a point of the free columns, extended through the rows, evaluates
         # the substituted matrix
         point = {c: Fraction(k - 2, 3) for k, c in enumerate(elim.free(len(PARAMS)))}
@@ -187,6 +187,12 @@ class TestSearchMatchesReference:
 
     def test_example2(self, ex2_pencil):
         self.check(ex2_pencil, 5)
+
+    @pytest.mark.parametrize("name", ["nosol_7_66", "nosol_7_70", "nosol_7_112"])
+    def test_no_solution_inputs(self, name):
+        """Every configuration of the certified no-solution inputs, where
+        candidates most often share a constraint set."""
+        self.check(to_pencil_form(load_system(str(DATA / (name + ".json")))), 1)
 
     def test_dtilde_hc_is_the_leading_entries(self, ex1_pencil, ex2_pencil):
         for pencil in (ex1_pencil, ex2_pencil):

@@ -1,11 +1,12 @@
 """The integer ConstraintSet and the structural bound of generic_rank against
 their Fraction references in param_oracle: the same reductions (up to the
-set's scale), values, constraint text and Inconsistent messages, the same
-ranks and the same random stream; randints against random.randint."""
+set's scale), values, constraint text and Inconsistent messages; the rank
+of the bound-first reference, no evaluation behind a short bound and the
+random stream of the evaluate-first reference; randints against
+random.randint."""
 
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
 from math import gcd, lcm
 
 import pytest
@@ -28,6 +29,8 @@ from param_oracle import (
     CountingRandom,
     FractionElimination,
     LinearForm,
+    brute_structural_rank,
+    check_bound_first,
     dense_form,
     dict_solve_zero_constraints,
     param_matrix,
@@ -88,10 +91,9 @@ def dense_row(row):
 
 
 def same_rank_and_stream(new_grid, ref_grid, seed):
-    """The same rank as the reference, after exactly the reference's draws."""
-    a, b = random.Random(seed), CountingRandom(seed)
-    assert generic_rank(new_grid, a) == reference_generic_rank(ref_grid, b)
-    assert a.getstate() == b.getstate() == state_after_draws(seed, b.draws)
+    """The bound-first rank of the reference, after exactly its draws (see
+    check_bound_first)."""
+    check_bound_first(generic_rank, new_grid, ref_grid, seed)
 
 
 class TestIntegerElimination:
@@ -184,16 +186,6 @@ class TestIntegerElimination:
                 assert f == [factor * x for x in g]
 
 
-def brute_structural_rank(pattern, cols):
-    rows = len(pattern)
-    for k in range(min(rows, cols), 0, -1):
-        for rs in combinations(range(rows), k):
-            for cs in permutations(range(cols), k):
-                if all(c in pattern[r] for r, c in zip(rs, cs)):
-                    return k
-    return 0
-
-
 patterns = st.integers(1, 5).flatmap(
     lambda cols: st.tuples(
         st.just(cols),
@@ -259,8 +251,9 @@ class TestGenericRankWithBound:
     )
     @settings(max_examples=150, deadline=None)
     def test_evaluates_until_the_brute_force_bound(self, entries, seed):
-        """Trial t > 0 is evaluated exactly when the best rank so far is below
-        the structural rank found by brute force."""
+        """A structural rank (found by brute force) below full is returned
+        with no evaluation after the draws of all three trials; a full one
+        evaluates trial by trial until the rank is full."""
         evaluated = []
 
         class Counting(FormGrid):
@@ -271,17 +264,23 @@ class TestGenericRankWithBound:
         grid = Counting(entries)
         bound = brute_structural_rank(
             [[j for j, f in enumerate(row) if f is not None] for row in entries], grid.cols)
-        rng, expected, best = random.Random(seed), 0, 0
-        for trial in range(3):
-            point = {p: rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND) for p in grid.params()}
-            if trial and best == bound:
-                continue
-            expected += 1
-            best = max(best, rank(FormGrid.values(grid, point)))
-            if best == min(grid.rows, grid.cols):
-                break
-        assert generic_rank(grid, random.Random(seed)) == best
+        full = min(grid.rows, grid.cols)
+        rng, expected, best = random.Random(seed), 0, bound
+        if bound == full:
+            best = 0
+            for _ in range(3):
+                point = {p: rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND) for p in grid.params()}
+                expected += 1
+                best = max(best, rank(FormGrid.values(grid, point)))
+                if best == full:
+                    break
+        else:
+            for _ in range(3 * len(grid.params())):
+                rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND)
+        generated = random.Random(seed)
+        assert generic_rank(grid, generated) == best
         assert len(evaluated) == expected
+        assert generated.getstate() == rng.getstate()
 
     @given(cell_grids, form_lists, st.integers(0, 10**6))
     @settings(max_examples=150, deadline=None)
@@ -321,13 +320,32 @@ class TestGenericRankWithBound:
         assert b.draws == 3 and a.getstate() == b.getstate() == state_after_draws(5, 3)
 
 
-def test_full_rank_matrices_never_read_the_pattern():
-    class NoPattern(FormGrid):
-        def pattern(self):
-            raise AssertionError("pattern read for a full-rank matrix")
+def test_full_bound_reads_the_pattern_once_and_evaluates_to_full_rank():
+    """The structural bound comes first, and a grid keeps it: testing the
+    same grid again reads neither its pattern nor its parameters."""
+    reads, calls = [], []
 
-    grid = NoPattern([[[0, 1, 0], [0, 0, 1]], [[0, 0, 1], None]])
-    assert generic_rank(grid, random.Random(1)) == 2
+    class Counting(FormGrid):
+        def pattern(self):
+            reads.append("pattern")
+            return super().pattern()
+
+        def params(self):
+            reads.append("params")
+            return super().params()
+
+        def values(self, point):
+            calls.append(point)
+            return super().values(point)
+
+    grid = Counting([[[0, 1, 0], [0, 0, 1]], [[0, 0, 1], None]])
+    rng = random.Random(1)
+    assert generic_rank(grid, rng) == 2
+    assert sorted(reads) == ["params", "pattern"] and len(calls) == 1
+    assert rng.getstate() == state_after_draws(1, 2)
+    assert generic_rank(grid, rng) == 2
+    assert len(reads) == 2 and len(calls) == 2
+    assert rng.getstate() == state_after_draws(1, 4)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -339,11 +357,14 @@ def test_short_rank_stops_evaluating_at_the_bound(seed):
             calls.append(point)
             return super().values(point)
 
-    # rank 1 with structural rank 1: one evaluation, three draws
+    # structural rank 1 below full rank 2: no evaluation, three trials of
+    # two draws, on the first test of the grid and on a repeated one
     grid = Counting([[[0, 1, 0], [0, 0, 1]], [None, None]])
     rng = random.Random(seed)
     assert generic_rank(grid, rng) == 1
-    assert len(calls) == 1 and rng.getstate() == state_after_draws(seed, 3 * 2)
+    assert not calls and rng.getstate() == state_after_draws(seed, 3 * 2)
+    assert generic_rank(grid, rng) == 1
+    assert not calls and rng.getstate() == state_after_draws(seed, 2 * 3 * 2)
 
 
 @pytest.mark.parametrize("bound", [SAMPLE_BOUND, INSTANTIATION_BOUND])

@@ -2,16 +2,23 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
+from hypothesis import given, settings, strategies as st
 
 import fraction_reference as ref
 import golden_data as pd
 from morgan.admissible import enumerate_row_configs
 from fraction_reference import PolyMatrix, build_L, build_S
 from morgan.exactalg import RationalMatrix
-from morgan.paramalg import ParamId, instantiate
+from morgan.paramalg import ConstraintSet, FormGrid, ParamId, instantiate, solve_zero_constraints
+from morgan import squaring
 from morgan.squaring import (
     MuFamily,
+    _eliminate,
+    _leading_entries,
+    _nhat_forms,
+    _row_degree,
     assemble_squaring,
     build_QB,
     decouplability_search,
@@ -162,6 +169,92 @@ class TestDecouplabilitySearch:
         cfg = enumerate_row_configs(ex2_pencil.sigma, 3)[0]  # positions (1, 3)
         rep = decouplability_search(ex2_pencil, qb, cfg, random.Random(0))
         assert not rep.success
+
+
+# N_hat-like rows: coeffs[r][deg] holds (key, form) entries or None, with
+# homogeneous integer forms over 4 parameters, as _nhat_forms builds them.
+# Multiples of two shared vectors make forms that an elimination at a higher
+# degree already clears.
+SIZE = 4
+vector_st = st.lists(st.integers(-2, 2), min_size=SIZE, max_size=SIZE)
+
+
+@st.composite
+def nhat_rows(draw):
+    shared = draw(st.lists(vector_st, min_size=2, max_size=2))
+    multiple_st = st.tuples(st.sampled_from(shared), st.integers(-2, 2)).map(
+        lambda vc: [vc[1] * x for x in vc[0]])
+    form_st = st.one_of(st.just([0] * SIZE), multiple_st, multiple_st, vector_st).map(
+        lambda c: [0] + c if any(c) else None)
+    rows = draw(st.lists(st.lists(st.lists(form_st, min_size=2, max_size=2),
+                                  min_size=1, max_size=4),
+                         min_size=1, max_size=3))
+    return [[tuple(f and (tuple(f), f) for f in entries) for entries in r] for r in rows]
+
+
+class TestSharedConstraintSets:
+    """The same-set rule of decouplability_search: a candidate whose rows
+    have degrees a <= t on the constraint set of its targets t shares that
+    set with every t' in [a, t]."""
+
+    @given(nhat_rows())
+    @settings(max_examples=100, deadline=None)
+    def test_targets_between_degrees_and_targets_give_the_same_set(self, rows):
+        tops = [len(r) - 1 for r in rows]
+        top = max(tops)
+        coeffs = [r + [(None, None)] * (top - t) for r, t in zip(rows, tops)]
+        bounds = [top] * len(coeffs)
+
+        def eliminate(targets):
+            deficits = tuple(b - t for b, t in zip(bounds, targets))
+            return _eliminate({(): ConstraintSet()}, coeffs, bounds, deficits, top)
+
+        for targets in product(*(range(top + 1) for _ in coeffs)):
+            cs = eliminate(targets)
+            degrees = [_row_degree(c, cs, t) for c, t in zip(coeffs, targets)]
+            if any(d < 0 for d, _ in degrees):
+                continue
+            for same in product(*(range(d, t + 1) for (d, _), t in zip(degrees, targets))):
+                other = eliminate(same)
+                assert (other.rows, other.scale) == (cs.rows, cs.scale)
+                assert [_row_degree(c, other, t) for c, t in zip(coeffs, same)] == degrees
+
+    def test_a_reused_candidate_that_succeeds_keeps_its_own_pivot_order(
+            self, ex1_pencil, monkeypatch):
+        """generic_rank stubbed: an N_alpha grid fails when first tested and
+        passes at the k-th repeated test, so the k-th candidate that reuses a
+        constraint set wins.  Its constraints are a fresh elimination for its
+        own deficits, though the shared set may hold the pivots in another order."""
+        qb = build_QB(ex1_pencil.sigma, (1, 1, 6))
+        cfg = enumerate_row_configs(ex1_pencil.sigma, 3)[3]
+        coeffs, units = _nhat_forms(ex1_pencil.C_r, qb)
+        top = max(qb.sigma_tilde) - 1
+        start = solve_zero_constraints(units[c][1] for c in _leading_entries(qb, cfg))
+        bounds = [_row_degree(c, start, top)[0] for c in coeffs]
+        reordered = 0
+        for k in range(1, 6):
+            tested, repeats = [], []
+
+            def stub(grid, rng):
+                full = min(grid.rows, grid.cols)
+                if isinstance(grid, FormGrid):
+                    if not any(g is grid for g in tested):
+                        tested.append(grid)
+                        return full - 1
+                    repeats.append(grid)
+                    return full if len(repeats) == k else full - 1
+                return full
+
+            monkeypatch.setattr(squaring, "generic_rank", stub)
+            rep = decouplability_search(ex1_pencil, qb, cfg, random.Random(0))
+            assert rep.success and rep.rank_grids[1] is repeats[-1]
+            fresh = _eliminate({(): start}, coeffs, bounds, rep.degree_deficits, top)
+            assert rep.constraints.describe(qb.params) == fresh.describe(qb.params)
+            assert (rep.constraints.rows, rep.constraints.scale) == (fresh.rows, fresh.scale)
+            shared = rep.rank_grids[0].constraints
+            assert (shared.rows, shared.scale) == (fresh.rows, fresh.scale)
+            reordered += shared.order != fresh.order
+        assert reordered
 
 
 class TestDtilde:
