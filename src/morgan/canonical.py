@@ -1,9 +1,8 @@
-"""Controllability indices, controller (Popov) canonical form, M S(s) rows.
+"""Controllability indices and the controller (Popov) canonical form.
 
 The working form used by the search: a similarity, kept as P^-1, takes (A, B)
 to controller canonical form, and an input transformation G_I normalizes the
-block-end rows of the input matrix to unit rows.  times_S gives the rows of
-M S(s) for the block basis S(s) of a list of indices.
+block-end rows of the input matrix to unit rows.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from itertools import accumulate
 from operator import mul
 
 from .errors import InvalidSystem, MorganError, NotControllable, VerificationFailed
-from .exactalg import Poly, RationalMatrix, _scaled, _scaled_matrix, krylov_select
+from .exactalg import RationalMatrix, _scaled, _scaled_matrix, krylov_select
 
 
 @dataclass(frozen=True)
@@ -83,18 +82,6 @@ def positions_from_sigma(sigma):
 def offsets_from_sigma(sigma):
     """0-based start of each block followed by n: (0, p_1, ..., p_l)."""
     return tuple(accumulate(sigma, initial=0))
-
-
-def times_S(m: RationalMatrix, sigma) -> list:
-    """Rows of M S(s), S(s) = diag([1, s, ..., s^(sigma_j - 1)]^T), as lists of Poly.
-
-    Entry (r, j) is the slice of row r of M over block j, read as ascending
-    coefficients.
-    """
-    if m.cols != sum(sigma):
-        raise MorganError(f"M has {m.cols} columns, S(s) has {sum(sigma)} rows")
-    offs = offsets_from_sigma(sigma)
-    return [[Poly(row[a:b]) for a, b in zip(offs, offs[1:])] for row in m.entries]
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,10 @@ the structural bound first: a bound below full is an exact rejection, with
 its points still drawn.  The others are randomized (one-sided error,
 bounded per trial by min(rows, cols) / (2 * SAMPLE_BOUND + 1)), the
 numeric instantiation tries only INSTANTIATION_RETRIES points from a
-small range, and the configurations are taken in the one controller-form basis that to_pencil_form picks, so
-the verdict can depend on that representative.
+small range, --dz-target rejects a configuration whose map onto the
+quotient is not onto at the one point drawn (no stated bound), and the
+configurations are taken in the one controller-form basis that
+to_pencil_form picks, so the verdict can depend on that representative.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from fractions import Fraction
 from math import comb
 
 from .admissible import RowConfig, enumerate_row_configs, enumerate_tuples
-from .canonical import PencilForm, StateSpace, times_S, to_pencil_form
+from .canonical import PencilForm, StateSpace, to_pencil_form
 from .errors import (
     InvalidSystem,
     MorganError,
@@ -320,16 +322,12 @@ def _evaluate_config(sys, pencil, qbasis, config, ti, ci, options):
 
     # The search checked generic full rank of these three matrices on the
     # constraint set; draw small integer points of its free parameters
-    # until all three have full rank there.  A point where a row of
-    # C_r Q_B S~(s) has a nonconstant gcd is also redrawn: the static law
-    # would leave that gcd as an unobservable closed-loop mode, which
-    # fixed_pole_report would count as a fixed pole.
+    # until all three have full rank there.
     qb_grid, na_grid, dhc_grid = report.rank_grids
     free = report.constraints.free(len(qbasis.params))
     family = None
     assignment = None
     qb_num = None
-    common_factors = 0
     for _ in range(INSTANTIATION_RETRIES):
         trial = dict(zip(free, randints(rng, INSTANTIATION_BOUND, len(free))))
         qn = instantiate(qb_grid, trial)
@@ -338,10 +336,6 @@ def _evaluate_config(sys, pencil, qbasis, config, ti, ci, options):
         if instantiate(na_grid, trial).rank() != m:
             continue
         if instantiate(dhc_grid, trial).rank() != m:
-            continue
-        cqs = times_S(pencil.C_r * qn, qbasis.sigma_tilde)
-        if any(g.degree > 0 for g in zeros_mod.row_gcds(cqs)):
-            common_factors += 1
             continue
         try:
             family = solve_feedback_rows(qbasis, config, qn)
@@ -354,11 +348,6 @@ def _evaluate_config(sys, pencil, qbasis, config, ti, ci, options):
         return rejected(
             "no numeric instantiation satisfied the exact rank checks "
             f"within {INSTANTIATION_RETRIES} attempts"
-            + (
-                f" ({common_factors} had a common factor in a row of C_r Q_B S~(s))"
-                if common_factors
-                else ""
-            ),
         )
 
     t = None

@@ -39,7 +39,3 @@ class VerificationFailed(MorganError):
 
 class TargetDegreeMismatch(MorganError):
     """A target polynomial has the wrong degree for the requested assignment."""
-
-
-class DegenerateNumerator(MorganError):
-    """A row of N(s) = C_r Q_B S~(s) is zero, so it has no gcd (zeros.row_gcds)."""

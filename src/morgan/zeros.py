@@ -2,8 +2,8 @@
 
 Two kinds: the input decoupling zeros dz created by the singular input
 transformation (the uncontrollable modes of the squared-down system, present
-whenever sum(sigma_tilde) < n), and the classical fixed decoupling poles of
-Wolovich and Falb, det N(s) / prod(row gcds of N(s)) with N(s) = C_r Q_B S~(s).
+whenever sum(sigma_tilde) < n), and the decoupling poles, monic det N(s)
+with N(s) = C_r Q_B S~(s) at the drawn point of the search's parameters.
 assign_zeros places dz through the free parameters of the feedback-row
 solution families, the entries of one rational matrix T, in the quotient by
 the controllable subspace: with N the basis of ker Q_B^T, N A(T) = X(T) N
@@ -21,9 +21,14 @@ Q_B, so chi(A + BF) is dz times the characteristic polynomial on V.  In the
 basis Q_B the restriction is in controller form with indices sigma_tilde:
 (sI - A_V)^-1 B_V = S~(s) D_cl(s)^-1, det D_cl a constant times that
 polynomial.  The inputs reach only V, so H = N(s) D_cl^-1 G_f, and
-H = diag(1/p_i) gives det D_cl = det N(s) * prod(p_i) * const.  The row
-gcds of N(s) are 1 at every solution: decouple._evaluate_config redraws
-each instantiation where a row of N(s) has a nonconstant gcd.
+H = diag(1/p_i) gives det D_cl = det N(s) * prod(p_i) * const.  So the
+quotient chi(A + BF) / (dz * prod(p_i)) is monic det N(s) at the drawn
+point: the Wolovich-Falb polynomial det N(s) / prod(gamma_i) times
+prod(gamma_i), with gamma_i the monic gcd of row i of N(s).  The gamma_i
+are zeros of output i of the squared-down plant that this static law
+cancels, each an unobservable closed-loop mode.  They are not recorded
+apart: like the Wolovich-Falb part they are controllable, unobservable
+modes of the closed loop, so verify could not recompute them from (F, G).
 
 The uncontrollable and unobservable polynomials of a closed loop follow the
 Kalman decomposition: chi_A divided by the characteristic polynomial of A
@@ -37,19 +42,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
-from .errors import (
-    DegenerateNumerator,
-    MorganError,
-    NotSolvable,
-    VerificationFailed,
-)
+from .errors import MorganError, NotSolvable, VerificationFailed
 from .exactalg import (
     Poly,
     RationalMatrix,
     _reduce,
     format_poly,
     krylov_select,
-    poly_gcd,
     resolvent,
 )
 
@@ -141,22 +140,6 @@ def check_fixed_poles(sys, g, acl, chi, dz_recorded: Poly, fixed_recorded: Poly)
             "divide (fixed poles) * (input decoupling zeros)"
         ))
     return dz, unobs, failures
-
-
-def row_gcds(rows) -> list:
-    """Monic gcd of the nonzero entries of each row of N(s) = C_r Q_B S~(s),
-    the rows given as lists of Poly.  DegenerateNumerator for a zero row.
-    """
-    out = []
-    for i, row in enumerate(rows):
-        entries = [e for e in row if not e.is_zero()]
-        if not entries:
-            raise DegenerateNumerator(f"row {i + 1} of C_r Q_B S~(s) is zero")
-        g = entries[0].monic()
-        for e in entries[1:]:
-            g = poly_gcd(g, e)
-        out.append(g)
-    return out
 
 
 def routh_hurwitz_stable(p: Poly) -> bool:

@@ -11,14 +11,16 @@ Q, the uncontrollable polynomial from the Kalman matrix and a completed
 basis, the unobservable polynomial from the nullspace of the observability
 matrix, and polynomial long division by `Poly` arithmetic.  Then come the
 polynomial matrices that `exactalg` and `canonical` kept before M S(s) was
-read off by slicing rows (`canonical.times_S`): the `PolyMatrix` type,
-sI - A, the chain block L(s) and the basis S(s).  Last come the
+read off by slicing rows (`times_S`): the `PolyMatrix` type, sI - A, the
+chain block L(s) and the basis S(s).  Last come the
 constructions that `solve` ran before it read the fixed poles off the closed
 loop, decoupled the square system in pencil coordinates and placed the
 input decoupling zeros in the quotient by the span of Q_B: the
 fraction-free (Bareiss) polynomial determinant, the square system in the
 basis Q = [Q_A | Q_B] with the input decoupling zeros read off its quotient
-block, the Wolovich-Falb polynomial det(C_f S_f(s)) / prod(row gcds), and
+block, the numerator N(s) = C_f S_f(s) with its row gcds and the
+Wolovich-Falb polynomial det N(s) / prod(row gcds), which `solve` kept
+equal to det N(s) by redrawing every point with a nonconstant row gcd, and
 the greedy completion of Q_B by unit vectors, one rank test per candidate.  Last is the controller form as it
 was built before the Krylov-row construction: the full chain inverse,
 P = (P^-1)^-1 and full products.  The tests require the current code to
@@ -30,10 +32,9 @@ from __future__ import annotations
 from fractions import Fraction
 from types import SimpleNamespace
 
-from morgan.canonical import times_S
-from morgan.errors import DegenerateNumerator, MorganError, NotControllable
+from morgan.canonical import offsets_from_sigma
+from morgan.errors import MorganError, NotControllable
 from morgan.exactalg import RESOLVENT_SIZE_CAP, Poly, RationalMatrix, poly_gcd
-from morgan.zeros import row_gcds
 
 
 def shift(p: Poly, k: int) -> Poly:
@@ -401,6 +402,18 @@ def build_L(sigma) -> PolyMatrix:
     return PolyMatrix(rows) if rows else PolyMatrix.zeros(0, n)
 
 
+def times_S(m: RationalMatrix, sigma) -> list:
+    """Rows of M S(s), S(s) = diag([1, s, ..., s^(sigma_j - 1)]^T), as lists of Poly.
+
+    Entry (r, j) is the slice of row r of M over block j, read as ascending
+    coefficients.
+    """
+    if m.cols != sum(sigma):
+        raise MorganError(f"M has {m.cols} columns, S(s) has {sum(sigma)} rows")
+    offs = offsets_from_sigma(sigma)
+    return [[Poly(row[a:b]) for a, b in zip(offs, offs[1:])] for row in m.entries]
+
+
 def det(rows) -> Poly:
     """Exact determinant of a square matrix given as rows of Poly (fraction-free Bareiss)."""
     n = len(rows)
@@ -456,16 +469,43 @@ def input_decoupling_zeros(square) -> Poly:
     return charpoly(square.A_f.submatrix(range(k), range(k)))
 
 
-def fixed_decoupling_poles(square) -> Poly:
-    """det(C_f S_f(s)) divided by the product of the row gcds, monic.
+class DegenerateNumerator(MorganError):
+    """A row of N(s) = C_r Q_B S~(s) is zero, or its determinant is."""
+
+
+def row_gcds(rows) -> list:
+    """Monic gcd of the nonzero entries of each row of N(s) = C_r Q_B S~(s),
+    the rows given as lists of Poly.  DegenerateNumerator for a zero row.
+    """
+    out = []
+    for i, row in enumerate(rows):
+        entries = [e for e in row if not e.is_zero()]
+        if not entries:
+            raise DegenerateNumerator(f"row {i + 1} of C_r Q_B S~(s) is zero")
+        g = entries[0].monic()
+        for e in entries[1:]:
+            g = poly_gcd(g, e)
+        out.append(g)
+    return out
+
+
+def numerator_rows(square) -> list:
+    """The rows of N(s) = C_f S_f(s) of a q_coordinate_square.
 
     S_f pads the controller-part basis S~(s) with zero rows for the quotient
-    coordinates.  DegenerateNumerator when the determinant vanishes
-    identically.
+    coordinates, so N(s) is C_r Q_B S~(s).
     """
     k = square.uncontrollable_dim
     c_f = square.C_f
-    cfs = times_S(c_f.submatrix(range(c_f.rows), range(k, c_f.cols)), square.sigma_tilde)
+    return times_S(c_f.submatrix(range(c_f.rows), range(k, c_f.cols)), square.sigma_tilde)
+
+
+def fixed_decoupling_poles(square) -> Poly:
+    """det N(s) divided by the product of its row gcds, monic, N(s) =
+    numerator_rows(square).  DegenerateNumerator when the determinant
+    vanishes identically.
+    """
+    cfs = numerator_rows(square)
     d = det(cfs)
     if d.is_zero():
         raise DegenerateNumerator("det(C_f S_f) is identically zero")

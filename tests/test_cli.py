@@ -428,16 +428,12 @@ def perfbench_oracle():
     return oracle
 
 
-def falb_wolovich_pair(system, oracle):
-    """The Falb-Wolovich decoupling pair of a system dict, as a solution dict.
-
-    With d_i the relative degree of output i and B* the rows C_i A^{d_i} B,
-    of rank m, G = B*^T (B* B*^T)^-1 and F = -G [C_i A^{d_i+1}] give
-    H = diag(1/s^{d_i+1}).  Plain fractions through the oracle's helpers.
-    """
+def decoupling_rows(system, oracle):
+    """(B*, [C_i A^{d_i+1}], d) of a system dict, d_i the relative degree of
+    output i and B* the rows C_i A^{d_i} B.  Plain fractions through the
+    oracle's helpers."""
     a, b, c = (oracle.matrix(system[k]) for k in "ABC")
-    m = len(c)
-    b_star, next_rows, dens = [], [], []
+    b_star, next_rows, ds = [], [], []
     for c_i in c:
         row = [c_i]
         for d in range(len(a)):
@@ -449,7 +445,18 @@ def falb_wolovich_pair(system, oracle):
             raise AssertionError("an output row with no relative degree")
         b_star.append(head)
         next_rows.append(oracle.matmul(row, a)[0])
-        dens.append(["0"] * (d + 1) + ["1"])
+        ds.append(d)
+    return b_star, next_rows, ds
+
+
+def falb_wolovich_pair(system, oracle):
+    """The Falb-Wolovich decoupling pair of a system dict, as a solution dict.
+
+    With B* of rank m (see decoupling_rows), G = B*^T (B* B*^T)^-1 and
+    F = -G [C_i A^{d_i+1}] give H = diag(1/s^{d_i+1}).
+    """
+    b_star, next_rows, ds = decoupling_rows(system, oracle)
+    m = len(b_star)
     b_star_t = [list(col) for col in zip(*b_star)]
     ident = [[int(i == j) for j in range(m)] for i in range(m)]
     inv = oracle.solve_square(oracle.matmul(b_star, b_star_t), ident)
@@ -459,7 +466,7 @@ def falb_wolovich_pair(system, oracle):
     return {
         "F": [[str(x) for x in row] for row in f],
         "G": [[str(x) for x in row] for row in g],
-        "diagonal": [{"num": ["1"], "den": den} for den in dens],
+        "diagonal": [{"num": ["1"], "den": ["0"] * (d + 1) + ["1"]} for d in ds],
     }
 
 
@@ -488,28 +495,20 @@ def random_system_files(d, seed, count):
 class TestRandomRoundTrip:
     """solve --out, then verify and fixed-poles on the file, on random systems.
 
-    Systems 0, 1 and 4 (all with one output) exit 2 although each has a
-    Falb-Wolovich decoupling pair that the independent oracle accepts: known
-    false negatives of the NO SOLUTION verdict (ROADMAP).  A change that
-    makes them solve, or that loses another system, fails here.
+    Every system has a Falb-Wolovich decoupling pair that the independent
+    oracle accepts, so every one must solve: a NO SOLUTION here is a false
+    negative.
     """
 
-    KNOWN_FALSE_NEGATIVES = {0, 1, 4}
-
     def test_solve_verify_fixed_poles(self, tmp_path, capsys):
-        unsolved = set()
         for i, system in enumerate(random_system_files(tmp_path, 4242, 10)):
             out = str(tmp_path / f"sol_{i}.json")
             rc, text, _ = run(capsys, ["solve", system, "--out", out, "--seed", str(i)])
-            assert rc in (0, 2), text
-            if rc == 2:
-                unsolved.add(i)
-                continue
+            assert rc == 0, (i, text)
             rc, text, _ = run(capsys, ["verify", system, out])
             assert rc == 0 and text.startswith("PASS"), text
             rc, text, _ = run(capsys, ["fixed-poles", system, out])
             assert rc == 0 and text.endswith("consistent\n"), text
-        assert unsolved == self.KNOWN_FALSE_NEGATIVES
 
     def test_every_system_has_a_decoupling_pair(self, tmp_path):
         oracle = perfbench_oracle()
@@ -519,6 +518,65 @@ class TestRandomRoundTrip:
             pair = falb_wolovich_pair(system, oracle)
             assert oracle.solution_problems(system, pair) == []
             assert oracle.solution_problems(system, oracle.perturbed(pair)) != []
+
+
+def falb_wolovich_corpus(oracle):
+    """The seeded corpus of small systems, as {kind: [system dict]}.
+
+    Workload seed 11: n in 3-6, l <= 3, integer entries in [-2, 2], each
+    nonzero with probability 1/2; only systems that meet the solver's
+    preconditions (oracle.system_problems) are kept.  'm = 1' holds 60
+    systems with l in 2-3, 'l = m' 60 with l = m in 2-3 and 'l > m' 48 with
+    l = 3 and m = 2, all with rank B* = m.  'B* singular' holds the l = m
+    systems drawn on the way whose B* is singular.
+    """
+    rng = random.Random(11)
+
+    def matrix(rows, cols):
+        return [[rng.choice((-2, -1, 1, 2)) if rng.random() < 0.5 else 0
+                 for _ in range(cols)] for _ in range(rows)]
+
+    shapes = {"m = 1": (60, (2, 3), 1), "l = m": (60, (2, 3), None), "l > m": (48, (3, 3), 2)}
+    corpus = {kind: [] for kind in shapes}
+    corpus["B* singular"] = []
+    for kind, (count, ls, m) in shapes.items():
+        while len(corpus[kind]) < count:
+            l = rng.randint(*ls)
+            n = rng.randint(3, 6)
+            system = {"A": matrix(n, n), "B": matrix(n, l), "C": matrix(m or l, n)}
+            if oracle.system_problems(system):
+                continue
+            b_star = decoupling_rows(system, oracle)[0]
+            if oracle.rank(b_star) == len(b_star):
+                corpus[kind].append(system)
+            elif kind == "l = m":
+                corpus["B* singular"].append(system)
+    return corpus
+
+
+class TestFalbWolovichCorpus:
+    """Falb and Wolovich (1967): a system with rank B* = m has a decoupling
+    pair, and for l = m a pair exists exactly when B* is nonsingular.  So on
+    the seeded corpus every rank B* = m system must solve and verify at
+    solver seed 1729, and every square system with B* singular must exit 2."""
+
+    def test_verdicts_match_the_falb_wolovich_criterion(self, tmp_path, capsys):
+        oracle = perfbench_oracle()
+        corpus = falb_wolovich_corpus(oracle)
+        assert corpus["B* singular"]
+        for kind, systems in corpus.items():
+            for i, system in enumerate(systems):
+                path = tmp_path / "system.json"
+                path.write_text(json.dumps(system))
+                out = tmp_path / "solution.json"
+                rc, text, _ = run(capsys, ["solve", str(path), "--out", str(out), "--seed", "1729"])
+                if kind == "B* singular":
+                    assert rc == 2, (kind, i, text)
+                    continue
+                assert rc == 0, (kind, i, text)
+                rc, text, _ = run(capsys, ["verify", str(path), str(out)])
+                assert rc == 0, (kind, i, text)
+                assert oracle.solution_problems(system, json.loads(out.read_text())) == []
 
 
 class TestEntryPoint:
@@ -609,9 +667,9 @@ class TestPinnedFullGrid:
 
 
 class TestDzTargetVerifies:
-    """At these seeds the first numeric Q_B left a common factor in a row of
-    C_r Q_B S~(s); that factor became an unobservable closed-loop mode the
-    fixed-pole record missed, and verify rejected the file."""
+    """At these seeds the winning numeric Q_B leaves a common factor in a row
+    of N(s) = C_r Q_B S~(s).  That factor is an unobservable closed-loop
+    mode, and the fixed-pole record must hold it for verify to pass."""
 
     @pytest.mark.parametrize("seed", [1731, 2734])
     def test_solve_then_verify(self, seed, files, capsys):

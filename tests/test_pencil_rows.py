@@ -1,8 +1,8 @@
 """M S(s) by slicing rows, the determinant on rows of Poly, and the pencil-form check.
 
-`canonical.times_S` is compared with the product PolyMatrix(M) * S(s) of the
-polynomial matrices kept in `fraction_reference`, and the reference Bareiss
-`det` there, which the fixed-pole tests rely on, with a Laplace expansion.  The chain-row check of `_verify_pencil_form` is
+`fraction_reference.times_S` is compared with the product PolyMatrix(M) * S(s)
+of the polynomial matrices kept there, and the reference Bareiss
+`det`, which the fixed-pole tests rely on, with a Laplace expansion.  The chain-row check of `_verify_pencil_form` is
 compared with the reassembly [L(s); sK - Lambda] of the permuted sI - A_r,
 and each identity it checks must fail on a pencil form corrupted in one
 entry, and on chain lengths that make the chain matrix or P^-1 wrong.
@@ -16,8 +16,10 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fraction_reference import PolyMatrix, build_L, build_S, det, mul_vector, s_identity_minus
-from morgan.canonical import StateSpace, _verify_pencil_form, times_S, to_pencil_form
+from fraction_reference import (
+    PolyMatrix, build_L, build_S, det, mul_vector, s_identity_minus, times_S,
+)
+from morgan.canonical import StateSpace, _verify_pencil_form, to_pencil_form
 from morgan.errors import MorganError
 from morgan.exactalg import Poly, RationalMatrix
 
