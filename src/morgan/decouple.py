@@ -321,10 +321,10 @@ def _evaluate_config(sys, pencil, qbasis, config, ti, ci, options):
         return rejected(report.reason)
 
     # The search checked generic full rank of these three matrices on the
-    # constraint set; draw small integer points of its free parameters
-    # until all three have full rank there.
+    # constraint set; draw small integer points of its free parameters (Q_B
+    # holds every parameter) until all three have full rank there.
     qb_grid, na_grid, dhc_grid = report.rank_grids
-    free = report.constraints.free(len(qbasis.params))
+    free = qb_grid.params()
     family = None
     assignment = None
     qb_num = None

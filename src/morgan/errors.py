@@ -13,10 +13,6 @@ class NotControllable(InvalidSystem):
     """The pair (A, B) is not controllable."""
 
 
-class Inconsistent(MorganError):
-    """A linear constraint system over the free parameters has no solution."""
-
-
 class NotSolvable(MorganError):
     """A numeric system has no solution: an inconsistent feedback-row system,
     or a free-parameter map that cannot place the requested zeros."""

@@ -225,7 +225,10 @@ def parse_poly(text: str) -> Poly:
         m = _TERM_RE.match(term)
         if not m or (m.group("coef") is None and m.group("var") is None):
             raise MorganError(f"cannot parse term {term!r} of {text!r}")
-        c = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
+        try:
+            c = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
+        except ZeroDivisionError:
+            raise MorganError(f"zero denominator in term {term!r} of {text!r}") from None
         if m.group("sign") == "-":
             c = -c
         if m.group("var") is None:

@@ -1,18 +1,20 @@
-"""Affine expressions in the free parameters of Q_B and exact operations on them.
+"""Linear forms in the free parameters of Q_B and exact operations on them.
 
 The entries of the parametric basis matrix Q_B are single parameters or zero,
-so every expression that shows up downstream (output matrices, coefficient
-matrices, right-hand sides) is affine in the parameters.  The search runs on
-plain linear algebra over a fixed parameter index: dense forms, a
-ConstraintSet built by incremental Gauss-Jordan elimination on primitive
-integer rows, and matrices (FormGrid, ParamGrid) that are evaluated at
-points of the constraint set instead of being substituted symbolically.
-Reductions return integer multiples of the reduced forms, which ranks do
-not see.  generic_rank takes the structural bound first: a bound below
-full is an exact rejection, with its points still drawn (randints, the
-stream of random.randint); otherwise it evaluates at random points, and a
-short evaluated rank stays a Monte-Carlo verdict that the search's
-rejection reasons do not tell apart from an exact one.
+so every form the search builds (the coefficients of N_hat, the leading Q_B
+entries it zeroes, the entries of Q_B and [D~]_hc) is linear in the
+parameters, with no constant term.  The search runs on plain linear algebra
+over a fixed parameter index: dense forms, a ConstraintSet built by
+incremental Gauss-Jordan elimination on primitive integer rows, and Grid, the
+one matrix type: sparse integer forms read through a cell matrix, evaluated
+at points of the free parameters instead of being substituted symbolically.
+Reductions and grids hold positive integer multiples of the exact forms,
+which ranks do not see; a Grid of ConstraintSet.apply carries its factor as
+den, which instantiate divides out.  generic_rank takes the structural
+bound first: a bound below full is an exact rejection, with its points still
+drawn (randints, the stream of random.randint); otherwise it evaluates at
+random points, and a short evaluated rank stays a Monte-Carlo verdict that
+the search's rejection reasons do not tell apart from an exact one.
 ConstraintSet.describe renders the constraint text of the audit from the
 same rows.
 """
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import Inconsistent
+from .errors import MorganError
 from .exactalg import RationalMatrix, rank
 
 
@@ -43,22 +45,11 @@ class ParamId:
 # dense forms over a fixed parameter index
 #
 # Over a sorted tuple of parameters, a dense form is the list
-# [const, c_1, ..., c_P]: column 0 holds the constant and column k the
-# coefficient of params[k - 1].  Column order is ParamId order, so "lowest
-# column" and "smallest ParamId" pick the same pivot.  Coefficients are ints
-# where they are integral and Fractions otherwise.
-
-
-def _exact(x):
-    """x as an int when it is integral (ints and Fractions alike)."""
-    return x.numerator if x.denominator == 1 else x
-
-
-def _quotient(x, d):
-    """x / d exactly, as an int when it is integral."""
-    if type(x) is int and not x % d:
-        return x // d
-    return _exact(Fraction(x) / d)
+# [const, c_1, ..., c_P]: column 0 holds the constant, which is 0 in every
+# form the search builds, and column k the coefficient of params[k - 1].
+# Column order is ParamId order, so "lowest column" and "smallest ParamId"
+# pick the same pivot.  Coefficients are ints where they are integral and
+# Fractions otherwise.
 
 
 def _reduce(rows, scale, form):
@@ -92,10 +83,10 @@ class ConstraintSet:
     rows maps each pivot column to its row: the reduced row echelon row
     scaled to a primitive integer vector, positive at its pivot and 0 at
     every other pivot column, kept as a dict of its nonzero entries by
-    column (0 for the constant).  order lists the pivots as they were
-    added, and scale is the lcm of the rows' pivot entries, so a reduction
-    runs in integers with no division.  Each added form is reduced by the
-    rows and pivots on its lowest nonzero parameter column.  Given the row
+    parameter column.  order lists the pivots as they were added, and scale
+    is the lcm of the rows' pivot entries, so a reduction runs in integers
+    with no division.  Each added form is reduced by the rows and pivots on
+    its lowest nonzero parameter column.  Given the row
     space and the pivots, the reduced row echelon form is unique and so
     are its primitive multiples: a set reached by extending a shared prefix
     equals the one built from scratch.  Sets are never changed in place:
@@ -122,7 +113,7 @@ class ConstraintSet:
             pivot = next(filter(g.__getitem__, range(1, len(g))), 0)
             if not pivot:
                 if g[0]:
-                    raise Inconsistent(f"reduces to {_quotient(g[0], scale)} = 0")
+                    raise MorganError("a constraint reduces to a nonzero constant (bug)")
                 continue
             if rows is self.rows:
                 rows = dict(rows)
@@ -142,27 +133,24 @@ class ConstraintSet:
             scale = lcm(*[row[c] for c, row in rows.items()]) if touched else lcm(scale, p)
         return self if rows is self.rows else ConstraintSet(rows, order, scale)
 
-    def free(self, size):
-        """Parameter columns that are not pivots, ascending."""
-        return [k for k in range(1, size + 1) if k not in self.rows]
+    def apply(self, cells, used=None) -> "Grid":
+        """The matrix of parameters cells on this constraint set, as a Grid.
 
-    def value(self, col, point):
-        """Value of parameter column col on the solution set, free columns at point."""
-        row = self.rows.get(col)
-        if row is None:
-            return point[col]
-        acc = 0
-        for k, x in row.items():
-            if not k:
-                acc += x
-            elif k != col:
-                acc += x * point[k]
-        p = row[col]
-        return -acc if p == 1 else _quotient(-acc, p)
-
-    def apply(self, cells, used=None) -> "ParamGrid":
-        """The cell matrix cells read on this constraint set (see ParamGrid)."""
-        return ParamGrid(cells, self, used)
+        cells[i][j] is the column of the parameter in entry (i, j), 0 for a
+        zero entry; used lists the columns the cells hold, if known.  Each
+        column is its own form index: free c is scale * q_c and pivot c is
+        scale times its solved value, -(rest of its row) / pivot entry.
+        """
+        rows, scale = self.rows, self.scale
+        forms = {0: {}}
+        for c in used if used is not None else {c for r in cells for c in r if c}:
+            row = rows.get(c)
+            if row is None:
+                forms[c] = {c: scale}
+            else:
+                a = scale // row[c]
+                forms[c] = {k: -a * x for k, x in row.items() if k != c}
+        return Grid(forms, cells, scale)
 
     def describe(self, params) -> list:
         """The lines `pivot = rest` in pivot order; params names the columns."""
@@ -170,17 +158,16 @@ class ConstraintSet:
         for c in self.order:
             row = self.rows[c]
             p = row[c]
-            parts = [str(Fraction(-row[0], p))] if 0 in row else []
-            for k in sorted(row):
-                if k and k != c:
-                    x = Fraction(-row[k], p)
-                    name = params[k - 1]
-                    if x == 1:
-                        parts.append(f"+{name}" if parts else str(name))
-                    elif x == -1:
-                        parts.append(f"-{name}")
-                    else:
-                        parts.append(f"{'+' if x > 0 and parts else ''}{x}*{name}")
+            parts = []
+            for k in sorted(row.keys() - {c}):
+                x = Fraction(-row[k], p)
+                name = params[k - 1]
+                if x == 1:
+                    parts.append(f"+{name}" if parts else str(name))
+                elif x == -1:
+                    parts.append(f"-{name}")
+                else:
+                    parts.append(f"{'+' if x > 0 and parts else ''}{x}*{name}")
             lines.append(f"{params[c - 1]} = {''.join(parts) or 0}")
         return lines
 
@@ -188,101 +175,51 @@ class ConstraintSet:
 def solve_zero_constraints(forms) -> ConstraintSet:
     """The constraint set that makes every listed dense form vanish.
 
-    Raises Inconsistent when a form reduces to a nonzero constant.
+    The forms have no constant, so q = 0 solves them; a matrix of parameters
+    on the set is the Grid of its apply, which solves each pivot for the
+    free columns.
     """
     return ConstraintSet().extended(forms)
 
 
-class FormGrid:
-    """Matrix of dense forms, None for identically zero entries."""
+class Grid:
+    """Matrix of sparse integer forms: den times the matrix it stands for.
 
-    __slots__ = ("entries", "rows", "cols", "structure")
-
-    def __init__(self, entries):
-        self.entries = entries
-        self.rows = len(entries)
-        self.cols = len(entries[0]) if entries else 0
-        self.structure = None  # (params, structural rank), kept by generic_rank
-
-    def params(self):
-        """Parameter columns with a nonzero coefficient somewhere, ascending."""
-        used = set()
-        for row in self.entries:
-            for f in row:
-                if f is not None:
-                    used.update(k for k in range(1, len(f)) if f[k])
-        return sorted(used)
-
-    def pattern(self):
-        """Columns of the entries that are not identically zero, per row."""
-        return [[j for j, f in enumerate(row) if f is not None] for row in self.entries]
-
-    def values(self, point) -> list:
-        """Entry values at a point keyed by dense column, as rows."""
-        out = []
-        for row in self.entries:
-            vals = []
-            for f in row:
-                acc = 0
-                if f is not None:
-                    acc = f[0]
-                    for k in range(1, len(f)):
-                        if f[k]:
-                            acc += f[k] * point[k]
-                vals.append(acc)
-            out.append(vals)
-        return out
-
-
-class ParamGrid:
-    """Matrix whose entries are single parameters, read on a constraint set.
-
-    cells[i][j] is the dense column of the parameter in entry (i, j), or 0
-    for a zero entry.  The matrix stands for its entries with every pivot of
-    the constraint set solved for; `values` evaluates it at a point of the
-    free columns by extending the point through the rows.  used lists the
-    columns that the cells hold, when the caller knows them.
+    forms maps an index to a form {column: coefficient} over the parameter
+    columns, with forms[0] = {} for a zero entry, and cells[i][j] is the
+    index of the form of entry (i, j).  Ranks do not see the positive
+    factor den, and instantiate divides it out.
     """
 
-    __slots__ = ("cells", "used", "constraints", "rows", "cols", "structure")
+    __slots__ = ("forms", "cells", "den", "rows", "cols", "structure")
 
-    def __init__(self, cells, constraints: ConstraintSet, used=None):
+    def __init__(self, forms, cells, den=1):
+        self.forms = forms
         self.cells = cells
-        self.used = used if used is not None else sorted({c for r in cells for c in r if c})
-        self.constraints = constraints
+        self.den = den
         self.rows = len(cells)
         self.cols = len(cells[0]) if cells else 0
         self.structure = None  # (params, structural rank), kept by generic_rank
 
     def params(self):
-        """Free columns on which the substituted entries depend, ascending."""
-        rows = self.constraints.rows
-        out = set()
-        for c in self.used:
-            row = rows.get(c)
-            if row is None:
-                out.add(c)
-            else:
-                out.update(k for k in row if k and k != c)
-        return sorted(out)
+        """Parameter columns with a nonzero coefficient in some form, ascending."""
+        return sorted({k for f in self.forms.values() for k in f})
 
     def pattern(self):
-        """Columns of the entries that are not identically zero, per row.
-
-        An entry is identically zero when its parameter is a pivot whose row
-        has no other nonzero entry, constant included.
-        """
-        rows = self.constraints.rows
-        zero = {c for c in self.used if len(rows.get(c, ())) == 1}
-        zero.add(0)
-        return [[j for j, c in enumerate(r) if c not in zero] for r in self.cells]
+        """Columns of the entries that are not identically zero, per row."""
+        forms = self.forms
+        return [[j for j, i in enumerate(r) if forms[i]] for r in self.cells]
 
     def values(self, point) -> list:
-        """Entry values at a point of the free columns, as rows."""
-        vals = {0: 0}
-        for c in self.used:
-            vals[c] = self.constraints.value(c, point)
-        return [[vals[c] for c in r] for r in self.cells]
+        """The values at a point keyed by column, den times the matrix it
+        stands for, as rows; each form is evaluated once."""
+        vals = {}
+        for i, f in self.forms.items():
+            acc = 0
+            for k, x in f.items():
+                acc += x * point[k]
+            vals[i] = acc
+        return [[vals[i] for i in r] for r in self.cells]
 
 
 SAMPLE_BOUND = 10**6  # random evaluations drawn from [-SAMPLE_BOUND, SAMPLE_BOUND]
@@ -329,33 +266,28 @@ def structural_rank(pattern) -> int:
     return sum(_augment(pattern, match, i, set()) for i in range(len(pattern)))
 
 
-def generic_rank(m, rng) -> int:
-    """Rank of m for generic parameter values (randomized, Schwartz-Zippel).
+def generic_rank(m: Grid, rng) -> int:
+    """Rank of the Grid m for generic parameter values (randomized, Schwartz-Zippel).
 
-    m is a FormGrid, a ParamGrid or any matrix with rows, cols, params(),
-    values(point) and pattern().  Structural bound first: the structural
-    rank of m.pattern() bounds the rank at every point, so a bound below
-    full, min(rows, cols), is an exact rejection, returned unevaluated with
-    its points still drawn.  Otherwise the parameters m depends on
-    (m.params(), in ParamId order) are evaluated at up to RANK_TRIALS
-    random integer points, stopping at full rank, and the best exact rank
-    is returned.  Either way randints consumes rng exactly as
-    randint(-SAMPLE_BOUND, SAMPLE_BOUND) per parameter and trial would.
-    Rows that are positive multiples of the exact rows
-    (ConstraintSet.reduce) have the same rank.  Minors are polynomials of
-    degree <= min(rows, cols), so a short evaluated rank misses full rank
-    with probability at most min(rows, cols) / (2 * SAMPLE_BOUND + 1) per
-    trial; rejection reasons do not tell it from an exact one.  A grid
-    keeps its params and bound in its structure slot for the next test.
+    Structural bound first: the structural rank of m.pattern() bounds the
+    rank at every point, so a bound below full, min(rows, cols), is an exact
+    rejection, returned unevaluated with its points still drawn.  Otherwise
+    the parameters m depends on (m.params(), in ParamId order) are evaluated
+    at up to RANK_TRIALS random integer points, stopping at full rank, and
+    the best exact rank of m.values is returned: den and the positive row
+    factors of ConstraintSet.reduce leave ranks alone.  Either way randints
+    consumes rng exactly as randint(-SAMPLE_BOUND, SAMPLE_BOUND) per
+    parameter and trial would.  Minors are polynomials of degree <=
+    min(rows, cols), so a short evaluated rank misses full rank with
+    probability at most min(rows, cols) / (2 * SAMPLE_BOUND + 1) per trial;
+    rejection reasons do not tell it from an exact one.  m keeps its params
+    and bound in its structure slot for the next test.
     """
     if m.rows == 0 or m.cols == 0:
         return 0
-    structure = getattr(m, "structure", None)
-    if structure is None:
-        structure = m.params(), structural_rank(m.pattern())
-        if hasattr(m, "structure"):
-            m.structure = structure
-    params, bound = structure
+    if m.structure is None:
+        m.structure = m.params(), structural_rank(m.pattern())
+    params, bound = m.structure
     full = min(m.rows, m.cols)
     if bound < full:
         randints(rng, SAMPLE_BOUND, RANK_TRIALS * len(params))
@@ -369,6 +301,7 @@ def generic_rank(m, rng) -> int:
     return best
 
 
-def instantiate(m, point: dict) -> RationalMatrix:
-    """A FormGrid or ParamGrid evaluated at a point keyed by dense column."""
-    return RationalMatrix(m.values(point))
+def instantiate(m: Grid, point: dict) -> RationalMatrix:
+    """The matrix a Grid stands for at a point keyed by column: its values
+    divided by den, exact for a Grid of ConstraintSet.apply."""
+    return RationalMatrix([[Fraction(x, m.den) for x in row] for row in m.values(point)])

@@ -20,13 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product
 
 from .admissible import RowConfig
 from .canonical import PencilForm, offsets_from_sigma, positions_from_sigma
 from .errors import MorganError, NotSolvable
 from .exactalg import RationalMatrix, _scaled
-from .paramalg import ConstraintSet, FormGrid, ParamId, generic_rank, solve_zero_constraints
+from .paramalg import ConstraintSet, Grid, ParamId, generic_rank, solve_zero_constraints
 
 
 @dataclass(frozen=True)
@@ -226,6 +226,23 @@ def _row_degree(coeffs_r, constraints: ConstraintSet, top: int):
     return -1, None
 
 
+def _grid(rows) -> Grid:
+    """The Grid (den 1) of rows of dense forms, None for a zero entry, such
+    as the N_alpha rows of _row_degree: each a positive multiple of its exact row."""
+    forms = {0: {}}
+    cells = []
+    for row in rows:
+        ids = []
+        for f in row:
+            i = 0
+            if f is not None:
+                i = len(forms)
+                forms[i] = {k: f[k] for k in compress(range(len(f)), f)}
+            ids.append(i)
+        cells.append(ids)
+    return Grid(forms, cells)
+
+
 def _eliminate(states: dict, coeffs, bounds, deficits, top: int) -> ConstraintSet:
     """Constraint set of the zero forms of a deficit vector.
 
@@ -337,7 +354,7 @@ def decouplability_search(
             if len(rows) < m:
                 pruned.append(deficits)
                 continue
-            grids = [cs, FormGrid(rows), None, None]
+            grids = [cs, _grid(rows), None, None]
             for same in product(*(range(a, t + 1) for a, t in zip(degrees, targets))):
                 shared[same] = grids
         cs, na_grid, qb_grid, dhc_grid = grids

@@ -3,9 +3,9 @@
 These are the dict-of-Fraction LinearForm versions that the solver used
 before its search moved to dense forms: named affine forms (LinearForm),
 the triangular substitution system they solve to (SubstitutionSet) and its
-solver, LinearForm polynomials and matrices (ParamMatrix), Q_B and [D~]_hc
-built as LinearForm matrices, the full D~(s) and a structural dependency
-test.  The tests compare the dense code against them, and the rendering of
+solver, LinearForm polynomials and matrices (ParamMatrix, evaluated by
+instantiate_param), Q_B and [D~]_hc built as LinearForm matrices, the full
+D~(s) and a structural dependency test.  The tests compare the dense code against them, and the rendering of
 a LinearForm is the reference for ConstraintSet.describe.  The
 highest-coefficient matrices, the leading Q_B forms of a row configuration
 and the mu rows as LinearForms in the entries of T (TParam) are here too,
@@ -29,9 +29,9 @@ from math import lcm
 from fraction_reference import PolyMatrix
 from morgan.admissible import RowConfig
 from morgan.canonical import PencilForm, positions_from_sigma
-from morgan.errors import Inconsistent, MorganError
+from morgan.errors import MorganError
 from morgan.exactalg import Poly, RationalMatrix, rank, rat
-from morgan.paramalg import SAMPLE_BOUND, ParamId, _exact
+from morgan.paramalg import SAMPLE_BOUND, ParamId
 from morgan.squaring import (
     DecouplabilityReport,
     MuFamily,
@@ -212,6 +212,11 @@ class SubstitutionSet:
         return f"SubstitutionSet({self.describe()})"
 
 
+def _exact(x):
+    """x as an int when it is integral (ints and Fractions alike)."""
+    return x.numerator if x.denominator == 1 else x
+
+
 def dense_form(f: LinearForm, index: dict, size: int) -> list:
     """f as a dense form over `size` parameters; index maps ParamId -> column."""
     row = [0] * (size + 1)
@@ -298,6 +303,11 @@ def param_matrix(cells, params) -> ParamMatrix:
     )
 
 
+def instantiate_param(m: ParamMatrix, assignment: dict) -> RationalMatrix:
+    """Evaluate a ParamMatrix at a ParamId-keyed assignment."""
+    return RationalMatrix(m.values(assignment))
+
+
 def at_columns(params, assignment) -> dict:
     """A ParamId-keyed assignment as a point keyed by dense column of params."""
     return {params.index(p) + 1: v for p, v in assignment.items()}
@@ -311,10 +321,10 @@ def qb_matrix(qbasis: QBasis) -> ParamMatrix:
 def n_alpha_matrix(report: DecouplabilityReport, params, c_r) -> ParamMatrix | None:
     """N_alpha of a successful report (rank_grids[1]) as a ParamMatrix, else None.
 
-    The dense search keeps a FormGrid of integer dense forms over params
-    there, row r the exact row times scale * den_r: scale that of the
-    report's constraint set and den_r the lcm of the denominators of row r
-    of C_r (see squaring._row_degree).  The dict search below keeps the
+    The dense search keeps a Grid of sparse integer forms over params there,
+    row r the exact row times scale * den_r: scale that of the report's
+    constraint set and den_r the lcm of the denominators of row r of C_r
+    (see squaring._row_degree).  The dict search below keeps the
     ParamMatrix itself.
     """
     if not report.rank_grids:
@@ -323,12 +333,12 @@ def n_alpha_matrix(report: DecouplabilityReport, params, c_r) -> ParamMatrix | N
     if isinstance(grid, ParamMatrix):
         return grid
     rows = []
-    for forms, c_row in zip(grid.entries, c_r.entries):
+    for cells, c_row in zip(grid.cells, c_r.entries):
         factor = report.constraints.scale * lcm(*[x.denominator for x in c_row])
         rows.append([
-            LinearForm.zero() if f is None
-            else linear_form([Fraction(x, factor) for x in f], params)
-            for f in forms
+            LinearForm(0, [(params[k - 1], Fraction(x, factor))
+                           for k, x in grid.forms[i].items()])
+            for i in cells
         ])
     return ParamMatrix(rows)
 
@@ -573,7 +583,7 @@ def dict_solve_zero_constraints(forms) -> SubstitutionSet:
 
     Pivots are chosen as the smallest ParamId (lexicographic on (i, j, k))
     present in each reduced form, so the result is
-    deterministic.  Raises Inconsistent for a nonzero constant form.
+    deterministic.  Raises MorganError for a nonzero constant form.
     """
     subs_map = {}
     order = []
@@ -582,7 +592,7 @@ def dict_solve_zero_constraints(forms) -> SubstitutionSet:
         if g.is_zero():
             continue
         if g.is_constant():
-            raise Inconsistent(f"constraint {f} reduces to {g.const} = 0")
+            raise MorganError(f"constraint {f} reduces to {g.const} = 0")
         pivot, pc = g.terms[0]
         rest = LinearForm(g.const, g.terms[1:])
         rep = rest * (Fraction(-1) / pc)
@@ -881,7 +891,7 @@ class FractionElimination:
             pivot = next((k for k in range(1, len(g)) if g[k]), 0)
             if not pivot:
                 if g[0]:
-                    raise Inconsistent(f"reduces to {g[0]} = 0")
+                    raise MorganError(f"reduces to {g[0]} = 0")
                 continue
             rows = dict(state.rows)
             inv = 1 / Fraction(g[pivot])
@@ -893,9 +903,6 @@ class FractionElimination:
             rows[pivot] = g
             state = FractionElimination(rows, state.order + (pivot,))
         return state
-
-    def free(self, size):
-        return [k for k in range(1, size + 1) if k not in self.rows]
 
     def value(self, col, point):
         row = self.rows.get(col)
@@ -978,10 +985,12 @@ def bound_first_rank(m, rng, evaluate=reference_generic_rank) -> int:
 
 
 class CountingValues:
-    """A matrix that forwards to m and counts its evaluations."""
+    """A matrix that forwards to m and counts its evaluations; it keeps its
+    own structure slot for generic_rank."""
 
     def __init__(self, m):
         self.m, self.rows, self.cols, self.evaluations = m, m.rows, m.cols, 0
+        self.structure = None
 
     def params(self):
         return self.m.params()

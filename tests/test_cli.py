@@ -228,8 +228,9 @@ class TestUsageErrors:
 
 
 class TestInvalidPolynomialOptions:
-    """A zero or non-monic polynomial option, or a wrong number of diagonal
-    polynomials, is an error (exit 1) on solvable and unsolved inputs alike."""
+    """A zero, non-monic or unparsable (zero denominator) polynomial option,
+    or a wrong number of diagonal polynomials, is an error (exit 1) on
+    solvable and unsolved inputs alike."""
 
     @pytest.mark.parametrize(
         "system, flags",
@@ -240,6 +241,8 @@ class TestInvalidPolynomialOptions:
             ("ex1", ["--diag-polys", "0,s+1,s+1"]),
             ("ex2", ["--diag-polys", "s+1"]),
             ("nosol", ["--diag-polys", "s+1"]),
+            ("ex2", ["--dz-target", "s^2+1/0"]),
+            ("ex2", ["--diag-polys", "s+1/0,s+1,s+1"]),
         ],
     )
     def test_exit_1(self, system, flags, files, capsys):

@@ -1,25 +1,25 @@
-"""Dense parameter algebra against the LinearForm reference in param_oracle."""
+"""Dense parameter algebra and Grid against the LinearForm reference in param_oracle."""
 
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import hypothesis
 from hypothesis import given, settings, strategies as st
 
 from morgan.admissible import enumerate_row_configs, enumerate_tuples
 from morgan.canonical import to_pencil_form
-from morgan.errors import Inconsistent
+from morgan.errors import MorganError
 from morgan.fileio import load_system
 from morgan.paramalg import (
     ConstraintSet,
-    FormGrid,
     ParamId,
     generic_rank,
     instantiate,
     solve_zero_constraints,
 )
-from morgan.squaring import build_QB, decouplability_search, dtilde_hc
+from morgan.squaring import _grid, build_QB, decouplability_search, dtilde_hc
 from param_oracle import (
     LinearForm,
     ParamMatrix,
@@ -29,6 +29,7 @@ from param_oracle import (
     dict_generic_rank,
     dict_solve_zero_constraints,
     dtilde_hc_formpoly,
+    instantiate_param,
     linear_form,
     n_alpha_matrix,
     param_matrix,
@@ -40,12 +41,15 @@ PARAMS = tuple(ParamId(1, 1, k) for k in range(1, 7))
 INDEX = {p: k + 1 for k, p in enumerate(PARAMS)}
 
 coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+# homogeneous, as every form the search builds
 forms_st = st.builds(
     LinearForm,
-    st.one_of(st.just(Fraction(0)), coeffs),
+    st.just(Fraction(0)),
     st.dictionaries(st.sampled_from(PARAMS), coeffs, max_size=4),
 )
 form_lists = st.lists(forms_st, max_size=6)
+cell_grids = st.lists(
+    st.lists(st.integers(0, len(PARAMS)), min_size=4, max_size=4), min_size=1, max_size=4)
 
 
 def dense(f):
@@ -63,12 +67,7 @@ class TestElimination:
     @given(form_lists)
     @settings(max_examples=200, deadline=None)
     def test_same_constraint_set_as_reference(self, forms):
-        try:
-            expected = dict_solve_zero_constraints(forms)
-        except Inconsistent:
-            with pytest.raises(Inconsistent):
-                solve_zero_constraints(dense(f) for f in forms)
-            return
+        expected = dict_solve_zero_constraints(forms)
         cs = solve_zero_constraints(dense(f) for f in forms)
         assert cs.describe(PARAMS) == expected.describe()
         assert tuple(PARAMS[c - 1] for c in cs.order) == expected.order
@@ -76,10 +75,7 @@ class TestElimination:
     @given(form_lists)
     @settings(max_examples=200, deadline=None)
     def test_forms_reduce_to_zero_and_pivots_stay_off_the_right(self, forms):
-        try:
-            cs = solve_zero_constraints(dense(f) for f in forms)
-        except Inconsistent:
-            return
+        cs = solve_zero_constraints(dense(f) for f in forms)
         for f in forms:
             assert not any(cs.reduce(dense(f)))
         pivots = set(cs.order)
@@ -89,10 +85,7 @@ class TestElimination:
     @given(form_lists, st.integers(0, 6))
     @settings(max_examples=100, deadline=None)
     def test_prefix_reuse_equals_from_scratch(self, forms, cut):
-        try:
-            whole = eliminate(forms)
-        except Inconsistent:
-            return
+        whole = eliminate(forms)
         head = eliminate(forms[:cut])
         tail = head.extended(dense(f) for f in forms[cut:])
         assert tail.rows == whole.rows and tail.order == whole.order
@@ -100,8 +93,10 @@ class TestElimination:
         assert head.rows == eliminate(forms[:cut]).rows
 
     def test_inconsistent_message(self):
+        """A constant left after the reduction is a bug: no form the search
+        builds has one."""
         x = PARAMS[0]
-        with pytest.raises(Inconsistent, match="reduces to 2 = 0"):
+        with pytest.raises(MorganError, match=r"reduces to a nonzero constant \(bug\)"):
             solve_zero_constraints([dense(LinearForm(0, {x: 1})), dense(LinearForm(2, {x: 1}))])
 
     @given(forms_st)
@@ -116,45 +111,37 @@ class TestDenseGenericRank:
         form_lists,
         st.integers(0, 10**6),
     )
+    @hypothesis.seed(26)
     @settings(max_examples=100, deadline=None)
     def test_form_grid_matches_reference(self, entries, constraints, seed):
-        try:
-            cs = dict_solve_zero_constraints(constraints)
-            elim = eliminate(constraints)
-        except Inconsistent:
-            return
+        """A Grid of reduced dense forms, as the search builds N_alpha."""
+        cs = dict_solve_zero_constraints(constraints)
+        elim = eliminate(constraints)
         m = ParamMatrix(entries)
         reduced = [
             [r if any(r) else None for r in (elim.reduce(dense(e)) for e in row)]
             for row in entries
         ]
-        check_bound_first(generic_rank, FormGrid(reduced), cs.apply(m), seed, dict_generic_rank)
+        check_bound_first(generic_rank, _grid(reduced), cs.apply(m), seed, dict_generic_rank)
 
-    @given(
-        st.lists(st.lists(st.integers(0, 6), min_size=4, max_size=4), min_size=1, max_size=4),
-        form_lists,
-        st.integers(0, 10**6),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_param_grid_matches_reference(self, cells, constraints, seed):
-        try:
-            cs = dict_solve_zero_constraints(constraints)
-            elim = eliminate(constraints)
-        except Inconsistent:
-            return
-        m = ParamMatrix(
-            [
-                [LinearForm.of_param(PARAMS[c - 1]) if c else LinearForm.zero() for c in row]
-                for row in cells
-            ]
-        )
+    @hypothesis.seed(27)
+    @given(cell_grids, form_lists, st.integers(0, 10**6),
+           st.lists(st.integers(-9, 9), min_size=len(PARAMS), max_size=len(PARAMS)))
+    @settings(max_examples=150, deadline=None)
+    def test_param_grid_matches_reference(self, cells, constraints, seed, values):
+        """cs.apply(cells) is the substituted matrix of parameters: the same
+        parameters, pattern, exact entries at a point of the free columns
+        and bound-first rank."""
+        cs = dict_solve_zero_constraints(constraints)
+        m = cs.apply(param_matrix(cells, PARAMS))
+        elim = eliminate(constraints)
         grid = elim.apply(cells)
-        check_bound_first(generic_rank, grid, cs.apply(m), seed, dict_generic_rank)
-        # a point of the free columns, extended through the rows, evaluates
-        # the substituted matrix
-        point = {c: Fraction(k - 2, 3) for k, c in enumerate(elim.free(len(PARAMS)))}
+        assert [PARAMS[c - 1] for c in grid.params()] == list(m.params())
+        assert grid.pattern() == m.pattern()
+        point = dict(zip(grid.params(), values))
         named = {PARAMS[c - 1]: v for c, v in point.items()}
-        assert instantiate(grid, point) == instantiate(cs.apply(m), named)
+        assert instantiate(grid, point) == instantiate_param(m, named)
+        check_bound_first(generic_rank, grid, m, seed, dict_generic_rank)
 
 
 def search_cases(pencil, tuple_step):

@@ -3,15 +3,19 @@
 import random
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import fraction_reference as ref
 import golden_data as pd
-from morgan.admissible import enumerate_row_configs
+from morgan.admissible import enumerate_row_configs, enumerate_tuples
 from fraction_reference import PolyMatrix, build_L, build_S
+from morgan.canonical import to_pencil_form
 from morgan.exactalg import RationalMatrix
-from morgan.paramalg import ConstraintSet, FormGrid, ParamId, instantiate, solve_zero_constraints
+from morgan.fileio import load_system
+from morgan.paramalg import ConstraintSet, ParamId, instantiate, solve_zero_constraints
 from morgan import squaring
 from morgan.squaring import (
     MuFamily,
@@ -31,6 +35,7 @@ from param_oracle import (
     at_columns,
     dtilde_formpoly,
     high_col_coeff,
+    instantiate_param,
     instantiate_poly,
     mu_row_forms,
     n_alpha_matrix,
@@ -105,14 +110,14 @@ class TestBuildQB:
         assignment = {p: Fraction(0) for p in qb.params}
         assignment[q(1, 1, 1)] = Fraction(1)
         assignment[q(2, 2, 1)] = Fraction(1)
-        assert instantiate(qb_matrix(qb), assignment) == RationalMatrix.identity(3)
+        assert instantiate_param(qb_matrix(qb), assignment) == RationalMatrix.identity(3)
 
     def test_shift_identity_random_instances(self):
         rng = random.Random(8)
         for sigma, st in [((1, 1, 3, 4), (1, 4, 4)), ((1, 2, 2, 2, 2), (2, 2, 3))]:
             qb = build_QB(sigma, st)
             assignment = {p: Fraction(rng.randint(-5, 5)) for p in qb.params}
-            num = instantiate(qb_matrix(qb), assignment)
+            num = instantiate_param(qb_matrix(qb), assignment)
             prod = build_L(sigma) * PolyMatrix.from_rational(num) * build_S(st)
             assert prod.is_zero()
 
@@ -121,6 +126,24 @@ class TestBuildQB:
         # sum over nonzero blocks of (st_j - s_i + 1)
         expected = (1 + 4 + 4) + (1 + 4 + 4) + (2 + 2) + (1 + 1)
         assert len(qb.params) == expected
+
+
+DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data"
+
+
+class TestNhatForms:
+    @pytest.mark.parametrize("name", ["ex1", "ex2", "nosol_7_66", "nosol_7_70", "nosol_7_112"])
+    def test_every_form_is_homogeneous(self, name, ex1_pencil, ex2_pencil):
+        """Column 0, the constant, is 0 in every coefficient and unit form
+        of every index tuple: the constraint sets never meet a constant."""
+        pencil = {"ex1": ex1_pencil, "ex2": ex2_pencil}.get(name)
+        if pencil is None:
+            pencil = to_pencil_form(load_system(str(DATA / (name + ".json"))))
+        for st_tuple in enumerate_tuples(pencil.sigma, pencil.C_r.rows):
+            coeffs, units = _nhat_forms(pencil.C_r, build_QB(pencil.sigma, st_tuple))
+            forms = [e[1] for row in coeffs for deg in row for e in deg if e is not None]
+            forms += [u[1] for u in units[1:]]
+            assert forms and all(f[0] == 0 for f in forms)
 
 
 class TestDecouplabilitySearch:
@@ -224,7 +247,9 @@ class TestSharedConstraintSets:
         """generic_rank stubbed: an N_alpha grid fails when first tested and
         passes at the k-th repeated test, so the k-th candidate that reuses a
         constraint set wins.  Its constraints are a fresh elimination for its
-        own deficits, though the shared set may hold the pivots in another order."""
+        own deficits, though the shared set may hold the pivots in another
+        order.  N_alpha is the first grid a candidate tests, right after the
+        elimination that made its set; Q_B and [D~]_hc follow only a pass."""
         qb = build_QB(ex1_pencil.sigma, (1, 1, 6))
         cfg = enumerate_row_configs(ex1_pencil.sigma, 3)[3]
         coeffs, units = _nhat_forms(ex1_pencil.C_r, qb)
@@ -233,26 +258,37 @@ class TestSharedConstraintSets:
         bounds = [_row_degree(c, start, top)[0] for c in coeffs]
         reordered = 0
         for k in range(1, 6):
-            tested, repeats = [], []
+            made, sets, repeats, passes = [], {}, [], []
+
+            def eliminate(*args):
+                made.append(_eliminate(*args))
+                return made[-1]
 
             def stub(grid, rng):
                 full = min(grid.rows, grid.cols)
-                if isinstance(grid, FormGrid):
-                    if not any(g is grid for g in tested):
-                        tested.append(grid)
-                        return full - 1
-                    repeats.append(grid)
-                    return full if len(repeats) == k else full - 1
+                if passes:
+                    passes.pop()
+                    return full
+                if id(grid) not in sets:
+                    sets[id(grid)] = grid, made[-1]
+                    return full - 1
+                repeats.append(grid)
+                if len(repeats) < k:
+                    return full - 1
+                passes.extend(["Q_B", "[D~]_hc"])
                 return full
 
+            monkeypatch.setattr(squaring, "_eliminate", eliminate)
             monkeypatch.setattr(squaring, "generic_rank", stub)
             rep = decouplability_search(ex1_pencil, qb, cfg, random.Random(0))
-            assert rep.success and rep.rank_grids[1] is repeats[-1]
+            assert rep.success and rep.rank_grids[1] is repeats[-1] and not passes
             fresh = _eliminate({(): start}, coeffs, bounds, rep.degree_deficits, top)
             assert rep.constraints.describe(qb.params) == fresh.describe(qb.params)
             assert (rep.constraints.rows, rep.constraints.scale) == (fresh.rows, fresh.scale)
-            shared = rep.rank_grids[0].constraints
+            shared = sets[id(repeats[-1])][1]
             assert (shared.rows, shared.scale) == (fresh.rows, fresh.scale)
+            qb_grid = fresh.apply(qb.cells)
+            assert (rep.rank_grids[0].forms, rep.rank_grids[0].den) == (qb_grid.forms, qb_grid.den)
             reordered += shared.order != fresh.order
         assert reordered
 
@@ -275,7 +311,7 @@ class TestDtilde:
         rng = random.Random(77)
         assignment = {p: Fraction(rng.randint(-4, 4)) for p in qb.params}
         full = instantiate_poly(dtilde_formpoly(ex2_pencil, qb, ex2_config_15), assignment)
-        hc_num = instantiate(
+        hc_num = instantiate_param(
             param_matrix(dtilde_hc(ex2_pencil, qb, ex2_config_15), qb.params), assignment
         )
         assert high_col_coeff(full, [2, 2, 3]) == hc_num
@@ -318,7 +354,7 @@ class TestFeedbackRows:
         qb = build_QB((1, 1, 3, 4), (1, 1, 3, 4))
         cfg_all = enumerate_row_configs(ex1_pencil.sigma, 4)[0]
         assert cfg_all.blocks == ()
-        qb_num = instantiate(qb_matrix(qb), {p: Fraction(1) for p in qb.params})
+        qb_num = instantiate_param(qb_matrix(qb), {p: Fraction(1) for p in qb.params})
         fam = solve_feedback_rows(qb, cfg_all, qb_num)
         assert fam.particulars == () and fam.rows_at(None) == []
 
