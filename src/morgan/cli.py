@@ -21,7 +21,7 @@ from .decouple import (
     check_closed_loop,
     solve as run_solve,
 )
-from .errors import MorganError, VerificationFailed
+from .errors import InvalidSystem, MorganError, VerificationFailed
 from .exactalg import format_poly, parse_poly
 from .fileio import (
     dump_json,
@@ -129,6 +129,8 @@ def _recorded_fixed_poles(data):
 def cmd_verify(args) -> int:
     try:
         sys_, data, f, g = _load_feedback(args)
+        if not isinstance(data["diagonal"], list):
+            raise InvalidSystem("diagonal must be an array of {num, den} objects")
         recorded = [
             (poly_from_json(rec["num"], "diagonal num"),
              poly_from_json(rec["den"], "diagonal den"))

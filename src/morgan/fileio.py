@@ -56,12 +56,16 @@ def poly_from_json(data, name) -> Poly:
     return Poly([_entry(c) for c in data])
 
 
-def load_system(path) -> StateSpace:
+def _read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as e:
             raise InvalidSystem(f"{path}: not valid JSON ({e})") from None
+
+
+def load_system(path) -> StateSpace:
+    data = _read_json(path)
     for key in ("A", "B", "C"):
         if key not in data:
             raise InvalidSystem(f"{path}: missing matrix {key!r}")
@@ -145,8 +149,7 @@ def no_solution_to_dict(res: NoSolution) -> dict:
 
 
 def load_solution(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _read_json(path)
     if not isinstance(data, dict):
         raise InvalidSystem(f"{path}: a solution file must hold a JSON object")
     if data.get("format") != SOLUTION_FORMAT:

@@ -4,10 +4,10 @@ The entries of the parametric basis matrix Q_B are single parameters or zero,
 so every form the search builds (the coefficients of N_hat, the leading Q_B
 entries it zeroes, the entries of Q_B and [D~]_hc) is linear in the
 parameters, with no constant term.  The search runs on plain linear algebra
-over a fixed parameter index: dense forms, a ConstraintSet built by
+over a fixed parameter index: sparse forms, a ConstraintSet built by
 incremental Gauss-Jordan elimination on primitive integer rows, and Grid, the
-one matrix type: sparse integer forms read through a cell matrix, evaluated
-at points of the free parameters instead of being substituted symbolically.
+one matrix type: forms read through a cell matrix, evaluated at points of
+the free parameters instead of being substituted symbolically.
 Reductions and grids hold positive integer multiples of the exact forms,
 which ranks do not see; a Grid of ConstraintSet.apply carries its factor as
 den, which instantiate divides out.  generic_rank takes the structural
@@ -42,26 +42,29 @@ class ParamId:
 
 
 # ---------------------------------------------------------------------------
-# dense forms over a fixed parameter index
+# sparse forms over a fixed parameter index
 #
-# Over a sorted tuple of parameters, a dense form is the list
-# [const, c_1, ..., c_P]: column 0 holds the constant, which is 0 in every
-# form the search builds, and column k the coefficient of params[k - 1].
-# Column order is ParamId order, so "lowest column" and "smallest ParamId"
-# pick the same pivot.  Coefficients are ints where they are integral and
-# Fractions otherwise.
+# Over a sorted tuple of parameters, a form is the dict {column: coefficient}
+# of its nonzero coefficients, column k that of params[k - 1]; no form the
+# search builds has a constant, so column 0 never occurs.  Column order is
+# ParamId order, so "lowest column" and "smallest ParamId" pick the same
+# pivot.  Coefficients are ints where they are integral and Fractions
+# otherwise.
 
 
 def _reduce(rows, scale, form):
     """scale * form - sum_c form[c] * (scale / pivot entry) * row c over the
     pivot columns c: form reduced by the rows, times scale, the lcm of the
-    pivot entries."""
-    out = list(form) if scale == 1 else [scale * x for x in form]
-    for c in filter(form.__getitem__, rows):
-        row = rows[c]
-        a = form[c] * (scale // row[c])
-        for k, y in row.items():
-            out[k] -= a * y
+    pivot entries, as a new form with no zero entry."""
+    out = dict(form) if scale == 1 else {k: scale * x for k, x in form.items()}
+    for c, x in form.items():
+        row = rows.get(c)
+        if row is not None:
+            a = x * (scale // row[c])
+            for k, y in row.items():
+                v = out.pop(k, 0) - a * y
+                if v:
+                    out[k] = v
     return out
 
 
@@ -78,7 +81,7 @@ def _primitive(row, pivot):
 
 
 class ConstraintSet:
-    """Dense forms equated to zero, kept in incremental Gauss-Jordan form.
+    """Sparse forms equated to zero, kept in incremental Gauss-Jordan form.
 
     rows maps each pivot column to its row: the reduced row echelon row
     scaled to a primitive integer vector, positive at its pivot and 0 at
@@ -110,14 +113,14 @@ class ConstraintSet:
         rows, order, scale = self.rows, self.order, self.scale
         for form in forms:
             g = _reduce(rows, scale, form)
-            pivot = next(filter(g.__getitem__, range(1, len(g))), 0)
-            if not pivot:
-                if g[0]:
-                    raise MorganError("a constraint reduces to a nonzero constant (bug)")
+            if not g:
                 continue
+            pivot = min(g)
+            if not pivot:
+                raise MorganError("a constraint reduces to a nonzero constant (bug)")
             if rows is self.rows:
                 rows = dict(rows)
-            g = _primitive({k: x for k, x in enumerate(g) if x}, pivot)
+            g = _primitive(g, pivot)
             p = g[pivot]
             touched = False
             for c, row in rows.items():
@@ -173,7 +176,7 @@ class ConstraintSet:
 
 
 def solve_zero_constraints(forms) -> ConstraintSet:
-    """The constraint set that makes every listed dense form vanish.
+    """The constraint set that makes every listed sparse form vanish.
 
     The forms have no constant, so q = 0 solves them; a matrix of parameters
     on the set is the Grid of its apply, which solves each pivot for the

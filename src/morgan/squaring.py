@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress, product
+from itertools import product
 
 from .admissible import RowConfig
 from .canonical import PencilForm, offsets_from_sigma, positions_from_sigma
@@ -124,7 +124,7 @@ def _leading_cells(qbasis: QBasis, positions) -> tuple:
 
 
 def _leading_entries(qbasis: QBasis, config: RowConfig):
-    """Dense columns of the nonzero leading entries of the config rows of Q_B.
+    """Columns of the nonzero leading entries of the config rows of Q_B.
 
     The s^{sigma_tilde_j} coefficient of a feedback row of M(s) Q_B S~(s)
     cannot be matched by any mu, so these entries must vanish for the
@@ -134,42 +134,38 @@ def _leading_entries(qbasis: QBasis, config: RowConfig):
 
 
 def _nhat_forms(c_r: RationalMatrix, qbasis: QBasis):
-    """Dense coefficient forms of N_hat(s) = C_r Q_B S~(s) diag(s^{st_max - st_j}).
+    """Sparse coefficient forms of N_hat(s) = C_r Q_B S~(s) diag(s^{st_max - st_j}).
 
     Returns (coeffs, units): coeffs[r][d][j] is (key, form) for the s^d
     coefficient of entry (r, j), or None where it is identically zero,
-    with form the integer form den_r times that coefficient (den_r is the
-    lcm of the denominators of row r of C_r); units[c] is (key, form) for
-    the single parameter of column c.  Equal coefficients share one key, so
-    a set of keys is the set of distinct forms.  Built once per (Q_B, C_r)
-    and kept in qbasis.memo.
+    with form the sparse integer form den_r times that coefficient (den_r
+    is the lcm of the denominators of row r of C_r); units[c] is (key,
+    {c: 1}) for the single parameter of column c.  Equal coefficients share
+    one key, so a set of keys is the set of distinct forms.  Built once per
+    (Q_B, C_r) and kept in qbasis.memo; the forms are never changed.
     """
     cached = qbasis.memo.get(c_r)
     if cached is not None:
         return cached
-    size = len(qbasis.params)
     keys = {}
 
     def keyed(form, den=1):
-        value = tuple(form) if den == 1 else tuple(Fraction(x, den) for x in form)
-        return keys.setdefault(value, len(keys)), form
+        exact = form if den == 1 else {k: Fraction(x, den) for k, x in form.items()}
+        return keys.setdefault(frozenset(exact.items()), len(keys)), form
 
-    units = [None]
-    for c in range(1, size + 1):
-        form = [0] * (size + 1)
-        form[c] = 1
-        units.append(keyed(form))
+    units = [None] + [keyed({c: 1}) for c in range(1, len(qbasis.params) + 1)]
     chat = []
     for r in range(c_r.rows):
         den, coeff_row = _scaled(c_r.row(r))
         entries = []
         for col in range(qbasis.width):
-            form = [0] * (size + 1)
+            acc = {}
             for k, x in enumerate(coeff_row):
                 c = qbasis.cells[k][col]
                 if x and c:
-                    form[c] += x
-            entries.append(keyed(form, den) if any(form) else None)
+                    acc[c] = acc.get(c, 0) + x
+            form = {c: x for c, x in acc.items() if x}
+            entries.append(keyed(form, den) if form else None)
         chat.append(entries)
     st = qbasis.sigma_tilde
     st_max = max(st)
@@ -195,7 +191,7 @@ def dtilde_hc(pencil: PencilForm, qbasis: QBasis, config: RowConfig) -> tuple:
     blocks b.  Column block j of Q_B S~(s) has degree sigma_tilde_j - 1, so
     only the s-part of row p_b reaches s^{sigma_tilde_j}; its coefficient is
     the leading entry of row p_b of Q_B in block j.  Returned as cells of
-    Q_B: the dense column of each entry's parameter, 0 for a zero entry.
+    Q_B: the column of each entry's parameter, 0 for a zero entry.
     """
     pos = positions_from_sigma(qbasis.sigma)
     return _leading_cells(qbasis, [pos[b - 1] for b in config.complement(pencil.l)])
@@ -215,20 +211,16 @@ def _row_degree(coeffs_r, constraints: ConstraintSet, top: int):
     times scale * den_r, scale that of the constraint set: one positive
     factor for the whole row, which ranks and zero tests do not see.
     """
-    reduce = constraints.reduce
     for deg in range(top, -1, -1):
-        row = []
-        for e in coeffs_r[deg]:
-            f = e and reduce(e[1])
-            row.append(f if f and any(f) else None)
+        row = [e and constraints.reduce(e[1]) or None for e in coeffs_r[deg]]
         if any(row):
             return deg, row
     return -1, None
 
 
 def _grid(rows) -> Grid:
-    """The Grid (den 1) of rows of dense forms, None for a zero entry, such
-    as the N_alpha rows of _row_degree: each a positive multiple of its exact row."""
+    """The Grid (den 1) of rows of sparse forms, None for a zero entry, such
+    as the N_alpha rows of _row_degree (positive multiples of the exact rows)."""
     forms = {0: {}}
     cells = []
     for row in rows:
@@ -237,7 +229,7 @@ def _grid(rows) -> Grid:
             i = 0
             if f is not None:
                 i = len(forms)
-                forms[i] = {k: f[k] for k in compress(range(len(f)), f)}
+                forms[i] = f
             ids.append(i)
         cells.append(ids)
     return Grid(forms, cells)
@@ -278,7 +270,7 @@ def decouplability_search(
     rank and [D~]_hc keeps rank m.  The per-config leading-coefficient
     constraints (solvability of the feedback-row systems) are seeded first.
     Candidates with the same set of distinct forms are tried once.  The
-    forms are dense rows over qbasis.params, and constraint sets are shared
+    forms are sparse over qbasis.params, and constraint sets are shared
     along deficit prefixes.  Same-set rule: when the rows of a candidate
     with targets t = bounds - deficits have degrees a <= t on its set, every
     t' with a <= t' <= t has the same rows, scale and grids (its extra forms

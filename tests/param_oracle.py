@@ -1,23 +1,25 @@
 """Reference implementations of the parameter algebra, kept for the tests.
 
 These are the dict-of-Fraction LinearForm versions that the solver used
-before its search moved to dense forms: named affine forms (LinearForm),
+before its search moved to integer forms: named affine forms (LinearForm),
 the triangular substitution system they solve to (SubstitutionSet) and its
 solver, LinearForm polynomials and matrices (ParamMatrix, evaluated by
 instantiate_param), Q_B and [D~]_hc built as LinearForm matrices, the full
-D~(s) and a structural dependency test.  The tests compare the dense code against them, and the rendering of
-a LinearForm is the reference for ConstraintSet.describe.  The
+D~(s) and a structural dependency test.  The tests compare the solver's
+sparse forms against them (sparse_form converts a LinearForm), and the
+rendering of a LinearForm is the reference for ConstraintSet.describe.  The
 highest-coefficient matrices, the leading Q_B forms of a row configuration
 and the mu rows as LinearForms in the entries of T (TParam) are here too,
-since only the tests use them.  Last come the Fraction
-Gauss-Jordan elimination that the dense search ran before its rows became
-primitive integer vectors, and the generic rank without the structural
-bound, which draws with random.randint; CountingRandom counts those draws
-and state_after_draws gives the stream state after a number of them.
-bound_first_rank puts a brute-force structural bound in front of such an
-evaluate-first rank, which is the contract of generic_rank.
+since only the tests use them.  Last come the dense kernels: the Fraction
+Gauss-Jordan elimination that the search ran before its rows became
+primitive integer vectors, the dense integer reduction, ConstraintSet and
+row degree that it ran before its forms became sparse, and the generic rank
+without the structural bound, which draws with random.randint;
+CountingRandom counts those draws and state_after_draws gives the stream
+state after a number of them.  bound_first_rank puts a brute-force
+structural bound in front of such an evaluate-first rank, which is the
+contract of generic_rank.
 """
-
 from __future__ import annotations
 
 import random
@@ -31,7 +33,7 @@ from morgan.admissible import RowConfig
 from morgan.canonical import PencilForm, positions_from_sigma
 from morgan.errors import MorganError
 from morgan.exactalg import Poly, RationalMatrix, rank, rat
-from morgan.paramalg import SAMPLE_BOUND, ParamId
+from morgan.paramalg import SAMPLE_BOUND, ParamId, _primitive
 from morgan.squaring import (
     DecouplabilityReport,
     MuFamily,
@@ -217,13 +219,27 @@ def _exact(x):
     return x.numerator if x.denominator == 1 else x
 
 
-def dense_form(f: LinearForm, index: dict, size: int) -> list:
-    """f as a dense form over `size` parameters; index maps ParamId -> column."""
+def sparse_form(f: LinearForm, index: dict) -> dict:
+    """f as a sparse form {column: coefficient} of its nonzero coefficients;
+    index maps ParamId -> column, and a nonzero constant sits at column 0."""
+    form = {index[p]: _exact(c) for p, c in f.terms if c}
+    if f.const:
+        form[0] = _exact(f.const)
+    return form
+
+
+def to_dense(form: dict, size: int) -> list:
+    """A sparse form as the dense list [const, c_1, ..., c_size] that the
+    dense references below take."""
     row = [0] * (size + 1)
-    row[0] = _exact(f.const)
-    for p, c in f.terms:
-        row[index[p]] = _exact(c)
+    for k, x in form.items():
+        row[k] = x
     return row
+
+
+def to_sparse(row) -> dict:
+    """A dense list as the sparse form of its nonzero entries."""
+    return {k: x for k, x in enumerate(row) if x}
 
 
 class ParamMatrix:
@@ -288,9 +304,9 @@ class ParamMatrix:
         return f"ParamMatrix({[[str(e) for e in r] for r in self.entries]})"
 
 
-def linear_form(row, params) -> LinearForm:
-    """The LinearForm of a dense form over params."""
-    return LinearForm(row[0], [(params[k - 1], c) for k, c in enumerate(row) if k and c])
+def linear_form(form, params) -> LinearForm:
+    """The LinearForm of a sparse form over params."""
+    return LinearForm(form.get(0, 0), [(params[k - 1], c) for k, c in form.items() if k and c])
 
 
 def param_matrix(cells, params) -> ParamMatrix:
@@ -309,7 +325,7 @@ def instantiate_param(m: ParamMatrix, assignment: dict) -> RationalMatrix:
 
 
 def at_columns(params, assignment) -> dict:
-    """A ParamId-keyed assignment as a point keyed by dense column of params."""
+    """A ParamId-keyed assignment as a point keyed by column of params."""
     return {params.index(p) + 1: v for p, v in assignment.items()}
 
 
@@ -321,7 +337,7 @@ def qb_matrix(qbasis: QBasis) -> ParamMatrix:
 def n_alpha_matrix(report: DecouplabilityReport, params, c_r) -> ParamMatrix | None:
     """N_alpha of a successful report (rank_grids[1]) as a ParamMatrix, else None.
 
-    The dense search keeps a Grid of sparse integer forms over params there,
+    The solver's search keeps a Grid of sparse integer forms over params there,
     row r the exact row times scale * den_r: scale that of the report's
     constraint set and den_r the lcm of the denominators of row r of C_r
     (see squaring._row_degree).  The dict search below keeps the
@@ -577,7 +593,7 @@ def instantiate_poly(m: "ParamPolyMatrix", assignment: dict) -> PolyMatrix:
 
 
 def dict_solve_zero_constraints(forms) -> SubstitutionSet:
-    """Dict-based substitution solver, the reference for the dense ConstraintSet.
+    """Dict-based substitution solver, the reference for the ConstraintSet.
 
     Triangular substitution set making every listed form identically zero.
 
@@ -706,7 +722,7 @@ def dict_decouplability_search(
     config: RowConfig,
     rng,
 ) -> DecouplabilityReport:
-    """The LinearForm decouplability search, the reference for the dense one.
+    """The LinearForm decouplability search, the reference for the solver's.
 
     Search degree-deficit vectors for a parameter selection that decouples.
 
@@ -920,9 +936,78 @@ class FractionElimination:
         for c in self.order:
             row = self.rows[c]
             subs[params[c - 1]] = linear_form(
-                [-x if k != c else 0 for k, x in enumerate(row)], params
+                {k: -x for k, x in enumerate(row) if k != c}, params
             )
         return SubstitutionSet(subs, [params[c - 1] for c in self.order])
+
+
+def dense_reduce(rows, scale, form):
+    """The dense paramalg._reduce: scale * form reduced by the rows, as a
+    list [const, c_1, ..., c_P]; rows are the sparse primitive rows of a
+    DenseConstraintSet."""
+    out = list(form) if scale == 1 else [scale * x for x in form]
+    for c in filter(form.__getitem__, rows):
+        row = rows[c]
+        a = form[c] * (scale // row[c])
+        for k, y in row.items():
+            out[k] -= a * y
+    return out
+
+
+class DenseConstraintSet:
+    """The dense ConstraintSet, the reference for the sparse one: the same
+    primitive integer rows, order and scale, built from dense forms that
+    are scanned whole for their pivot."""
+
+    __slots__ = ("rows", "order", "scale")
+
+    def __init__(self, rows=None, order=(), scale=1):
+        self.rows = {} if rows is None else rows
+        self.order = order
+        self.scale = scale
+
+    def reduce(self, form):
+        return dense_reduce(self.rows, self.scale, form)
+
+    def extended(self, forms) -> "DenseConstraintSet":
+        rows, order, scale = self.rows, self.order, self.scale
+        for form in forms:
+            g = dense_reduce(rows, scale, form)
+            pivot = next(filter(g.__getitem__, range(1, len(g))), 0)
+            if not pivot:
+                if g[0]:
+                    raise MorganError("a constraint reduces to a nonzero constant (bug)")
+                continue
+            if rows is self.rows:
+                rows = dict(rows)
+            g = _primitive({k: x for k, x in enumerate(g) if x}, pivot)
+            p = g[pivot]
+            touched = False
+            for c, row in rows.items():
+                a = row.get(pivot)
+                if a:
+                    new = {k: p * x for k, x in row.items()} if p != 1 else dict(row)
+                    for k, y in g.items():
+                        new[k] = new.get(k, 0) - a * y
+                    rows[c] = _primitive({k: x for k, x in new.items() if x}, c)
+                    touched = True
+            rows[pivot] = g
+            order += (pivot,)
+            scale = lcm(*[row[c] for c, row in rows.items()]) if touched else lcm(scale, p)
+        return self if rows is self.rows else DenseConstraintSet(rows, order, scale)
+
+
+def dense_row_degree(coeffs_r, constraints: DenseConstraintSet, top: int):
+    """The dense squaring._row_degree: (degree, reduced dense forms, None
+    where zero) of the highest nonzero degree <= top, or (-1, None)."""
+    for deg in range(top, -1, -1):
+        row = []
+        for e in coeffs_r[deg]:
+            f = e and constraints.reduce(e[1])
+            row.append(f if f and any(f) else None)
+        if any(row):
+            return deg, row
+    return -1, None
 
 
 class CountingRandom(random.Random):

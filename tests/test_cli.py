@@ -984,6 +984,30 @@ class TestMalformedSolutionFile:
             assert err.startswith("error: bad rational entry '1/0'")
 
     @pytest.mark.parametrize("command", ["verify", "fixed-poles"])
+    def test_truncated_file(self, command, seed_1729_solutions, tmp_path, capsys):
+        """A cut-off solution file is reported like a cut-off system file."""
+        system, solved = seed_1729_solutions["ex1"]
+        sol = tmp_path / "truncated.json"
+        sol.write_bytes(Path(solved).read_bytes()[:40])
+        capsys.readouterr()
+        for extra in ([], ["--json"]):
+            rc, out, err = run(capsys, [command, system, str(sol)] + extra)
+            assert (rc, out) == (1, "")
+            assert err.startswith(f"error: {sol}: not valid JSON (")
+
+    def test_null_diagonal(self, seed_1729_solutions, tmp_path, capsys):
+        system, solved = seed_1729_solutions["ex1"]
+        data = load_solution(solved)
+        data["diagonal"] = None
+        sol = tmp_path / "null_diagonal.json"
+        sol.write_text(dump_json(data))
+        capsys.readouterr()
+        for extra in ([], ["--json"]):
+            rc, out, err = run(capsys, ["verify", system, str(sol)] + extra)
+            assert (rc, out) == (1, "")
+            assert err.startswith("error: diagonal must be an array")
+
+    @pytest.mark.parametrize("command", ["verify", "fixed-poles"])
     @pytest.mark.parametrize("payload", ["[]", '"x"', "3"])
     def test_not_an_object(self, command, payload, seed_1729_solutions, tmp_path, capsys):
         system, _ = seed_1729_solutions["ex1"]

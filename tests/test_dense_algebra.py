@@ -1,4 +1,4 @@
-"""Dense parameter algebra and Grid against the LinearForm reference in param_oracle."""
+"""Sparse-form parameter algebra and Grid against the LinearForm reference in param_oracle."""
 
 import random
 from fractions import Fraction
@@ -24,7 +24,7 @@ from param_oracle import (
     LinearForm,
     ParamMatrix,
     check_bound_first,
-    dense_form,
+    sparse_form,
     dict_decouplability_search,
     dict_generic_rank,
     dict_solve_zero_constraints,
@@ -52,14 +52,14 @@ cell_grids = st.lists(
     st.lists(st.integers(0, len(PARAMS)), min_size=4, max_size=4), min_size=1, max_size=4)
 
 
-def dense(f):
-    return dense_form(f, INDEX, len(PARAMS))
+def sparse(f):
+    return sparse_form(f, INDEX)
 
 
 def eliminate(forms):
     elim = ConstraintSet()
     for f in forms:
-        elim = elim.extended([dense(f)])
+        elim = elim.extended([sparse(f)])
     return elim
 
 
@@ -68,16 +68,16 @@ class TestElimination:
     @settings(max_examples=200, deadline=None)
     def test_same_constraint_set_as_reference(self, forms):
         expected = dict_solve_zero_constraints(forms)
-        cs = solve_zero_constraints(dense(f) for f in forms)
+        cs = solve_zero_constraints(sparse(f) for f in forms)
         assert cs.describe(PARAMS) == expected.describe()
         assert tuple(PARAMS[c - 1] for c in cs.order) == expected.order
 
     @given(form_lists)
     @settings(max_examples=200, deadline=None)
     def test_forms_reduce_to_zero_and_pivots_stay_off_the_right(self, forms):
-        cs = solve_zero_constraints(dense(f) for f in forms)
+        cs = solve_zero_constraints(sparse(f) for f in forms)
         for f in forms:
-            assert not any(cs.reduce(dense(f)))
+            assert cs.reduce(sparse(f)) == {}
         pivots = set(cs.order)
         for c, row in cs.rows.items():
             assert pivots & set(row) == {c}
@@ -87,22 +87,25 @@ class TestElimination:
     def test_prefix_reuse_equals_from_scratch(self, forms, cut):
         whole = eliminate(forms)
         head = eliminate(forms[:cut])
-        tail = head.extended(dense(f) for f in forms[cut:])
+        tail = head.extended(sparse(f) for f in forms[cut:])
         assert tail.rows == whole.rows and tail.order == whole.order
         # extending a state leaves it as it was
         assert head.rows == eliminate(forms[:cut]).rows
 
     def test_inconsistent_message(self):
-        """A constant left after the reduction is a bug: no form the search
-        builds has one."""
+        """A constant left after the reduction (column 0) is a bug: no form
+        the search builds has one."""
         x = PARAMS[0]
         with pytest.raises(MorganError, match=r"reduces to a nonzero constant \(bug\)"):
-            solve_zero_constraints([dense(LinearForm(0, {x: 1})), dense(LinearForm(2, {x: 1}))])
+            solve_zero_constraints([sparse(LinearForm(0, {x: 1})), sparse(LinearForm(2, {x: 1}))])
 
     @given(forms_st)
     @settings(max_examples=50, deadline=None)
     def test_dense_roundtrip(self, f):
-        assert linear_form(dense(f), PARAMS) == f
+        """The sparse form of a LinearForm holds its nonzero coefficients only."""
+        form = sparse(f)
+        assert 0 not in form and all(form.values())
+        assert linear_form(form, PARAMS) == f
 
 
 class TestDenseGenericRank:
@@ -114,12 +117,12 @@ class TestDenseGenericRank:
     @hypothesis.seed(26)
     @settings(max_examples=100, deadline=None)
     def test_form_grid_matches_reference(self, entries, constraints, seed):
-        """A Grid of reduced dense forms, as the search builds N_alpha."""
+        """A Grid of reduced sparse forms, as the search builds N_alpha."""
         cs = dict_solve_zero_constraints(constraints)
         elim = eliminate(constraints)
         m = ParamMatrix(entries)
         reduced = [
-            [r if any(r) else None for r in (elim.reduce(dense(e)) for e in row)]
+            [elim.reduce(sparse(e)) or None for e in row]
             for row in entries
         ]
         check_bound_first(generic_rank, _grid(reduced), cs.apply(m), seed, dict_generic_rank)

@@ -21,7 +21,7 @@ from morgan.squaring import build_QB
 from param_oracle import (
     LinearForm,
     at_columns,
-    dense_form,
+    sparse_form,
     instantiate_param,
     qb_matrix,
     rat_times_param,
@@ -41,8 +41,8 @@ def form(const=0, **coeffs):
     return LinearForm(const, terms)
 
 
-def dense(f):
-    return dense_form(f, INDEX, len(INDEX))
+def sparse(f):
+    return sparse_form(f, INDEX)
 
 
 param_ids = st.builds(
@@ -83,14 +83,14 @@ class TestLinearForm:
 
 class TestSolveZeroConstraints:
     def test_single_params(self):
-        cs = solve_zero_constraints([dense(form(0, x=1)), dense(form(0, y=1))])
-        assert not any(cs.reduce(dense(form(0, x=1))))
-        assert not any(cs.reduce(dense(form(0, y=1))))
+        cs = solve_zero_constraints([sparse(form(0, x=1)), sparse(form(0, y=1))])
+        assert cs.reduce(sparse(form(0, x=1))) == {}
+        assert cs.reduce(sparse(form(0, y=1))) == {}
         assert len(cs.order) == 2
 
     def test_substitution(self):
-        cs = solve_zero_constraints([dense(form(0, x=1, y=-1))])  # x - y = 0
-        assert cs.reduce(dense(form(0, x=1))) == dense(form(0, y=1))
+        cs = solve_zero_constraints([sparse(form(0, x=1, y=-1))])  # x - y = 0
+        assert cs.reduce(sparse(form(0, x=1))) == sparse(form(0, y=1))
         assert cs.describe(list(INDEX)) == [f"{X} = {Y}"]
 
     def test_empty(self):
@@ -100,7 +100,7 @@ class TestSolveZeroConstraints:
         """The search builds only forms with no constant, so a nonzero
         constant is a bug, not a verdict."""
         with pytest.raises(MorganError, match="nonzero constant"):
-            solve_zero_constraints([dense(form(2))])
+            solve_zero_constraints([sparse(form(2))])
 
     def test_idempotent(self):
         rng = random.Random(23)
@@ -114,10 +114,11 @@ class TestSolveZeroConstraints:
                 )
                 for _ in range(3)
             ]
-            cs = solve_zero_constraints(dense_form(f, index, len(ids)) for f in forms)
-            once = [cs.reduce(dense_form(LinearForm.of_param(p), index, len(ids))) for p in ids]
+            cs = solve_zero_constraints(sparse_form(f, index) for f in forms)
+            once = [cs.reduce(sparse_form(LinearForm.of_param(p), index)) for p in ids]
             # reducing a reduced form only multiplies it by the scale
-            assert [cs.reduce(f) for f in once] == [[cs.scale * x for x in f] for f in once]
+            assert [cs.reduce(f) for f in once] == [
+                {k: cs.scale * x for k, x in f.items()} for f in once]
 
 
 class TestStructuralDependency:
@@ -154,7 +155,7 @@ class TestGenericRank:
         qb = build_QB((1, 1, 3, 4), (1, 1, 7))
         index = {p: k + 1 for k, p in enumerate(qb.params)}
         cs = solve_zero_constraints(
-            dense_form(LinearForm.of_param(p), index, len(qb.params))
+            sparse_form(LinearForm.of_param(p), index)
             for p in (ParamId(1, 1, 1), ParamId(1, 2, 1))
         )
         assert generic_rank(cs.apply(qb.cells), random.Random(1)) <= 8
@@ -184,7 +185,7 @@ class TestInstantiate:
         index = {p: k + 1 for k, p in enumerate(qb.params)}
         constrained = [ParamId(*t[1:]) for t in pd.EX1_CONSTRAINED]
         cs = solve_zero_constraints(
-            dense_form(LinearForm(0, {p: 1}), index, len(qb.params)) for p in constrained
+            sparse_form(LinearForm(0, {p: 1}), index) for p in constrained
         )
         assignment = {ParamId(*k[1:]): Fraction(v) for k, v in pd.EX1_QB_ASSIGNMENT.items()}
         point = at_columns(qb.params, assignment)

@@ -2,12 +2,15 @@
 generic_rank against their Fraction references in param_oracle: the same
 reductions (up to the set's scale), values and constraint text; the rank of
 the bound-first reference, no evaluation behind a short bound and the random
-stream of the evaluate-first reference; randints against random.randint."""
+stream of the evaluate-first reference; the sparse reduction, elimination
+and row degree against the dense kernels they replaced; randints against
+random.randint."""
 
 import random
 from fractions import Fraction
 from math import gcd, lcm
 
+import hypothesis
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,15 +29,19 @@ from morgan.paramalg import (
 from morgan.squaring import _grid, _row_degree
 from param_oracle import (
     CountingRandom,
+    DenseConstraintSet,
     FractionElimination,
     LinearForm,
     brute_structural_rank,
     check_bound_first,
-    dense_form,
+    dense_row_degree,
+    sparse_form,
     dict_solve_zero_constraints,
     param_matrix,
     reference_generic_rank,
     state_after_draws,
+    to_dense,
+    to_sparse,
 )
 
 PARAMS = tuple(ParamId(1, 1, k) for k in range(1, 7))
@@ -63,23 +70,26 @@ cell_grids = st.lists(
 )
 
 
+def sparse(f):
+    return sparse_form(f, INDEX)
+
+
 def dense(f):
-    return dense_form(f, INDEX, SIZE)
+    """The dense form that the Fraction reference takes."""
+    return to_dense(sparse(f), SIZE)
 
 
 def both(forms):
     """(integer state, Fraction state), each built one form at a time."""
-    out = []
-    for cls in (ConstraintSet, FractionElimination):
-        state = cls()
-        for f in forms:
-            state = state.extended([dense(f)])
-        out.append(state)
-    return out
+    new, old = ConstraintSet(), FractionElimination()
+    for f in forms:
+        new = new.extended([sparse(f)])
+        old = old.extended([dense(f)])
+    return new, old
 
 
 class CountingGrid(Grid):
-    """The Grid of rows of dense forms (see squaring._grid) that logs each
+    """The Grid of rows of sparse forms (see squaring._grid) that logs each
     call of pattern, params and values by name."""
 
     def __init__(self, entries):
@@ -100,14 +110,6 @@ class CountingGrid(Grid):
         return super().values(point)
 
 
-def dense_row(row):
-    """A sparse integer row as a dense list over the parameters."""
-    out = [0] * (SIZE + 1)
-    for k, x in row.items():
-        out[k] = x
-    return out
-
-
 def same_rank_and_stream(new_grid, ref_grid, seed):
     """The bound-first rank of the reference, after exactly its draws (see
     check_bound_first)."""
@@ -121,7 +123,8 @@ class TestIntegerElimination:
         new, old = both(forms)
         assert new.order == old.order
         assert new.describe(PARAMS) == old.constraint_set(PARAMS).describe()
-        assert new.reduce(dense(probe)) == [new.scale * x for x in old.reduce(dense(probe))]
+        assert new.reduce(sparse(probe)) == to_sparse(
+            new.scale * x for x in old.reduce(dense(probe)))
         # every parameter on the constraint set, as a one-row Grid
         values = instantiate(new.apply([list(range(1, SIZE + 1))]), point)
         assert list(values.row(0)) == [old.value(col, point) for col in range(1, SIZE + 1)]
@@ -135,15 +138,15 @@ class TestIntegerElimination:
             p = row[c]
             assert p > 0 and all(type(x) is int and x for x in row.values())
             assert gcd(*row.values()) == 1
-            assert [Fraction(x, p) for x in dense_row(row)] == old.rows[c]
+            assert [Fraction(x, p) for x in to_dense(row, SIZE)] == old.rows[c]
         assert new.scale == lcm(1, *(row[c] for c, row in new.rows.items()))
 
     @given(form_lists, st.integers(0, 7))
     @settings(max_examples=100, deadline=None)
     def test_prefix_state_equals_state_from_scratch(self, forms, cut):
-        whole = ConstraintSet().extended(dense(f) for f in forms)
-        head = ConstraintSet().extended(dense(f) for f in forms[:cut])
-        tail = head.extended(dense(f) for f in forms[cut:])
+        whole = ConstraintSet().extended(sparse(f) for f in forms)
+        head = ConstraintSet().extended(sparse(f) for f in forms[:cut])
+        tail = head.extended(sparse(f) for f in forms[cut:])
         assert (tail.rows, tail.order, tail.scale) == (whole.rows, whole.order, whole.scale)
 
     def test_matches_the_substitution_solver(self):
@@ -168,7 +171,7 @@ class TestIntegerElimination:
         exact = [[f and dense(f) for f in entries] for entries in degrees]
         den = extra * lcm(*[x.denominator for entries in exact for f in entries if f
                             for x in f])
-        coeffs_r = [[f and (None, [int(x * den) for x in f]) for f in entries]
+        coeffs_r = [[f and (None, to_sparse(int(x * den) for x in f)) for f in entries]
                     for entries in exact]
         reduced = [[f and old.reduce(f) for f in entries] for entries in exact]
         nonzero = [d for d, entries in enumerate(reduced) if any(f and any(f) for f in entries)]
@@ -183,8 +186,67 @@ class TestIntegerElimination:
             if f is None:
                 assert not (g and any(g))
             else:
-                assert all(type(x) is int for x in f)
-                assert f == [factor * x for x in g]
+                assert all(type(x) is int for x in f.values())
+                assert f == to_sparse(factor * x for x in g)
+
+
+@st.composite
+def cancelling_case(draw):
+    """(forms, entries): dense integer forms, integer combinations of the
+    first two or three of four vectors, and probe forms, combinations of
+    all four.  Reductions cancel entries, many forms reduce to zero and
+    the probes keep a part outside the constraint set."""
+    base = draw(st.lists(st.lists(st.integers(-3, 3), min_size=SIZE, max_size=SIZE),
+                         min_size=4, max_size=4))
+    used = draw(st.integers(2, 3))
+
+    def combos(vectors, count):
+        out = []
+        for _ in range(count):
+            mix = draw(st.lists(st.integers(-2, 2), min_size=len(vectors),
+                                max_size=len(vectors)))
+            out.append([0] + [sum(a * v[k] for a, v in zip(mix, vectors))
+                              for k in range(SIZE)])
+        return out
+
+    return combos(base[:used], 8), combos(base, 9)
+
+
+def holds_no_zero(form):
+    return all(form.values())
+
+
+class TestSparseAgainstDenseKernels:
+    """The sparse kernels against the dense ones they replaced
+    (param_oracle.dense_reduce, DenseConstraintSet, dense_row_degree):
+    the same reductions entry by entry, rows, order and scale, and row
+    degrees, with no stored zero in any form or row returned.  A stored
+    zero would be counted as a coefficient by _row_degree."""
+
+    @hypothesis.seed(5021)
+    @given(cancelling_case(), st.integers(0, 2))
+    @settings(max_examples=300, deadline=None)
+    def test_same_reductions_rows_and_row_degrees(self, case, top):
+        forms, entries = case
+        new, old = ConstraintSet(), DenseConstraintSet()
+        for f in forms:
+            g = new.reduce(to_sparse(f))
+            assert holds_no_zero(g) and g == to_sparse(old.reduce(f))
+            new, old = new.extended([to_sparse(f)]), old.extended([f])
+            assert (new.rows, new.order, new.scale) == (old.rows, old.order, old.scale)
+            assert all(holds_no_zero(row) for row in new.rows.values())
+        for f in entries:
+            g = new.reduce(to_sparse(f))
+            assert holds_no_zero(g) and g == to_sparse(old.reduce(f))
+        dense_rows = [[f if any(f) else None for f in entries[3 * d:3 * d + 3]]
+                      for d in range(top + 1)]
+        sparse_rows = [[f and (None, to_sparse(f)) for f in row] for row in dense_rows]
+        deg, row = _row_degree(sparse_rows, new, top)
+        ref_deg, ref_row = dense_row_degree(
+            [[f and (None, f) for f in row] for row in dense_rows], old, top)
+        assert deg == ref_deg
+        assert row == (ref_row and [f and to_sparse(f) for f in ref_row])
+        assert all(holds_no_zero(f) for f in row or () if f is not None)
 
 
 patterns = st.integers(1, 5).flatmap(
@@ -222,9 +284,8 @@ class TestGenericRankWithBound:
     def test_form_grid(self, entries, constraints, seed):
         new, old = both(constraints)
         grids = [
-            _grid([[f if any(f) else None for f in (elim.reduce(dense(e)) for e in row)]
-                   for row in entries])
-            for elim in (new, old)
+            _grid([[new.reduce(sparse(e)) or None for e in row] for row in entries]),
+            _grid([[to_sparse(old.reduce(dense(e))) or None for e in row] for row in entries]),
         ]
         assert grids[0].cells == grids[1].cells
         assert [{k: Fraction(x, new.scale) for k, x in f.items()}
@@ -242,7 +303,7 @@ class TestGenericRankWithBound:
 
     @given(
         st.lists(st.lists(st.one_of(st.none(), st.sampled_from(PARAMS).map(
-            lambda p: dense(LinearForm.of_param(p)))), min_size=3, max_size=3),
+            lambda p: sparse(LinearForm.of_param(p)))), min_size=3, max_size=3),
             min_size=1, max_size=4),
         st.integers(0, 10**6),
     )
@@ -301,7 +362,7 @@ class TestGenericRankWithBound:
 def test_full_bound_reads_the_pattern_once_and_evaluates_to_full_rank():
     """The structural bound comes first, and a grid keeps it: testing the
     same grid again reads neither its pattern nor its parameters."""
-    grid = CountingGrid([[[0, 1, 0], [0, 0, 1]], [[0, 0, 1], None]])
+    grid = CountingGrid([[{1: 1}, {2: 1}], [{2: 1}, None]])
     rng = random.Random(1)
     assert generic_rank(grid, rng) == 2
     assert sorted(grid.log) == ["params", "pattern", "values"]
@@ -315,7 +376,7 @@ def test_full_bound_reads_the_pattern_once_and_evaluates_to_full_rank():
 def test_short_rank_stops_evaluating_at_the_bound(seed):
     # structural rank 1 below full rank 2: no evaluation, three trials of
     # two draws, on the first test of the grid and on a repeated one
-    grid = CountingGrid([[[0, 1, 0], [0, 0, 1]], [None, None]])
+    grid = CountingGrid([[{1: 1}, {2: 1}], [None, None]])
     rng = random.Random(seed)
     assert generic_rank(grid, rng) == 1
     assert "values" not in grid.log and rng.getstate() == state_after_draws(seed, 3 * 2)

@@ -1,5 +1,6 @@
 """Parametric basis, decouplability search, feedback rows, assembly."""
 
+import copy
 import random
 from fractions import Fraction
 from itertools import product
@@ -16,7 +17,7 @@ from morgan.canonical import to_pencil_form
 from morgan.exactalg import RationalMatrix
 from morgan.fileio import load_system
 from morgan.paramalg import ConstraintSet, ParamId, instantiate, solve_zero_constraints
-from morgan import squaring
+from morgan import decouple, squaring
 from morgan.squaring import (
     MuFamily,
     _eliminate,
@@ -134,8 +135,9 @@ DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data"
 class TestNhatForms:
     @pytest.mark.parametrize("name", ["ex1", "ex2", "nosol_7_66", "nosol_7_70", "nosol_7_112"])
     def test_every_form_is_homogeneous(self, name, ex1_pencil, ex2_pencil):
-        """Column 0, the constant, is 0 in every coefficient and unit form
-        of every index tuple: the constraint sets never meet a constant."""
+        """No coefficient or unit form of any index tuple holds column 0, the
+        constant, or a stored zero: the constraint sets never meet a
+        constant, and every stored entry is a nonzero coefficient."""
         pencil = {"ex1": ex1_pencil, "ex2": ex2_pencil}.get(name)
         if pencil is None:
             pencil = to_pencil_form(load_system(str(DATA / (name + ".json"))))
@@ -143,7 +145,28 @@ class TestNhatForms:
             coeffs, units = _nhat_forms(pencil.C_r, build_QB(pencil.sigma, st_tuple))
             forms = [e[1] for row in coeffs for deg in row for e in deg if e is not None]
             forms += [u[1] for u in units[1:]]
-            assert forms and all(f[0] == 0 for f in forms)
+            assert forms and all(f and 0 not in f and all(f.values()) for f in forms)
+
+    @pytest.mark.parametrize("name", ["example2", "nosol_7_66", "nosol_7_70", "nosol_7_112"])
+    def test_an_all_solve_leaves_the_memo_as_built(self, name, monkeypatch):
+        """The memoized forms flow by reference into constraint sets and
+        grids, so a search that changed one in place would change
+        qbasis.memo: after an --all solve, the memo of every index tuple
+        equals a deepcopy of its forms taken before its search (C_r, the
+        key, is immutable)."""
+        sys = load_system(str(DATA / (name + ".json")))
+        c_r = to_pencil_form(sys).C_r
+        built = []
+
+        def build(sigma, sigma_tilde):
+            qb = build_QB(sigma, sigma_tilde)
+            _nhat_forms(c_r, qb)
+            built.append((qb, {k: copy.deepcopy(v) for k, v in qb.memo.items()}))
+            return qb
+
+        monkeypatch.setattr(decouple, "build_QB", build)
+        decouple.solve(sys, decouple.SolveOptions(return_all=True))
+        assert built and all(qb.memo == before for qb, before in built)
 
 
 class TestDecouplabilitySearch:
@@ -195,7 +218,7 @@ class TestDecouplabilitySearch:
 
 
 # N_hat-like rows: coeffs[r][deg] holds (key, form) entries or None, with
-# homogeneous integer forms over 4 parameters, as _nhat_forms builds them.
+# sparse integer forms over 4 parameters, as _nhat_forms builds them.
 # Multiples of two shared vectors make forms that an elimination at a higher
 # degree already clears.
 SIZE = 4
@@ -208,11 +231,12 @@ def nhat_rows(draw):
     multiple_st = st.tuples(st.sampled_from(shared), st.integers(-2, 2)).map(
         lambda vc: [vc[1] * x for x in vc[0]])
     form_st = st.one_of(st.just([0] * SIZE), multiple_st, multiple_st, vector_st).map(
-        lambda c: [0] + c if any(c) else None)
+        lambda c: {k: x for k, x in enumerate(c, start=1) if x} or None)
     rows = draw(st.lists(st.lists(st.lists(form_st, min_size=2, max_size=2),
                                   min_size=1, max_size=4),
                          min_size=1, max_size=3))
-    return [[tuple(f and (tuple(f), f) for f in entries) for entries in r] for r in rows]
+    return [[tuple(f and (tuple(sorted(f.items())), f) for f in entries) for entries in r]
+            for r in rows]
 
 
 class TestSharedConstraintSets:
