@@ -114,27 +114,30 @@ def _load_feedback(args):
     data = load_solution(args.solution)
     if data.get("no_solution"):
         raise VerificationFailed("solution file records no solution")
-    return sys_, data, matrix_from_json(data["F"], "F"), matrix_from_json(data["G"], "G")
+    return sys_, data, matrix_from_json(data.get("F"), "F"), matrix_from_json(data.get("G"), "G")
 
 
 def _recorded_fixed_poles(data):
     """The recorded (input decoupling zeros, fixed decoupling poles)."""
-    fp = data["fixed_poles"]
+    fp = data.get("fixed_poles")
+    if not isinstance(fp, dict):
+        raise InvalidSystem("fixed_poles must be an object")
     return (
-        poly_from_json(fp["input_decoupling_zeros"], "input_decoupling_zeros"),
-        poly_from_json(fp["wolovich_falb"], "wolovich_falb"),
+        poly_from_json(fp.get("input_decoupling_zeros"), "input_decoupling_zeros"),
+        poly_from_json(fp.get("wolovich_falb"), "wolovich_falb"),
     )
 
 
 def cmd_verify(args) -> int:
     try:
         sys_, data, f, g = _load_feedback(args)
-        if not isinstance(data["diagonal"], list):
+        diagonal = data.get("diagonal")
+        if not isinstance(diagonal, list) or not all(isinstance(r, dict) for r in diagonal):
             raise InvalidSystem("diagonal must be an array of {num, den} objects")
         recorded = [
-            (poly_from_json(rec["num"], "diagonal num"),
-             poly_from_json(rec["den"], "diagonal den"))
-            for rec in data["diagonal"]
+            (poly_from_json(rec.get("num"), "diagonal num"),
+             poly_from_json(rec.get("den"), "diagonal den"))
+            for rec in diagonal
         ]
         acl, chi = closed_loop(sys_, f, g)
         diag, failures = check_closed_loop(sys_, g, acl, chi, recorded)

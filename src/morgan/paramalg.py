@@ -89,10 +89,11 @@ class ConstraintSet:
     parameter column.  order lists the pivots as they were added, and scale
     is the lcm of the rows' pivot entries, so a reduction runs in integers
     with no division.  Each added form is reduced by the rows and pivots on
-    its lowest nonzero parameter column.  Given the row
-    space and the pivots, the reduced row echelon form is unique and so
-    are its primitive multiples: a set reached by extending a shared prefix
-    equals the one built from scratch.  Sets are never changed in place:
+    its lowest nonzero parameter column, so every row's pivot is its lowest
+    column: rows and scale are the canonical reduced row echelon form of the
+    row space, the same for the same forms in any order and any split into
+    extended calls.  Only order, which describe follows, depends on the
+    insertion order.  Sets are never changed in place:
     `extended` returns a new set that shares the rows it did not touch.
     On the solution set each pivot equals -(rest of its row) / pivot entry.
     """
@@ -196,13 +197,13 @@ class Grid:
 
     __slots__ = ("forms", "cells", "den", "rows", "cols", "structure")
 
-    def __init__(self, forms, cells, den=1):
+    def __init__(self, forms, cells, den=1, structure=None):
         self.forms = forms
         self.cells = cells
         self.den = den
         self.rows = len(cells)
         self.cols = len(cells[0]) if cells else 0
-        self.structure = None  # (params, structural rank), kept by generic_rank
+        self.structure = structure  # (params(), structural rank), else set by generic_rank
 
     def params(self):
         """Parameter columns with a nonzero coefficient in some form, ascending."""

@@ -26,7 +26,8 @@ from .admissible import RowConfig
 from .canonical import PencilForm, offsets_from_sigma, positions_from_sigma
 from .errors import MorganError, NotSolvable
 from .exactalg import RationalMatrix, _scaled
-from .paramalg import ConstraintSet, Grid, ParamId, generic_rank, solve_zero_constraints
+from .paramalg import (ConstraintSet, Grid, ParamId, generic_rank, solve_zero_constraints,
+                       structural_rank)
 
 
 @dataclass(frozen=True)
@@ -220,9 +221,10 @@ def _row_degree(coeffs_r, constraints: ConstraintSet, top: int):
 
 def _grid(rows) -> Grid:
     """The Grid (den 1) of rows of sparse forms, None for a zero entry, such
-    as the N_alpha rows of _row_degree (positive multiples of the exact rows)."""
+    as the N_alpha rows of _row_degree (positive multiples of the exact rows),
+    with the structure that generic_rank reads, taken as the rows are stored."""
     forms = {0: {}}
-    cells = []
+    cells, pattern = [], []
     for row in rows:
         ids = []
         for f in row:
@@ -232,30 +234,34 @@ def _grid(rows) -> Grid:
                 forms[i] = f
             ids.append(i)
         cells.append(ids)
-    return Grid(forms, cells)
+        pattern.append([j for j, i in enumerate(ids) if i])
+    params = sorted(set().union(*forms.values()))
+    return Grid(forms, cells, structure=(params, structural_rank(pattern)))
 
 
 def _eliminate(states: dict, coeffs, bounds, deficits, top: int) -> ConstraintSet:
-    """Constraint set of the zero forms of a deficit vector.
+    """Constraint set of the zero forms of a deficit vector or prefix.
 
-    The forms come in the order seeds, then row by row the coefficients above
-    the row's target degree, so a deficit prefix fixes a prefix of the forms.
-    states maps prefixes to their constraint sets; the longest stored one is
-    extended.
+    Deficit d_r zeroes the forms of row r above degree bounds[r] - d_r.
+    states maps prefixes, full vectors among them, to their sets, and keeps
+    every set built.  The set of (..., d) extends the stored (..., d') with
+    the largest d' < d by the forms of degrees bounds[r] - d + 1 ..
+    bounds[r] - d', else the set of the prefix (...) by every form above
+    bounds[r] - d, so from {(): start} alone the forms go in the audit order:
+    seeds, then row by row in ascending degree.  Rows and scale do not
+    depend on the chain (see ConstraintSet); the pivot order does.
     """
-    k = len(deficits)
-    while deficits[:k] not in states:
-        k -= 1
-    cs = states[deficits[:k]]
-    for r in range(k, len(deficits)):
-        cs = cs.extended(
-            e[1]
-            for deg in range(bounds[r] - deficits[r] + 1, top + 1)
-            for e in coeffs[r][deg]
-            if e is not None
-        )
-        if r + 1 < len(deficits):
-            states[deficits[: r + 1]] = cs
+    cs = states.get(deficits)
+    if cs is None:
+        head, d, r = deficits[:-1], deficits[-1], len(deficits) - 1
+        d0 = next((e for e in range(d - 1, -1, -1) if head + (e,) in states), None)
+        if d0 is None:
+            cs, high = _eliminate(states, coeffs, bounds, head, top), top
+        else:
+            cs, high = states[head + (d0,)], bounds[r] - d0
+        cs = states[deficits] = cs.extended(
+            e[1] for deg in range(bounds[r] - d + 1, high + 1) for e in coeffs[r][deg]
+            if e is not None)
     return cs
 
 
@@ -270,15 +276,18 @@ def decouplability_search(
     rank and [D~]_hc keeps rank m.  The per-config leading-coefficient
     constraints (solvability of the feedback-row systems) are seeded first.
     Candidates with the same set of distinct forms are tried once.  The
-    forms are sparse over qbasis.params, and constraint sets are shared
-    along deficit prefixes.  Same-set rule: when the rows of a candidate
-    with targets t = bounds - deficits have degrees a <= t on its set, every
-    t' with a <= t' <= t has the same rows, scale and grids (its extra forms
-    reduce to zero), so such a later candidate reuses them and only redoes
-    the rank tests, with the same draws.  Only the pivot order may differ,
-    so a reused candidate that succeeds eliminates its own forms for the
-    audit.  A successful report keeps the constraint set and the three
-    rank-tested matrices on it.  N_hat is read from pencil.C_r.
+    forms are sparse over qbasis.params, and each candidate's constraint
+    set extends a stored one (_eliminate), usually by one degree of one
+    row.  Same-set rule: when the rows of a candidate with targets
+    t = bounds - deficits have degrees a <= t on its set, every t' with
+    a <= t' <= t has the same rows, scale and grids (its extra forms reduce
+    to zero), so such a later candidate reuses them and only redoes the
+    rank tests, with the same draws.  Only the pivot order of a chained or
+    reused set may differ from the audit order (seeds, then row by row in
+    ascending degree), so a successful candidate eliminates its forms once
+    more in that order and checks the rows and scale against the set it
+    tested.  A successful report keeps that audit set and the three
+    rank-tested matrices.  N_hat is read from pencil.C_r.
     """
     m = pencil.C_r.rows
     w = qbasis.width
@@ -333,9 +342,8 @@ def decouplability_search(
         tried += 1
         targets = tuple(b - d for b, d in zip(bounds, deficits))
         grids = shared.get(targets)
-        own = None  # this candidate's own constraint set, when it built one
         if grids is None:
-            own = cs = _eliminate(states, coeffs, bounds, deficits, top)
+            cs = _eliminate(states, coeffs, bounds, deficits, top)
             rows, degrees = [], []
             for r in range(m):
                 d, row = _row_degree(coeffs[r], cs, targets[r])
@@ -363,9 +371,12 @@ def decouplability_search(
         if generic_rank(dhc_grid, rng) != m:
             dhc_failures += 1
             continue
+        audit = _eliminate({(): start}, coeffs, bounds, deficits, top)
+        if (audit.rows, audit.scale) != (cs.rows, cs.scale):
+            raise MorganError("the chained constraint set differs from the audit set (bug)")
         return DecouplabilityReport(
             success=True,
-            constraints=own or _eliminate(states, coeffs, bounds, deficits, top),
+            constraints=audit,
             degree_deficits=deficits,
             reason="",
             candidates_tried=tried,

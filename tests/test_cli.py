@@ -1007,6 +1007,41 @@ class TestMalformedSolutionFile:
             assert (rc, out) == (1, "")
             assert err.startswith("error: diagonal must be an array")
 
+    @pytest.mark.parametrize(
+        "edit, message, commands",
+        [
+            (lambda d: d.update(fixed_poles=None), "error: fixed_poles must be an object\n",
+             ["verify", "fixed-poles"]),
+            (lambda d: d["fixed_poles"].pop("wolovich_falb"),
+             "error: wolovich_falb must be an array of coefficients\n", ["verify", "fixed-poles"]),
+            (lambda d: d["fixed_poles"].pop("input_decoupling_zeros"),
+             "error: input_decoupling_zeros must be an array of coefficients\n",
+             ["verify", "fixed-poles"]),
+            (lambda d: d.pop("F"), "error: F must be a nonempty array of arrays\n",
+             ["verify", "fixed-poles"]),
+            (lambda d: d["diagonal"].__setitem__(0, 3),
+             "error: diagonal must be an array of {num, den} objects\n", ["verify"]),
+            (lambda d: d["diagonal"][0].pop("num"),
+             "error: diagonal num must be an array of coefficients\n", ["verify"]),
+            (lambda d: d["diagonal"][1].pop("den"),
+             "error: diagonal den must be an array of coefficients\n", ["verify"]),
+        ],
+        ids=["null-fixed-poles", "no-wolovich-falb", "no-input-dz", "no-F",
+             "int-diagonal-record", "no-num", "no-den"],
+    )
+    def test_missing_or_mistyped_key_is_named(
+            self, edit, message, commands, seed_1729_solutions, tmp_path, capsys):
+        system, solved = seed_1729_solutions["ex1"]
+        data = load_solution(solved)
+        edit(data)
+        sol = tmp_path / "edited.json"
+        sol.write_text(dump_json(data))
+        capsys.readouterr()
+        for command in commands:
+            for extra in ([], ["--json"]):
+                rc, out, err = run(capsys, [command, system, str(sol)] + extra)
+                assert (rc, out, err) == (1, "", message)
+
     @pytest.mark.parametrize("command", ["verify", "fixed-poles"])
     @pytest.mark.parametrize("payload", ["[]", '"x"', "3"])
     def test_not_an_object(self, command, payload, seed_1729_solutions, tmp_path, capsys):

@@ -7,7 +7,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 import fraction_reference as ref
 import golden_data as pd
@@ -16,11 +16,20 @@ from fraction_reference import PolyMatrix, build_L, build_S
 from morgan.canonical import to_pencil_form
 from morgan.exactalg import RationalMatrix
 from morgan.fileio import load_system
-from morgan.paramalg import ConstraintSet, ParamId, instantiate, solve_zero_constraints
+from morgan.paramalg import (
+    ConstraintSet,
+    ParamId,
+    generic_rank,
+    instantiate,
+    solve_zero_constraints,
+    structural_rank,
+)
 from morgan import decouple, squaring
 from morgan.squaring import (
     MuFamily,
+    _ascending_deficits,
     _eliminate,
+    _grid,
     _leading_entries,
     _nhat_forms,
     _row_degree,
@@ -315,6 +324,80 @@ class TestSharedConstraintSets:
             assert (rep.rank_grids[0].forms, rep.rank_grids[0].den) == (qb_grid.forms, qb_grid.den)
             reordered += shared.order != fresh.order
         assert reordered
+
+
+def audit_forms(coeffs, bounds, deficits, top):
+    """The forms a deficit vector or prefix zeroes, in the audit order: row
+    by row, every degree above bounds[r] - d_r, ascending."""
+    return [e[1] for r, d in enumerate(deficits) for deg in range(bounds[r] - d + 1, top + 1)
+            for e in coeffs[r][deg] if e is not None]
+
+
+form_st = vector_st.map(lambda c: {k: x for k, x in enumerate(c, start=1) if x} or None)
+
+
+class TestChainedConstraintSets:
+    """_eliminate extends a stored sibling (..., d') or prefix by the forms
+    the longer deficit adds; every set it stores must have the rows and
+    scale of one elimination of all of its forms from the start set."""
+
+    @pytest.mark.parametrize("name", ["example1", "example2", "nosol_7_66", "nosol_7_70",
+                                      "nosol_7_112"])
+    def test_every_chained_set_of_an_all_solve(self, name, monkeypatch):
+        calls = {}
+
+        def eliminate(states, coeffs, bounds, deficits, top):
+            calls[id(states)] = states, coeffs, bounds, top
+            return _eliminate(states, coeffs, bounds, deficits, top)
+
+        monkeypatch.setattr(squaring, "_eliminate", eliminate)
+        sys = load_system(str(DATA / (name + ".json")))
+        decouple.solve(sys, decouple.SolveOptions(seed=1729, return_all=True))
+        candidates = 0
+        for states, coeffs, bounds, top in calls.values():
+            start = states[()]
+            for deficits, cs in states.items():
+                ref = start.extended(audit_forms(coeffs, bounds, deficits, top))
+                assert (cs.rows, cs.scale) == (ref.rows, ref.scale), deficits
+                candidates += len(deficits) == len(bounds)
+        assert candidates
+
+    @seed(2929)
+    @given(nhat_rows(), st.lists(form_st, max_size=2), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_any_visiting_order_and_form_order(self, rows, seeds, data):
+        """Candidates visited in any order, some skipped, chain off whatever
+        is stored; the reference eliminates the forms in a shuffled order."""
+        top = max(len(r) for r in rows) - 1
+        coeffs = [r + [(None, None)] * (top + 1 - len(r)) for r in rows]
+        bounds = [data.draw(st.integers(0, top)) for _ in coeffs]
+        start = ConstraintSet().extended(f for f in seeds if f)
+        states = {(): start}
+        vectors = data.draw(st.lists(st.sampled_from(_ascending_deficits(bounds)), unique=True))
+        for deficits in vectors:
+            cs = _eliminate(states, coeffs, bounds, deficits, top)
+            forms = data.draw(st.permutations(audit_forms(coeffs, bounds, deficits, top)))
+            ref = start.extended(forms)
+            assert (cs.rows, cs.scale) == (ref.rows, ref.scale)
+
+
+class TestGridStructure:
+    @seed(3131)
+    @given(st.integers(1, 4).flatmap(
+        lambda w: st.lists(st.lists(st.one_of(st.none(), form_st), min_size=w, max_size=w),
+                           min_size=1, max_size=4)))
+    @settings(max_examples=200, deadline=None)
+    def test_grid_fills_the_structure_generic_rank_reads(self, rows):
+        grid = _grid(rows)
+        assert grid.structure == (grid.params(), structural_rank(grid.pattern()))
+
+    def test_apply_grids_compute_it_when_first_ranked(self, ex1_pencil):
+        qb = build_QB(ex1_pencil.sigma, (1, 4, 4))
+        cs = solve_zero_constraints([{1: 1, 2: -1}, {3: 2}])
+        grid = cs.apply(qb.cells)
+        assert grid.structure is None
+        generic_rank(grid, random.Random(0))
+        assert grid.structure == (grid.params(), structural_rank(grid.pattern()))
 
 
 class TestDtilde:
