@@ -197,13 +197,13 @@ class Grid:
 
     __slots__ = ("forms", "cells", "den", "rows", "cols", "structure")
 
-    def __init__(self, forms, cells, den=1, structure=None):
+    def __init__(self, forms, cells, den=1):
         self.forms = forms
         self.cells = cells
         self.den = den
         self.rows = len(cells)
         self.cols = len(cells[0]) if cells else 0
-        self.structure = structure  # (params(), structural rank), else set by generic_rank
+        self.structure = None  # (params, structural rank), kept by generic_rank
 
     def params(self):
         """Parameter columns with a nonzero coefficient in some form, ascending."""

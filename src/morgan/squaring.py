@@ -26,8 +26,7 @@ from .admissible import RowConfig
 from .canonical import PencilForm, offsets_from_sigma, positions_from_sigma
 from .errors import MorganError, NotSolvable
 from .exactalg import RationalMatrix, _scaled
-from .paramalg import (ConstraintSet, Grid, ParamId, generic_rank, solve_zero_constraints,
-                       structural_rank)
+from .paramalg import ConstraintSet, Grid, ParamId, generic_rank, solve_zero_constraints
 
 
 @dataclass(frozen=True)
@@ -221,10 +220,9 @@ def _row_degree(coeffs_r, constraints: ConstraintSet, top: int):
 
 def _grid(rows) -> Grid:
     """The Grid (den 1) of rows of sparse forms, None for a zero entry, such
-    as the N_alpha rows of _row_degree (positive multiples of the exact rows),
-    with the structure that generic_rank reads, taken as the rows are stored."""
+    as the N_alpha rows of _row_degree (positive multiples of the exact rows)."""
     forms = {0: {}}
-    cells, pattern = [], []
+    cells = []
     for row in rows:
         ids = []
         for f in row:
@@ -234,9 +232,7 @@ def _grid(rows) -> Grid:
                 forms[i] = f
             ids.append(i)
         cells.append(ids)
-        pattern.append([j for j, i in enumerate(ids) if i])
-    params = sorted(set().union(*forms.values()))
-    return Grid(forms, cells, structure=(params, structural_rank(pattern)))
+    return Grid(forms, cells)
 
 
 def _eliminate(states: dict, coeffs, bounds, deficits, top: int) -> ConstraintSet:

@@ -8,7 +8,9 @@ written file is checked with ``morgan verify`` (text and ``--json``) and
 ``morgan fixed-poles`` (text and ``--json``).  The exit code, stdout and
 stderr of every command feed one sha256 per input, printed as
 ``<digest>  <input>``.  Two checkouts print the same lines exactly when the
-solver's output bytes agree on these inputs and seeds.
+solver's output bytes agree on these inputs and seeds.  Every swept input
+is well formed, so a command that prints ``error:`` on stderr (an exception
+that ``main`` caught) is listed on stderr and the sweep exits 1.
 
 Inputs: Examples 1 and 2, each first hit, ``--all`` and ``--dz-target
 s^2+3s+2``; the three certified no-solution inputs ``nosol_7_*``; the
@@ -38,12 +40,16 @@ FLAGS = {"first": [], "all": ["--all"], "dz": ["--dz-target", "s^2+3s+2"]}
 NOSOLUTION = ("nosol_7_66", "nosol_7_70", "nosol_7_112")
 
 
-def run(argv, tmp):
+def run(argv, tmp, errors):
     """Exit code, stdout and stderr of one in-process `morgan` command, with
-    the checkout and the temporary directory named alike in every checkout."""
+    the checkout and the temporary directory named alike in every checkout.
+    A command that reports an error (main catches the exception and prints
+    "error: ..." on stderr) is appended to errors."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv)
+    if "error:" in err.getvalue():
+        errors.append(f"{' '.join(argv)}: {err.getvalue().strip()}")
     text = f"{argv[0]} {rc}\n{out.getvalue()}\n{err.getvalue()}\n"
     return text.replace(str(tmp), "<tmp>").replace(str(ROOT), "<root>").encode()
 
@@ -66,6 +72,7 @@ def main_sweep(argv=None):
     ap.add_argument("--seeds", type=int, nargs=2, default=(1729, 1729), metavar=("FIRST", "LAST"))
     ap.add_argument("--workload-seed", type=int, default=0)
     args = ap.parse_args(argv)
+    errors = []
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         sol = tmp / "solution.json"
@@ -75,12 +82,16 @@ def main_sweep(argv=None):
                 sol.unlink(missing_ok=True)
                 digest.update(f"seed {seed}\n".encode())
                 digest.update(run(["solve", str(system), "--json", "--out", str(sol),
-                                   "--seed", str(seed)] + flags, tmp))
+                                   "--seed", str(seed)] + flags, tmp, errors))
                 for command in ("verify", "fixed-poles"):
                     for extra in ([], ["--json"]):
-                        digest.update(run([command, str(system), str(sol)] + extra, tmp))
+                        digest.update(run([command, str(system), str(sol)] + extra, tmp, errors))
             print(f"{digest.hexdigest()}  {name}", flush=True)
+    # every swept input is well formed: an error is a crash that main caught
+    for line in errors:
+        print(line, file=sys.stderr)
+    return 1 if errors else 0
 
 
 if __name__ == "__main__":
-    main_sweep()
+    sys.exit(main_sweep())

@@ -29,7 +29,6 @@ from morgan.squaring import (
     MuFamily,
     _ascending_deficits,
     _eliminate,
-    _grid,
     _leading_entries,
     _nhat_forms,
     _row_degree,
@@ -382,16 +381,7 @@ class TestChainedConstraintSets:
 
 
 class TestGridStructure:
-    @seed(3131)
-    @given(st.integers(1, 4).flatmap(
-        lambda w: st.lists(st.lists(st.one_of(st.none(), form_st), min_size=w, max_size=w),
-                           min_size=1, max_size=4)))
-    @settings(max_examples=200, deadline=None)
-    def test_grid_fills_the_structure_generic_rank_reads(self, rows):
-        grid = _grid(rows)
-        assert grid.structure == (grid.params(), structural_rank(grid.pattern()))
-
-    def test_apply_grids_compute_it_when_first_ranked(self, ex1_pencil):
+    def test_a_grid_gets_it_when_first_ranked(self, ex1_pencil):
         qb = build_QB(ex1_pencil.sigma, (1, 4, 4))
         cs = solve_zero_constraints([{1: 1, 2: -1}, {3: 2}])
         grid = cs.apply(qb.cells)
