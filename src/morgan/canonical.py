@@ -7,24 +7,22 @@ block-end rows of the input matrix to unit rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-from itertools import accumulate
-from operator import mul
+from dataclasses import dataclass
+from itertools import accumulate, islice
 
 from .errors import InvalidSystem, MorganError, NotControllable, VerificationFailed
-from .exactalg import RationalMatrix, _scaled, _scaled_matrix, krylov_select
+from .exactalg import RationalMatrix, _krylov, _scaled_matrix, krylov_select
 
 
 @dataclass(frozen=True)
 class StateSpace:
-    """The triple (A, B, C) with m <= l <= n and B monic."""
+    """The triple (A, B, C), checked for shape: A is n x n, B n x l of full
+    column rank and C m x n, with m <= l <= n.  (A, B) need not be
+    controllable: to_pencil_form checks that."""
 
     A: RationalMatrix
     B: RationalMatrix
     C: RationalMatrix
-    # staircase chain lengths per input, in input order (see _staircase_select)
-    chain_lengths: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = self.A.rows
@@ -40,7 +38,6 @@ class StateSpace:
             )
         if self.B.rank() != self.l:
             raise InvalidSystem("B must have full column rank")
-        object.__setattr__(self, "chain_lengths", tuple(_staircase_select(self.A, self.B)))
 
     @property
     def n(self):
@@ -113,18 +110,6 @@ class PencilForm:
         return positions_from_sigma(self.sigma)
 
 
-def _krylov(x, lines, d, count):
-    """[x, Mx, ..., M^(count-1) x] as Fraction lists, for the integer matrix
-    dM given by the lines (rows or columns) that each vector is dotted with."""
-    e, v = _scaled(x)
-    out = []
-    for k in range(count):
-        if k:
-            v = [sum(map(mul, r, v)) for r in lines]
-        out.append([Fraction(y, e * d**k) for y in v])
-    return out
-
-
 def to_pencil_form(sys: StateSpace) -> PencilForm:
     """Transform (A, B, C) to controller canonical form.
 
@@ -134,10 +119,11 @@ def to_pencil_form(sys: StateSpace) -> PencilForm:
     q_i A^k, k < sigma_i, and w_i = q_i A^sigma_i is kept; both Krylov
     sequences run on A scaled to integers.  A_r has unit chain rows; its
     block-end rows and C_r come from one solve X P^-1 = [w_1; ...; w_l; C].
-    The result is checked exactly before returning.
+    The result is checked exactly before returning.  NotControllable when
+    (A, B) is not controllable.
     """
     a, b, c = sys.A, sys.B, sys.C
-    n, l, raw = sys.n, sys.l, sys.chain_lengths
+    n, l, raw = sys.n, sys.l, _staircase_select(a, b)
     order = sorted(range(l), key=lambda j: (raw[j], j))
     sigma = tuple(raw[j] for j in order)
     ends = [p - 1 for p in positions_from_sigma(sigma)]
@@ -145,13 +131,13 @@ def to_pencil_form(sys: StateSpace) -> PencilForm:
     a_cols = list(zip(*ah))
     ident = RationalMatrix.identity(n).entries
 
-    chain = [v for j in order for v in _krylov(b.col(j), ah, d, raw[j])]
+    chain = [v for j in order for v in islice(_krylov(b.col(j), ah, d), raw[j])]
     qs = RationalMatrix._of(chain).solve([ident[p] for p in ends])[0]
     if None in qs:
         raise MorganError("chain matrix is singular")
     t_inv_rows, w = [], []
     for q, s in zip(qs, sigma):
-        *rows, last = _krylov(q, a_cols, d, s + 1)
+        *rows, last = islice(_krylov(q, a_cols, d), s + 1)
         t_inv_rows += rows
         w.append(last)
     p_inv = RationalMatrix._of(t_inv_rows)

@@ -192,7 +192,7 @@ def cmd_fixed_poles(args) -> int:
                 {
                     "input_decoupling_zeros": poly_to_json(dz),
                     "input_decoupling_stable": routh_hurwitz_stable(dz),
-                    "wolovich_falb_recorded": data["fixed_poles"]["wolovich_falb"],
+                    "wolovich_falb_recorded": poly_to_json(fixed_rec),
                     "wolovich_falb_stable": routh_hurwitz_stable(fixed_rec),
                     "unobservable_polynomial": poly_to_json(unobs),
                     "consistent": consistent,

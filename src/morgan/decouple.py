@@ -44,6 +44,8 @@ from .errors import (
 from .exactalg import (
     Poly,
     RationalMatrix,
+    _krylov,
+    _scaled_matrix,
     format_poly,
     krylov_select,
     rank,
@@ -77,25 +79,23 @@ class SquareSystem:
 def relative_degrees(a: RationalMatrix, b: RationalMatrix, c: RationalMatrix):
     """Per-output relative degrees d_i and the decoupling matrix B*.
 
-    d_i is the least k with C_i A^k B != 0; B* stacks those rows.  Raises
-    SingularBstar when an output row never reaches B.
+    d_i is the least k with C_i A^k B != 0; B* stacks those rows.  The rows
+    C_i A^k come from the integer Krylov sequence of each output row.
+    Raises SingularBstar when an output row never reaches B.
     """
-    n = a.rows
+    d, ah = _scaled_matrix(a.entries)
+    a_cols = list(zip(*ah))
     ds = []
     rows = []
-    for i in range(c.rows):
-        cur = c.submatrix([i], range(n))
-        found = None
-        for k in range(n):
-            hit = (cur * b).row(0)
-            if any(x != 0 for x in hit):
-                found = (k, hit)
+    for i, c_row in enumerate(c.entries):
+        for k, v in zip(range(a.rows), _krylov(c_row, a_cols, d)):
+            hit = (RationalMatrix._of([v]) * b).row(0)
+            if any(hit):
                 break
-            cur = cur * a
-        if found is None:
+        else:
             raise SingularBstar(f"output {i + 1} is disconnected from the inputs")
-        ds.append(found[0])
-        rows.append(found[1])
+        ds.append(k)
+        rows.append(hit)
     return tuple(ds), RationalMatrix(rows)
 
 
@@ -124,19 +124,12 @@ def default_diagonal_polys(square: SquareSystem):
     return [Poly([comb(d + 1, k) for k in range(d + 2)]) for d in square.rel_degrees]
 
 
-def _row_times_poly(row: RationalMatrix, p: Poly, a: RationalMatrix) -> RationalMatrix:
-    """The 1 x n product row * p(A), by Horner's rule on the row."""
-    v = row * p.leading()
-    for c in reversed(p.coeffs[:-1]):
-        v = v * a + row * c
-    return v
-
-
 def square_decouple(square: SquareSystem, target_polys=None):
     """Static decoupling law: F_f = -B*^-1 stack(C_i p_i(A_f)), G_f = B*^-1.
 
     The closed loop transfer function is exactly diag(1/p_i(s)); the default
-    p_i is (s+1)^(d_i+1).
+    p_i is (s+1)^(d_i+1).  The row C_i p_i(A_f) sums the integer Krylov rows
+    C_i A_f^k, k <= d_i + 1, weighted by the coefficients of p_i.
     """
     if target_polys is None:
         target_polys = default_diagonal_polys(square)
@@ -147,11 +140,14 @@ def square_decouple(square: SquareSystem, target_polys=None):
                 f"{square.rel_degrees[i] + 1}, got {p.degree}"
             )
     g_f = square.B_star.inverse()
-    n = square.A_f.rows
-    rows = [
-        _row_times_poly(square.C_f.submatrix([i], range(n)), p, square.A_f).row(0)
-        for i, p in enumerate(target_polys)
-    ]
+    d, ah = _scaled_matrix(square.A_f.entries)
+    a_cols = list(zip(*ah))
+    rows = []
+    for c_row, p in zip(square.C_f.entries, target_polys):
+        row = [0] * len(c_row)
+        for coeff, v in zip(p.coeffs, _krylov(c_row, a_cols, d)):
+            row = [x + coeff * y for x, y in zip(row, v)]
+        rows.append(row)
     f_f = -(g_f * RationalMatrix(rows))
     return f_f, g_f, list(target_polys)
 
@@ -169,6 +165,8 @@ def compose_final(
     The exact closed-loop transfer function is recomputed from the original
     (A, B, C) and must equal diag(1/p_i) identically; VerificationFailed
     otherwise (this would be an implementation bug, never a search miss).
+    G needs no rank check of its own: once the check passes, C (sI - A -
+    BF)^-1 BG = diag(1/p_i) has rank m, and that rank is at most rank G.
     Returns (F, G, diagonal, fixed-pole report read off the closed loop);
     the input decoupling zeros are the uncontrollable polynomial of
     (A + BF, BG), as verify computes them.
@@ -181,8 +179,6 @@ def compose_final(
     )
     if failures:
         raise failures[0]
-    if g.rank() != sys.m:
-        raise VerificationFailed("final G is not monic")
     dz = zeros_mod.uncontrollable_polynomial(acl, sys.B * g, chi)
     return f, g, diag, zeros_mod.fixed_pole_report(dz, chi, p_list)
 
@@ -435,12 +431,13 @@ def solve(sys: StateSpace, options: SolveOptions | None = None):
     solution is still the first feasible one.  MorganError when the options
     ask for a polynomial that is zero or not monic, or for a number of
     diagonal polynomials other than the number of outputs; InvalidSystem
-    when the system is not right-invertible.
+    when the system is not right-invertible, after NotControllable when
+    (A, B) is not controllable.
     """
     options = options or SolveOptions()
+    pencil = to_pencil_form(sys)
     _check_options(options, sys.m)
     _check_right_invertible(sys)
-    pencil = to_pencil_form(sys)
     configs = enumerate_row_configs(pencil.sigma, sys.m)
     outcomes = []
     winner = None

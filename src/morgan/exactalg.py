@@ -497,6 +497,18 @@ def krylov_select(a: RationalMatrix, b: RationalMatrix):
     return lengths, kept
 
 
+def _krylov(x, lines, d):
+    """Yield x, Mx, M^2 x, ... as Fraction lists, without end.  The integer
+    matrix dM is given by the lines each vector is dotted with (its columns
+    give the row sequence x M^k); each step is one integer product, and the
+    k-th vector is divided by e d^k, e the lcm of x's denominators."""
+    e, v = _scaled(x)
+    while True:
+        yield [Fraction(y, e) for y in v]
+        v = [sum(map(mul, r, v)) for r in lines]
+        e *= d
+
+
 RESOLVENT_SIZE_CAP = 64  # guard against accidental blow-up; the benchmark runs n <= 12
 
 

@@ -48,8 +48,7 @@ class ParamId:
 # of its nonzero coefficients, column k that of params[k - 1]; no form the
 # search builds has a constant, so column 0 never occurs.  Column order is
 # ParamId order, so "lowest column" and "smallest ParamId" pick the same
-# pivot.  Coefficients are ints where they are integral and Fractions
-# otherwise.
+# pivot.  Coefficients are ints.
 
 
 def _reduce(rows, scale, form):
@@ -69,11 +68,7 @@ def _reduce(rows, scale, form):
 
 
 def _primitive(row, pivot):
-    """The dict row of nonzero entries as a primitive integer row, positive at pivot."""
-    dens = [x.denominator for x in row.values() if type(x) is not int]
-    if dens:
-        den = lcm(*dens)
-        row = {k: int(x * den) for k, x in row.items()}
+    """The integer dict row of nonzero entries as a primitive row, positive at pivot."""
     g = gcd(*row.values())
     if row[pivot] < 0:
         g = -g

@@ -2,7 +2,8 @@
 
 These are the bodies that `morgan.exactalg` ran before its kernels moved to
 scaled integers: a `Fraction` sum per product entry, Horner's rule on
-`Fraction` matrices (now run row by row in `decouple.square_decouple`),
+`Fraction` matrices (now sums of integer Krylov rows in
+`decouple.square_decouple`),
 Gauss-Jordan elimination over Q, Faddeev-LeVerrier over Q with the
 polynomial adjugate, and the transfer function as the product of that
 adjugate with C and BG.  Below them are the constructions that `canonical`

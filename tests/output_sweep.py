@@ -16,6 +16,12 @@ Inputs: Examples 1 and 2, each first hit, ``--all`` and ``--dz-target
 s^2+3s+2``; the three certified no-solution inputs ``nosol_7_*``; the
 random-dense systems of the benchmark's workload seed.  morgan is imported
 from the ``src`` next to this file.  Not collected by pytest.
+
+``output_sweep_1729.txt`` next to this file holds the lines of ``--seeds
+1729 1729`` at workload seed 0, which CI compares byte for byte.  A change
+that alters the output on purpose regenerates it:
+
+    PYTHONPATH=src python tests/output_sweep.py > tests/output_sweep_1729.txt
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ import pytest
 import fraction_reference as ref
 import golden_data as pd
 from fraction_reference import PolyMatrix, build_L, build_S, kalman_matrix
+from morgan import canonical, decouple, exactalg
 from morgan.canonical import (
     StateSpace,
     _staircase_select,
@@ -17,10 +18,11 @@ from morgan.canonical import (
     to_pencil_form,
 )
 from morgan.errors import InvalidSystem, NotControllable
-from morgan.exactalg import Poly, RationalMatrix
+from morgan.exactalg import Poly, RationalMatrix, krylov_select
 from morgan.fileio import load_system
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def random_controllable(rng, n, l, tries=50):
@@ -168,13 +170,15 @@ def rational_systems(seed, count):
         l = rng.randint(1, min(4, n))
         m = rng.randint(1, l)
         try:
-            out.append(StateSpace(
+            system = StateSpace(
                 A=RationalMatrix([[entry() for _ in range(n)] for _ in range(n)]),
                 B=RationalMatrix([[entry() for _ in range(l)] for _ in range(n)]),
                 C=RationalMatrix([[entry() for _ in range(n)] for _ in range(m)]),
-            ))
+            )
+            _staircase_select(system.A, system.B)
         except (InvalidSystem, NotControllable):
             continue
+        out.append(system)
     return out
 
 
@@ -214,3 +218,19 @@ class TestStateSpace:
 
     def test_positions(self):
         assert positions_from_sigma((1, 1, 3, 4)) == (1, 2, 5, 9)
+
+    def test_load_system_runs_no_krylov_selection(self, monkeypatch):
+        """Only to_pencil_form selects Krylov chains: loading (and so verify
+        and fixed-poles) does not."""
+        calls = []
+
+        def counting(a, b):
+            calls.append((a, b))
+            return krylov_select(a, b)
+
+        for module in (exactalg, canonical, decouple):
+            monkeypatch.setattr(module, "krylov_select", counting)
+        sys_ = load_system(str(DATA / "example1_system.json"))
+        assert calls == []
+        to_pencil_form(sys_)
+        assert calls == [(sys_.A, sys_.B)]

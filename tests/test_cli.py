@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import golden_data as pd
-from morgan.canonical import StateSpace
+from morgan.canonical import StateSpace, _staircase_select
 from morgan.cli import main
 from morgan.decouple import _check_right_invertible
 from morgan.errors import InvalidSystem
@@ -99,6 +99,7 @@ class TestAnalyze:
         )
         rc, _, err = run(capsys, ["analyze", str(path)])
         assert rc == 1
+        assert err == "error: controllability matrix has rank 1 < n = 2\n"
 
 
 class TestSolve:
@@ -486,8 +487,10 @@ def random_system_files(d, seed, count):
             for rows, cols in ((n, n), (n, l), (m, n))
         )
         try:
-            _check_right_invertible(StateSpace(A=a, B=b, C=c))
-        except InvalidSystem:
+            system = StateSpace(A=a, B=b, C=c)
+            _staircase_select(a, b)
+            _check_right_invertible(system)
+        except InvalidSystem:  # NotControllable too
             continue
         path = d / f"random_{len(paths)}.json"
         path.write_text(dump_json({k: matrix_to_json(x) for k, x in zip("ABC", (a, b, c))}))
@@ -934,6 +937,78 @@ class TestZeroFixedPoleRecord:
             rc, out, _ = run(capsys, [command, system, str(sol)] + extra)
             assert rc == 1
             assert out == "FAIL: recorded fixed decoupling poles are the zero polynomial\n"
+
+
+class TestRecordedFixedPolesEcho:
+    """fixed-poles --json prints the recorded Wolovich-Falb polynomial as the
+    command parsed it: strings in lowest terms, as every other polynomial."""
+
+    @pytest.mark.parametrize("recorded, printed", [([1], ["1"]), (["2/4"], ["1/2"])])
+    def test_parsed_polynomial(self, recorded, printed, seed_1729_solutions, tmp_path, capsys):
+        system, solved = seed_1729_solutions["ex1"]
+        data = load_solution(solved)
+        assert data["fixed_poles"]["wolovich_falb"] == ["1"]
+        data["fixed_poles"]["wolovich_falb"] = recorded
+        sol = tmp_path / "ex1_edited_fixed_poles.json"
+        sol.write_text(dump_json(data))
+        capsys.readouterr()
+        rc, out, _ = run(capsys, ["fixed-poles", system, str(sol), "--json"])
+        assert rc == 0
+        assert json.loads(out)["wolovich_falb_recorded"] == printed
+
+
+class TestUncontrollableSystem:
+    """A = diag(1, 2), B = e_1, C = e_1^T: the mode s - 2 is uncontrollable.
+    The pair F = [-2, 0], G = [1] gives H = 1/(s+1) with input decoupling
+    zeros s - 2.  verify and fixed-poles check a given pair, which needs no
+    controllability; analyze (see TestAnalyze) and solve run the search,
+    which does."""
+
+    @pytest.fixture
+    def uncontrollable(self, tmp_path):
+        system = tmp_path / "uncontrollable.json"
+        system.write_text(dump_json({"A": [[1, 0], [0, 2]], "B": [[1], [0]], "C": [[1, 0]]}))
+        sol = tmp_path / "uncontrollable_solution.json"
+        sol.write_text(dump_json({
+            "format": "morgan-solution/1",
+            "F": [["-2", "0"]],
+            "G": [["1"]],
+            "diagonal": [{"num": ["1"], "den": ["1", "1"]}],
+            "fixed_poles": {"input_decoupling_zeros": ["-2", "1"], "wolovich_falb": ["1"]},
+        }))
+        return str(system), str(sol)
+
+    def test_verify_passes(self, uncontrollable, capsys):
+        system, sol = uncontrollable
+        rc, out, err = run(capsys, ["verify", system, sol])
+        assert (rc, err) == (0, "") and out.startswith("PASS")
+        rc, out, err = run(capsys, ["verify", system, sol, "--json"])
+        assert (rc, err) == (0, "")
+        data = json.loads(out)
+        assert data["pass"] is True and data["input_decoupling_zeros"] == ["-2", "1"]
+
+    def test_fixed_poles_consistent(self, uncontrollable, capsys):
+        system, sol = uncontrollable
+        rc, out, err = run(capsys, ["fixed-poles", system, sol])
+        assert (rc, err) == (0, "") and out.endswith("consistent\n")
+        rc, out, err = run(capsys, ["fixed-poles", system, sol, "--json"])
+        assert (rc, err) == (0, "") and json.loads(out)["consistent"] is True
+
+    @pytest.mark.parametrize(
+        "flags", [[], ["--dz-target", "0"], ["--diag-polys", "s+1,s+2"]])
+    def test_solve_needs_controllability(self, flags, uncontrollable, capsys):
+        """Reported before the option and right-invertibility checks."""
+        system, _ = uncontrollable
+        rc, out, err = run(capsys, ["solve", system] + flags)
+        assert (rc, out) == (1, "")
+        assert err == "error: controllability matrix has rank 1 < n = 2\n"
+
+    @pytest.mark.parametrize("flags", [["--dz-target", "s^^2"], ["--diag-polys", "s+1/0"]])
+    def test_unparsable_option_reported_first(self, flags, uncontrollable, capsys):
+        system, _ = uncontrollable
+        rc, out, err = run(capsys, ["solve", system] + flags)
+        assert (rc, out) == (1, "")
+        assert err.startswith("error: ") and "controllability" not in err
 
 
 def _edit_diagonal(data):

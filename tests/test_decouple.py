@@ -266,6 +266,25 @@ class TestComposeFinal:
         assert err.entry == (1, 2)
         assert str(err) == "off-diagonal entry (1,2) = (1)/(s+2) != 0"
 
+    @pytest.mark.parametrize("g, messages", [
+        ([[1, 0], [0, 0]], ["diagonal entry 2 is zero"]),
+        ([[1, 1], [1, 1]], ["off-diagonal entry (1,2) = (1)/(s+1) != 0",
+                            "off-diagonal entry (2,1) = (1)/(s+2) != 0"]),
+    ])
+    def test_rank_deficient_g_fails(self, g, messages):
+        """compose_final has no rank check of G: a G of rank < m leaves
+        C (sI - A - BF)^-1 BG of rank < m, so the closed-loop check fails."""
+        sys_ = StateSpace(
+            A=RationalMatrix([[-1, 0], [0, -2]]),
+            B=RationalMatrix.identity(2),
+            C=RationalMatrix.identity(2),
+        )
+        expected = [(Poly.one(), parse_poly("s+1")), (Poly.one(), parse_poly("s+2"))]
+        f, g = RationalMatrix.zeros(2, 2), RationalMatrix(g)
+        assert g.rank() < sys_.m
+        _, failures = check_closed_loop(sys_, g, *closed_loop(sys_, f, g), expected)
+        assert [str(e) for e in failures] == messages
+
 
 class TestSolve:
     def test_example1(self, ex1_solution):

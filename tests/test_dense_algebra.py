@@ -40,8 +40,8 @@ DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data"
 PARAMS = tuple(ParamId(1, 1, k) for k in range(1, 7))
 INDEX = {p: k + 1 for k, p in enumerate(PARAMS)}
 
-coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
-# homogeneous, as every form the search builds
+# integral and homogeneous, as every form the search builds
+coeffs = st.integers(-9, 9)
 forms_st = st.builds(
     LinearForm,
     st.just(Fraction(0)),

@@ -1,24 +1,32 @@
 """The integer kernels of exactalg against their Fraction references.
 
 Every kernel must return exactly the values of the `Fraction` bodies kept in
-`fraction_reference`: products, matrix-vector products, Horner evaluation
-(on rows, as `decouple.square_decouple` runs it),
-reduced row echelon forms, Faddeev-LeVerrier and the transfer function, on
-mixed denominators, zero rows and columns, empty shapes and rank-deficient
-matrices up to n = 12.
+`fraction_reference`: products, matrix-vector products, reduced row echelon
+forms, Faddeev-LeVerrier and the transfer function, on mixed denominators,
+zero rows and columns, empty shapes and rank-deficient matrices up to
+n = 12.  The Krylov sequences (x A^k on rows, as `decouple.square_decouple`
+reads them, and A^k x) are checked against Fraction powers.
 """
 
 import operator
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fraction_reference as ref
 from fraction_reference import PolyMatrix, s_identity_minus
-from morgan.decouple import _row_times_poly
 from morgan.errors import MorganError
-from morgan.exactalg import Poly, RationalMatrix, _reduce, resolvent, transfer_function
+from morgan.exactalg import (
+    Poly,
+    RationalMatrix,
+    _krylov,
+    _reduce,
+    _scaled_matrix,
+    resolvent,
+    transfer_function,
+)
 
 ENTRIES = st.one_of(
     st.just(Fraction(0)),
@@ -117,16 +125,28 @@ class TestProduct:
             RationalMatrix.identity(2) * RationalMatrix.identity(3)
 
 
-class TestEvalMatrix:
-    """Row-wise Horner (square_decouple's C_i p_i(A_f)) against p(A)."""
+class TestKrylov:
+    """The integer Krylov sequence (the rows C_i A_f^k that
+    decouple.relative_degrees and square_decouple read, and the chains of
+    canonical.to_pencil_form) against Fraction powers x A^k and A^k x."""
 
-    @given(square_matrices(), st.lists(ENTRIES, max_size=6).map(Poly))
-    @example(DENSE_12, Poly([Fraction(1, 3), -2, 0, Fraction(5, 7), 1]))
+    @given(square_matrices(), st.lists(ENTRIES, min_size=12, max_size=12),
+           st.integers(0, 6), st.booleans())
+    @example(DENSE_12, [Fraction(k, 1 + k % 3) for k in range(12)], 6, True)
     @settings(max_examples=60, deadline=None)
-    def test_matches_reference(self, a, p):
-        unit_rows = RationalMatrix.identity(a.rows).entries
-        got = [_row_times_poly(RationalMatrix([e]), p, a).row(0) for e in unit_rows]
-        assert RationalMatrix(got) == ref.eval_matrix(p, a)
+    def test_matches_fraction_powers(self, a, pool, count, rows):
+        n = a.rows
+        x = pool[:n]
+        d, ah = _scaled_matrix(a.entries)
+        got = list(islice(_krylov(x, list(zip(*ah)) if rows else ah, d), count))
+        want = []
+        for _ in range(count):
+            want.append(x)
+            if rows:  # x A
+                x = [sum((x[i] * a[i, j] for i in range(n)), Fraction(0)) for j in range(n)]
+            else:  # A x
+                x = [sum((a[i, j] * x[j] for j in range(n)), Fraction(0)) for i in range(n)]
+        assert got == want
 
 
 def reduced_echelon(a: RationalMatrix):

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import fraction_reference as ref
 from morgan import zeros
-from morgan.canonical import StateSpace, _staircase_select
+from morgan.canonical import StateSpace, _staircase_select, to_pencil_form
 from morgan.decouple import SolveOptions, solve
 from morgan.errors import MorganError, NotControllable
 from morgan.exactalg import Poly, RationalMatrix, krylov_select
@@ -79,11 +79,14 @@ class TestKrylovSelection:
             assert _staircase_select(a, b) == lengths == expected
 
     def test_not_controllable_message(self):
+        """StateSpace checks shapes only; the pencil form needs (A, B)
+        controllable."""
         a = RationalMatrix([[1, 0, 0], [0, 2, 0], [0, 0, 3]])
         b = RationalMatrix([[1, 0], [0, 1], [0, 0]])
         c = RationalMatrix([[1, 1, 1]])
+        sys_ = StateSpace(A=a, B=b, C=c)
         with pytest.raises(NotControllable) as got:
-            StateSpace(A=a, B=b, C=c)
+            to_pencil_form(sys_)
         assert str(got.value) == "controllability matrix has rank 2 < n = 3"
 
 

@@ -14,7 +14,7 @@ import golden_data as pd
 from fraction_reference import fixed_decoupling_poles, input_decoupling_zeros, q_coordinate_square
 from morgan import decouple, zeros
 from morgan.admissible import enumerate_row_configs, enumerate_tuples
-from morgan.canonical import StateSpace, to_pencil_form
+from morgan.canonical import StateSpace, _staircase_select, to_pencil_form
 from morgan.decouple import (
     DecouplingSolution,
     SolveOptions,
@@ -430,7 +430,8 @@ def solved_configurations(sys_, options):
 
 
 def random_systems(seed, count):
-    """count seeded random systems (n 3-6) that pass the StateSpace checks."""
+    """count seeded random systems (n 3-6) that pass the StateSpace checks,
+    with (A, B) controllable."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
@@ -442,9 +443,11 @@ def random_systems(seed, count):
             for rows, cols, k in ((n, n, 2), (n, l, 1), (m, n, 2))
         )
         try:
-            out.append(StateSpace(A=a, B=b, C=c))
-        except InvalidSystem:
+            system = StateSpace(A=a, B=b, C=c)
+            _staircase_select(a, b)
+        except InvalidSystem:  # NotControllable too
             continue
+        out.append(system)
     return out
 
 
