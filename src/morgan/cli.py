@@ -140,7 +140,7 @@ def cmd_verify(args) -> int:
             for rec in diagonal
         ]
         acl, chi = closed_loop(sys_, f, g)
-        diag, failures = check_closed_loop(sys_, g, acl, chi, recorded)
+        diag, failures = check_closed_loop(acl, sys_.B * g, sys_.C, chi, recorded)
         dz, unobs, fp_failures = check_fixed_poles(sys_, g, acl, chi, *_recorded_fixed_poles(data))
     except VerificationFailed as e:
         print(f"FAIL: {e}")

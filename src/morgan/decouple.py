@@ -5,10 +5,11 @@ order in one loop.  Each configuration is evaluated purely from its own
 derived sub-seed, so its outcome does not depend on which configurations
 ran before it; the winner is the first configuration whose entire pipeline
 (search, instantiation, feedback solve, square decoupling, exact closed-loop
-verification) goes through.  The square system stays in the pencil
-coordinates of to_pencil_form: the static decoupling law does not depend on
-the basis, so no basis completing Q_B is formed.  --dz-target places the
-input decoupling zeros in the quotient by the span of Q_B (see zeros).
+verification) goes through.  The square system and the closed loop that
+compose_final checks stay in the pencil coordinates of to_pencil_form: the
+static decoupling law does not depend on the basis, so no basis completing
+Q_B is formed.  --dz-target places the input decoupling zeros in the
+quotient by the span of Q_B (see zeros).
 
 A NoSolution means that no solution was found among the searched
 configurations, not that none exists.  The rank tests of the search take
@@ -46,6 +47,7 @@ from .exactalg import (
     RationalMatrix,
     _krylov,
     _scaled_matrix,
+    controller_charpoly,
     format_poly,
     krylov_select,
     rank,
@@ -99,14 +101,22 @@ def relative_degrees(a: RationalMatrix, b: RationalMatrix, c: RationalMatrix):
     return tuple(ds), RationalMatrix(rows)
 
 
+def _at_block_ends(pencil: PencilForm, x: RationalMatrix, base=None):
+    """base (zero when None) + E X, E = B_r G_I: X's rows added at the block ends."""
+    rows = list((base or RationalMatrix.zeros(pencil.n, x.cols)).entries)
+    for p, x_row in zip(pencil.positions, x.entries):
+        rows[p - 1] = [a + b for a, b in zip(rows[p - 1], x_row)]
+    return RationalMatrix._of(rows)
+
+
 def make_square_system(pencil: PencilForm, squaring: SquaringData) -> SquareSystem:
     """A_f = A_r + B_r G_I F_0, B_f = B_r G_I G_0 and C_f = C_r, in pencil coordinates.
 
     The controllability indices of (A_f, B_f), its sorted Krylov chain
     lengths, must be sigma_tilde; no change of basis alters them.
     """
-    a_f = pencil.A_r + pencil.B_r_GI * squaring.F0
-    b_f = pencil.B_r_GI * squaring.G0
+    a_f = _at_block_ends(pencil, squaring.F0, pencil.A_r)
+    b_f = _at_block_ends(pencil, squaring.G0)
     c_f = pencil.C_r
     if tuple(sorted(krylov_select(a_f, b_f)[0])) != squaring.sigma_tilde:
         raise MorganError("squared system does not have the requested indices (bug)")
@@ -160,46 +170,53 @@ def compose_final(
     g_f: RationalMatrix,
     p_list,
 ):
-    """F = G_I (F_0 + G_0 F_f) P^-1 and G = G_I G_0 G_f, verified.
+    """F = G_I F_p P^-1 and G = G_I G_0 G_f, verified in pencil coordinates.
 
-    The exact closed-loop transfer function is recomputed from the original
-    (A, B, C) and must equal diag(1/p_i) identically; VerificationFailed
-    otherwise (this would be an implementation bug, never a search miss).
-    G needs no rank check of its own: once the check passes, C (sI - A -
-    BF)^-1 BG = diag(1/p_i) has rank m, and that rank is at most rank G.
-    Returns (F, G, diagonal, fixed-pole report read off the closed loop);
-    the input decoupling zeros are the uncontrollable polynomial of
-    (A + BF, BG), as verify computes them.
+    With F_p = F_0 + G_0 F_f and E = B_r G_I (unit rows at the block ends),
+    the closed loop (A_p, B_p, C_r) = (A_r + E F_p, E G_0 G_f, C_r) keeps
+    the unit chain rows, so chi(A_p) = det D(s) (controller_charpoly).  It
+    has the force of (A + BF, BG, C): to_pencil_form proved A_r P^-1 = P^-1
+    A, C_r P^-1 = C and P^-1 nonsingular, and (P^-1 B) F = E F_p P^-1 and
+    (P^-1 B) G = B_p are checked here in O(n^2 l).  So P^-1 (A + BF) = A_p
+    P^-1, C (sI - A - BF)^-1 BG = C_r (sI - A_p)^-1 B_p, and chi and dz are
+    similarity invariants.  VerificationFailed (a bug, never a search miss)
+    when a check fails or the closed loop is not diag(1/p_i); its rank m
+    then bounds rank G, so G needs no rank check.  Returns (F, G, diagonal,
+    fixed-pole report read off the closed loop).
     """
-    f = pencil.G_I * (squaring.F0 + squaring.G0 * f_f) * pencil.P_inv
-    g = pencil.G_I * squaring.G0 * g_f
-    acl, chi = zeros_mod.closed_loop(sys, f, g)
-    diag, failures = check_closed_loop(
-        sys, g, acl, chi, [(Poly.one(), p.monic()) for p in p_list]
-    )
+    f_p, g_p = squaring.F0 + squaring.G0 * f_f, squaring.G0 * g_f
+    x = f_p * pencil.P_inv
+    f, g = pencil.G_I * x, pencil.G_I * g_p
+    a_p, b_p = _at_block_ends(pencil, f_p, pencil.A_r), _at_block_ends(pencil, g_p)
+    pb = pencil.P_inv * sys.B
+    if pb * f != _at_block_ends(pencil, x) or pb * g != b_p:
+        raise VerificationFailed("P^-1 B (F, G) != (E F_p P^-1, B_p) (bug)")
+    chi = controller_charpoly(pencil.sigma, [a_p.row(p - 1) for p in pencil.positions])
+    expected = [(Poly.one(), p.monic()) for p in p_list]
+    diag, failures = check_closed_loop(a_p, b_p, pencil.C_r, chi, expected)
     if failures:
         raise failures[0]
-    dz = zeros_mod.uncontrollable_polynomial(acl, sys.B * g, chi)
+    dz = zeros_mod.uncontrollable_polynomial(a_p, b_p, chi)
     return f, g, diag, zeros_mod.fixed_pole_report(dz, chi, p_list)
 
 
-def check_closed_loop(sys: StateSpace, g, acl, chi, expected_diagonal):
-    """Check that (F, G) decouples (A, B, C) into the expected diagonal.
+def check_closed_loop(acl, bg, c, chi, expected_diagonal):
+    """Check that the closed loop (acl, bg, c) is the expected diagonal.
 
-    acl = A + BF and chi, its characteristic polynomial, come from
-    zeros.closed_loop, which also checks that F and G fit the system.
-    Computes C (sI - A - BF)^-1 BG exactly, once.  Returns (diagonal
-    (num, den) pairs, failures): a VerificationFailed naming its entry for
-    every nonzero off-diagonal entry, then for each diagonal entry that is
-    zero or differs from expected_diagonal[i].  VerificationFailed is
-    raised when expected_diagonal does not hold one entry per output.
+    verify passes A + BF and chi from zeros.closed_loop, with BG and C;
+    compose_final, the similar closed loop in pencil coordinates.  Computes
+    c (sI - acl)^-1 bg exactly, once.  Returns (diagonal (num, den) pairs,
+    failures): a VerificationFailed naming its entry for every nonzero
+    off-diagonal entry, then for each diagonal entry that is zero or differs
+    from expected_diagonal[i].  VerificationFailed is raised when
+    expected_diagonal does not hold one entry per output.
     """
-    m = sys.m
+    m = c.rows
     if len(expected_diagonal) != m:
         raise VerificationFailed(
             f"{len(expected_diagonal)} diagonal entries recorded for {m} outputs"
         )
-    h = transfer_function(acl, sys.B * g, sys.C, chi)
+    h = transfer_function(acl, bg, c, chi)
     failures = [
         VerificationFailed(
             f"off-diagonal entry ({i + 1},{j + 1}) = "

@@ -3,9 +3,9 @@
 Everything here is immutable and pure.  Scalars are `fractions.Fraction`
 (always normalized: positive denominator, gcd(num, den) = 1), so every
 comparison in the package is exact with zero tolerance.  The matrix kernels
-(products, elimination, Faddeev-LeVerrier, Markov parameters) scale rows or
-matrices to integers by the lcm of their denominators, compute with Python
-ints and build one normalized Fraction per output entry.
+(products, elimination, Faddeev-LeVerrier, det D(s), Markov parameters)
+scale rows or matrices to integers by the lcm of their denominators, compute
+with Python ints and build one normalized Fraction per output entry.
 """
 
 from __future__ import annotations
@@ -305,7 +305,7 @@ class RationalMatrix:
 
     @staticmethod
     def zeros(r: int, c: int) -> "RationalMatrix":
-        return RationalMatrix([[0] * c for _ in range(r)])
+        return RationalMatrix._of([[Fraction(0)] * c] * r)
 
     @staticmethod
     def from_columns(cols) -> "RationalMatrix":
@@ -512,15 +512,12 @@ def _krylov(x, lines, d):
 RESOLVENT_SIZE_CAP = 64  # guard against accidental blow-up; the benchmark runs n <= 12
 
 
-def resolvent(a: RationalMatrix):
-    """(d, [M_0(dA), ..., M_{n-1}(dA)], chi) via Faddeev-LeVerrier.
+def resolvent(a: RationalMatrix) -> Poly:
+    """The monic characteristic polynomial chi of A, via Faddeev-LeVerrier.
 
     d is the lcm of the denominators of A.  The recursion M_k = A M_{k-1}
     + c_k I with c_k = -tr(A M_{k-1}) / k runs on the integer matrix dA,
-    where every division is exact; the M_k come back as integer rows, and
-    M_k(A) = M_k(dA) / d^k gives adj(sI - A) = sum_k M_k(A) s^(n-1-k), so
-    that adj(s) * (sI - A) = chi(s) * I identically.  chi is the monic
-    characteristic polynomial of A, chi_A(s) = d^-n chi_dA(d s).
+    where every division is exact, and chi_A(s) = d^-n chi_dA(d s).
     """
     n = a.rows
     if n != a.cols:
@@ -530,10 +527,8 @@ def resolvent(a: RationalMatrix):
     d, ah = _scaled_matrix(a.entries)
     cols = list(zip(*ah))  # M_k is a polynomial in A, so M_k dA = dA M_k
     m = [[int(i == j) for j in range(n)] for i in range(n)]
-    mats = []
     coeffs = [Fraction(1)]  # chi, descending
     for k in range(1, n + 1):
-        mats.append(m)
         m = _int_product(m, cols)
         c, rem = divmod(-sum(m[i][i] for i in range(n)), k)
         if rem:
@@ -541,7 +536,49 @@ def resolvent(a: RationalMatrix):
         for i in range(n):
             m[i][i] += c
         coeffs.append(Fraction(c, d**k))
-    return d, mats, Poly(coeffs[::-1])
+    return Poly(coeffs[::-1])
+
+
+def controller_charpoly(sigma, end_rows) -> Poly:
+    """chi(A) = det D(s) for A in controller form, from its block-end rows R.
+
+    The other rows of A are the next unit rows, so (Wolovich) D(s) =
+    diag(s^sigma_j) - R S(s), S(s) the block diagonal of the columns (1, s,
+    ..., s^(sigma_k - 1)).  Row j of D is scaled to integers by d_j; column
+    k then has degree sigma_k, with leading coefficient d_k on the diagonal
+    and lower degree off it.  So no leading principal minor vanishes, and
+    Bareiss elimination over Z[s] needs no pivoting and divides exactly.
+    MorganError above the size cap of resolvent.
+    """
+    if sum(sigma) > RESOLVENT_SIZE_CAP:
+        raise MorganError(f"resolvent size cap exceeded ({sum(sigma)} > {RESOLVENT_SIZE_CAP})")
+    m = []
+    for j, (d, r) in enumerate(map(_scaled, end_rows)):
+        r = iter(r)
+        m.append([[-next(r) for _ in range(s)] + [d] * (k == j) for k, s in enumerate(sigma)])
+    prev = [1]
+    for k in range(len(m) - 1):
+        piv = m[k][k]
+        for row in m[k + 1:]:
+            for j in range(k + 1, len(m)):
+                num = [0] * max(len(piv) + len(row[j]), len(row[k]) + len(m[k][j]))
+                for u, v, sign in ((piv, row[j], 1), (row[k], m[k][j], -1)):
+                    for a, x in enumerate(u):
+                        for b, y in enumerate(v):
+                            num[a + b] += sign * x * y
+                q = [0] * (len(num) - len(prev) + 1)
+                for t in range(len(q) - 1, -1, -1):
+                    q[t] = c = num[t + len(prev) - 1] // prev[-1]
+                    for i, y in enumerate(prev):
+                        num[t + i] -= c * y
+                if any(num):
+                    raise MorganError("Bareiss division not exact (bug)")
+                while q and not q[-1]:
+                    q.pop()
+                row[j] = q
+        prev = piv
+    det = m[-1][-1]
+    return Poly([Fraction(c, det[-1]) for c in det])
 
 
 def transfer_function(a, b, c, chi):
@@ -550,7 +587,7 @@ def transfer_function(a, b, c, chi):
     For a closed loop pass A + BF and BG (see zeros.closed_loop).  Returns
     a matrix (list of lists) of (numerator, denominator) Poly pairs in
     lowest terms with monic denominators; chi is the characteristic
-    polynomial of A (zeros.charpoly).  The numerators come from the Markov
+    polynomial of A (resolvent).  The numerators come from the Markov
     parameters: with chi(s) = sum_j c_j s^(n-j), C adj(sI - A) B =
     sum_k s^(n-1-k) N_k, N_k = sum_{j<=k} c_j C A^(k-j) B.  With d A, d_C C
     and d_B B integer, N_k = sum_j (d^j c_j) (d_C C)(d A)^(k-j)(d_B B) /

@@ -13,9 +13,10 @@ check_fixed_poles cross-checks a recorded pair against the closed loop.
 
 Both are read off the verified closed loop: dz is the uncontrollable
 polynomial of (A + BF, BG), as check_fixed_poles computes it, and
-chi(A + BF) = dz * prod(p_i) * monic det N(s).  Proof: P carries (A + BF, BG)
-to (A_s + B_s F_f, B_s G_f), where A_s = A_r + B_r G_I F_0 and
-B_s = B_r G_I G_0 form the squared-down system in pencil coordinates.  Its
+chi(A + BF) = dz * prod(p_i) * monic det N(s); compose_final reads them off
+the similar pair (P^-1 (A + BF) P, P^-1 BG).  Proof: P carries (A + BF, BG)
+to (A_s + B_s F_f, B_s G_f), where A_s = A_r + B_r G_I F_0 and B_s =
+B_r G_I G_0 form the squared-down system in pencil coordinates.  Its
 controllable subspace V, which feedback keeps, is spanned by the numeric
 Q_B, so chi(A + BF) is dz times the characteristic polynomial on V.  In the
 basis Q_B the restriction is in controller form with indices sigma_tilde:
@@ -53,11 +54,6 @@ from .exactalg import (
 )
 
 
-def charpoly(a: RationalMatrix) -> Poly:
-    """Monic characteristic polynomial (exact)."""
-    return resolvent(a)[2]
-
-
 def _restriction(a: RationalMatrix, basis_cols) -> RationalMatrix:
     """Matrix X with A V = V X for a basis V of an A-invariant subspace.
 
@@ -78,7 +74,7 @@ def _outside_krylov_span(a: RationalMatrix, b: RationalMatrix, chi) -> Poly:
     kept = krylov_select(a, b)[1]
     if len(kept) == a.rows:
         return Poly.one()
-    out, rem = chi.divmod(charpoly(_restriction(a, kept)))
+    out, rem = chi.divmod(resolvent(_restriction(a, kept)))
     if not rem.is_zero():
         raise MorganError("characteristic polynomial of a subspace does not divide (bug)")
     return out
@@ -104,7 +100,7 @@ def closed_loop(sys, f, g):
     does not fit the system."""
     sys.check_feedback(f, g)
     acl = sys.A + sys.B * f
-    return acl, charpoly(acl)
+    return acl, resolvent(acl)
 
 
 def check_fixed_poles(sys, g, acl, chi, dz_recorded: Poly, fixed_recorded: Poly):

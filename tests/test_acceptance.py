@@ -25,13 +25,11 @@ from morgan.exactalg import (
     Poly,
     RationalMatrix,
     parse_poly,
+    resolvent,
     transfer_function,
 )
 from morgan.fileio import dump_json, solution_to_dict
-from morgan.zeros import (
-    charpoly,
-    uncontrollable_polynomial,
-)
+from morgan.zeros import uncontrollable_polynomial
 
 
 def report(n, text):
@@ -73,7 +71,7 @@ def test_criterion_1_example1_structure(ex1):
 def test_criterion_2_example1_golden_verify(ex1):
     t0 = time.perf_counter()
     acl = ex1.A + ex1.B * pd.EX1_F_FINAL
-    h = transfer_function(acl, ex1.B * pd.EX1_G_FINAL, ex1.C, charpoly(acl))
+    h = transfer_function(acl, ex1.B * pd.EX1_G_FINAL, ex1.C, resolvent(acl))
     elapsed = time.perf_counter() - t0
     dens = [parse_poly(t) for t in pd.EX1_DIAG_DENS]
     for i in range(3):
@@ -102,7 +100,7 @@ def test_criterion_3_example1_synthesis(ex1):
     assert len(rejected) == 8
     # returned pair passes exact verification with the default 1/(s+1)^(d_i+1)
     acl = ex1.A + ex1.B * sol.F
-    h = transfer_function(acl, ex1.B * sol.G, ex1.C, charpoly(acl))
+    h = transfer_function(acl, ex1.B * sol.G, ex1.C, resolvent(acl))
     for i in range(3):
         for j in range(3):
             num, den = h[i][j]
@@ -122,7 +120,7 @@ def test_criterion_4_example2_structure_and_golden_verify(ex2):
     assert tuples == pd.EX2_I_LIST and len(tuples) == 16
     assert [c.positions for c in configs] == pd.EX2_M_POSITIONS and len(configs) == 10
     acl = ex2.A + ex2.B * pd.ex2_f_final(0, 0, 0, 0)
-    h = transfer_function(acl, ex2.B * pd.EX2_G_FINAL, ex2.C, charpoly(acl))
+    h = transfer_function(acl, ex2.B * pd.EX2_G_FINAL, ex2.C, resolvent(acl))
     dens = [parse_poly(t) for t in pd.EX2_DIAG_DENS]
     for i in range(3):
         for j in range(3):
@@ -154,7 +152,7 @@ def test_criterion_6_zero_assignment(ex2):
     assert sol.fixed_poles.input_dz_poly == target
     # oracle: uncontrollable polynomial of the actual closed loop
     acl = ex2.A + ex2.B * sol.F
-    assert uncontrollable_polynomial(acl, ex2.B * sol.G, charpoly(acl)) == target
+    assert uncontrollable_polynomial(acl, ex2.B * sol.G, resolvent(acl)) == target
     report(6, "--dz-target s^2+3s+2 on Example 2 places the uncontrollable polynomial exactly")
 
 
@@ -212,7 +210,7 @@ def test_criterion_8_closed_loop_factorization(ex1, ex2):
         with recorded_qb_nums() as seen:
             sol = solve(sys_, SolveOptions(seed=1729))
         acl = sys_.A + sys_.B * sol.F
-        chi = charpoly(acl)
+        chi = resolvent(acl)
         prod = Poly.one()
         for _, p in sol.diag:
             prod = prod * p

@@ -910,6 +910,32 @@ class TestVerifySharesClosedLoop:
         assert sizes.count(9) == 1
 
 
+class TestSolveSkipsFullResolvent:
+    @pytest.mark.parametrize("case", ["ex1", "ex2", "ex2dz"])
+    def test_no_resolvent_of_the_full_closed_loop(self, case, seed_1729_solutions, tmp_path,
+                                                  monkeypatch, capsys):
+        """A first-hit solve reads chi of the closed loop off det D(s) in
+        pencil coordinates: it runs Faddeev-LeVerrier on no n x n matrix."""
+        from morgan import exactalg, zeros
+
+        system, _ = seed_1729_solutions[case]
+        n = len(json.loads(Path(system).read_text())["A"])
+        sizes = []
+        original = exactalg.resolvent
+
+        def counted(a):
+            sizes.append(a.rows)
+            return original(a)
+
+        monkeypatch.setattr(exactalg, "resolvent", counted)
+        monkeypatch.setattr(zeros, "resolvent", counted)
+        capsys.readouterr()
+        rc, _, _ = run(capsys, ["solve", system, "--out", str(tmp_path / "sol.json"), "--seed", "1729"]
+                       + SEED_1729_CASES[case][1])
+        assert rc == 0
+        assert n not in sizes
+
+
 class TestCommandLookup:
     def test_rebound_command_is_called(self, files, monkeypatch, capsys):
         """main looks the command function up when it runs, so rebinding

@@ -22,7 +22,7 @@ from morgan.decouple import (
     square_decouple,
 )
 from morgan.errors import InvalidSystem, MorganError, TargetDegreeMismatch, VerificationFailed
-from morgan.exactalg import Poly, RationalMatrix, parse_poly, transfer_function
+from morgan.exactalg import Poly, RationalMatrix, parse_poly, resolvent, transfer_function
 from morgan.fileio import load_system
 from morgan.paramalg import ParamId, instantiate
 from morgan.squaring import (
@@ -32,7 +32,7 @@ from morgan.squaring import (
     decouplability_search,
     solve_feedback_rows,
 )
-from morgan.zeros import charpoly, closed_loop
+from morgan.zeros import closed_loop
 from param_oracle import at_columns
 
 NOSOL_7_66 = str(Path(__file__).resolve().parent.parent / "perfbench" / "data" / "nosol_7_66.json")
@@ -84,7 +84,8 @@ def assert_diagonal(h, p_list):
 def assert_decouples(sys_, sol):
     """The solution's (F, G) decouples the original system into diag(1/p_i)."""
     expected = [(Poly.one(), den) for _, den in sol.diag]
-    diag, failures = check_closed_loop(sys_, sol.G, *closed_loop(sys_, sol.F, sol.G), expected)
+    acl, chi = closed_loop(sys_, sol.F, sol.G)
+    diag, failures = check_closed_loop(acl, sys_.B * sol.G, sys_.C, chi, expected)
     assert failures == []
     assert diag == expected
 
@@ -147,7 +148,7 @@ class TestSquareDecouple:
         # the closed loop must be exactly diag(1/p_i)
         b_f = square_input(ex1_reference_pencil, sq)
         acl = square.A_f + b_f * f_f
-        h = transfer_function(acl, b_f * g_f, square.C_f, charpoly(acl))
+        h = transfer_function(acl, b_f * g_f, square.C_f, resolvent(acl))
         assert_diagonal(h, p_list)
 
     def test_example2_reference_targets(self, ex2_pencil, ex2_config_15):
@@ -157,7 +158,7 @@ class TestSquareDecouple:
         f_f, g_f, p_list = square_decouple(square, targets)
         b_f = square_input(ex2_pencil, sq)
         acl = square.A_f + b_f * f_f
-        h = transfer_function(acl, b_f * g_f, square.C_f, charpoly(acl))
+        h = transfer_function(acl, b_f * g_f, square.C_f, resolvent(acl))
         assert_diagonal(h, p_list)
 
     def test_f_f_matches_reference_horner(self, ex1_reference_pencil, ex2_pencil, ex2_config_15,
@@ -258,7 +259,8 @@ class TestComposeFinal:
         )
         expected = [(Poly.one(), parse_poly("s+1")), (Poly.one(), parse_poly("s+2"))]
         f, g = RationalMatrix.zeros(2, 2), RationalMatrix.identity(2)
-        diag, failures = check_closed_loop(sys_, g, *closed_loop(sys_, f, g), expected)
+        acl, chi = closed_loop(sys_, f, g)
+        diag, failures = check_closed_loop(acl, sys_.B * g, sys_.C, chi, expected)
         assert diag == expected
         assert len(failures) == 1
         err = failures[0]
@@ -282,8 +284,82 @@ class TestComposeFinal:
         expected = [(Poly.one(), parse_poly("s+1")), (Poly.one(), parse_poly("s+2"))]
         f, g = RationalMatrix.zeros(2, 2), RationalMatrix(g)
         assert g.rank() < sys_.m
-        _, failures = check_closed_loop(sys_, g, *closed_loop(sys_, f, g), expected)
+        acl, chi = closed_loop(sys_, f, g)
+        _, failures = check_closed_loop(acl, sys_.B * g, sys_.C, chi, expected)
         assert [str(e) for e in failures] == messages
+
+
+def composed_cells(sys_, options, monkeypatch):
+    """(compose_final arguments, (F, G), closed loop that compose_final
+    checked) of every configuration of solve(sys_, options) whose
+    composition passes; the closed loop is (A_p, B_p, C_r, chi)."""
+    import morgan.decouple as decouple
+
+    check, compose = decouple.check_closed_loop, decouple.compose_final
+    loops, cells = [], []
+
+    def recording_check(acl, bg, c, chi, expected):
+        loops.append((acl, bg, c, chi))
+        return check(acl, bg, c, chi, expected)
+
+    def recording_compose(*args):
+        out = compose(*args)
+        cells.append((args, out[:2], loops[-1]))
+        return out
+
+    monkeypatch.setattr(decouple, "check_closed_loop", recording_check)
+    monkeypatch.setattr(decouple, "compose_final", recording_compose)
+    result = solve(sys_, options)
+    monkeypatch.undo()
+    return result, cells
+
+
+def assert_similar_closed_loop(args, pair, loop):
+    """The n^3 identities that compose_final's O(n^2 l) checks stand for:
+    P^-1 (A + BF) = A_p P^-1, P^-1 B G = B_p, C_r P^-1 = C and
+    chi(A + BF) = chi(A_p), the latter by Faddeev-LeVerrier on both."""
+    sys_, pencil = args[:2]
+    f, g = pair
+    a_p, b_p, c_r, chi = loop
+    acl = sys_.A + sys_.B * f
+    assert pencil.P_inv * acl == a_p * pencil.P_inv
+    assert pencil.P_inv * sys_.B * g == b_p
+    assert c_r * pencil.P_inv == sys_.C
+    assert resolvent(acl) == chi == resolvent(a_p)
+
+
+class TestPencilClosedLoop:
+    """compose_final checks the closed loop in pencil coordinates; it must be
+    exactly similar to the closed loop of the original system."""
+
+    @pytest.mark.parametrize("case", ["ex1", "ex2"])
+    def test_every_solved_cell_of_all(self, case, request, monkeypatch):
+        sys_ = request.getfixturevalue(case)
+        result, cells = composed_cells(sys_, SolveOptions(seed=1729, return_all=True), monkeypatch)
+        assert len(cells) == sum(o.status == "solved" for o in result.outcomes) > 0
+        for cell in cells:
+            assert_similar_closed_loop(*cell)
+
+    def test_random_round_trip_systems(self, tmp_path, monkeypatch):
+        from test_cli import random_system_files
+
+        for i, path in enumerate(random_system_files(tmp_path, 4242, 10)):
+            result, cells = composed_cells(load_system(path), SolveOptions(seed=i), monkeypatch)
+            assert isinstance(result, DecouplingSolution)
+            for cell in cells:
+                assert_similar_closed_loop(*cell)
+
+    def test_perturbed_input_transformation_fails(self, ex2, monkeypatch):
+        """Negative control: one entry of G_I changed on its way into the
+        check changes F and G, and the O(n^2 l) check raises."""
+        _, cells = composed_cells(ex2, SolveOptions(seed=1729, return_all=True), monkeypatch)
+        assert cells
+        for (sys_, pencil, *rest), _, _ in cells:
+            rows = [list(r) for r in pencil.G_I.entries]
+            rows[0][-1] += 1
+            bad = dataclasses.replace(pencil, G_I=RationalMatrix(rows))
+            with pytest.raises(VerificationFailed, match=r"P\^-1 B \(F, G\) != .* \(bug\)"):
+                compose_final(sys_, bad, *rest)
 
 
 class TestSolve:
@@ -398,7 +474,7 @@ class TestClosedLoopFactorization:
     def test_examples(self, ex1, ex1_solution, ex2, ex2_solution):
         for sys_, sol in [(ex1, ex1_solution), (ex2, ex2_solution)]:
             acl = sys_.A + sys_.B * sol.F
-            chi = charpoly(acl)
+            chi = resolvent(acl)
             prod = Poly.one()
             for _, p in sol.diag:
                 prod = prod * p

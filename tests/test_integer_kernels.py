@@ -4,14 +4,16 @@ Every kernel must return exactly the values of the `Fraction` bodies kept in
 `fraction_reference`: products, matrix-vector products, reduced row echelon
 forms, Faddeev-LeVerrier and the transfer function, on mixed denominators,
 zero rows and columns, empty shapes and rank-deficient matrices up to
-n = 12.  The Krylov sequences (x A^k on rows, as `decouple.square_decouple`
-reads them, and A^k x) are checked against Fraction powers.
+n = 12.  det D(s) of a controller form equals Faddeev-LeVerrier's chi.  The
+Krylov sequences (x A^k on rows, as `decouple.square_decouple` reads them,
+and A^k x) are checked against Fraction powers.
 """
 
 import operator
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice
 
+import hypothesis
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -23,7 +25,9 @@ from morgan.exactalg import (
     RationalMatrix,
     _krylov,
     _reduce,
+    RESOLVENT_SIZE_CAP,
     _scaled_matrix,
+    controller_charpoly,
     resolvent,
     transfer_function,
 )
@@ -78,16 +82,6 @@ def outcome(fn, *args):
         return fn(*args)
     except MorganError as e:
         return f"MorganError: {e}"
-
-
-def adjugate(d, mats):
-    """adj(sI - A) = sum_k M_k(A) s^(n-1-k), M_k(A) = M_k(dA) / d^k."""
-    n = len(mats)
-    return PolyMatrix(
-        [[Poly([Fraction(mats[n - 1 - p][i][j], d ** (n - 1 - p)) for p in range(n)])
-          for j in range(n)]
-         for i in range(n)]
-    )
 
 
 class TestProduct:
@@ -216,24 +210,85 @@ class TestResolvent:
     @example(DENSE_12)
     @settings(max_examples=40, deadline=None)
     def test_matches_reference(self, a):
-        d, mats, chi = resolvent(a)
-        ref_adj, ref_chi = ref.resolvent(a)
-        assert chi == ref_chi
-        assert adjugate(d, mats) == ref_adj
+        assert resolvent(a) == ref.resolvent(a)[1]
 
     @given(square_matrices())
     @example(DENSE_12)
     @settings(max_examples=25, deadline=None)
     def test_adjugate_identity(self, a):
-        # adj(s) (sI - A) = chi(s) I identically, with chi monic
+        # adj(s) (sI - A) = chi(s) I identically, with chi monic; the
+        # adjugate comes from the Fraction reference
         n = a.rows
-        d, mats, chi = resolvent(a)
-        lhs = adjugate(d, mats) * s_identity_minus(a)
+        chi = resolvent(a)
+        lhs = ref.resolvent(a)[0] * s_identity_minus(a)
         expected = PolyMatrix(
             [[chi if i == j else Poly.zero() for j in range(n)] for i in range(n)]
         )
         assert lhs == expected
         assert chi.leading() == 1 and chi.degree == n
+
+
+def controller_form(sigma, end_rows):
+    """The matrix with the given block-end rows and unit chain rows."""
+    n = sum(sigma)
+    a = [[Fraction(int(j == i + 1)) for j in range(n)] for i in range(n)]
+    for p, row in zip(accumulate(sigma), end_rows):
+        a[p - 1] = list(row)
+    return RationalMatrix(a)
+
+
+@st.composite
+def controller_forms(draw):
+    """(sigma, block-end rows): blocks of 1-4 rows, 1-4 blocks, and end rows
+    with mixed denominators, zero rows and dependent rows."""
+    sigma = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)))
+    return sigma, draw(matrices(len(sigma), sum(sigma))).entries
+
+
+def companion_ends(sigma, polys):
+    """Block-end rows making block j the companion matrix of polys[j]."""
+    rows = []
+    for j, p in enumerate(polys):
+        row = [Fraction(0)] * sum(sigma)
+        row[sum(sigma[:j]):sum(sigma[:j + 1])] = [-c for c in p.coeffs[:-1]]
+        rows.append(row)
+    return rows
+
+
+S1 = Poly([1, 1])  # s + 1
+# block-end rows with denominators; the second set has a zero row
+ENDS_5 = [[Fraction(-1, 3), Fraction(0), Fraction(7, 2), Fraction(0), Fraction(-2, 9)]]
+ENDS_1_3 = [[Fraction(0)] * 4, [Fraction(1, 2), Fraction(-3), Fraction(0), Fraction(5, 7)]]
+
+
+class TestControllerCharpoly:
+    """chi of a controller form from det D(s) (Wolovich's structure theorem)."""
+
+    @hypothesis.seed(31)
+    @given(controller_forms())
+    @example(((1, 1, 1, 1), companion_ends((1, 1, 1, 1), [S1] * 4)))  # l = n, A = -I
+    @example(((2, 2, 3), companion_ends((2, 2, 3), [S1 * S1, S1 * S1, S1 * S1 * S1])))
+    @example(((5,), ENDS_5))  # l = 1
+    @example(((1, 3), ENDS_1_3))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_faddeev_leverrier(self, form):
+        sigma, rows = form
+        assert controller_charpoly(sigma, rows) == resolvent(controller_form(sigma, rows))
+
+    def test_repeated_factors_across_blocks(self):
+        # the closed loops of the static law: (s+1)^k on every output, so
+        # chi is (s+1)^n and A is not cyclic
+        sigma = (1, 2, 2, 3)
+        rows = companion_ends(sigma, [S1, S1 * S1, S1 * S1, S1 * S1 * S1])
+        chi = controller_charpoly(sigma, rows)
+        assert chi == Poly([1, 8, 28, 56, 70, 56, 28, 8, 1])
+        assert chi == resolvent(controller_form(sigma, rows))
+
+    def test_size_cap(self):
+        n = RESOLVENT_SIZE_CAP
+        assert controller_charpoly((n,), [[Fraction(0)] * n]) == Poly([0] * n + [1])
+        with pytest.raises(MorganError, match=f"size cap exceeded \\({n + 1} > {n}\\)"):
+            controller_charpoly((n - 1, 2), [[Fraction(0)] * (n + 1)] * 2)
 
 
 @st.composite
@@ -257,4 +312,4 @@ class TestTransferFunction:
         a, b, c, f, g = system
         acl = a if f is None else a + b * f
         bg = b if g is None else b * g
-        assert transfer_function(acl, bg, c, resolvent(acl)[2]) == ref.transfer_function(*system)
+        assert transfer_function(acl, bg, c, resolvent(acl)) == ref.transfer_function(*system)

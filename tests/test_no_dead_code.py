@@ -2,7 +2,7 @@
 
 Every module-level function and class in src/morgan must be referenced
 somewhere in src/morgan outside its own definition, as a name or as an
-attribute (`zeros_mod.charpoly`).  An import alone is not a reference.
+attribute (`zeros_mod.fixed_pole_report`).  An import alone is not a reference.
 Exempt are the names in a module's `__all__` and the `cmd_*` functions,
 which `cli.main` looks up by name.  Every method of a module-level class,
 dunders aside, must be named as an attribute (`m.params()`) somewhere in

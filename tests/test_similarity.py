@@ -111,7 +111,7 @@ def test_output_scaling(name):
             continue
         assert (res2.ci_tuple, res2.config) == (res.ci_tuple, res.config)
         acl, chi = closed_loop(scaled, res2.F, res2.G)
-        _, failures = check_closed_loop(scaled, res2.G, acl, chi, res2.diag)
+        _, failures = check_closed_loop(acl, scaled.B * res2.G, scaled.C, chi, res2.diag)
         assert failures == []
         fp = res2.fixed_poles
         assert check_fixed_poles(

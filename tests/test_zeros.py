@@ -23,11 +23,10 @@ from morgan.decouple import (
     solve,
 )
 from morgan.errors import InvalidSystem, MorganError, NotSolvable
-from morgan.exactalg import Poly, RationalMatrix, parse_poly
+from morgan.exactalg import Poly, RationalMatrix, parse_poly, resolvent
 from morgan.squaring import MuFamily, SquaringData, build_QB, solve_feedback_rows
 from morgan.zeros import (
     assign_zeros,
-    charpoly,
     check_fixed_poles,
     closed_loop,
     companion,
@@ -176,7 +175,7 @@ class TestFixedDecouplingPoles:
         assert fixed == Poly.one()
         # oracle: the reference closed loop has no unobservable modes
         acl = pd.EX1_A + pd.EX1_B * pd.EX1_F_FINAL
-        assert unobservable_polynomial(acl, pd.EX1_C, charpoly(acl)) == Poly.one()
+        assert unobservable_polynomial(acl, pd.EX1_C, resolvent(acl)) == Poly.one()
 
     def test_example2(self, ex2_pencil, ex2_config_15):
         square = q_coordinate_square(
@@ -187,7 +186,7 @@ class TestFixedDecouplingPoles:
         # oracle relations on the reference closed loop at t = 0:
         # fixed | unobservable | fixed * dz (one zero mode is also unobservable)
         acl = pd.EX2_A + pd.EX2_B * pd.ex2_f_final(0, 0, 0, 0)
-        chi = charpoly(acl)
+        chi = resolvent(acl)
         unobs = unobservable_polynomial(acl, pd.EX2_C, chi)
         dz = input_decoupling_zeros(square)
         assert unobs.divmod(fixed)[1].is_zero()
@@ -240,7 +239,7 @@ class TestAssignZeros:
 
     def test_companion(self):
         c = companion(parse_poly("s^2+3s+2"))
-        assert charpoly(c) == parse_poly("s^2+3s+2")
+        assert resolvent(c) == parse_poly("s^2+3s+2")
 
 
 class TestQuotientByNullbasis:
@@ -342,7 +341,7 @@ class TestBestEffort:
         qb_num = seen[-1]
         assert sol.squaring.t is None
         # the quotient block at T = 0 reproduces the solution's own zero polynomial
-        assert charpoly(quotient_block_at_zero(sol)) == sol.fixed_poles.input_dz_poly
+        assert resolvent(quotient_block_at_zero(sol)) == sol.fixed_poles.input_dz_poly
         assert input_decoupling_zeros(q_square_of(sol, qb_num)) == sol.fixed_poles.input_dz_poly
         with pytest.raises(NotSolvable, match="free-parameter map does not reach every quotient block"):
             assign_zeros(sol.pencil, sol.config, sol.mu_family, parse_poly("s^2+3s+2"))
@@ -390,7 +389,7 @@ class TestRandomSolvedSystems:
                 continue
             checked += 1
             acl = sys_.A + sys_.B * res.F
-            chi = charpoly(acl)
+            chi = resolvent(acl)
             dz = res.fixed_poles.input_dz_poly
             assert dz.degree + sum(res.ci_tuple) == n
             assert uncontrollable_polynomial(acl, sys_.B * res.G, chi) == dz
