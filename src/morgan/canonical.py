@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import accumulate, islice
 
 from .errors import InvalidSystem, MorganError, NotControllable, VerificationFailed
-from .exactalg import RationalMatrix, _krylov, _scaled_matrix, krylov_select
+from .exactalg import RationalMatrix, _from_rows, _krylov, _scaled, krylov_select
 
 
 @dataclass(frozen=True)
@@ -92,6 +92,7 @@ class PencilForm:
 
     sigma: tuple
     P_inv: RationalMatrix
+    P_inv_B: RationalMatrix  # P^-1 B, which compose_final's checks reuse
     G_I: RationalMatrix
     A_r: RationalMatrix
     B_r_GI: RationalMatrix
@@ -117,7 +118,7 @@ def to_pencil_form(sys: StateSpace) -> PencilForm:
     (ties keep the input order), are the columns of the chain matrix K.  One
     solve with K^T gives the block-end rows q_i of K^-1.  P^-1 stacks the rows
     q_i A^k, k < sigma_i, and w_i = q_i A^sigma_i is kept; both Krylov
-    sequences run on A scaled to integers.  A_r has unit chain rows; its
+    sequences run on the integer rows of A.  A_r has unit chain rows; its
     block-end rows and C_r come from one solve X P^-1 = [w_1; ...; w_l; C].
     The result is checked exactly before returning.  NotControllable when
     (A, B) is not controllable.
@@ -127,31 +128,31 @@ def to_pencil_form(sys: StateSpace) -> PencilForm:
     order = sorted(range(l), key=lambda j: (raw[j], j))
     sigma = tuple(raw[j] for j in order)
     ends = [p - 1 for p in positions_from_sigma(sigma)]
-    d, ah = _scaled_matrix(a.entries)
-    a_cols = list(zip(*ah))
-    ident = RationalMatrix.identity(n).entries
+    d, ah = a.den, a.ints
+    a_cols, b_cols = list(zip(*ah)), list(zip(*b.ints))
+    ident = RationalMatrix.identity(n).ints
 
-    chain = [v for j in order for v in islice(_krylov(b.col(j), ah, d), raw[j])]
-    qs = RationalMatrix._of(chain).solve([ident[p] for p in ends])[0]
+    chain = [u for j in order for u in islice(_krylov(b.den, b_cols[j], ah, d), raw[j])]
+    qs = _from_rows(chain).solve([ident[p] for p in ends])[0]
     if None in qs:
         raise MorganError("chain matrix is singular")
     t_inv_rows, w = [], []
     for q, s in zip(qs, sigma):
-        *rows, last = islice(_krylov(q, a_cols, d), s + 1)
+        *rows, last = islice(_krylov(*_scaled(q), a_cols, d), s + 1)
         t_inv_rows += rows
         w.append(last)
-    p_inv = RationalMatrix._of(t_inv_rows)
-    xs = p_inv.transpose().solve(w + list(c.entries))[0]
+    p_inv = _from_rows(t_inv_rows)
+    xs = p_inv.transpose().solve(list(_from_rows(w).entries) + list(c.entries))[0]
     if None in xs:
         raise MorganError("P^-1 is singular")
     end_rows = dict(zip(ends, xs))
-    a_r = RationalMatrix._of(end_rows.get(i) or ident[i + 1] for i in range(n))
+    a_r = RationalMatrix(end_rows.get(i) or ident[i + 1] for i in range(n))
 
     pb = p_inv * b
-    v_inv = RationalMatrix._of([[pb[p, j] for j in order] for p in ends]).inverse()
-    g_i = RationalMatrix._of([v_inv.row(order.index(j)) for j in range(l)])
-    pf = PencilForm(sigma=sigma, P_inv=p_inv, G_I=g_i, A_r=a_r,
-                    B_r_GI=pb * g_i, C_r=RationalMatrix._of(xs[l:]))
+    v_inv = pb.submatrix(ends, order).inverse()
+    g_i = v_inv.submatrix([order.index(j) for j in range(l)], range(l))
+    pf = PencilForm(sigma=sigma, P_inv=p_inv, P_inv_B=pb, G_I=g_i, A_r=a_r,
+                    B_r_GI=pb * g_i, C_r=RationalMatrix(xs[l:]))
     _verify_pencil_form(sys, pf)
     return pf
 
@@ -173,9 +174,9 @@ def _verify_pencil_form(sys: StateSpace, pf: PencilForm):
         raise MorganError("A_r P^-1 != P^-1 A on the block-end rows")
     if pf.C_r * pf.P_inv != sys.C:
         raise MorganError("C_r P^-1 != C")
-    ident = RationalMatrix.identity(n).entries
-    for i in range(n):
-        if pf.B_r_GI.row(i) != tuple(int(i == p) for p in ends):
-            raise MorganError("B_r_GI does not have the unit-row pattern")
-        if i not in ends and pf.A_r.row(i) != ident[i + 1]:
-            raise MorganError("A_r chain structure broken")
+    ident = RationalMatrix.identity(n)
+    if pf.B_r_GI != ident.submatrix(range(n), ends):
+        raise MorganError("B_r_GI does not have the unit-row pattern")
+    chain = [i for i in range(n) if i not in ends]
+    if pf.A_r.submatrix(chain, range(n)) != ident.submatrix([i + 1 for i in chain], range(n)):
+        raise MorganError("A_r chain structure broken")

@@ -30,6 +30,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import comb
 
 from .admissible import RowConfig, enumerate_row_configs, enumerate_tuples
@@ -45,11 +46,12 @@ from .errors import (
 from .exactalg import (
     Poly,
     RationalMatrix,
+    _from_rows,
     _krylov,
-    _scaled_matrix,
     controller_charpoly,
     format_poly,
     krylov_select,
+    poly_gcd,
     rank,
     transfer_function,
 )
@@ -85,28 +87,27 @@ def relative_degrees(a: RationalMatrix, b: RationalMatrix, c: RationalMatrix):
     C_i A^k come from the integer Krylov sequence of each output row.
     Raises SingularBstar when an output row never reaches B.
     """
-    d, ah = _scaled_matrix(a.entries)
-    a_cols = list(zip(*ah))
-    ds = []
-    rows = []
-    for i, c_row in enumerate(c.entries):
-        for k, v in zip(range(a.rows), _krylov(c_row, a_cols, d)):
-            hit = (RationalMatrix._of([v]) * b).row(0)
+    a_cols, b_cols = list(zip(*a.ints)), list(zip(*b.ints))
+    ds, rows = [], []
+    for i, c_row in enumerate(c.ints):
+        for k, (e, v) in zip(range(a.rows), _krylov(c.den, c_row, a_cols, a.den)):
+            hit = [sum(x * y for x, y in zip(v, col)) for col in b_cols]
             if any(hit):
                 break
         else:
             raise SingularBstar(f"output {i + 1} is disconnected from the inputs")
         ds.append(k)
-        rows.append(hit)
-    return tuple(ds), RationalMatrix(rows)
+        rows.append((e * b.den, hit))
+    return tuple(ds), _from_rows(rows)
 
 
 def _at_block_ends(pencil: PencilForm, x: RationalMatrix, base=None):
-    """base (zero when None) + E X, E = B_r G_I: X's rows added at the block ends."""
-    rows = list((base or RationalMatrix.zeros(pencil.n, x.cols)).entries)
-    for p, x_row in zip(pencil.positions, x.entries):
-        rows[p - 1] = [a + b for a, b in zip(rows[p - 1], x_row)]
-    return RationalMatrix._of(rows)
+    """base (zero when None) + E X, E = B_r G_I: X's rows placed at the block ends."""
+    rows = [[0] * x.cols for _ in range(pencil.n)]
+    for p, x_row in zip(pencil.positions, x.ints):
+        rows[p - 1] = x_row
+    ex = RationalMatrix._int(rows, x.den)
+    return ex if base is None else base + ex
 
 
 def make_square_system(pencil: PencilForm, squaring: SquaringData) -> SquareSystem:
@@ -138,8 +139,8 @@ def square_decouple(square: SquareSystem, target_polys=None):
     """Static decoupling law: F_f = -B*^-1 stack(C_i p_i(A_f)), G_f = B*^-1.
 
     The closed loop transfer function is exactly diag(1/p_i(s)); the default
-    p_i is (s+1)^(d_i+1).  The row C_i p_i(A_f) sums the integer Krylov rows
-    C_i A_f^k, k <= d_i + 1, weighted by the coefficients of p_i.
+    p_i is (s+1)^(d_i+1).  The row C_i p_i(A_f) is the coefficient row of
+    p_i times the integer Krylov rows C_i A_f^k, k <= d_i + 1.
     """
     if target_polys is None:
         target_polys = default_diagonal_polys(square)
@@ -150,15 +151,13 @@ def square_decouple(square: SquareSystem, target_polys=None):
                 f"{square.rel_degrees[i] + 1}, got {p.degree}"
             )
     g_f = square.B_star.inverse()
-    d, ah = _scaled_matrix(square.A_f.entries)
-    a_cols = list(zip(*ah))
-    rows = []
-    for c_row, p in zip(square.C_f.entries, target_polys):
-        row = [0] * len(c_row)
-        for coeff, v in zip(p.coeffs, _krylov(c_row, a_cols, d)):
-            row = [x + coeff * y for x, y in zip(row, v)]
-        rows.append(row)
-    f_f = -(g_f * RationalMatrix(rows))
+    a, c = square.A_f, square.C_f
+    a_cols, rows = list(zip(*a.ints)), []
+    for c_row, p in zip(c.ints, target_polys):
+        krylov = _from_rows(islice(_krylov(c.den, c_row, a_cols, a.den), len(p.coeffs)))
+        row = RationalMatrix([p.coeffs]) * krylov
+        rows.append((row.den, row.ints[0]))
+    f_f = -(g_f * _from_rows(rows))
     return f_f, g_f, list(target_polys)
 
 
@@ -188,10 +187,10 @@ def compose_final(
     x = f_p * pencil.P_inv
     f, g = pencil.G_I * x, pencil.G_I * g_p
     a_p, b_p = _at_block_ends(pencil, f_p, pencil.A_r), _at_block_ends(pencil, g_p)
-    pb = pencil.P_inv * sys.B
-    if pb * f != _at_block_ends(pencil, x) or pb * g != b_p:
+    if pencil.P_inv_B * f != _at_block_ends(pencil, x) or pencil.P_inv_B * g != b_p:
         raise VerificationFailed("P^-1 B (F, G) != (E F_p P^-1, B_p) (bug)")
-    chi = controller_charpoly(pencil.sigma, [a_p.row(p - 1) for p in pencil.positions])
+    ends = [p - 1 for p in pencil.positions]
+    chi = controller_charpoly(pencil.sigma, a_p.submatrix(ends, range(pencil.n)))
     expected = [(Poly.one(), p.monic()) for p in p_list]
     diag, failures = check_closed_loop(a_p, b_p, pencil.C_r, chi, expected)
     if failures:
@@ -200,45 +199,50 @@ def compose_final(
     return f, g, diag, zeros_mod.fixed_pole_report(dz, chi, p_list)
 
 
+def _lowest_terms(p: Poly, chi: Poly):
+    """p / chi in lowest terms, chi monic: (numerator, monic denominator)."""
+    g = poly_gcd(p, chi)
+    return p.divmod(g)[0], chi.divmod(g)[0]
+
+
 def check_closed_loop(acl, bg, c, chi, expected_diagonal):
     """Check that the closed loop (acl, bg, c) is the expected diagonal.
 
     verify passes A + BF and chi from zeros.closed_loop, with BG and C;
     compose_final, the similar closed loop in pencil coordinates.  Computes
-    c (sI - acl)^-1 bg exactly, once.  Returns (diagonal (num, den) pairs,
-    failures): a VerificationFailed naming its entry for every nonzero
-    off-diagonal entry, then for each diagonal entry that is zero or differs
-    from expected_diagonal[i].  VerificationFailed is raised when
-    expected_diagonal does not hold one entry per output.
+    the numerators p of c (sI - acl)^-1 bg over chi exactly, once.  Returns
+    (diagonal (num, den) pairs, failures): a VerificationFailed naming its
+    entry for every nonzero off-diagonal entry, then for each diagonal entry
+    that is zero or differs from expected_diagonal[i] = (num, den), which
+    holds exactly when p != 0, den is monic, gcd(num, den) = 1 (free for a
+    constant num) and p den = chi num.  p / chi is reduced only to word a
+    failure.  VerificationFailed is raised when expected_diagonal does not
+    hold one entry per output.
     """
     m = c.rows
     if len(expected_diagonal) != m:
-        raise VerificationFailed(
-            f"{len(expected_diagonal)} diagonal entries recorded for {m} outputs"
-        )
+        raise VerificationFailed(f"{len(expected_diagonal)} diagonal entries recorded "
+                                 f"for {m} outputs")
     h = transfer_function(acl, bg, c, chi)
     failures = [
-        VerificationFailed(
-            f"off-diagonal entry ({i + 1},{j + 1}) = "
-            f"({format_poly(h[i][j][0])})/({format_poly(h[i][j][1])}) != 0",
-            entry=(i + 1, j + 1),
-        )
-        for i in range(m)
-        for j in range(m)
-        if i != j and not h[i][j][0].is_zero()
+        VerificationFailed(f"off-diagonal entry ({i + 1},{j + 1}) = "
+                           f"({format_poly(num)})/({format_poly(den)}) != 0", entry=(i + 1, j + 1))
+        for i in range(m) for j in range(m)
+        if i != j and not h[i][j].is_zero()
+        for num, den in [_lowest_terms(h[i][j], chi)]
     ]
-    diag = [h[i][i] for i in range(m)]
-    for i, (num, den) in enumerate(diag):
-        if num.is_zero():
-            message = f"diagonal entry {i + 1} is zero"
-        elif (num, den) != tuple(expected_diagonal[i]):
-            rec_num, rec_den = expected_diagonal[i]
-            message = (
-                f"diagonal entry {i + 1} is ({format_poly(num)})/({format_poly(den)}), "
-                f"file records ({format_poly(rec_num)})/({format_poly(rec_den)})"
-            )
-        else:
+    diag = []
+    for i, (rec_num, rec_den) in enumerate(expected_diagonal):
+        p = h[i][i]
+        if (not p.is_zero() and rec_den.leading() == 1 and p * rec_den == chi * rec_num
+                and (rec_num.degree == 0 or poly_gcd(rec_num, rec_den) == Poly.one())):
+            diag.append((rec_num, rec_den))
             continue
+        num, den = _lowest_terms(p, chi)
+        diag.append((num, den))
+        message = (f"diagonal entry {i + 1} is zero" if p.is_zero() else
+                   f"diagonal entry {i + 1} is ({format_poly(num)})/({format_poly(den)}), "
+                   f"file records ({format_poly(rec_num)})/({format_poly(rec_den)})")
         failures.append(VerificationFailed(message, entry=(i + 1, i + 1)))
     return diag, failures
 

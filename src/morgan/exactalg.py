@@ -2,10 +2,11 @@
 
 Everything here is immutable and pure.  Scalars are `fractions.Fraction`
 (always normalized: positive denominator, gcd(num, den) = 1), so every
-comparison in the package is exact with zero tolerance.  The matrix kernels
-(products, elimination, Faddeev-LeVerrier, det D(s), Markov parameters)
-scale rows or matrices to integers by the lcm of their denominators, compute
-with Python ints and build one normalized Fraction per output entry.
+comparison in the package is exact with zero tolerance.  A RationalMatrix
+is kept as one denominator d and the integer rows of d M: its products, sums
+and elimination and the kernels below (Krylov sequences, Faddeev-LeVerrier,
+det D(s), Markov parameters) compute with ints; Fractions are built only
+where entries are read.
 """
 
 from __future__ import annotations
@@ -31,19 +32,12 @@ def _scaled(xs):
     return d, [x.numerator * (d // x.denominator) for x in xs]
 
 
-def _scaled_matrix(rows):
-    """(d, int rows): one common denominator d of all entries and d * rows."""
-    d = lcm(*[x.denominator for row in rows for x in row])
-    return d, [[x.numerator * (d // x.denominator) for x in row] for row in rows]
-
-
 def _reduce(rows, width):
-    """(integer rows, pivot columns) of Gauss-Jordan elimination pivoting in the
-    first width columns: rows scaled to integers, the first nonzero row of each
-    column as pivot, each updated row divided by its content.  The rows past
-    the pivot rows are zero in the first width columns.
-    """
-    m = [_scaled(r)[1] for r in rows]
+    """(integer rows, pivot columns) of Gauss-Jordan elimination of integer
+    rows, pivoting in the first width columns on the first nonzero row of each
+    column, each updated row divided by its content.  The rows past the pivot
+    rows are zero in the first width columns."""
+    m = list(rows)
     pivots = []
     r = 0
     for c in range(width):
@@ -75,9 +69,7 @@ def rat(x) -> Fraction:
     """Coerce int / Fraction / 'p/q' string to a Fraction."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
@@ -267,9 +259,14 @@ def format_poly(p: Poly) -> str:
 
 
 class RationalMatrix:
-    """Immutable dense matrix of Fractions."""
+    """Immutable dense matrix over Q in one canonical form, unique, so == and
+    hash compare it: a denominator den > 0 and the integer rows ints of den *
+    M, with gcd(den, ints) = 1.  A matrix built from entries keeps them as
+    given and is scaled on first use; a kernel's result builds its Fraction
+    entries on first read.  Each form is cached in a slot once built.
+    """
 
-    __slots__ = ("entries",)
+    __slots__ = ("_entries", "_den", "_ints")
 
     def __init__(self, entries):
         rows = tuple(tuple(rat(x) for x in row) for row in entries)
@@ -277,35 +274,60 @@ class RationalMatrix:
             w = len(rows[0])
             if any(len(r) != w for r in rows):
                 raise MorganError("ragged matrix")
-        object.__setattr__(self, "entries", rows)
-
-    def __setattr__(self, *a):
-        raise AttributeError("RationalMatrix is immutable")
+        self._entries, self._den, self._ints = rows, None, None
 
     @staticmethod
-    def _of(rows) -> "RationalMatrix":
-        """A matrix of rows of equal length whose entries are already Fractions."""
+    def _int(rows, den=1) -> "RationalMatrix":
+        """The matrix of integer rows of equal length divided by den > 0."""
+        rows = tuple(map(tuple, rows))
+        g = den
+        for r in rows:
+            if g == 1:
+                break
+            g = gcd(g, *r)
+        if g > 1:
+            den //= g
+            rows = tuple(tuple(x // g for x in r) for r in rows)
         m = object.__new__(RationalMatrix)
-        object.__setattr__(m, "entries", tuple(map(tuple, rows)))
+        m._entries, m._den, m._ints = None, den, rows
         return m
+
+    def _scale(self):
+        """(den, ints), scaled from the entries on first use."""
+        if self._ints is None:
+            self._den = d = lcm(*[x.denominator for r in self._entries for x in r])
+            self._ints = tuple(tuple(x.numerator * (d // x.denominator) for x in r)
+                               for r in self._entries)
+        return self._den, self._ints
+
+    den = property(lambda self: self._scale()[0])
+    ints = property(lambda self: self._scale()[1])
+
+    @property
+    def entries(self) -> tuple:
+        """The Fraction rows, built on first read."""
+        if self._entries is None:
+            d = self._den
+            self._entries = tuple(tuple(Fraction(x, d) if d > 1 else Fraction(x) for x in r)
+                                  for r in self._ints)
+        return self._entries
 
     @property
     def rows(self) -> int:
-        return len(self.entries)
+        return len(self._ints if self._entries is None else self._entries)
 
     @property
     def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
+        rows = self._ints if self._entries is None else self._entries
+        return len(rows[0]) if rows else 0
 
     @staticmethod
     def identity(n: int) -> "RationalMatrix":
-        return RationalMatrix(
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        )
+        return RationalMatrix._int([[int(i == j) for j in range(n)] for i in range(n)])
 
     @staticmethod
     def zeros(r: int, c: int) -> "RationalMatrix":
-        return RationalMatrix._of([[Fraction(0)] * c] * r)
+        return RationalMatrix._int([[0] * c] * r)
 
     @staticmethod
     def from_columns(cols) -> "RationalMatrix":
@@ -323,58 +345,57 @@ class RationalMatrix:
         return tuple(r[j] for r in self.entries)
 
     def __eq__(self, other):
-        return isinstance(other, RationalMatrix) and self.entries == other.entries
+        return isinstance(other, RationalMatrix) and self._scale() == other._scale()
 
     def __hash__(self):
-        return hash(self.entries)
+        return hash(self._scale())
 
-    def _same_shape(self, other, op):
+    def _plus(self, other, sign, op):
         if self.rows != other.rows or self.cols != other.cols:
-            raise MorganError(
-                f"dimension mismatch {self.rows}x{self.cols} {op} {other.rows}x{other.cols}"
-            )
-        return zip(self.entries, other.entries)
+            raise MorganError(f"dimension mismatch {self.rows}x{self.cols} {op} "
+                              f"{other.rows}x{other.cols}")
+        d = lcm(self.den, other.den)
+        a, b = d // self.den, sign * (d // other.den)
+        return RationalMatrix._int(
+            [[a * x + b * y for x, y in zip(r, s)] for r, s in zip(self.ints, other.ints)], d
+        )
 
     def __add__(self, other):
-        return RationalMatrix._of(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in self._same_shape(other, "+")]
-        )
+        return self._plus(other, 1, "+")
 
     def __sub__(self, other):
-        return RationalMatrix._of(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in self._same_shape(other, "-")]
-        )
+        return self._plus(other, -1, "-")
 
     def __neg__(self):
-        return RationalMatrix._of([[-a for a in r] for r in self.entries])
+        return RationalMatrix._int([[-x for x in r] for r in self.ints], self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return RationalMatrix._of([[a * other for a in r] for r in self.entries])
+            return RationalMatrix._int(
+                [[x * other.numerator for x in r] for r in self.ints], self.den * other.denominator
+            )
         if not isinstance(other, RationalMatrix):
             return NotImplemented
         if self.cols != other.rows:
             raise MorganError(
                 f"dimension mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}"
             )
-        rows = [_scaled(r) for r in self.entries]
-        cols = [_scaled(c) for c in zip(*other.entries)]
-        return RationalMatrix._of(
-            [[Fraction(sum(map(mul, r, c)), d * e) for e, c in cols] for d, r in rows]
+        cols = list(zip(*other.ints))
+        return RationalMatrix._int(
+            [[sum(map(mul, r, c)) for c in cols] for r in self.ints], self.den * other.den
         )
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix._of(zip(*self.entries))
+        return RationalMatrix._int(zip(*self.ints), self.den)
 
     def submatrix(self, row_idx, col_idx) -> "RationalMatrix":
-        return RationalMatrix._of(
-            [[self.entries[i][j] for j in col_idx] for i in row_idx]
-        )
+        rows = self.ints
+        return RationalMatrix._int([[rows[i][j] for j in col_idx] for i in row_idx], self.den)
 
     # -- elimination-based operations ---------------------------------------
 
     def rank(self) -> int:
-        return rank(self.entries)
+        return rank(self)
 
     def inverse(self) -> "RationalMatrix":
         n = self.rows
@@ -383,16 +404,17 @@ class RationalMatrix:
         cols, null = self.solve([[int(i == j) for i in range(n)] for j in range(n)])
         if null:
             raise MorganError("matrix is singular")
-        return RationalMatrix._of(zip(*cols))
+        return RationalMatrix.from_columns(cols)
 
     def solve(self, rhss):
         """(solutions, null basis) of self * x = v for each v in the list rhss:
         per v one x with free variables 0, or None if inconsistent, and the
         canonical basis of the right null space, one vector per free column;
-        one elimination of [self | v_1 ... v_k], pivoting in self's columns.
+        one elimination of [self | v_1 ... v_k] on integer rows.
         """
-        n = self.cols
-        aug = [list(r) + [v[i] for v in rhss] for i, r in enumerate(self.entries)]
+        n, d = self.cols, self.den
+        aug = [[e * x for x in r] + [d * y for y in v] for i, r in enumerate(self.ints)
+               for e, v in [_scaled([rhs[i] for rhs in rhss])]]
         m, pivots = _reduce(aug, n)
 
         def column(t, sign):
@@ -418,19 +440,22 @@ class RationalMatrix:
         return f"RationalMatrix({[list(map(str, r)) for r in self.entries]})"
 
 
+def _from_rows(rows) -> RationalMatrix:
+    """The matrix of rows v / e for the pairs (e > 0, integer list v)."""
+    rows = list(rows)
+    d = lcm(*(e for e, _ in rows))
+    return RationalMatrix._int([[x * (d // e) for x in v] for e, v in rows], d)
+
+
 def rank(m) -> int:
     """Exact rank over Q of a RationalMatrix or of rows of ints / Fractions.
 
-    Fraction-free (Bareiss) elimination over the integers, after scaling
-    each row by the lcm of its denominators.  After k pivots every remaining
-    entry is a (k+1)-minor of the scaled matrix, so the division by the
-    previous pivot is exact.
+    Fraction-free (Bareiss) elimination on integer rows, other rows scaled
+    by the lcm of their denominators.  After k pivots every remaining entry
+    is a (k+1)-minor, so the division by the previous pivot is exact.
     """
-    rows = []
-    for entries in m.entries if isinstance(m, RationalMatrix) else m:
-        row = _scaled(entries)[1]
-        if any(row):
-            rows.append(row)
+    rows = m.ints if isinstance(m, RationalMatrix) else [_scaled(r)[1] for r in m]
+    rows = [r for r in rows if any(r)]
     found = 0
     prev = 1
     for c in range(len(rows[0]) if rows else 0):
@@ -457,15 +482,13 @@ def krylov_select(a: RationalMatrix, b: RationalMatrix):
     Scans k = 0, 1, ... and the columns b_j in order, keeping A^k b_j iff it
     is independent of the vectors kept so far; a chain stops at its first
     dependent vector, since every higher power is dependent too.  The kept
-    vectors are a basis of <A | Im B>.  Runs on the integer matrix dA and on
-    integer multiples of the vectors (independence does not see the scale):
-    each candidate is reduced against the kept ones fraction-free, every
-    updated row divided by its content.  Returns the chain lengths, in column
-    order, and the kept vectors as integer lists, in scan order.
+    vectors are a basis of <A | Im B>.  Runs on integer rows: each candidate
+    is reduced against the kept ones fraction-free, every updated row divided
+    by its content.  Returns the chain lengths, in column order, and the kept
+    vectors as integer lists, in scan order.
     """
-    n = a.rows
-    ah = _scaled_matrix(a.entries)[1]
-    vecs = {j: _scaled(col)[1] for j, col in enumerate(zip(*b.entries))}
+    n, ah = a.rows, a.ints
+    vecs = {j: list(col) for j, col in enumerate(zip(*b.ints))}
     lengths = [0] * b.cols
     reduced = []  # (pivot, row) of the kept vectors, each row zero at earlier pivots
     kept = []
@@ -497,14 +520,12 @@ def krylov_select(a: RationalMatrix, b: RationalMatrix):
     return lengths, kept
 
 
-def _krylov(x, lines, d):
-    """Yield x, Mx, M^2 x, ... as Fraction lists, without end.  The integer
-    matrix dM is given by the lines each vector is dotted with (its columns
-    give the row sequence x M^k); each step is one integer product, and the
-    k-th vector is divided by e d^k, e the lcm of x's denominators."""
-    e, v = _scaled(x)
+def _krylov(e, v, lines, d):
+    """Yield (e d^k, v_k) with M^k x (or x M^k) = v_k / (e d^k), k = 0, 1, ...
+    without end, for x = v / e; dM is given by the lines each vector is dotted
+    with (its columns give the row sequence x M^k)."""
     while True:
-        yield [Fraction(y, e) for y in v]
+        yield e, v
         v = [sum(map(mul, r, v)) for r in lines]
         e *= d
 
@@ -515,17 +536,16 @@ RESOLVENT_SIZE_CAP = 64  # guard against accidental blow-up; the benchmark runs 
 def resolvent(a: RationalMatrix) -> Poly:
     """The monic characteristic polynomial chi of A, via Faddeev-LeVerrier.
 
-    d is the lcm of the denominators of A.  The recursion M_k = A M_{k-1}
-    + c_k I with c_k = -tr(A M_{k-1}) / k runs on the integer matrix dA,
-    where every division is exact, and chi_A(s) = d^-n chi_dA(d s).
-    """
+    A = M / d with M integer.  The recursion M_k = M M_{k-1} + c_k I, c_k =
+    -tr(M M_{k-1}) / k, runs on M, where every division is exact, and chi_A(s)
+    = d^-n chi_M(d s)."""
     n = a.rows
     if n != a.cols:
         raise MorganError("resolvent needs a square matrix")
     if n > RESOLVENT_SIZE_CAP:
         raise MorganError(f"resolvent size cap exceeded ({n} > {RESOLVENT_SIZE_CAP})")
-    d, ah = _scaled_matrix(a.entries)
-    cols = list(zip(*ah))  # M_k is a polynomial in A, so M_k dA = dA M_k
+    d = a.den
+    cols = list(zip(*a.ints))  # M_k is a polynomial in A, so M_k M = M M_k
     m = [[int(i == j) for j in range(n)] for i in range(n)]
     coeffs = [Fraction(1)]  # chi, descending
     for k in range(1, n + 1):
@@ -539,23 +559,22 @@ def resolvent(a: RationalMatrix) -> Poly:
     return Poly(coeffs[::-1])
 
 
-def controller_charpoly(sigma, end_rows) -> Poly:
+def controller_charpoly(sigma, ends: RationalMatrix) -> Poly:
     """chi(A) = det D(s) for A in controller form, from its block-end rows R.
 
     The other rows of A are the next unit rows, so (Wolovich) D(s) =
     diag(s^sigma_j) - R S(s), S(s) the block diagonal of the columns (1, s,
-    ..., s^(sigma_k - 1)).  Row j of D is scaled to integers by d_j; column
-    k then has degree sigma_k, with leading coefficient d_k on the diagonal
-    and lower degree off it.  So no leading principal minor vanishes, and
-    Bareiss elimination over Z[s] needs no pivoting and divides exactly.
-    MorganError above the size cap of resolvent.
-    """
+    ..., s^(sigma_k - 1)).  D is scaled to integers by the denominator d of
+    R; column k then has degree sigma_k, with leading coefficient d on the
+    diagonal and lower degree off it.  So no leading principal minor
+    vanishes, and Bareiss elimination over Z[s] needs no pivoting and
+    divides exactly.  MorganError above the size cap of resolvent."""
     if sum(sigma) > RESOLVENT_SIZE_CAP:
         raise MorganError(f"resolvent size cap exceeded ({sum(sigma)} > {RESOLVENT_SIZE_CAP})")
     m = []
-    for j, (d, r) in enumerate(map(_scaled, end_rows)):
-        r = iter(r)
-        m.append([[-next(r) for _ in range(s)] + [d] * (k == j) for k, s in enumerate(sigma)])
+    for j, r in enumerate(map(iter, ends.ints)):
+        m.append([[-next(r) for _ in range(s)] + [ends.den] * (k == j)
+                  for k, s in enumerate(sigma)])
     prev = [1]
     for k in range(len(m) - 1):
         piv = m[k][k]
@@ -582,45 +601,26 @@ def controller_charpoly(sigma, end_rows) -> Poly:
 
 
 def transfer_function(a, b, c, chi):
-    """Exact transfer function C (sI - A)^(-1) B.
+    """C adj(sI - A) B as a list of rows of Poly: the numerators of the exact
+    transfer function C (sI - A)^(-1) B over chi = chi_A (resolvent), not
+    reduced.  For a closed loop pass A + BF and BG (see zeros.closed_loop).
 
-    For a closed loop pass A + BF and BG (see zeros.closed_loop).  Returns
-    a matrix (list of lists) of (numerator, denominator) Poly pairs in
-    lowest terms with monic denominators; chi is the characteristic
-    polynomial of A (resolvent).  The numerators come from the Markov
-    parameters: with chi(s) = sum_j c_j s^(n-j), C adj(sI - A) B =
-    sum_k s^(n-1-k) N_k, N_k = sum_{j<=k} c_j C A^(k-j) B.  With d A, d_C C
-    and d_B B integer, N_k = sum_j (d^j c_j) (d_C C)(d A)^(k-j)(d_B B) /
-    (d^k d_C d_B).
+    From the Markov parameters: with chi(s) = sum_j c_j s^(n-j), the
+    numerator is sum_k s^(n-1-k) N_k, N_k = sum_{j<=k} c_j C A^(k-j) B, and
+    with d A, d_C C and d_B B integer, N_k = sum_j (d^j c_j) (d_C C)(d
+    A)^(k-j)(d_B B) / (d^k d_C d_B).
     """
     n = a.rows
-    d_a, ah = _scaled_matrix(a.entries)
-    d_c, x = _scaled_matrix(c.entries)
-    d_b, bh = _scaled_matrix(b.entries)
-    a_cols, b_cols = list(zip(*ah)), list(zip(*bh))
+    d_a, d_c, d_b = a.den, c.den, b.den
+    a_cols, b_cols = list(zip(*a.ints)), list(zip(*b.ints))
+    x = c.ints
     markov = []  # (d_C C)(dA)^i (d_B B), i = 0..n-1
     for i in range(n):
         if i:
             x = _int_product(x, a_cols)
         markov.append(_int_product(x, b_cols))
     c_hat = [(chi.coeff(n - j) * d_a**j).numerator for j in range(n)]
-    dens = [d_a**k * d_c * d_b for k in range(n)]
-    out = []
-    for i in range(c.rows):
-        row = []
-        for j in range(len(b_cols)):
-            p = Poly([
-                Fraction(sum(c_hat[t] * markov[k - t][i][j] for t in range(k + 1)), dens[k])
-                for k in range(n - 1, -1, -1)
-            ])
-            if p.is_zero():
-                row.append((Poly.zero(), Poly.one()))
-                continue
-            d = poly_gcd(p, chi)
-            pn = (p.divmod(d))[0]
-            pd = (chi.divmod(d))[0]
-            lead = pd.leading()
-            row.append((pn * (1 / lead), pd.monic()))
-        out.append(row)
-    return out
-
+    dens = [d_a**k * d_c * d_b for k in range(n - 1, -1, -1)]
+    sums = [[[sum(c_hat[t] * markov[k - t][i][j] for t in range(k + 1))
+               for k in range(n - 1, -1, -1)] for j in range(len(b_cols))] for i in range(c.rows)]
+    return [[Poly(map(Fraction, s, dens) if any(s) else ()) for s in row] for row in sums]

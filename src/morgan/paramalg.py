@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import MorganError
-from .exactalg import RationalMatrix, rank
+from .exactalg import RationalMatrix, _from_rows, _scaled, rank
 
 
 @dataclass(frozen=True, order=True)
@@ -303,4 +303,4 @@ def generic_rank(m: Grid, rng) -> int:
 def instantiate(m: Grid, point: dict) -> RationalMatrix:
     """The matrix a Grid stands for at a point keyed by column: its values
     divided by den, exact for a Grid of ConstraintSet.apply."""
-    return RationalMatrix([[Fraction(x, m.den) for x in row] for row in m.values(point)])
+    return _from_rows((e * m.den, v) for e, v in map(_scaled, m.values(point)))

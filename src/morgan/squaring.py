@@ -486,9 +486,8 @@ def assemble_squaring(
         f0_rows[block - 1] = [-lv - mv for lv, mv in zip(lam, mu)]
     f0 = RationalMatrix(f0_rows)
 
-    ident = RationalMatrix.identity(l)
-    keep = [j for j in range(1, l + 1) if j not in config.blocks]
-    g0 = RationalMatrix.from_columns([ident.col(j - 1) for j in keep])
+    keep = [j - 1 for j in range(1, l + 1) if j not in config.blocks]
+    g0 = RationalMatrix.identity(l).submatrix(range(l), keep)
 
     return SquaringData(
         sigma_tilde=st,

@@ -55,18 +55,19 @@ from .exactalg import (
 
 
 def _restriction(a: RationalMatrix, basis_cols) -> RationalMatrix:
-    """Matrix X with A V = V X for a basis V of an A-invariant subspace.
-
-    The columns of X solve V x = (AV)_j, one elimination; an inconsistent
-    column means AV leaves the span, a null vector that V is rank-deficient.
+    """Matrix X with A V = V X for a basis V (integer columns) of an A-invariant
+    subspace.  With AV = M / d, the columns of d X solve V x = M_j, one
+    elimination; an inconsistent column means AV leaves the span, a null
+    vector that V is rank-deficient.
     """
     if not basis_cols:
         return RationalMatrix.zeros(0, 0)
-    v = RationalMatrix.from_columns(basis_cols)
-    cols, null = v.solve(list(zip(*(a * v).entries)))
+    v = RationalMatrix._int(basis_cols).transpose()
+    av = a * v
+    cols, null = v.solve(list(zip(*av.ints)))
     if null or None in cols:
         raise MorganError("subspace is not invariant (bug)")
-    return RationalMatrix._of(zip(*cols))
+    return RationalMatrix.from_columns(cols) * Fraction(1, av.den)
 
 
 def _outside_krylov_span(a: RationalMatrix, b: RationalMatrix, chi) -> Poly:
@@ -200,13 +201,8 @@ def companion(p: Poly) -> RationalMatrix:
     d = p.degree
     if d < 1:
         return RationalMatrix.zeros(0, 0)
-    q = p.monic()
-    m = [[Fraction(0)] * d for _ in range(d)]
-    for i in range(1, d):
-        m[i][i - 1] = Fraction(1)
-    for i in range(d):
-        m[i][d - 1] = -q.coeff(i)
-    return RationalMatrix(m)
+    q = p.monic().coeffs
+    return RationalMatrix([[int(j == i - 1) for j in range(d - 1)] + [-q[i]] for i in range(d)])
 
 
 def assign_zeros(pencil, config, mu_family, target: Poly):
@@ -232,7 +228,7 @@ def assign_zeros(pencil, config, mu_family, target: Poly):
     n = pencil.n
     nb = RationalMatrix(mu_family.nullbasis)
     ne = nb.submatrix(range(k), [p - 1 for p in config.positions])
-    u = _reduce(nb.entries, n)[1]
+    u = _reduce(nb.ints, n)[1]
     w = nb.submatrix(range(k), u)
     a0 = [list(row) for row in pencil.A_r.entries]
     for p, mu in zip(config.positions, mu_family.particulars):

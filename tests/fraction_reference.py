@@ -1,7 +1,8 @@
 """Reference `Fraction` implementations of the exact matrix kernels.
 
 These are the bodies that `morgan.exactalg` ran before its kernels moved to
-scaled integers: a `Fraction` sum per product entry, Horner's rule on
+scaled integers: entrywise `Fraction` sums, negation, scalar products,
+transposes and submatrices, a `Fraction` sum per product entry, Horner's rule on
 `Fraction` matrices (now sums of integer Krylov rows in
 `decouple.square_decouple`),
 Gauss-Jordan elimination over Q, Faddeev-LeVerrier over Q with the
@@ -54,6 +55,25 @@ def mul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
 
 def mul_vector(a: RationalMatrix, v) -> tuple:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a.entries)
+
+
+def add(a: RationalMatrix, b: RationalMatrix, sign=1) -> RationalMatrix:
+    """a + sign * b entry by entry."""
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        raise MorganError(f"dimension mismatch {a.rows}x{a.cols} {'+-'[sign < 0]} {b.rows}x{b.cols}")
+    return RationalMatrix([[x + sign * y for x, y in zip(r, s)] for r, s in zip(a.entries, b.entries)])
+
+
+def scale(a: RationalMatrix, q) -> RationalMatrix:
+    return RationalMatrix([[x * q for x in r] for r in a.entries])
+
+
+def transpose(a: RationalMatrix) -> RationalMatrix:
+    return RationalMatrix([[r[j] for r in a.entries] for j in range(a.cols)])
+
+
+def submatrix(a: RationalMatrix, row_idx, col_idx) -> RationalMatrix:
+    return RationalMatrix([[a.entries[i][j] for j in col_idx] for i in row_idx])
 
 
 def eval_matrix(p: Poly, a: RationalMatrix) -> RationalMatrix:
@@ -128,11 +148,17 @@ def transfer_function(a, b, c, f=None, g=None):
     acl = a + mul(b, f)
     adj, chi = resolvent(acl)
     num = PolyMatrix.from_rational(c) * adj * PolyMatrix.from_rational(mul(b, g))
+    return lowest_terms(num.entries, chi)
+
+
+def lowest_terms(numerators, chi):
+    """The entries p / chi of a matrix (rows) of numerators p as lowest-terms
+    (num, monic den) Poly pairs, one gcd per nonzero entry: the body that
+    `exactalg.transfer_function` ran before it returned the numerators."""
     out = []
-    for i in range(num.rows):
+    for prow in numerators:
         row = []
-        for j in range(num.cols):
-            p = num[i, j]
+        for p in prow:
             if p.is_zero():
                 row.append((Poly.zero(), Poly.one()))
                 continue

@@ -11,7 +11,7 @@ import time
 from fractions import Fraction
 
 import golden_data as pd
-from fraction_reference import build_S, fixed_decoupling_poles, kalman_matrix, shift
+from fraction_reference import build_S, fixed_decoupling_poles, kalman_matrix, lowest_terms, shift
 from morgan.admissible import enumerate_row_configs, enumerate_tuples
 from morgan.canonical import StateSpace, _staircase_select, to_pencil_form
 from morgan.decouple import (
@@ -71,7 +71,8 @@ def test_criterion_1_example1_structure(ex1):
 def test_criterion_2_example1_golden_verify(ex1):
     t0 = time.perf_counter()
     acl = ex1.A + ex1.B * pd.EX1_F_FINAL
-    h = transfer_function(acl, ex1.B * pd.EX1_G_FINAL, ex1.C, resolvent(acl))
+    chi = resolvent(acl)
+    h = lowest_terms(transfer_function(acl, ex1.B * pd.EX1_G_FINAL, ex1.C, chi), chi)
     elapsed = time.perf_counter() - t0
     dens = [parse_poly(t) for t in pd.EX1_DIAG_DENS]
     for i in range(3):
@@ -100,7 +101,8 @@ def test_criterion_3_example1_synthesis(ex1):
     assert len(rejected) == 8
     # returned pair passes exact verification with the default 1/(s+1)^(d_i+1)
     acl = ex1.A + ex1.B * sol.F
-    h = transfer_function(acl, ex1.B * sol.G, ex1.C, resolvent(acl))
+    chi = resolvent(acl)
+    h = lowest_terms(transfer_function(acl, ex1.B * sol.G, ex1.C, chi), chi)
     for i in range(3):
         for j in range(3):
             num, den = h[i][j]
@@ -120,7 +122,8 @@ def test_criterion_4_example2_structure_and_golden_verify(ex2):
     assert tuples == pd.EX2_I_LIST and len(tuples) == 16
     assert [c.positions for c in configs] == pd.EX2_M_POSITIONS and len(configs) == 10
     acl = ex2.A + ex2.B * pd.ex2_f_final(0, 0, 0, 0)
-    h = transfer_function(acl, ex2.B * pd.EX2_G_FINAL, ex2.C, resolvent(acl))
+    chi = resolvent(acl)
+    h = lowest_terms(transfer_function(acl, ex2.B * pd.EX2_G_FINAL, ex2.C, chi), chi)
     dens = [parse_poly(t) for t in pd.EX2_DIAG_DENS]
     for i in range(3):
         for j in range(3):

@@ -936,6 +936,32 @@ class TestSolveSkipsFullResolvent:
         assert n not in sizes
 
 
+class TestPassingChecksRunNoGcd:
+    def test_example2_solve_and_verify(self, tmp_path, monkeypatch, capsys):
+        """A passing check accepts each diagonal entry by p den = chi num on
+        the numerators over chi, and the recorded numerators are constant,
+        so a first-hit solve and a verify of Example 2 run no poly_gcd."""
+        from pathlib import Path
+
+        from morgan import decouple, exactalg
+
+        system = str(Path(__file__).resolve().parent.parent / "data" / "example2_system.json")
+        sol = str(tmp_path / "sol.json")
+        calls = []
+        original = exactalg.poly_gcd
+
+        def counted(a, b):
+            calls.append((a, b))
+            return original(a, b)
+
+        monkeypatch.setattr(exactalg, "poly_gcd", counted)
+        monkeypatch.setattr(decouple, "poly_gcd", counted, raising=False)
+        capsys.readouterr()
+        assert run(capsys, ["solve", system, "--out", sol])[0] == 0
+        assert run(capsys, ["verify", system, sol])[0] == 0
+        assert calls == []
+
+
 class TestCommandLookup:
     def test_rebound_command_is_called(self, files, monkeypatch, capsys):
         """main looks the command function up when it runs, so rebinding

@@ -22,7 +22,9 @@ from morgan.decouple import (
     square_decouple,
 )
 from morgan.errors import InvalidSystem, MorganError, TargetDegreeMismatch, VerificationFailed
-from morgan.exactalg import Poly, RationalMatrix, parse_poly, resolvent, transfer_function
+from morgan.exactalg import (
+    Poly, RationalMatrix, format_poly, parse_poly, resolvent, transfer_function,
+)
 from morgan.fileio import load_system
 from morgan.paramalg import ParamId, instantiate
 from morgan.squaring import (
@@ -148,8 +150,8 @@ class TestSquareDecouple:
         # the closed loop must be exactly diag(1/p_i)
         b_f = square_input(ex1_reference_pencil, sq)
         acl = square.A_f + b_f * f_f
-        h = transfer_function(acl, b_f * g_f, square.C_f, resolvent(acl))
-        assert_diagonal(h, p_list)
+        chi = resolvent(acl)
+        assert_diagonal(ref.lowest_terms(transfer_function(acl, b_f * g_f, square.C_f, chi), chi), p_list)
 
     def test_example2_reference_targets(self, ex2_pencil, ex2_config_15):
         sq = ex2_reference_squaring(ex2_pencil, ex2_config_15)
@@ -158,8 +160,8 @@ class TestSquareDecouple:
         f_f, g_f, p_list = square_decouple(square, targets)
         b_f = square_input(ex2_pencil, sq)
         acl = square.A_f + b_f * f_f
-        h = transfer_function(acl, b_f * g_f, square.C_f, resolvent(acl))
-        assert_diagonal(h, p_list)
+        chi = resolvent(acl)
+        assert_diagonal(ref.lowest_terms(transfer_function(acl, b_f * g_f, square.C_f, chi), chi), p_list)
 
     def test_f_f_matches_reference_horner(self, ex1_reference_pencil, ex2_pencil, ex2_config_15,
                                           ex1_solution, ex2_solution):
@@ -287,6 +289,77 @@ class TestComposeFinal:
         acl, chi = closed_loop(sys_, f, g)
         _, failures = check_closed_loop(acl, sys_.B * g, sys_.C, chi, expected)
         assert [str(e) for e in failures] == messages
+
+
+def lowest_terms_check(a, b, c, g, expected):
+    """(diagonal, failure (message, entry) pairs) of the closed-loop check as
+    it ran on the lowest-terms transfer function of fraction_reference,
+    with F = 0: one gcd per nonzero entry, then a comparison of pairs."""
+    h = ref.transfer_function(a, b, c, None, g)
+    m = c.rows
+    failures = [
+        (f"off-diagonal entry ({i + 1},{j + 1}) = "
+         f"({format_poly(h[i][j][0])})/({format_poly(h[i][j][1])}) != 0", (i + 1, j + 1))
+        for i in range(m) for j in range(m) if i != j and not h[i][j][0].is_zero()
+    ]
+    diag = [h[i][i] for i in range(m)]
+    for i, (num, den) in enumerate(diag):
+        rec_num, rec_den = expected[i]
+        if num.is_zero():
+            failures.append((f"diagonal entry {i + 1} is zero", (i + 1, i + 1)))
+        elif (num, den) != (rec_num, rec_den):
+            failures.append((
+                f"diagonal entry {i + 1} is ({format_poly(num)})/({format_poly(den)}), "
+                f"file records ({format_poly(rec_num)})/({format_poly(rec_den)})", (i + 1, i + 1)))
+    return diag, failures
+
+
+P = parse_poly
+
+
+class TestGcdFreeCheck:
+    """check_closed_loop decides each diagonal entry by p den = chi num on the
+    numerators over chi; it must give the failures, messages and diagonal of
+    the lowest-terms path.  A = diag(-2, -3): with B = I the diagonal of
+    C (sI - A)^-1 is 1/(s+2), 1/(s+3); with B = [1; 1] and C = [2, -1] the
+    single entry is (s+4)/(s^2+5s+6)."""
+
+    DIAG = RationalMatrix([[-2, 0], [0, -3]])
+
+    @pytest.mark.parametrize("b, c, g, expected", [
+        # passes: constant and nonconstant numerators in lowest terms
+        ([[1, 0], [0, 1]], [[1, 0], [0, 1]], [[1, 0], [0, 1]], [("1", "s+2"), ("1", "s+3")]),
+        ([[1], [1]], [[2, -1]], [[1]], [("s+4", "s^2+5s+6")]),
+        # a recorded entry not in lowest terms, constant and not
+        ([[1, 0], [0, 1]], [[1, 0], [0, 1]], [[1, 0], [0, 1]], [("s+1", "s^2+3s+2"), ("1", "s+3")]),
+        ([[1], [1]], [[2, -1]], [[1]], [("s^2+5s+4", "s^3+6s^2+11s+6")]),
+        # a recorded denominator that is not monic, with the same value
+        ([[1, 0], [0, 1]], [[1, 0], [0, 1]], [[1, 0], [0, 1]], [("2", "2s+4"), ("1/3", "1/3s+1")]),
+        # a zero diagonal entry
+        ([[1, 0], [0, 1]], [[0, 0], [0, 1]], [[1, 0], [0, 1]], [("1", "s+2"), ("1", "s+3")]),
+        # nonzero off-diagonal entries
+        ([[1, 0], [0, 1]], [[1, 1], [0, 1]], [[1, 1], [0, 1]], [("1", "s+2"), ("1", "s+3")]),
+        # a recorded numerator that is not constant, wrong or of the wrong degree
+        ([[1], [1]], [[2, -1]], [[1]], [("s+5", "s^2+5s+6")]),
+        ([[1, 0], [0, 1]], [[1, 0], [0, 1]], [[1, 0], [0, 1]], [("s", "s+2"), ("1", "s+3")]),
+    ])
+    def test_matches_lowest_terms_path(self, b, c, g, expected):
+        b, c, g = RationalMatrix(b), RationalMatrix(c), RationalMatrix(g)
+        a = self.DIAG.submatrix(range(b.rows), range(b.rows))
+        expected = [(P(num), P(den)) for num, den in expected]
+        diag, failures = check_closed_loop(a, b * g, c, resolvent(a), expected)
+        want_diag, want_failures = lowest_terms_check(a, b, c, g, expected)
+        assert diag == want_diag
+        assert [(str(e), e.entry) for e in failures] == want_failures
+
+    def test_messages_name_the_reduced_entry(self):
+        a, b = self.DIAG, RationalMatrix.identity(2)
+        expected = [(P("s+1"), P("s^2+3s+2")), (P("2"), P("2s+6"))]
+        _, failures = check_closed_loop(a, b, b, resolvent(a), expected)
+        assert [str(e) for e in failures] == [
+            "diagonal entry 1 is (1)/(s+2), file records (s+1)/(s^2+3s+2)",
+            "diagonal entry 2 is (1)/(s+3), file records (2)/(2s+6)",
+        ]
 
 
 def composed_cells(sys_, options, monkeypatch):

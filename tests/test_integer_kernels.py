@@ -6,12 +6,15 @@ forms, Faddeev-LeVerrier and the transfer function, on mixed denominators,
 zero rows and columns, empty shapes and rank-deficient matrices up to
 n = 12.  det D(s) of a controller form equals Faddeev-LeVerrier's chi.  The
 Krylov sequences (x A^k on rows, as `decouple.square_decouple` reads them,
-and A^k x) are checked against Fraction powers.
+and A^k x) are checked against Fraction powers.  The canonical form of
+RationalMatrix (den and ints) is checked on matrices built from Fractions,
+from integer rows and by products.
 """
 
 import operator
 from fractions import Fraction
 from itertools import accumulate, islice
+from math import gcd, lcm
 
 import hypothesis
 import pytest
@@ -26,7 +29,7 @@ from morgan.exactalg import (
     _krylov,
     _reduce,
     RESOLVENT_SIZE_CAP,
-    _scaled_matrix,
+    _scaled,
     controller_charpoly,
     resolvent,
     transfer_function,
@@ -76,6 +79,24 @@ def product_pairs(draw):
     return draw(matrices(r, k)), draw(matrices(k, c))
 
 
+@st.composite
+def built(draw, rows, cols):
+    """(the matrix as Fraction rows, the same matrix built by a drawn route):
+    from the Fractions, from integer rows over a multiple of the least
+    denominator, as a product with an identity, or scaled by q and by 1/q."""
+    fr = [list(r) for r in draw(matrices(rows, cols)).entries]
+    route = draw(st.sampled_from(("fractions", "ints", "product", "scaled")))
+    if route == "ints":
+        d = lcm(*[x.denominator for r in fr for x in r]) * draw(st.integers(1, 6))
+        return fr, RationalMatrix._int([[int(x * d) for x in r] for r in fr], d)
+    if route == "product":
+        return fr, RationalMatrix.identity(rows) * RationalMatrix(fr)
+    if route == "scaled":
+        q = draw(st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool))
+        return fr, RationalMatrix(fr) * q * (1 / q)
+    return fr, RationalMatrix(fr)
+
+
 def outcome(fn, *args):
     """fn(*args), or the message of the MorganError it raises."""
     try:
@@ -119,6 +140,59 @@ class TestProduct:
             RationalMatrix.identity(2) * RationalMatrix.identity(3)
 
 
+SMALL = st.integers(0, 4)
+
+
+class TestRepresentation:
+    """RationalMatrix in its canonical form (den, ints) against the plain
+    Fraction bodies of fraction_reference, whichever route built it."""
+
+    @hypothesis.seed(32)
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_operations_match_fraction_reference(self, data):
+        r, c, k = data.draw(SMALL), data.draw(SMALL), data.draw(SMALL)
+        fa, a = data.draw(built(r, c))
+        fb, b = data.draw(built(r, c))
+        fc, m = data.draw(built(c, k))
+        ra, rb, rm = RationalMatrix(fa), RationalMatrix(fb), RationalMatrix(fc)
+        q = data.draw(st.one_of(st.integers(-3, 3), st.fractions(max_denominator=5)))
+        rows = data.draw(st.lists(st.integers(0, r - 1), max_size=3)) if r else []
+        cols = data.draw(st.lists(st.integers(0, c - 1), max_size=3)) if c else []
+        for got, want in [
+            (a, ra), (a + b, ref.add(ra, rb)), (a - b, ref.add(ra, rb, -1)),
+            (-a, ref.scale(ra, -1)), (a * q, ref.scale(ra, q)), (a.transpose(), ref.transpose(ra)),
+            (a.submatrix(rows, cols), ref.submatrix(ra, rows, cols)),
+        ] + ([(a * m, ref.mul(ra, rm))] if a.cols == m.rows else []):
+            assert got == want and hash(got) == hash(want)
+            assert got.entries == want.entries and (got.rows, got.cols) == (want.rows, want.cols)
+            assert got.den > 0 and gcd(got.den, *[x for row in got.ints for x in row]) == 1
+        assert outcome(operator.mul, a, m) == outcome(ref.mul, ra, rm)
+        assert a.rank() == len(ref.echelon(ra)[1])
+        v = tuple(data.draw(st.lists(ENTRIES, min_size=r, max_size=r)))
+        assert a.solve([v]) == ([ref_solve(ra, v)], ref_nullspace(ra))
+        if r == c and a.rank() == r:
+            assert a.inverse() == ref.inverse(ra) and a.inverse().entries == ref.inverse(ra).entries
+
+    def test_canonical_form(self):
+        m = RationalMatrix([[Fraction(1, 2), Fraction(-3, 4)], [0, 6]])
+        assert (m.den, m.ints) == (4, ((2, -3), (0, 24)))
+        assert RationalMatrix._int([[6, -9], [0, 72]], 12) == m
+        assert (RationalMatrix.zeros(2, 3).den, RationalMatrix._int([[0, 0]], 7).den) == (1, 1)
+        # the entries a caller passes in are kept as given
+        assert RationalMatrix([[Fraction(2, 4)]]).row(0) == (Fraction(1, 2),)
+        memo = {m: "kept"}
+        assert memo[m * 3 * Fraction(1, 3)] == "kept" == memo[RationalMatrix._int(m.ints, 4)]
+
+    def test_immutable(self):
+        m = RationalMatrix([[1, 2]])
+        for name, value in [("entries", ((3, 4),)), ("den", 2), ("ints", ((3, 4),)),
+                            ("rows", 3), ("extra", 1)]:
+            with pytest.raises(AttributeError):
+                setattr(m, name, value)
+        assert m.entries == ((1, 2),) and m.den == 1
+
+
 class TestKrylov:
     """The integer Krylov sequence (the rows C_i A_f^k that
     decouple.relative_degrees and square_decouple read, and the chains of
@@ -131,8 +205,9 @@ class TestKrylov:
     def test_matches_fraction_powers(self, a, pool, count, rows):
         n = a.rows
         x = pool[:n]
-        d, ah = _scaled_matrix(a.entries)
-        got = list(islice(_krylov(x, list(zip(*ah)) if rows else ah, d), count))
+        lines = list(zip(*a.ints)) if rows else a.ints
+        got = [[Fraction(y, e) for y in v]
+               for e, v in islice(_krylov(*_scaled(x), lines, a.den), count)]
         want = []
         for _ in range(count):
             want.append(x)
@@ -147,7 +222,7 @@ def reduced_echelon(a: RationalMatrix):
     """(rows, pivot columns) of the reduced row echelon form read off _reduce:
     its pivot rows divided by their pivots, then its other rows, which must be
     zero."""
-    m, pivots = _reduce(a.entries, a.cols)
+    m, pivots = _reduce(a.ints, a.cols)
     assert not any(x for row in m[len(pivots):] for x in row)
     rows = [[Fraction(x, m[i][c]) for x in m[i]] for i, c in enumerate(pivots)]
     return rows + [[Fraction(0)] * a.cols for _ in m[len(pivots):]], pivots
@@ -232,7 +307,7 @@ def controller_form(sigma, end_rows):
     """The matrix with the given block-end rows and unit chain rows."""
     n = sum(sigma)
     a = [[Fraction(int(j == i + 1)) for j in range(n)] for i in range(n)]
-    for p, row in zip(accumulate(sigma), end_rows):
+    for p, row in zip(accumulate(sigma), end_rows.entries):
         a[p - 1] = list(row)
     return RationalMatrix(a)
 
@@ -242,7 +317,7 @@ def controller_forms(draw):
     """(sigma, block-end rows): blocks of 1-4 rows, 1-4 blocks, and end rows
     with mixed denominators, zero rows and dependent rows."""
     sigma = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)))
-    return sigma, draw(matrices(len(sigma), sum(sigma))).entries
+    return sigma, draw(matrices(len(sigma), sum(sigma)))
 
 
 def companion_ends(sigma, polys):
@@ -252,13 +327,13 @@ def companion_ends(sigma, polys):
         row = [Fraction(0)] * sum(sigma)
         row[sum(sigma[:j]):sum(sigma[:j + 1])] = [-c for c in p.coeffs[:-1]]
         rows.append(row)
-    return rows
+    return RationalMatrix(rows)
 
 
 S1 = Poly([1, 1])  # s + 1
 # block-end rows with denominators; the second set has a zero row
-ENDS_5 = [[Fraction(-1, 3), Fraction(0), Fraction(7, 2), Fraction(0), Fraction(-2, 9)]]
-ENDS_1_3 = [[Fraction(0)] * 4, [Fraction(1, 2), Fraction(-3), Fraction(0), Fraction(5, 7)]]
+ENDS_5 = RationalMatrix([[Fraction(-1, 3), Fraction(0), Fraction(7, 2), Fraction(0), Fraction(-2, 9)]])
+ENDS_1_3 = RationalMatrix([[Fraction(0)] * 4, [Fraction(1, 2), Fraction(-3), Fraction(0), Fraction(5, 7)]])
 
 
 class TestControllerCharpoly:
@@ -286,9 +361,9 @@ class TestControllerCharpoly:
 
     def test_size_cap(self):
         n = RESOLVENT_SIZE_CAP
-        assert controller_charpoly((n,), [[Fraction(0)] * n]) == Poly([0] * n + [1])
+        assert controller_charpoly((n,), RationalMatrix.zeros(1, n)) == Poly([0] * n + [1])
         with pytest.raises(MorganError, match=f"size cap exceeded \\({n + 1} > {n}\\)"):
-            controller_charpoly((n - 1, 2), [[Fraction(0)] * (n + 1)] * 2)
+            controller_charpoly((n - 1, 2), RationalMatrix.zeros(2, n + 1))
 
 
 @st.composite
@@ -312,4 +387,5 @@ class TestTransferFunction:
         a, b, c, f, g = system
         acl = a if f is None else a + b * f
         bg = b if g is None else b * g
-        assert transfer_function(acl, bg, c, resolvent(acl)) == ref.transfer_function(*system)
+        chi = resolvent(acl)
+        assert ref.lowest_terms(transfer_function(acl, bg, c, chi), chi) == ref.transfer_function(*system)

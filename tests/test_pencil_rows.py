@@ -35,14 +35,14 @@ ENTRIES = st.one_of(
 def slices(draw):
     sigma = tuple(draw(st.lists(st.integers(1, 4), max_size=5)))
     rows = draw(st.integers(0 if not sigma else 1, 4))
-    m = RationalMatrix._of(
+    m = RationalMatrix(
         [[draw(ENTRIES) for _ in range(sum(sigma))] for _ in range(rows)]
     )
     return m, sigma
 
 
 @given(slices())
-@example((RationalMatrix._of([(), ()]), ()))
+@example((RationalMatrix([(), ()]), ()))
 @example((RationalMatrix([[1, 2, 3]]), (1, 1, 1)))
 @settings(max_examples=150, deadline=None)
 def test_times_S_matches_product(case):
